@@ -93,3 +93,27 @@ class TheoremViolation(InternalError):
 
 class DegreeMismatch(InternalError):
     pass
+
+
+class NotDivisible(InternalError, ArithmeticError):
+    """An exact division by p met a coefficient that p does not divide."""
+
+
+class NotMonic(InternalError):
+    pass
+
+
+class PrecisionOutOfRange(InternalError):
+    pass
+
+
+class FFTRoundingError(InternalError):
+    """A floating-point FFT product was not provably exact."""
+
+
+class InvalidModulus(DomainError, ValueError):
+    pass
+
+
+class PrimeTooSmall(DomainError):
+    pass

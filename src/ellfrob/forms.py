@@ -8,7 +8,8 @@ factor p; the starred coefficients are those divided by p.
 
 import math
 
-from .errors import NotTangential, SingularPair
+from .errors import (DegreeMismatch, InternalMismatch, NotTangential,
+                     SingularPair)
 from .residue import PrimePower, ResidueInt, delta_scalar, inv_mod
 from .wpoly import LocFrac, LocalizerSet, WPoly, discriminant
 
@@ -105,7 +106,9 @@ class QuasiLinearForm:
         if self.tangential:
             star_4 = star_4 if star_4 is not None else ring.zero()
             star_6 = star_6 if star_6 is not None else ring.zero()
-            assert gamma_4 is None and gamma_6 is None
+            if gamma_4 is not None or gamma_6 is not None:
+                raise InternalMismatch("tangential form takes star parts, "
+                                       "not gamma_4/gamma_6")
             gamma_4 = star_4.scale(ring.p)
             gamma_6 = star_6.scale(ring.p)
         self.gamma_4 = gamma_4 if gamma_4 is not None else ring.zero()
@@ -115,7 +118,8 @@ class QuasiLinearForm:
         for frac, d in ((self.gamma_k, k), (self.gamma_4, k - 4 * ring.p),
                         (self.gamma_6, k - 6 * ring.p)):
             wd = frac.weighted_degree()
-            assert wd is None or wd == d, "coefficient degree %r != %r" % (wd, d)
+            if wd is not None and wd != d:
+                raise DegreeMismatch("coefficient degree %r != %r" % (wd, d))
 
 
 def weight_check_mod_p(form):

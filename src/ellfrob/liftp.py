@@ -6,7 +6,8 @@ Pairs (a, b) are exact integers (canonical representatives); they are what
 the p-derivation and the guard-digit divisions by p act on.
 """
 
-from .errors import NotOrdinary, SingularPair, SingularSystem
+from .errors import (NotOrdinary, PrecisionOutOfRange, SingularPair,
+                     SingularSystem)
 from .forms import hasse_poly
 from .residue import PrimePower, delta_scalar, inv_mod
 from .upoly import FracPoly, UPoly
@@ -28,9 +29,18 @@ class CurveContext:
         self.h_val = hasse_poly(pm.p, pm).specialize(self.a, self.b)
         self.ordinary = self.h_val % pm.p != 0
         self.lambda0 = inv_mod(self.h_val, pm.q) if self.ordinary else None
+        # f per precision (with its powers) and the K forms, each formed
+        # once per context; they go when the context does
+        self.memo = {}
 
     def f_at(self, prec):
-        return UPoly.x_cubic(self.a, self.b, PrimePower(self.p, prec))
+        """f over Z/p^prec: one object per precision, whose powers are
+        memoized, so each f**n is formed once per context."""
+        f = self.memo.get(("f", prec))
+        if f is None:
+            f = UPoly.x_cubic(self.a, self.b, PrimePower(self.p, prec))
+            self.memo[("f", prec)] = f.memoize_powers()
+        return f
 
     def delta_a(self):
         return int(delta_scalar(self.a, self.pm))
@@ -48,28 +58,33 @@ class FrobLift:
         self.lam = lam
 
 
-def k_poly(ctx, prec):
-    """K = (1/p)(x^(3p) + a x^p + b - f^p) mod p^prec.
+def _k_form(ctx, prec, a_img, b_img):
+    """(1/p)(x^(3p) + a_img x^p + b_img - f^p) mod p^prec, memoized on ctx.
 
-    phi fixes the integer scalars a, b. Computed with one guard digit so the
-    division by p is exact integer arithmetic.
+    Computed with one guard digit so the division by p is exact integer
+    arithmetic.
     """
-    p = ctx.p
-    pg = PrimePower(p, prec + 1)
-    num = (UPoly.monomial(1, 3 * p, pg) + UPoly.monomial(ctx.a, p, pg)
-           + UPoly.const(ctx.b, pg) - ctx.f_at(prec + 1) ** p)
-    return num.divexact_p()
+    key = ("K", prec, a_img, b_img)
+    k = ctx.memo.get(key)
+    if k is None:
+        p = ctx.p
+        pg = PrimePower(p, prec + 1)
+        num = (UPoly.monomial(1, 3 * p, pg) + UPoly.monomial(a_img, p, pg)
+               + UPoly.const(b_img, pg) - ctx.f_at(prec + 1) ** p)
+        k = ctx.memo[key] = num.divexact_p()
+    return k
+
+
+def k_poly(ctx, prec):
+    """K = (1/p)(x^(3p) + a x^p + b - f^p) mod p^prec; phi fixes the integer
+    scalars a, b."""
+    return _k_form(ctx, prec, ctx.a, ctx.b)
 
 
 def k0_poly(ctx, prec):
     """K0: same as K but with a^p, b^p in place of phi(a), phi(b)."""
-    p = ctx.p
-    pg = PrimePower(p, prec + 1)
-    ap = pow(ctx.a, p, pg.q)
-    bp = pow(ctx.b, p, pg.q)
-    num = (UPoly.monomial(1, 3 * p, pg) + UPoly.monomial(ap, p, pg)
-           + UPoly.const(bp, pg) - ctx.f_at(prec + 1) ** p)
-    return num.divexact_p()
+    q = ctx.p ** (prec + 1)
+    return _k_form(ctx, prec, pow(ctx.a, ctx.p, q), pow(ctx.b, ctx.p, q))
 
 
 def g_minus_one(ctx, z, prec):
@@ -98,7 +113,9 @@ def g_minus_one(ctx, z, prec):
 
 def _sqrt_one_plus(e, prec):
     """(1+e)^(1/2) for e = 0 mod p, valid mod p^prec for prec <= 3."""
-    assert prec <= 3
+    if prec > 3:
+        raise PrecisionOutOfRange("square root series truncated at p^3, "
+                                  "asked for p^%d" % prec)
     pg = e.pm
     inv2 = inv_mod(2, pg.q)
     inv8 = inv_mod(8, pg.q)
@@ -177,7 +194,8 @@ def build_lift_mod_p(ctx):
     lam = ctx.lambda0 % p
     integrand = (f ** ((p - 1) // 2)).scale(lam) - UPoly.monomial(1, p - 1, pm1)
     z = integrand.antiderivative()
-    return FrobLift(CurveContext(ctx.a, ctx.b, pm1), FracPoly(z, 0, f), lam)
+    lift_ctx = ctx if ctx.pm.m == 1 else CurveContext(ctx.a, ctx.b, pm1)
+    return FrobLift(lift_ctx, FracPoly(z, 0, f), lam)
 
 
 def _y_poly(ctx, z):

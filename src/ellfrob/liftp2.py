@@ -10,7 +10,8 @@ turns x^(jp) terms into p-multiples.
 
 import math
 
-from .errors import (BNotUnit, InternalMismatch, NotOrdinary, NotStabilized,
+from .errors import (BNotUnit, DegreeMismatch, InternalMismatch,
+                     NotDivisible, NotOrdinary, NotStabilized,
                      PropertyViolation, SigmaSingular, TOutOfRange,
                      WrongResidueClass)
 from .forms import hasse_poly
@@ -31,14 +32,15 @@ def d_values(ctx):
     if not ctx.ordinary:
         raise NotOrdinary("H(%d, %d) = 0 mod %d" % (ctx.a, ctx.b, p))
     lam0 = ctx.lambda0 % p
-    f1 = ctx.f_at(1)
-    fh = f1 ** ((p - 1) // 2)
+    fh = ctx.f_at(1) ** ((p - 1) // 2)
     integrand = fh.scale(lam0) - UPoly.monomial(1, p - 1, pm1)
     w0 = integrand.antiderivative()
     k0 = k0_poly(ctx, 1)
     quad = UPoly.monomial(3, 2 * p, pm1) + UPoly.const(pow(ctx.a, p, p), pm1)
     dpoly = (fh * (k0 + quad * w0)).scale(lam0 * inv_mod(2, p))
-    assert dpoly.degree() <= 5 * p - 2
+    if dpoly.degree() > 5 * p - 2:
+        raise DegreeMismatch("deg D = %d exceeds 5p-2 = %d"
+                             % (dpoly.degree(), 5 * p - 2))
     return [0] + [dpoly.coeff(s * p - 1) for s in range(1, 5)], w0
 
 
@@ -98,17 +100,19 @@ def stabilization_check(p, u, v_unit, theta, da, db, d, vs):
     return truncated
 
 
-def solve_eigen_numeric(ctx):
+def solve_eigen_numeric(ctx, d=None):
     """theta and v_0 forcing the two pivot coefficients to vanish.
 
     v_n is affine in (v_0, theta): run the indicator streams alpha (v_0=1),
     beta (theta=1) and the inhomogeneous stream, then solve the 2x2 system
     at rows (p+5)/2, (p+7)/2. A vanishing determinant means the pair is
-    sigma-singular for this construction.
+    sigma-singular for this construction. d is the d_values list, computed
+    here when not given.
     """
     p = ctx.p
     u, v_unit = pow(ctx.a, p, p), pow(ctx.b, p, p)
-    d, _ = d_values(ctx)
+    if d is None:
+        d, _ = d_values(ctx)
     da, db = ctx.delta_a() % p, ctx.delta_b() % p
     m_piv = (p + 5) // 2
     t_max = m_piv + 1
@@ -125,7 +129,7 @@ def solve_eigen_numeric(ctx):
     return v0, theta, det
 
 
-def _solve_a0(ctx):
+def _solve_a0(ctx, d):
     """a = 0 mod p (so p = 1 mod 3 for an ordinary pair): v_0 = 0 and
     theta = -delta(b)/(6 b^p) - beta with beta = (1/3) beta_1 + (2/3) beta_4,
     where d_1 = beta_1 b^p and d_4 = beta_4."""
@@ -134,17 +138,16 @@ def _solve_a0(ctx):
         raise WrongResidueClass("a = %d is a unit mod %d" % (ctx.a, p))
     if p % 3 != 1:
         raise WrongResidueClass("p = %d is not 1 mod 3" % p)
-    d, _ = d_values(ctx)
     v_unit = pow(ctx.b, p, p)
     beta1 = d[1] * inv_mod(v_unit, p) % p
     beta4 = d[4] % p
     beta = (beta1 + 2 * beta4) * inv_mod(3, p) % p
     db = ctx.delta_b() % p
     theta = (-db * inv_mod(6 * v_unit, p) - beta) % p
-    return 0, theta, d
+    return 0, theta
 
 
-def _solve_b0(ctx):
+def _solve_b0(ctx, d):
     """b = 0 mod p (so p = 1 mod 4 for an ordinary pair): rows become
     (s - 3/2) a^p v_(s-1) = (9/2-s) v_(s-3) + sources and are solved forward
     for v_(s-1); theta = -delta(a)/(4 a^p) - (alpha_2 + alpha_4)/2 where
@@ -156,7 +159,6 @@ def _solve_b0(ctx):
         raise WrongResidueClass("b = %d is a unit mod %d" % (ctx.b, p))
     if p % 4 != 1:
         raise WrongResidueClass("p = %d is not 1 mod 4" % p)
-    d, _ = d_values(ctx)
     u = pow(ctx.a, p, p)
     alpha2 = d[2] * inv_mod(u, p) % p
     alpha4 = d[4] % p
@@ -178,13 +180,14 @@ def _solve_b0(ctx):
             vs.append(0)
         else:
             vs.append(rhs * inv_mod(lead, p) % p)
-    return vs[0], theta, d, vs
+    return vs[0], theta, vs
 
 
-def assemble_lift(ctx, v0, theta, vs):
+def assemble_lift(ctx, theta, vs, w0):
     """Build Z = W + V(x^p) + p U/f^p and lambda = lambda0 (1 + p theta)
-    mod p^2 from a stabilized solution. Integrability of dU/dx is exactly
-    the row system, so the antiderivative call doubles as a check."""
+    mod p^2 from a stabilized solution and the W0 of d_values.
+    Integrability of dU/dx is exactly the row system, so the antiderivative
+    call doubles as a check."""
     p = ctx.p
     pm1, pm2 = PrimePower(p, 1), PrimePower(p, 2)
     q2 = pm2.q
@@ -195,19 +198,18 @@ def assemble_lift(ctx, v0, theta, vs):
 
     f1 = ctx.f_at(1)
     fh1 = f1 ** ((p - 1) // 2)
-    lam0 = ctx.lambda0 % p
-    half = lam0 * inv_mod(2, p) % p
+    half = ctx.lambda0 * inv_mod(2, p) % p
     quad = UPoly.monomial(3, 2 * p, pm1) + UPoly.const(pow(ctx.a, p, p), pm1)
     v_poly = UPoly(vs, pm1)
     vxp = v_poly.compose_xp()
-    d, w0 = d_values(ctx)
-    k0 = k0_poly(ctx, 1)
-    du = (-(UPoly.monomial(1, p - 1, pm1) * (f1 ** p) * v_poly.derivative().compose_xp())
-          + (fh1 * quad * (vxp + w0)).scale(half)
-          + (fh1 * quad * UPoly.monomial(theta, p, pm1)).scale(half)
-          + (fh1 * k0).scale(half)
-          + fh1.scale(half * ctx.delta_b())
-          + (fh1 * UPoly.monomial(ctx.delta_a(), p, pm1)).scale(half))
+    # dU/dx = -x^(p-1) f^p V'(x^p) + (lambda0/2) f^((p-1)/2) (K0
+    #         + (3x^(2p)+a^p)(V(x^p) + W0 + theta x^p) + delta(b) + delta(a) x^p)
+    inner = (k0_poly(ctx, 1)
+             + quad * (vxp + w0 + UPoly.monomial(theta, p, pm1))
+             + UPoly.const(ctx.delta_b(), pm1)
+             + UPoly.monomial(ctx.delta_a(), p, pm1))
+    du = ((fh1 * inner).scale(half)
+          - UPoly.monomial(1, p - 1, pm1) * (f1 ** p) * v_poly.derivative().compose_xp())
     u_poly = du.antiderivative()
 
     num = (w + vxp.lift_to(pm2)) * (f2 ** p) + u_poly.lift_to(pm2).scale(p)
@@ -234,25 +236,25 @@ def build_lift_mod_p2(ctx, branch="auto"):
         else:
             branch = "general"
 
+    if branch not in ("general", "a0", "b0"):
+        raise ValueError("unknown branch %r" % branch)
     u, v_unit = pow(ctx.a, p, p), pow(ctx.b, p, p)
+    if branch == "general" and v_unit == 0:
+        raise BNotUnit("b = 0 mod %d: use the b0 branch" % p)
     da, db = ctx.delta_a() % p, ctx.delta_b() % p
+    d, w0 = d_values(ctx)
     if branch == "general":
-        if v_unit == 0:
-            raise BNotUnit("b = 0 mod %d: use the b0 branch" % p)
-        v0, theta, det = solve_eigen_numeric(ctx)
-        d, _ = d_values(ctx)
+        v0, theta, _ = solve_eigen_numeric(ctx, d)
         vs = solve_truncated(p, u, v_unit, theta, da, db, d, v0, (p + 7) // 2)
         vs = stabilization_check(p, u, v_unit, theta, da, db, d, vs)
     elif branch == "a0":
-        v0, theta, d = _solve_a0(ctx)
+        v0, theta = _solve_a0(ctx, d)
         vs = solve_truncated(p, 0, v_unit, theta, da, db, d, v0, (p + 7) // 2)
         vs = stabilization_check(p, 0, v_unit, theta, da, db, d, vs)
-    elif branch == "b0":
-        v0, theta, d, vs = _solve_b0(ctx)
-        vs = stabilization_check(p, u, 0, theta, da, db, d, vs)
     else:
-        raise ValueError("unknown branch %r" % branch)
-    lift = assemble_lift(ctx, v0, theta, vs)
+        v0, theta, vs = _solve_b0(ctx, d)
+        vs = stabilization_check(p, u, 0, theta, da, db, d, vs)
+    lift = assemble_lift(ctx, theta, vs, w0)
     info = {"branch": branch, "theta": theta, "v0": v0, "vs": vs}
     return lift, info
 
@@ -280,7 +282,8 @@ def _sym_k0(p, locs):
             if (i, j, k) in ((p, 0, 0), (0, p, 0), (0, 0, p)):
                 continue
             c = math.comb(p, i) * math.comb(p - i, j)
-            assert c % p == 0
+            if c % p:
+                raise NotDivisible("multinomial %d not divisible by %d" % (c, p))
             out[3 * i + j] += WPoly.monomial(-(c // p), j, k, locs.pm)
     return out
 

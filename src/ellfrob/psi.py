@@ -5,14 +5,17 @@ Psi = c * Delta * H congruence.
 Everything here lives in Laurent polynomials in U = a^p, V = b^p (weights 4
 and 6), stored as dicts (i, j) -> coefficient with j allowed negative.
 Two coefficient lanes share the code: exact Fractions (lane p=None) and
-integers mod p. The denominators 2n, 2n+2 appearing up to n = (p+7)/2 are
-coprime to p (2n <= p+7 < 2p and 2n+2 = p+9 is even), so the per-prime lane
-is always well defined in the range we use.
+integers mod p. The mod-p lane runs the streams up to n = (p+7)/2 and
+inverts 2n and 2n+2 there. Those are units mod p exactly when p >= 11: then
+2n <= p+7 < 2p, and 2n+2 <= p+9 < 2p is even, so neither equals p. At p = 5
+and 7 the index n = p occurs, so ``psi_table`` and ``conjecture_scan`` refuse
+those primes with ``PrimeTooSmall``.
 """
 
 from fractions import Fraction
 
-from .errors import DegreeMismatch, InternalMismatch, TheoremViolation
+from .errors import (DegreeMismatch, InternalMismatch, PrimeTooSmall,
+                     TheoremViolation)
 from .forms import hasse_poly
 from .residue import PrimePower, inv_mod
 from .wpoly import discriminant
@@ -129,9 +132,15 @@ class PsiTable:
         self.degree = degree
 
 
+def _require_pivot_prime(p):
+    if p < 11:
+        raise PrimeTooSmall("the pivot system needs p >= 11, got p = %d" % p)
+
+
 def psi_table(p):
     """Mod-p table up to the pivot index M = (p+5)/2, with the determinant
     vs recurrence cross-check and the cleared pivot polynomial."""
+    _require_pivot_prime(p)
     m_piv = (p + 5) // 2
     alphas, betas = alpha_beta_table(p, m_piv + 1, lane=p)
     psis = psi_determinants(alphas, betas, m_piv, lane=p)
@@ -233,6 +242,8 @@ def conjecture_scan(pmin, pmax, workers=None):
     """Rows for all primes in [pmin, pmax], in prime order."""
     from .residue import is_prime
     primes = [p for p in range(max(pmin, 5), pmax + 1) if is_prime(p)]
+    if primes:
+        _require_pivot_prime(primes[0])
     if workers is not None and workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as ex:

@@ -8,7 +8,8 @@ separate big-integer path.
 
 from dataclasses import dataclass
 
-from .errors import ModulusMismatch, NotAUnit, NotCongruentOne
+from .errors import (InvalidModulus, ModulusMismatch, NotAUnit,
+                     NotCongruentOne, NotDivisible)
 
 
 def is_prime(n):
@@ -44,9 +45,9 @@ class PrimePower:
 
     def __post_init__(self):
         if self.p in (2, 3) or not is_prime(self.p):
-            raise ValueError("p must be a prime >= 5, got %r" % (self.p,))
+            raise InvalidModulus("p must be a prime >= 5, got %r" % (self.p,))
         if self.m < 1:
-            raise ValueError("exponent m must be >= 1")
+            raise InvalidModulus("exponent m must be >= 1, got %r" % (self.m,))
 
     @property
     def q(self):
@@ -139,5 +140,6 @@ def delta_scalar(a, pm):
     """
     guard = pm.p ** (pm.m + 1)
     num = (a - pow(a, pm.p, guard)) % guard
-    assert num % pm.p == 0
+    if num % pm.p:
+        raise NotDivisible("a - a^p not divisible by %d for a = %d" % (pm.p, a))
     return ResidueInt(num // pm.p, pm)

@@ -1,30 +1,147 @@
 """Dense univariate polynomials over Z/p^m, and fractions with f-power denominators.
 
-Coefficients are stored as raw ints in [0, p^m), index = degree. Degrees reach
-a few times p^2 in the mod-p^2 pipeline, so multiplication goes through numpy
-int64 convolution whenever the products cannot overflow.
+Storage. ``UPoly.coeffs`` is one trimmed, read-only numpy array, index =
+degree, entries the canonical residues in [0, q), q = p^m. When q < 2^31
+the dtype is int64: a sum or a product of two residues then fits a word
+with room to spare. Larger moduli use an object array of Python ints.
+``coeff``, ``evaluate``, ``to_json`` and ``repr`` hand out Python ints only.
+
+Products. Degrees reach a few times p^2 in the mod-p^2 pipeline, so
+``__mul__`` picks one of three exact paths by operand length and q:
+
+- int64 ``np.convolve`` when the shorter operand has at most
+  ``_SHORT_LEN`` coefficients and every output sum is below 2^62, i.e.
+  (q-1)^2 * min(la, lb) < 2^62;
+- otherwise, for q < 2^31, a limb-split float FFT (below);
+- for q >= 2^31, the schoolbook double loop on Python ints.
+
+The FFT path writes each residue as k limbs of L bits, c = sum_i c_i 2^(iL),
+convolves the limb sequences in float64 with ``numpy.fft.rfft/irfft`` at a
+power-of-two length N = 2^n >= la + lb - 1, rounds, reduces mod q and
+recombines with the weights 2^(sL) mod q. The limb products with the same
+weight s are summed in the frequency domain, so one output sequence adds at
+most k limb convolutions. Exactness rests on an a priori bound. For a
+power-of-two FFT with roots of unity accurate to beta, Percival (Math. Comp.
+72 (2003), Thm. 5.1) bounds every output error of a convolution by
+
+    |x| |y| ((1+eps)^(3n) (1+eps sqrt5)^(3n+1) (1+beta)^(3n) - 1),
+
+with |.| the Euclidean norm, eps = 2^-53 and here beta = eps. For limb
+vectors |x| |y| <= sqrt(la lb) (2^L - 1)^2. ``_limb_plan`` takes the
+smallest k (the widest limbs, L = ceil(bits(q-1) / k)) for which k times
+that bound stays below 1/4, so rounding to the nearest integer is exact
+with a factor two of slack; it also keeps every exact limb sum below 2^52.
+At q = 211^3 that is two 12-bit limbs up to about 2.6e5 coefficients.
+numpy's pocketfft is not the radix-2 FFT of the analysis, so a runtime
+guard checks that every computed value lies within 1/4 of its rounded
+integer and raises ``FFTRoundingError`` (an InternalError, exit code 2)
+if one ever does not. A square (``x * x`` with the same object on both
+sides) reuses its forward transforms.
 """
+
+import math
 
 import numpy as np
 
-from .errors import ModulusMismatch, NotIntegrable
-from .residue import inv_mod
+from .errors import (FFTRoundingError, ModulusMismatch, NotDivisible,
+                     NotIntegrable, NotMonic)
+
+_WORD_Q = 2 ** 31    # q below this: int64 storage and the FFT path
+_SHORT_LEN = 128     # np.convolve beats the FFT up to this shorter length
+_EPS = 2.0 ** -53
 
 
-def _trim(coeffs):
-    n = len(coeffs)
-    while n > 0 and coeffs[n - 1] == 0:
-        n -= 1
-    return coeffs[:n]
+def _residues(values, q):
+    """Canonical residues of an int sequence or array, in the storage dtype for q."""
+    if q < _WORD_Q:
+        if isinstance(values, np.ndarray):
+            return np.remainder(values, q).astype(np.int64, copy=False)
+        return np.array([int(c) % q for c in values], dtype=np.int64)
+    return np.array([int(c) % q for c in values], dtype=object)
+
+
+def _trim(arr):
+    n = len(arr)
+    if n and arr[n - 1] == 0:
+        nz = np.flatnonzero(arr)
+        n = int(nz[-1]) + 1 if len(nz) else 0
+        arr = arr[:n]
+    arr.flags.writeable = False
+    return arr
+
+
+def _fft_error_bound(la, lb, limb_bits, n_limbs, log2n):
+    """Percival's bound for one output of the k-term limb convolution."""
+    growth = math.expm1(3 * log2n * math.log1p(_EPS)
+                        + (3 * log2n + 1) * math.log1p(_EPS * math.sqrt(5))
+                        + 3 * log2n * math.log1p(_EPS))
+    return n_limbs * math.sqrt(la * lb) * ((1 << limb_bits) - 1) ** 2 * growth
+
+
+def _limb_plan(la, lb, q):
+    """(limb bits L, limb count k) for an exact FFT product mod q, widest first."""
+    bits = (q - 1).bit_length()
+    log2n = max(1, (la + lb - 2).bit_length())
+    for k in range(1, bits + 1):
+        width = -(-bits // k)
+        exact_max = k * min(la, lb) * ((1 << width) - 1) ** 2
+        if (exact_max < 2 ** 52
+                and _fft_error_bound(la, lb, width, k, log2n) < 0.25):
+            return width, k
+    raise FFTRoundingError("no exact limb split for lengths %d, %d mod %d"
+                           % (la, lb, q))
+
+
+def _fft_mul(a, b, q):
+    """Exact product of two int64 residue arrays mod q < 2^31 (see module doc)."""
+    la, lb = len(a), len(b)
+    width, k = _limb_plan(la, lb, q)
+    n = la + lb - 1
+    size = 1 << (n - 1).bit_length()
+    mask = (1 << width) - 1
+    rfft, irfft = np.fft.rfft, np.fft.irfft
+    fa = [rfft((a >> (width * i)) & mask, size) for i in range(k)]
+    fb = fa if b is a else [rfft((b >> (width * i)) & mask, size)
+                            for i in range(k)]
+    out = np.zeros(n, dtype=np.int64)
+    for s in range(2 * k - 1):
+        spec = None
+        for i in range(max(0, s - k + 1), min(s, k - 1) + 1):
+            term = fa[i] * fb[s - i]
+            spec = term if spec is None else spec + term
+        vals = irfft(spec, size)[:n]
+        del spec
+        exact = np.rint(vals)
+        worst = float(np.max(np.abs(vals - exact)))
+        if not worst < 0.25:
+            raise FFTRoundingError(
+                "FFT product off an integer by %.3g (lengths %d, %d mod %d)"
+                % (worst, la, lb, q))
+        limb = exact.astype(np.int64)
+        del vals, exact
+        limb %= q
+        limb *= pow(2, width * s, q)
+        out += limb
+        out %= q
+    return out
 
 
 class UPoly:
-    __slots__ = ("coeffs", "pm")
+    __slots__ = ("coeffs", "pm", "_powers")
 
     def __init__(self, coeffs, pm):
-        q = pm.q
-        self.coeffs = _trim([c % q for c in coeffs])
+        self.coeffs = _trim(_residues(coeffs, pm.q))
         self.pm = pm
+        self._powers = None
+
+    @classmethod
+    def _wrap(cls, arr, pm):
+        """A UPoly over residues already canonical and in the storage dtype."""
+        obj = cls.__new__(cls)
+        obj.coeffs = _trim(arr)
+        obj.pm = pm
+        obj._powers = None
+        return obj
 
     @classmethod
     def zero(cls, pm):
@@ -43,54 +160,77 @@ class UPoly:
         """f(x) = x^3 + a x + b."""
         return cls([b, a, 0, 1], pm)
 
+    def memoize_powers(self):
+        """Make ``self ** n`` keep each result on this object; returns self.
+
+        The owner of the object (a CurveContext) bounds the memo's lifetime.
+        Results are shared, which is safe because coefficient arrays are
+        read-only.
+        """
+        if self._powers is None:
+            self._powers = {}
+        return self
+
     def degree(self):
         return len(self.coeffs) - 1
 
     def is_zero(self):
-        return not self.coeffs
+        return len(self.coeffs) == 0
 
     def coeff(self, d):
-        return self.coeffs[d] if 0 <= d < len(self.coeffs) else 0
+        return int(self.coeffs[d]) if 0 <= d < len(self.coeffs) else 0
 
     def _check(self, other):
         if self.pm != other.pm:
             raise ModulusMismatch("mixed moduli %r / %r" % (self.pm, other.pm))
 
+    def _zeros(self, n):
+        return np.zeros(n, dtype=self.coeffs.dtype)
+
     def __eq__(self, other):
         return (isinstance(other, UPoly) and self.pm == other.pm
-                and self.coeffs == other.coeffs)
+                and np.array_equal(self.coeffs, other.coeffs))
 
     def __hash__(self):
-        return hash((tuple(self.coeffs), self.pm))
+        return hash((tuple(self.coeffs.tolist()), self.pm))
+
+    def _addsub(self, other, sign):
+        self._check(other)
+        a, b = self.coeffs, other.coeffs
+        out = self._zeros(max(len(a), len(b)))
+        out[:len(a)] = a
+        if sign > 0:
+            out[:len(b)] += b
+        else:
+            out[:len(b)] -= b
+        out %= self.pm.q
+        return UPoly._wrap(out, self.pm)
 
     def __add__(self, other):
-        self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UPoly([self.coeff(i) + other.coeff(i) for i in range(n)], self.pm)
+        return self._addsub(other, 1)
 
     def __sub__(self, other):
-        self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UPoly([self.coeff(i) - other.coeff(i) for i in range(n)], self.pm)
+        return self._addsub(other, -1)
 
     def __neg__(self):
-        return UPoly([-c for c in self.coeffs], self.pm)
+        return UPoly._wrap(-self.coeffs % self.pm.q, self.pm)
 
     def scale(self, c):
-        return UPoly([c * ci for ci in self.coeffs], self.pm)
+        q = self.pm.q
+        return UPoly._wrap(self.coeffs * (int(c) % q) % q, self.pm)
 
     def __mul__(self, other):
         self._check(other)
         if self.is_zero() or other.is_zero():
             return UPoly.zero(self.pm)
         q = self.pm.q
-        n = min(len(self.coeffs), len(other.coeffs))
-        # int64 convolution is safe iff sum of n products of values < q fits
-        if (q - 1) ** 2 * n < 2 ** 62:
-            out = np.convolve(np.array(self.coeffs, dtype=np.int64),
-                              np.array(other.coeffs, dtype=np.int64))
-            return UPoly([int(c) for c in out % q], self.pm)
-        la, lb = self.coeffs, other.coeffs
+        a, b = self.coeffs, other.coeffs
+        short = min(len(a), len(b))
+        if short <= _SHORT_LEN and (q - 1) ** 2 * short < 2 ** 62:
+            return UPoly._wrap(np.convolve(a, b) % q, self.pm)
+        if q < _WORD_Q:
+            return UPoly._wrap(_fft_mul(a, b, q), self.pm)
+        la, lb = a.tolist(), b.tolist()
         out = [0] * (len(la) + len(lb) - 1)
         for i, ci in enumerate(la):
             if ci:
@@ -99,25 +239,52 @@ class UPoly:
         return UPoly(out, self.pm)
 
     def __pow__(self, n):
+        memo = self._powers
+        if memo is not None and n in memo:
+            return memo[n]
         result = UPoly.const(1, self.pm)
         base = self
-        while n > 0:
-            if n & 1:
+        e = n
+        while e > 0:
+            if e & 1:
                 result = result * base
-            base = base * base
-            n >>= 1
+            e >>= 1
+            if e:
+                base = base * base
+        if memo is not None:
+            memo[n] = result
         return result
 
     def derivative(self):
-        return UPoly([i * c for i, c in enumerate(self.coeffs)][1:], self.pm)
+        c = self.coeffs
+        q = self.pm.q
+        idx = np.arange(1, len(c), dtype=c.dtype) % q
+        return UPoly._wrap(idx * c[1:] % q, self.pm)
 
     def compose_xp(self):
         """Substitute x -> x^p."""
         p = self.pm.p
-        out = [0] * (p * self.degree() + 1) if self.coeffs else []
-        for i, c in enumerate(self.coeffs):
-            out[p * i] = c
-        return UPoly(out, self.pm)
+        c = self.coeffs
+        out = self._zeros(p * self.degree() + 1 if len(c) else 0)
+        out[::p] = c
+        return UPoly._wrap(out, self.pm)
+
+    def _unit_inverses(self, vals):
+        """Inverses mod q of an int array of units mod p."""
+        q = self.pm.q
+        if vals.dtype == object:
+            return np.array([pow(int(v), -1, q) for v in vals], dtype=object)
+        # Euler: v^(phi(q) - 1), square-and-multiply on the whole array
+        e = self.pm.p ** (self.pm.m - 1) * (self.pm.p - 1) - 1
+        base = vals % q
+        out = np.ones_like(base)
+        while e:
+            if e & 1:
+                out = out * base % q
+            e >>= 1
+            if e:
+                base = base * base % q
+        return out
 
     def antiderivative(self):
         """The W with dW/dx = self and W(0) = 0.
@@ -127,23 +294,28 @@ class UPoly:
         Everything else divides by degree+1, a unit.
         """
         p, q = self.pm.p, self.pm.q
-        out = [0] * (len(self.coeffs) + 1)
-        for d, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if (d + 1) % p == 0:
-                s = (d + 1) // p
-                if c % p != 0:
-                    raise NotIntegrable(s)
-                out[d + 1] = (c // p) * inv_mod(s, q) % q
-            else:
-                out[d + 1] = c * inv_mod(d + 1, q) % q
-        return UPoly(out, self.pm)
+        c = self.coeffs
+        idx = np.flatnonzero(c)
+        vals = c[idx]
+        deg1 = idx + 1
+        special = deg1 % p == 0
+        bad = special & (vals % p != 0)
+        if bad.any():
+            raise NotIntegrable(int(deg1[bad][0]) // p)
+        den = np.where(special, deg1 // p, deg1)
+        num = np.where(special, vals // p, vals)
+        if (den % p == 0).any():
+            s = int(den[den % p == 0][0])
+            raise NotIntegrable(s, "x^(%d*p-1): s is divisible by p, so the "
+                                   "coefficient needs p^2" % s)
+        out = self._zeros(len(c) + 1)
+        out[deg1] = num * self._unit_inverses(den.astype(c.dtype)) % q
+        return UPoly._wrap(out, self.pm)
 
     def evaluate(self, x0):
         q = self.pm.q
         acc = 0
-        for c in reversed(self.coeffs):
+        for c in reversed(self.coeffs.tolist()):
             acc = (acc * x0 + c) % q
         return acc
 
@@ -159,32 +331,37 @@ class UPoly:
     def divexact_p(self):
         """Exact division by p, dropping one digit of precision."""
         p = self.pm.p
-        for c in self.coeffs:
-            if c % p != 0:
-                raise ArithmeticError("coefficient %d not divisible by %d" % (c, p))
-        return UPoly([c // p for c in self.coeffs], self.pm.drop(self.pm.m - 1))
+        c = self.coeffs
+        rem = c % p
+        if rem.any():
+            bad = int(c[np.flatnonzero(rem)[0]])
+            raise NotDivisible("coefficient %d not divisible by %d" % (bad, p))
+        return UPoly(c // p, self.pm.drop(self.pm.m - 1))
 
     def divmod_monic(self, g):
         """divmod by a monic polynomial."""
         self._check(g)
         q = self.pm.q
-        assert g.coeffs and g.coeffs[-1] == 1
-        rem = list(self.coeffs)
+        if g.is_zero() or g.coeffs[-1] != 1:
+            raise NotMonic("divisor %r is not monic" % (g,))
+        rem = self.coeffs.tolist()
+        gl = g.coeffs.tolist()
         dg = g.degree()
         quo = [0] * max(len(rem) - dg, 0)
         for i in range(len(rem) - 1, dg - 1, -1):
             c = rem[i] % q
             if c:
                 quo[i - dg] = c
-                for j, gj in enumerate(g.coeffs):
+                for j, gj in enumerate(gl):
                     rem[i - dg + j] = (rem[i - dg + j] - c * gj) % q
         return UPoly(quo, self.pm), UPoly(rem[:dg], self.pm)
 
     def to_json(self):
-        return [str(c) for c in self.coeffs]
+        return [str(c) for c in self.coeffs.tolist()]
 
     def __repr__(self):
-        return "UPoly(%r mod %d^%d)" % (self.coeffs, self.pm.p, self.pm.m)
+        return "UPoly(%r mod %d^%d)" % (self.coeffs.tolist(), self.pm.p,
+                                        self.pm.m)
 
 
 class FracPoly:
@@ -209,12 +386,18 @@ class FracPoly:
     def pm(self):
         return self.num.pm
 
-    def _align(self, other):
-        if self.f != other.f:
+    def _same_f(self, other):
+        if self.f is not other.f and self.f != other.f:
             raise ValueError("fractions over different f")
+
+    def _align(self, other):
+        self._same_f(other)
         e = max(self.fexp, other.fexp)
-        a = self.num * self.f ** (e - self.fexp)
-        b = other.num * other.f ** (e - other.fexp)
+        a, b = self.num, other.num
+        if e > self.fexp:
+            a = a * self.f ** (e - self.fexp)
+        if e > other.fexp:
+            b = b * other.f ** (e - other.fexp)
         return a, b, e
 
     def __add__(self, other):
@@ -228,8 +411,7 @@ class FracPoly:
     def __mul__(self, other):
         if isinstance(other, UPoly):
             return FracPoly(self.num * other, self.fexp, self.f)
-        if self.f != other.f:
-            raise ValueError("fractions over different f")
+        self._same_f(other)
         return FracPoly(self.num * other.num, self.fexp + other.fexp, self.f)
 
     def scale(self, c):

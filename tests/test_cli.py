@@ -136,6 +136,21 @@ def test_hasse_out_file(tmp_path, capsys):
     assert doc["terms"] == [["1", "1", "9"]]
 
 
+@pytest.mark.parametrize("argv, error", [
+    (("eigen", "--p", "5"), "PrimeTooSmall"),
+    (("eigen", "--p", "7"), "PrimeTooSmall"),
+    (("scan", "--pmin", "5", "--pmax", "7"), "PrimeTooSmall"),
+    (("hasse", "--p", "11", "--mod", "0"), "InvalidModulus"),
+])
+def test_domain_edges_exit_1_with_one_typed_line(capsys, argv, error):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(error + ": ")
+
+
 def test_console_script_entry_point():
     proc = subprocess.run([sys.executable, "-m", "ellfrob.cli", "hasse",
                            "--p", "7"], capture_output=True, text=True)

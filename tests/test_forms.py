@@ -1,7 +1,7 @@
 import pytest
 
-from ellfrob.errors import (DenominatorNotLocalizer, NotAUnit, NotTangential,
-                            SingularPair)
+from ellfrob.errors import (DegreeMismatch, DenominatorNotLocalizer, NotAUnit,
+                            NotTangential, SingularPair)
 from ellfrob.forms import (FormRing, QuasiLinearForm, c_power_w,
                            classify_pair, form_evaluate, hasse_poly,
                            j_invariant, lambda_1, slope_form_printed,
@@ -221,5 +221,5 @@ def test_form_evaluate_uses_exact_deltas(ring13):
 def test_quasi_linear_form_degree_guard(ring13):
     # a coefficient of the wrong homogeneous degree is refused
     bad = ring13.frac({(1, 0): 1})  # degree 4, but slot expects k = 0
-    with pytest.raises(AssertionError):
+    with pytest.raises(DegreeMismatch):
         QuasiLinearForm(ring13, 0, bad)

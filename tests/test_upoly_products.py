@@ -1,0 +1,199 @@
+"""The UPoly product paths (int64 convolution, limb-split FFT, schoolbook)
+against references that share no code with them, plus the Python-int
+surface of the array storage."""
+
+import hashlib
+import json
+import random
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from ellfrob import upoly
+from ellfrob.cli import _stringify, main
+from ellfrob.errors import FFTRoundingError, NotMonic
+from ellfrob.liftp import CurveContext, lie_verify, lie_verify_commutator
+from ellfrob.liftp2 import build_lift_mod_p2
+from ellfrob.residue import PrimePower
+from ellfrob.upoly import UPoly
+
+SMALL_MODULI = [PrimePower(p, m) for p in (5, 13, 101, 211, 499)
+                for m in (1, 2, 3)]
+BIG = PrimePower(1301, 3)  # q >= 2^31: object storage, schoolbook products
+
+
+def schoolbook(a, b, q):
+    """Reference product on Python ints, trimmed like UPoly.coeffs."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            window = out[i:i + len(b)]
+            out[i:i + len(b)] = [o + x * y for o, y in zip(window, b)]
+    out = [c % q for c in out]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def kronecker(a, b, q):
+    """Reference product through one Python big-int multiplication, with
+    128-bit slots (enough for every sum of products used below)."""
+    width = 16
+
+    def pack(cs):
+        return int.from_bytes(
+            b"".join(int(c).to_bytes(width, "little") for c in cs), "little")
+
+    n = len(a) + len(b) - 1
+    raw = (pack(a) * pack(b)).to_bytes(width * n, "little")
+    return [int.from_bytes(raw[width * i:width * (i + 1)], "little") % q
+            for i in range(n)]
+
+
+def operand(kind, length, q, rng):
+    if kind == "zero":
+        return []
+    if kind == "const":
+        return [rng.randrange(1, q)]
+    if kind == "monomial":
+        return [0] * (length - 1) + [rng.randrange(1, q)]
+    return [rng.randrange(q) for _ in range(length)]
+
+
+KINDS = st.sampled_from(["dense", "dense", "dense", "zero", "const",
+                         "monomial"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(pm=st.sampled_from(SMALL_MODULI + [BIG]),
+       la=st.integers(1, 3000), lb=st.integers(1, 3000),
+       kind_a=KINDS, kind_b=KINDS, square=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(pm=PrimePower(211, 3), la=700, lb=1, kind_a="dense", kind_b="dense",
+         square=True, seed=5)  # an FFT square, always run
+@example(pm=PrimePower(5, 1), la=3000, lb=2999, kind_a="dense",
+         kind_b="monomial", square=False, seed=6)
+def test_mul_matches_schoolbook(pm, la, lb, kind_a, kind_b, square, seed):
+    q = pm.q
+    if q >= 2 ** 31:
+        # the library multiplies these with its own Python double loop, so
+        # lengths stay short enough for two quadratic products per example
+        la, lb = la % 400 + 1, lb % 400 + 1
+    rng = random.Random(seed)
+    a = operand(kind_a, la, q, rng)
+    x = UPoly(a, pm)
+    if square:
+        prod, b = x * x, a
+    else:
+        b = operand(kind_b, lb, q, rng)
+        prod = x * UPoly(b, pm)
+    assert prod.pm == pm
+    assert prod.coeffs.tolist() == schoolbook(a, b, q)
+
+
+def test_product_at_largest_length_the_bound_admits():
+    pm = PrimePower(499, 3)
+    q = pm.q
+    widest = upoly._limb_plan(2, 2, q)
+    assert widest == (14, 2)
+    lo, hi = 2, 1 << 20
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if upoly._limb_plan(mid, mid, q) == widest:
+            lo = mid
+        else:
+            hi = mid - 1
+    assert lo == 20406  # the Percival bound at q = 499^3, two 14-bit limbs
+    assert upoly._limb_plan(lo + 1, lo + 1, q)[1] == 3
+    rng = random.Random(499)
+    for n in (lo, lo + 1):
+        a = [rng.randrange(q) for _ in range(n)]
+        b = [q - 1 - rng.randrange(8) for _ in range(n)]  # near-maximal limbs
+        got = (UPoly(a, pm) * UPoly(b, pm)).coeffs.tolist()
+        assert got == kronecker(a, b, q)
+
+
+def test_rounding_guard_raises(monkeypatch):
+    pm = PrimePower(211, 3)
+    x = UPoly(list(range(1, 200)), pm)
+    real = np.fft.irfft
+
+    def noisy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        out[0] += 0.3
+        return out
+
+    monkeypatch.setattr(np.fft, "irfft", noisy)
+    with pytest.raises(FFTRoundingError):
+        x * x
+
+
+@pytest.mark.parametrize("pm", [PrimePower(13, 2), BIG])
+def test_python_ints_at_the_surface(pm):
+    x = UPoly([pm.q - 1, 0, 7, 3], pm) * UPoly([2, pm.q - 5], pm)
+    assert x.coeffs.dtype == (np.int64 if pm.q < 2 ** 31 else object)
+    assert all(type(x.coeff(d)) is int for d in range(-1, 8))
+    assert all(type(s) is str for s in x.to_json())
+    assert [int(s) for s in x.to_json()] == x.coeffs.tolist()
+    assert type(x.evaluate(3)) is int
+    doc = _stringify({"c": x.coeff(0), "terms": [x.coeff(d) for d in range(5)]})
+    assert json.dumps(doc) == json.dumps(
+        {"c": str(x.coeff(0)), "terms": [str(x.coeff(d)) for d in range(5)]})
+
+
+def test_object_storage_agrees_with_int64_storage():
+    # reduction mod p^2 commutes with every op below, so the object-dtype
+    # results at p^3 >= 2^31 must reduce to the int64 results at p^2
+    rng = random.Random(13)
+    low = PrimePower(1301, 2)
+    cs = [rng.randrange(BIG.q) for _ in range(60)]
+    ds = [rng.randrange(BIG.q) for _ in range(45)]
+    x, y = UPoly(cs, BIG), UPoly(ds, BIG)
+    xl, yl = UPoly(cs, low), UPoly(ds, low)
+    pairs = [(x + y, xl + yl), (x - y, xl - yl), (-x, -xl),
+             (x.scale(-7), xl.scale(-7)), (x.derivative(), xl.derivative()),
+             (x.compose_xp(), xl.compose_xp()),
+             (x.antiderivative(), xl.antiderivative()), (x * y, xl * yl),
+             (x.scale(1301).divexact_p(), xl.scale(1301).divexact_p())]
+    for big, small in pairs:
+        assert big.coeffs.dtype == (object if big.pm.q >= 2 ** 31 else np.int64)
+        m = min(big.pm.m, small.pm.m)
+        assert big.reduce_to(m) == small.reduce_to(m)
+
+
+def test_coefficients_are_read_only():
+    x = UPoly([1, 2, 3], PrimePower(13, 1))
+    with pytest.raises(ValueError):
+        x.coeffs[0] = 5
+
+
+def test_divmod_by_non_monic_raises_typed_error():
+    pm = PrimePower(13, 2)
+    f = UPoly([1, 2, 3, 4], pm)
+    with pytest.raises(NotMonic):
+        f.divmod_monic(UPoly([1, 2], pm))
+    with pytest.raises(NotMonic):
+        f.divmod_monic(UPoly.zero(pm))
+
+
+def test_lift_mod2_stdout_golden(capsys):
+    """Byte-for-byte stdout of one mod-p^2 lift, as recorded before the FFT
+    product path existed."""
+    code = main(["lift", "--p", "101", "--a", "2202", "--b", "9326",
+                 "--mod", "2"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "d63159e2655a3d419febba17b4e72c5fee583a359dce03d6a9dc9e3818393b0b"
+
+
+def test_mod_p2_general_lift_at_p499_verifies():
+    ctx = CurveContext(62381, 155358, PrimePower(499, 2))
+    lift, info = build_lift_mod_p2(ctx)
+    assert info["branch"] == "general"
+    assert lie_verify(lift, 2)
+    assert lie_verify_commutator(lift, 2)

@@ -9,7 +9,7 @@ from .liftp import (CurveContext, FrobLift, build_lift_mod_p,
 from .liftp2 import (build_lift_mod_p2, solve_eigen_numeric,
                      solve_eigen_symbolic, lambda_properties)
 from .psi import conjecture_scan, exact_psi_table, psi_table
-from .residue import PrimePower, ResidueInt
+from .residue import PrimePower
 from .upoly import FracPoly, UPoly
 from .verify import exhaustive_verify, verify_pair
 from .wpoly import LocFrac, LocalizerSet, WPoly, discriminant
@@ -23,7 +23,7 @@ __all__ = [
     "build_lift_mod_p2", "solve_eigen_numeric", "solve_eigen_symbolic",
     "lambda_properties",
     "conjecture_scan", "exact_psi_table", "psi_table",
-    "PrimePower", "ResidueInt", "FracPoly", "UPoly",
+    "PrimePower", "FracPoly", "UPoly",
     "exhaustive_verify", "verify_pair",
     "LocFrac", "LocalizerSet", "WPoly", "discriminant",
 ]

@@ -1,7 +1,8 @@
 """Command-line surface: hasse, classify, lift, eigen, scan, verify-all,
 constants. JSON output is canonical (sorted keys, all numbers as decimal
-strings); scan also writes CSV. Exit codes: 0 success, 1 domain error,
-2 internal invariant failure. HD_THREADS sets parallelism.
+strings); scan also writes CSV. Exit codes: 0 success, 1 domain error
+(a usage error included), 2 internal invariant failure. HD_THREADS sets
+parallelism.
 """
 
 import argparse
@@ -11,7 +12,7 @@ import json
 import os
 import sys
 
-from .errors import DomainError, InternalError
+from .errors import DomainError, InternalError, UsageError
 from .forms import classify_pair, hasse_poly
 from .liftp2 import d_values, solve_eigen_numeric, solve_eigen_symbolic
 from .liftp import CurveContext
@@ -144,8 +145,17 @@ def cmd_constants(args):
     _emit(out, args.out)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a UsageError, not argparse's exit 2,
+    which is the code for a broken invariant. Subcommand parsers inherit
+    this class."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser():
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="ellfrob",
         description="Lie invariant Frobenius lifts on affine elliptic curves")
     sub = top.add_subparsers(dest="command", required=True)
@@ -207,8 +217,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args) or 0
     except DomainError as e:
         print("%s: %s" % (type(e).__name__, e), file=sys.stderr)

@@ -21,10 +21,6 @@ class NotAUnit(DomainError):
     pass
 
 
-class NotCongruentOne(DomainError):
-    pass
-
-
 class ModulusMismatch(DomainError):
     pass
 
@@ -117,3 +113,7 @@ class InvalidModulus(DomainError, ValueError):
 
 class PrimeTooSmall(DomainError):
     pass
+
+
+class UsageError(DomainError):
+    """A command line that argparse rejects."""

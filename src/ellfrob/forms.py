@@ -10,25 +10,29 @@ import math
 
 from .errors import (DegreeMismatch, InternalMismatch, NotTangential,
                      SingularPair)
-from .residue import PrimePower, ResidueInt, delta_scalar, inv_mod
+from .residue import PrimePower, delta_scalar, inv_mod
 from .wpoly import LocFrac, LocalizerSet, WPoly, discriminant
 
 
-def hasse_poly(p, pm=None):
-    """Coefficient of x^(p-1) in (x^3 + z4 x + z6)^((p-1)/2).
+def f_power_coeff(n, deg, pm=None):
+    """Coefficient of x^deg in (x^3 + z4 x + z6)^n.
 
-    Multinomial expansion: the x^(3i+j) z4^j z6^k term with i+j+k = (p-1)/2
-    contributes when 3i+j = p-1. pm=None gives the exact integer polynomial.
+    Multinomial expansion: the x^(3i+j) z4^j z6^k term with i+j+k = n
+    contributes n!/(i! j! k!) when 3i+j = deg. pm=None gives the exact
+    integer polynomial.
     """
-    n = (p - 1) // 2
     terms = {}
-    for i in range(n + 1):
-        j = p - 1 - 3 * i
+    for i in range(min(n, deg // 3) + 1):
+        j = deg - 3 * i
         k = n - i - j
-        if j < 0 or k < 0:
-            continue
-        terms[(j, k)] = math.comb(n, i) * math.comb(n - i, j)
+        if k >= 0:
+            terms[(j, k)] = math.comb(n, i) * math.comb(n - i, j)
     return WPoly(terms, pm)
+
+
+def hasse_poly(p, pm=None):
+    """Coefficient of x^(p-1) in (x^3 + z4 x + z6)^((p-1)/2)."""
+    return f_power_coeff((p - 1) // 2, p - 1, pm)
 
 
 def j_invariant(a, b, pm):
@@ -37,7 +41,7 @@ def j_invariant(a, b, pm):
     d = discriminant(pm).specialize(a, b)
     if d % pm.p == 0:
         raise SingularPair("Delta(%d, %d) is not a unit" % (a, b))
-    return ResidueInt(1728 * 4 * pow(a, 3, q) * inv_mod(d, q), pm)
+    return 1728 * 4 * pow(a, 3, q) * inv_mod(d, q) % q
 
 
 def classify_pair(a, b, p, sigmas=()):
@@ -151,19 +155,19 @@ def form_evaluate(form, a, b):
     """
     pm = form.ring.pm
     q = pm.q
-    da = int(delta_scalar(a, pm))
-    db = int(delta_scalar(b, pm))
+    da = delta_scalar(a, pm)
+    db = delta_scalar(b, pm)
     v = (form.gamma_k.evaluate(a % q, b % q)
          + form.gamma_4.evaluate(a % q, b % q) * da
          + form.gamma_6.evaluate(a % q, b % q) * db)
-    return ResidueInt(v, pm)
+    return v % q
 
 
 def c_power_w(c, w, pm):
     """c^w for w = a0 + a1*phi; phi(c) = c^p + p*delta(c)."""
     a0, a1 = w
     q = pm.q
-    phi_c = (pow(c, pm.p, q) + pm.p * int(delta_scalar(c, pm))) % q
+    phi_c = (pow(c, pm.p, q) + pm.p * delta_scalar(c, pm)) % q
     v = pow(c, a0, q) if a0 >= 0 else pow(inv_mod(c, q), -a0, q)
     v = v * (pow(phi_c, a1, q) if a1 >= 0 else pow(inv_mod(phi_c, q), -a1, q))
     return v % q
@@ -175,8 +179,8 @@ def weight_definition_probe(form, a, b, c, w, precision=None):
     ring = form.ring
     pm = ring.pm
     q = pm.q
-    lhs = int(form_evaluate(form, c ** 4 * a, c ** 6 * b))
-    rhs = c_power_w(c, w, pm) * int(form_evaluate(form, a, b)) % q
+    lhs = form_evaluate(form, c ** 4 * a, c ** 6 * b)
+    rhs = c_power_w(c, w, pm) * form_evaluate(form, a, b) % q
     if precision is None:
         precision = pm.m
     return (lhs - rhs) % ring.p ** precision == 0

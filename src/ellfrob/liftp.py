@@ -29,8 +29,8 @@ class CurveContext:
         self.h_val = hasse_poly(pm.p, pm).specialize(self.a, self.b)
         self.ordinary = self.h_val % pm.p != 0
         self.lambda0 = inv_mod(self.h_val, pm.q) if self.ordinary else None
-        # f per precision (with its powers) and the K forms, each formed
-        # once per context; they go when the context does
+        # f per precision (with its powers), the K forms and (3x^2+a)^p,
+        # each formed once per context; they go when the context does
         self.memo = {}
 
     def f_at(self, prec):
@@ -43,10 +43,10 @@ class CurveContext:
         return f
 
     def delta_a(self):
-        return int(delta_scalar(self.a, self.pm))
+        return delta_scalar(self.a, self.pm)
 
     def delta_b(self):
-        return int(delta_scalar(self.b, self.pm))
+        return delta_scalar(self.b, self.pm)
 
 
 class FrobLift:
@@ -198,13 +198,20 @@ def build_lift_mod_p(ctx):
     return FrobLift(lift_ctx, FracPoly(z, 0, f), lam)
 
 
+def _df_power(ctx):
+    """(3x^2 + a)^p mod p, memoized on ctx."""
+    dfp = ctx.memo.get("df^p")
+    if dfp is None:
+        pm1 = PrimePower(ctx.p, 1)
+        df = UPoly.monomial(3, 2, pm1) + UPoly.const(ctx.a, pm1)
+        dfp = ctx.memo["df^p"] = df ** ctx.p
+    return dfp
+
+
 def _y_poly(ctx, z):
     """Y = K + (3x^2 + a)^p Z mod p, for polynomial Z."""
-    p = ctx.p
-    pm1 = PrimePower(p, 1)
-    k = k_poly(ctx, 1)
-    base = (UPoly.monomial(3, 2, pm1) + UPoly.const(ctx.a, pm1)) ** p
-    return k + base * UPoly(z.num.coeffs, pm1)
+    pm1 = PrimePower(ctx.p, 1)
+    return k_poly(ctx, 1) + _df_power(ctx) * UPoly(z.num.coeffs, pm1)
 
 
 def mu_correct(ctx, lift):
@@ -216,7 +223,7 @@ def mu_correct(ctx, lift):
     pm1 = PrimePower(p, 1)
     f = ctx.f_at(1)
     y = _y_poly(ctx, lift.z)
-    base = (UPoly.monomial(3, 2, pm1) + UPoly.const(ctx.a, pm1)) ** p
+    base = _df_power(ctx)
     cols = []
     for j in range(3):
         _, rem = (base * UPoly.monomial(1, j * p, pm1)).divmod_monic(f)

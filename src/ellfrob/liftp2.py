@@ -8,14 +8,13 @@ the verified congruences either multiplied by p or through d/dx, which
 turns x^(jp) terms into p-multiples.
 """
 
-import math
-
 from .errors import (BNotUnit, DegreeMismatch, InternalMismatch,
                      NotDivisible, NotOrdinary, NotStabilized,
                      PropertyViolation, SigmaSingular, TOutOfRange,
                      WrongResidueClass)
-from .forms import hasse_poly
+from .forms import f_power_coeff, hasse_poly
 from .liftp import CurveContext, FrobLift, k0_poly
+from .psi import laurent_stream, laurent_units, psi_table
 from .residue import PrimePower, inv_mod
 from .upoly import FracPoly, UPoly
 from .wpoly import LocFrac, LocalizerSet, WPoly
@@ -262,29 +261,22 @@ def build_lift_mod_p2(ctx, branch="auto"):
 # --------------------------------------------------------------- symbolic lane
 
 def _sym_f_pow(n, locs):
-    """Coefficient list of (x^3 + z4 x + z6)^n via the multinomial theorem."""
-    out = [WPoly.zero(locs.pm) for _ in range(3 * n + 1)]
-    for i in range(n + 1):
-        for j in range(n - i + 1):
-            k = n - i - j
-            c = math.comb(n, i) * math.comb(n - i, j)
-            out[3 * i + j] += WPoly.monomial(c, j, k, locs.pm)
-    return out
+    """Coefficient list of (x^3 + z4 x + z6)^n."""
+    return [f_power_coeff(n, dg, locs.pm) for dg in range(3 * n + 1)]
 
 
 def _sym_k0(p, locs):
     """K0 mod p as a coefficient list: the three corner terms of f^p cancel
     against x^(3p) + z4^p x^p + z6^p, and every other multinomial carries p."""
-    out = [WPoly.zero(locs.pm) for _ in range(3 * p + 1)]
-    for i in range(p + 1):
-        for j in range(p - i + 1):
-            k = p - i - j
-            if (i, j, k) in ((p, 0, 0), (0, p, 0), (0, 0, p)):
-                continue
-            c = math.comb(p, i) * math.comb(p - i, j)
+    corners = {0: (0, p), p: (p, 0), 3 * p: (0, 0)}
+    out = []
+    for dg in range(3 * p + 1):
+        terms = {key: c for key, c in f_power_coeff(p, dg).terms.items()
+                 if key != corners.get(dg)}
+        for c in terms.values():
             if c % p:
                 raise NotDivisible("multinomial %d not divisible by %d" % (c, p))
-            out[3 * i + j] += WPoly.monomial(-(c // p), j, k, locs.pm)
+        out.append(WPoly({key: -(c // p) for key, c in terms.items()}, locs.pm))
     return out
 
 
@@ -343,14 +335,10 @@ def sym_d_values(p, locs):
 
 
 def _laurent_to_locfrac(lau, p, locs):
-    """Laurent dict in (U, V) = (z4^p, z6^p) to a localized fraction."""
-    if not lau:
-        return LocFrac.zero(locs)
-    shift = max(0, max(-j for (_, j) in lau))
-    num = WPoly({(i * p, (j + shift) * p): c for (i, j), c in lau.items()},
-                locs.pm)
-    den = {"z6": shift * p} if shift else {}
-    return LocFrac(num, den, locs)
+    """Laurent WPoly in (U, V) = (z4^p, z6^p) to a localized fraction."""
+    shift = max([0] + [-j for (_, j) in lau.terms])
+    num = lau.compose_powers(p) * WPoly.monomial(1, 0, shift * p, locs.pm)
+    return LocFrac(num, {"z6": shift * p}, locs)
 
 
 class SymbolicEigen:
@@ -368,43 +356,32 @@ class SymbolicEigen:
 def solve_eigen_symbolic(p):
     """Cramer solve of the pivot system over the fraction ring localized at
     z4, z6, Delta, H and the pivot polynomial Psi."""
-    from .psi import alpha_beta_table, laurent_stream, psi_mod_p
-
     pm1 = PrimePower(p, 1)
-    locs = LocalizerSet(pm1, hasse_poly(p, pm1), WPoly(psi_mod_p(p), pm1))
+    table = psi_table(p)
+    locs = LocalizerSet(pm1, hasse_poly(p, pm1), table.psi_big)
     m_piv = (p + 5) // 2
-    inv2 = inv_mod(2, p)
-    alphas, betas = alpha_beta_table(p, m_piv + 1, lane=p)
-    mus = laurent_stream(m_piv + 1, {}, {2: {(0, 0): inv2}}, lane=p)
-    nus = laurent_stream(m_piv + 1, {}, {1: {(0, 0): inv2}}, lane=p)
+    # the z4' and z6' streams in (U, V); the d-sourced eta stream over locs
+    half = WPoly.const(inv_mod(2, p), pm1)
+    u, v_inv = laurent_units(pm1)
+    mus = laurent_stream(m_piv + 1, WPoly.zero(pm1), {2: half}, u, v_inv, pm1)
+    nus = laurent_stream(m_piv + 1, WPoly.zero(pm1), {1: half}, u, v_inv, pm1)
+    etas = laurent_stream(
+        m_piv + 1, LocFrac.zero(locs), dict(enumerate(sym_d_values(p, locs), 1)),
+        LocFrac(WPoly.monomial(1, p, 0, pm1), {}, locs),
+        LocFrac(WPoly.const(1, pm1), {"z6": p}, locs), pm1)
 
-    ds = sym_d_values(p, locs)
-    z4p = LocFrac(WPoly.monomial(1, p, 0, pm1), {}, locs)
-    etas = [LocFrac.zero(locs)]
-    for n in range(1, m_piv + 2):
-        t = (etas[n - 1] * z4p).scale((3 - 2 * n) * inv2)
-        if n >= 3:
-            t = t + etas[n - 3].scale((9 - 2 * n) * inv2)
-        if 1 <= n <= 4:
-            t = t + ds[n - 1]
-        inv_nv = LocFrac(WPoly.const(inv_mod(n, p), pm1), {"z6": p}, locs)
-        etas.append(t * inv_nv)
+    def pivots(seq):
+        return [_laurent_to_locfrac(v, p, locs) for v in seq[m_piv:m_piv + 2]]
 
-    a_m = _laurent_to_locfrac(alphas[m_piv], p, locs)
-    a_m1 = _laurent_to_locfrac(alphas[m_piv + 1], p, locs)
-    b_m = _laurent_to_locfrac(betas[m_piv], p, locs)
-    b_m1 = _laurent_to_locfrac(betas[m_piv + 1], p, locs)
+    a_m, a_m1 = pivots(table.alphas)
+    b_m, b_m1 = pivots(table.betas)
     det = a_m * b_m1 - a_m1 * b_m
     det_inv = det.reciprocal()
 
     theta_slots = []
     v0_slots = []
-    for r_m, r_m1 in (
-            (-etas[m_piv], -etas[m_piv + 1]),
-            (-_laurent_to_locfrac(mus[m_piv], p, locs),
-             -_laurent_to_locfrac(mus[m_piv + 1], p, locs)),
-            (-_laurent_to_locfrac(nus[m_piv], p, locs),
-             -_laurent_to_locfrac(nus[m_piv + 1], p, locs))):
+    for r_m, r_m1 in ((-etas[m_piv], -etas[m_piv + 1]),
+                      [-x for x in pivots(mus)], [-x for x in pivots(nus)]):
         theta_slots.append(det_inv * (a_m * r_m1 - a_m1 * r_m))
         v0_slots.append(det_inv * (r_m * b_m1 - r_m1 * b_m))
     return SymbolicEigen(p, locs, theta_slots, v0_slots, det)
@@ -455,8 +432,8 @@ def theta_evaluate(sym, a, b):
     """Value of Theta at an eligible pair (a, b are exact integers)."""
     from .residue import delta_scalar
     pm2 = PrimePower(sym.p, 2)
-    da = int(delta_scalar(a, pm2)) % sym.p
-    db = int(delta_scalar(b, pm2)) % sym.p
+    da = delta_scalar(a, pm2) % sym.p
+    db = delta_scalar(b, pm2) % sym.p
     return (sym.theta_const.evaluate(a, b)
             + sym.theta_da.evaluate(a, b) * da
             + sym.theta_db.evaluate(a, b) * db) % sym.p

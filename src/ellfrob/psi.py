@@ -3,13 +3,14 @@ nonvanishing checks at (0,1) and (1,0), and the prime scanner for the
 Psi = c * Delta * H congruence.
 
 Everything here lives in Laurent polynomials in U = a^p, V = b^p (weights 4
-and 6), stored as dicts (i, j) -> coefficient with j allowed negative.
-Two coefficient lanes share the code: exact Fractions (lane p=None) and
-integers mod p. The mod-p lane runs the streams up to n = (p+7)/2 and
-inverts 2n and 2n+2 there. Those are units mod p exactly when p >= 11: then
-2n <= p+7 < 2p, and 2n+2 <= p+9 < 2p is even, so neither equals p. At p = 5
-and 7 the index n = p occurs, so ``psi_table`` and ``conjecture_scan`` refuse
-those primes with ``PrimeTooSmall``.
+and 6), stored as WPoly: the exponent pair (i, j) of U^i V^j sits in the
+(z4, z6) slots, and j may be negative. Two coefficient lanes share the
+code: exact Fractions (pm=None) and integers mod p (pm = PrimePower(p, 1)).
+The mod-p lane runs the streams up to n = (p+7)/2 and inverts 2n and 2n+2
+there. Those are units mod p exactly when p >= 11: then 2n <= p+7 < 2p, and
+2n+2 <= p+9 < 2p is even, so neither equals p. At p = 5 and 7 the index
+n = p occurs, so ``psi_table`` and ``conjecture_scan`` refuse those primes
+with ``PrimeTooSmall``.
 """
 
 from fractions import Fraction
@@ -17,103 +18,80 @@ from fractions import Fraction
 from .errors import (DegreeMismatch, InternalMismatch, PrimeTooSmall,
                      TheoremViolation)
 from .forms import hasse_poly
-from .residue import PrimePower, inv_mod
-from .wpoly import discriminant
+from .residue import PrimePower, inv_mod, is_prime
+from .wpoly import WPoly, discriminant
 
 
-def _fr(num, den, p):
-    if p is None:
+def _fr(num, den, pm):
+    if pm is None:
         return Fraction(num, den)
-    return num * inv_mod(den, p) % p
+    return num * inv_mod(den, pm.q) % pm.q
 
 
-def _norm(d, p):
-    if p is None:
-        return {k: c for k, c in d.items() if c != 0}
-    return {k: c % p for k, c in d.items() if c % p != 0}
-
-
-def _add(a, b):
-    out = dict(a)
-    for k, c in b.items():
-        out[k] = out.get(k, 0) + c
-    return out
-
-
-def _scale_shift(a, c, di, dj):
-    """c * U^di * V^dj * a."""
-    return {(i + di, j + dj): c * v for (i, j), v in a.items()}
-
-
-def _mul(a, b):
-    out = {}
-    for (i, j), c in a.items():
-        for (k, l), d in b.items():
-            key = (i + k, j + l)
-            out[key] = out.get(key, 0) + c * d
-    return out
-
-
-def laurent_stream(nmax, v0, sources, lane=None):
+def laurent_stream(nmax, v0, sources, u, v_inv, pm=None):
     """One affine stream of the row recursion
         n V v_n = (3/2 - n) U v_{n-1} + (9/2 - n) v_{n-3} + source_n,
-    started at the Laurent dict v0, with sources a dict n -> Laurent dict."""
-    q = lane  # None for the exact lane, else the prime
-    seq = [_norm(dict(v0), q)]
+    started at v0, with sources a dict n -> ring element. Any ring with +,
+    * and .scale over the scalars of pm will do; u is U in it and v_inv is
+    1/V. Each scalar is folded into the one-term factor u or v_inv before
+    the product, so a step costs one pass over v_{n-1}."""
+    seq = [v0]
     for n in range(1, nmax + 1):
-        t = _scale_shift(seq[n - 1], _fr(3 - 2 * n, 2, q), 1, 0)
+        t = seq[n - 1] * u.scale(_fr(3 - 2 * n, 2, pm))
         if n >= 3:
-            t = _add(t, _scale_shift(seq[n - 3], _fr(9 - 2 * n, 2, q), 0, 0))
+            t = t + seq[n - 3].scale(_fr(9 - 2 * n, 2, pm))
         if n in sources:
-            t = _add(t, sources[n])
-        seq.append(_norm(_scale_shift(t, _fr(1, n, q), 0, -1), q))
+            t = t + sources[n]
+        seq.append(t * v_inv.scale(_fr(1, n, pm)))
     return seq
 
 
-def alpha_beta_table(p, nmax, lane=None):
+def laurent_units(pm=None):
+    """U and 1/V as Laurent WPoly monomials, the u and v_inv of the streams."""
+    return WPoly.z4(pm), WPoly.monomial(1, 0, -1, pm)
+
+
+def alpha_beta_table(nmax, pm=None):
     """Sequences alpha_n, beta_n for 0 <= n <= nmax: alpha with v_0 = 1 and
     no sources, beta with v_0 = 0 and the theta sources U/2 at n = 2 and
     3/2 at n = 4."""
-    q = lane
-    alphas = laurent_stream(nmax, {(0, 0): _fr(1, 1, q)}, {}, lane)
+    u, v_inv = laurent_units(pm)
+    alphas = laurent_stream(nmax, WPoly.const(1, pm), {}, u, v_inv, pm)
     betas = laurent_stream(
-        nmax, {},
-        {2: {(1, 0): _fr(1, 2, q)}, 4: {(0, 0): _fr(3, 2, q)}}, lane)
+        nmax, WPoly.zero(pm),
+        {2: WPoly.monomial(_fr(1, 2, pm), 1, 0, pm),
+         4: WPoly.const(_fr(3, 2, pm), pm)}, u, v_inv, pm)
     return alphas, betas
 
 
-def psi_determinants(alphas, betas, nmax, lane=None):
+def psi_determinants(alphas, betas, nmax):
     """psi_n = alpha_n beta_{n+1} - alpha_{n+1} beta_n for 1 <= n <= nmax."""
-    psis = [None]
-    for n in range(1, nmax + 1):
-        d = _add(_mul(alphas[n], betas[n + 1]),
-                 _scale_shift(_mul(alphas[n + 1], betas[n]), -1, 0, 0))
-        psis.append(_norm(d, lane))
-    return psis
+    return [None] + [alphas[n] * betas[n + 1] - alphas[n + 1] * betas[n]
+                     for n in range(1, nmax + 1)]
 
 
-def psi_recurrence_check(psis, nmax, lane=None):
+def psi_recurrence_check(psis, nmax, pm=None):
     """Re-derive psi_n for 5 <= n <= nmax from the three-term recurrence and
     compare with the determinant values; a mismatch is a hard failure."""
-    q = lane
     for n in range(5, nmax + 1):
-        c2 = _fr(-(2 * n - 7) * (2 * n - 3), (2 * n + 2) * 2 * n, q)
-        c3 = _fr((2 * n - 7) * (2 * n - 9), (2 * n + 2) * 2 * n, q)
-        t = _add(_scale_shift(psis[n - 2], c2, 1, -2),
-                 _scale_shift(psis[n - 3], c3, 0, -2))
-        if _norm(t, q) != psis[n]:
+        den = (2 * n + 2) * 2 * n
+        c2 = _fr(-(2 * n - 7) * (2 * n - 3), den, pm)
+        c3 = _fr((2 * n - 7) * (2 * n - 9), den, pm)
+        t = (psis[n - 2] * WPoly.monomial(c2, 1, -2, pm)
+             + psis[n - 3] * WPoly.monomial(c3, 0, -2, pm))
+        if t != psis[n]:
             raise InternalMismatch(
                 "psi_%d: determinant and recurrence disagree" % n)
     return True
 
 
-def clear_psi(psi_n, n, lane=None):
+def clear_psi(psi_n, n):
     """Psi_n = psi_n * V^(2*ceil(n/2)); must come out polynomial and
     weighted homogeneous of degree 4*ceil(n/2) (+4 more when n is odd)."""
     shift = n if n % 2 == 0 else n + 1
-    cleared = _norm(_scale_shift(psi_n, 1 if lane is None else 1, 0, shift), lane)
+    cleared = psi_n * WPoly.monomial(1, 0, shift, psi_n.pm)
     expected = 2 * n if n % 2 == 0 else 2 * n + 6
-    for (i, j) in cleared:
+    for (i, j) in cleared.terms:
         if j < 0:
             raise DegreeMismatch("Psi_%d has a leftover V denominator" % n)
         if 4 * i + 6 * j != expected:
@@ -128,7 +106,7 @@ class PsiTable:
         self.alphas = alphas
         self.betas = betas
         self.psis = psis
-        self.psi_big = psi_big  # the cleared Psi_{(p+5)/2}, dict (e4,e6)->int
+        self.psi_big = psi_big  # the cleared Psi_{(p+5)/2}, a WPoly mod p
         self.degree = degree
 
 
@@ -141,11 +119,12 @@ def psi_table(p):
     """Mod-p table up to the pivot index M = (p+5)/2, with the determinant
     vs recurrence cross-check and the cleared pivot polynomial."""
     _require_pivot_prime(p)
+    pm = PrimePower(p, 1)
     m_piv = (p + 5) // 2
-    alphas, betas = alpha_beta_table(p, m_piv + 1, lane=p)
-    psis = psi_determinants(alphas, betas, m_piv, lane=p)
-    psi_recurrence_check(psis, m_piv, lane=p)
-    psi_big = clear_psi(psis[m_piv], m_piv, lane=p)
+    alphas, betas = alpha_beta_table(m_piv + 1, pm)
+    psis = psi_determinants(alphas, betas, m_piv)
+    psi_recurrence_check(psis, m_piv, pm)
+    psi_big = clear_psi(psis[m_piv], m_piv)
     degree = 2 * m_piv if m_piv % 2 == 0 else 2 * m_piv + 6
     return PsiTable(p, alphas, betas, psis, psi_big, degree)
 
@@ -153,9 +132,9 @@ def psi_table(p):
 def exact_psi_table(nmax=9):
     """Exact-rational lane: the universal psi_1..psi_nmax (p plays no role
     in the coefficients)."""
-    alphas, betas = alpha_beta_table(None, nmax + 1, lane=None)
-    psis = psi_determinants(alphas, betas, nmax, lane=None)
-    psi_recurrence_check(psis, nmax, lane=None)
+    alphas, betas = alpha_beta_table(nmax + 1)
+    psis = psi_determinants(alphas, betas, nmax)
+    psi_recurrence_check(psis, nmax)
     return alphas, betas, psis
 
 
@@ -173,8 +152,7 @@ def degree_audit(p, table=None):
     if table.degree != expected:
         raise DegreeMismatch("Psi degree %d, expected %d at p=%d"
                              % (table.degree, expected, p))
-    degs = {4 * i + 6 * j for (i, j) in table.psi_big}
-    if degs and degs != {expected}:
+    if not table.psi_big.is_homogeneous(expected):
         raise DegreeMismatch("inhomogeneous Psi at p=%d" % p)
     return True
 
@@ -183,8 +161,8 @@ def golem_check(p, table=None):
     """Values of the pivot Psi at (0,1) and (1,0) mod p; the residue classes
     p = 1 mod 3 / p = 1 mod 4 guarantee nonvanishing."""
     table = table or psi_table(p)
-    at01 = sum(c for (i, j), c in table.psi_big.items() if i == 0) % p
-    at10 = sum(c for (i, j), c in table.psi_big.items() if j == 0) % p
+    at01 = table.psi_big.specialize(0, 1)
+    at10 = table.psi_big.specialize(1, 0)
     if p % 3 == 1 and at01 == 0:
         raise TheoremViolation("Psi(0,1) = 0 mod %d despite p = 1 mod 3" % p)
     if p % 4 == 1 and at10 == 0:
@@ -219,12 +197,11 @@ def scan_prime(p):
         degree_ok = False
     gol = golem_check(p, table)
     pm1 = PrimePower(p, 1)
-    target = _norm((discriminant(pm1) * hasse_poly(p, pm1)).terms, p)
+    target = discriminant(pm1) * hasse_poly(p, pm1)
+    lhs = table.psi_big
     if m_piv % 2 == 0:
-        lhs = {(i, j + 1): c for (i, j), c in table.psi_big.items()}
-    else:
-        lhs = dict(table.psi_big)
-    prop, c, witness = _proportional(lhs, target, p)
+        lhs = lhs * WPoly.z6(pm1)
+    prop, c, witness = _proportional(lhs.terms, target.terms, p)
     return {
         "p": p,
         "class_mod_12": p % 12,
@@ -240,15 +217,8 @@ def scan_prime(p):
 
 def conjecture_scan(pmin, pmax, workers=None):
     """Rows for all primes in [pmin, pmax], in prime order."""
-    from .residue import is_prime
+    from .verify import parallel_map  # verify imports liftp2, which imports psi
     primes = [p for p in range(max(pmin, 5), pmax + 1) if is_prime(p)]
     if primes:
         _require_pivot_prime(primes[0])
-    if workers is not None and workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            rows = list(ex.map(scan_prime, primes))
-    else:
-        rows = [scan_prime(p) for p in primes]
-    rows.sort(key=lambda r: r["p"])
-    return rows
+    return parallel_map(scan_prime, primes, workers)

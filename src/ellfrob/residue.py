@@ -1,15 +1,13 @@
 """Exact arithmetic in Z/p^m for odd primes p >= 5.
 
-Values are plain Python integers canonically reduced to [0, p^m); ResidueInt
-wraps one together with its modulus and refuses mixed-modulus arithmetic.
-Python ints promote to arbitrary precision automatically, so there is no
-separate big-integer path.
+Values are plain Python integers canonically reduced to [0, p^m); the
+modulus travels separately as a PrimePower. Python ints promote to arbitrary
+precision automatically, so there is no separate big-integer path.
 """
 
 from dataclasses import dataclass
 
-from .errors import (InvalidModulus, ModulusMismatch, NotAUnit,
-                     NotCongruentOne, NotDivisible)
+from .errors import InvalidModulus, NotDivisible
 
 
 def is_prime(n):
@@ -61,75 +59,9 @@ class PrimePower:
         return PrimePower(self.p, m)
 
 
-@dataclass(frozen=True)
-class ResidueInt:
-    value: int
-    modulus: PrimePower
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.value % self.modulus.q)
-
-    def _check(self, other):
-        if not isinstance(other, ResidueInt):
-            raise TypeError("expected ResidueInt, got %r" % type(other))
-        if other.modulus != self.modulus:
-            raise ModulusMismatch(
-                "mixed moduli %r and %r" % (self.modulus, other.modulus))
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        return ResidueInt(self.value + other.value, self.modulus)
-
-    def __sub__(self, other):
-        other = self._check(other)
-        return ResidueInt(self.value - other.value, self.modulus)
-
-    def __mul__(self, other):
-        other = self._check(other)
-        return ResidueInt(self.value * other.value, self.modulus)
-
-    def __neg__(self):
-        return ResidueInt(-self.value, self.modulus)
-
-    def __pow__(self, n):
-        return ResidueInt(pow(self.value, n, self.modulus.q), self.modulus)
-
-    def is_unit(self):
-        return self.value % self.modulus.p != 0
-
-    def __int__(self):
-        return self.value
-
-
-def inverse(u):
-    """Multiplicative inverse of a unit mod p^m."""
-    if u.value % u.modulus.p == 0:
-        raise NotAUnit("%d is not a unit mod %d^%d"
-                       % (u.value, u.modulus.p, u.modulus.m))
-    return ResidueInt(pow(u.value, -1, u.modulus.q), u.modulus)
-
-
 def inv_mod(v, q):
     """Inverse of an int mod q (q a prime power); raw-int convenience."""
     return pow(v, -1, q)
-
-
-def sqrt_unit(u):
-    """The square root of u = 1 mod p that is itself = 1 mod p.
-
-    Hensel iteration starting from 1; precision doubles per step.
-    """
-    pm = u.modulus
-    p, m = pm.p, pm.m
-    if u.value % p != 1:
-        raise NotCongruentOne("%d is not 1 mod %d" % (u.value, p))
-    r, prec = 1, 1
-    while prec < m:
-        prec = min(2 * prec, m)
-        q = p ** prec
-        r = (r - (r * r - u.value) * pow(2 * r, -1, q)) % q
-    return ResidueInt(r, pm)
 
 
 def delta_scalar(a, pm):
@@ -142,4 +74,4 @@ def delta_scalar(a, pm):
     num = (a - pow(a, pm.p, guard)) % guard
     if num % pm.p:
         raise NotDivisible("a - a^p not divisible by %d for a = %d" % (pm.p, a))
-    return ResidueInt(num // pm.p, pm)
+    return num // pm.p

@@ -191,9 +191,6 @@ class UPoly:
         return (isinstance(other, UPoly) and self.pm == other.pm
                 and np.array_equal(self.coeffs, other.coeffs))
 
-    def __hash__(self):
-        return hash((tuple(self.coeffs.tolist()), self.pm))
-
     def _addsub(self, other, sign):
         self._check(other)
         a, b = self.coeffs, other.coeffs

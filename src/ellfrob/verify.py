@@ -40,6 +40,15 @@ def verify_pair(p, a, b, mod, branch="auto"):
     raise ValueError("mod must be 1 or 2")
 
 
+def parallel_map(fn, items, workers=None):
+    """[fn(x) for x in items], on a pool of ``workers`` processes when more
+    than one is asked for; results keep the order of items either way."""
+    if workers is not None and workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
+            return list(ex.map(fn, items))
+    return [fn(x) for x in items]
+
+
 def _attempt(task):
     p, a, b, mod = task
     try:
@@ -61,11 +70,7 @@ def exhaustive_verify(p, mod, samples=None, seed=2026, workers=None):
         span = p ** (mod + 1)
         tasks = [(p, rng.randrange(span), rng.randrange(span), mod)
                  for _ in range(samples)]
-    if workers is not None and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            outcomes = list(ex.map(_attempt, tasks))
-    else:
-        outcomes = [_attempt(t) for t in tasks]
+    outcomes = parallel_map(_attempt, tasks, workers)
     eligible = constructed = verified = failed = 0
     failures = []
     for status, row in outcomes:

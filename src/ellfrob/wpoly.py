@@ -1,6 +1,10 @@
 """Weighted bivariate polynomials in (z4, z6) and fractions over localizers.
 
-WPoly is a sparse polynomial with z4, z6 of weighted degrees 4 and 6.
+WPoly is a sparse polynomial with z4, z6 of weighted degrees 4 and 6. It
+is the one (z4, z6) polynomial type of the package: exponents may be
+negative, which makes it a Laurent polynomial (the psi tower in U = z4^p,
+V = z6^p needs V^-1), and with pm=None its coefficients are exact
+integers or Fractions (the exact lane of the psi tower holds rationals).
 LocFrac is a WPoly numerator over a monomial product of named localizer
 polynomials (z4, z6, delta, H, Psi); this is the controlled-denominator
 fraction ring all symbolic eigenvalue work happens in.
@@ -11,19 +15,17 @@ from .residue import inv_mod
 
 
 class WPoly:
-    """Sparse dict (e4, e6) -> int coefficient; pm=None means exact integers."""
+    """Sparse dict (e4, e6) -> coefficient, reduced mod pm.q; pm=None means
+    exact integers or Fractions."""
 
     __slots__ = ("terms", "pm")
 
     def __init__(self, terms, pm=None):
-        q = pm.q if pm is not None else None
-        out = {}
-        for key, c in terms.items():
-            if q is not None:
-                c = c % q
-            if c:
-                out[key] = c
-        self.terms = out
+        if pm is None:
+            self.terms = {key: c for key, c in terms.items() if c}
+        else:
+            q = pm.q
+            self.terms = {key: c % q for key, c in terms.items() if c % q}
         self.pm = pm
 
     @classmethod
@@ -57,9 +59,6 @@ class WPoly:
         return (isinstance(other, WPoly) and self.pm == other.pm
                 and self.terms == other.terms)
 
-    def __hash__(self):
-        return hash((frozenset(self.terms.items()), self.pm))
-
     def __add__(self, other):
         self._check(other)
         out = dict(self.terms)
@@ -82,12 +81,29 @@ class WPoly:
 
     def __mul__(self, other):
         self._check(other)
+        a, b = self.terms, other.terms
+        if len(b) == 1:
+            # a monomial factor shifts and scales in a single pass
+            ((k, l), d), = b.items()
+            return WPoly({(i + k, j + l): c * d for (i, j), c in a.items()},
+                         self.pm)
+        if not a or not b:
+            return WPoly({}, self.pm)
+        # Each exponent pair travels as the int e4 * s + e6, so the inner
+        # loop adds ints instead of building tuples. s exceeds four times
+        # every |e6| of the factors, so each e6 of the product decodes back.
+        s = 4 * max(abs(j) for t in (a, b) for (_, j) in t) + 2
+        right = [(k * s + l, d) for (k, l), d in b.items()]
         out = {}
-        for (i, j), c in self.terms.items():
-            for (k, l), d in other.terms.items():
-                key = (i + k, j + l)
-                out[key] = out.get(key, 0) + c * d
-        return WPoly(out, self.pm)
+        get = out.get
+        for (i, j), c in a.items():
+            base = i * s + j
+            for key, d in right:
+                key += base
+                out[key] = get(key, 0) + c * d
+        h = s // 2
+        return WPoly({((key + h) // s, (key + h) % s - h): c
+                      for key, c in out.items()}, self.pm)
 
     def __pow__(self, n):
         result = WPoly.const(1, self.pm)
@@ -287,9 +303,6 @@ class LocFrac:
     def __eq__(self, other):
         a, b, _ = self._common(other)
         return a == b
-
-    def __hash__(self):
-        raise TypeError("LocFrac is unhashable")
 
     def weighted_degree(self):
         d = self.num.weighted_degree()

@@ -50,49 +50,49 @@ def test_criterion_1_value_regression():
 
     # alpha/beta table and the psi closed forms (exact lane)
     alphas, betas, psis = exact_psi_table(9)
-    assert alphas[1] == {(1, -1): F(1, 2)}
-    assert alphas[2] == {(2, -2): F(-1, 8)}
-    assert alphas[3] == {(3, -3): F(1, 16), (0, -1): F(1, 2)}
-    assert alphas[4] == {(4, -4): F(-5, 128), (1, -2): F(-1, 4)}
-    assert betas[1] == {}
-    assert betas[2] == {(1, -1): F(1, 4)}
-    assert betas[3] == {(2, -2): F(-1, 8)}
-    assert betas[4] == {(3, -3): F(5, 64), (0, -1): F(3, 8)}
-    assert psis[1] == {(2, -2): F(1, 8)}
-    assert psis[2] == {(1, -2): F(-1, 8)}
-    assert psis[3] == {(3, -4): F(1, 32), (0, -2): F(3, 16)}
-    assert psis[4] == {(2, -4): F(1, 640)}
-    assert psis[5] == {(4, -6): F(-7, 1280), (1, -4): F(-23, 640)}
-    assert psis[6] == {(3, -6): F(17, 7168), (0, -4): F(15, 896)}
-    assert psis[7] == {(5, -8): F(77, 40960), (2, -6): F(129, 10240)}
-    assert psis[8] == {(4, -8): F(-2477, 1146880), (1, -6): F(-1051, 71680)}
-    assert psis[9] == {(6, -10): F(-847, 983040), (3, -8): F(-2937, 573440),
+    assert alphas[1].terms == {(1, -1): F(1, 2)}
+    assert alphas[2].terms == {(2, -2): F(-1, 8)}
+    assert alphas[3].terms == {(3, -3): F(1, 16), (0, -1): F(1, 2)}
+    assert alphas[4].terms == {(4, -4): F(-5, 128), (1, -2): F(-1, 4)}
+    assert betas[1].terms == {}
+    assert betas[2].terms == {(1, -1): F(1, 4)}
+    assert betas[3].terms == {(2, -2): F(-1, 8)}
+    assert betas[4].terms == {(3, -3): F(5, 64), (0, -1): F(3, 8)}
+    assert psis[1].terms == {(2, -2): F(1, 8)}
+    assert psis[2].terms == {(1, -2): F(-1, 8)}
+    assert psis[3].terms == {(3, -4): F(1, 32), (0, -2): F(3, 16)}
+    assert psis[4].terms == {(2, -4): F(1, 640)}
+    assert psis[5].terms == {(4, -6): F(-7, 1280), (1, -4): F(-23, 640)}
+    assert psis[6].terms == {(3, -6): F(17, 7168), (0, -4): F(15, 896)}
+    assert psis[7].terms == {(5, -8): F(77, 40960), (2, -6): F(129, 10240)}
+    assert psis[8].terms == {(4, -8): F(-2477, 1146880), (1, -6): F(-1051, 71680)}
+    assert psis[9].terms == {(6, -10): F(-847, 983040), (3, -8): F(-2937, 573440),
                        (0, -6): F(33, 7168)}
 
     # cleared pivot displays mod 11 / 13 / 17
-    assert psi_mod_p(11) == {(4, 0): 1, (1, 2): 4}
+    assert psi_mod_p(11).terms == {(4, 0): 1, (1, 2): 4}
     p13 = PrimePower(13, 1)
-    assert psi_mod_p(13) == \
+    assert psi_mod_p(13).terms == \
         (discriminant(p13) * hasse_poly(13, p13)).scale(2).terms
-    assert psi_mod_p(17) == {(7, 0): 11, (4, 2): 8, (1, 4): 15}
+    assert psi_mod_p(17).terms == {(7, 0): 11, (4, 2): 8, (1, 4): 15}
 
     # proportionality constants: the displayed polynomials force 4, 2, 12
     p11 = PrimePower(11, 1)
-    z6psi8 = WPoly.z6(p11) * WPoly(psi_mod_p(11), p11)
+    z6psi8 = WPoly.z6(p11) * psi_mod_p(11)
     dh11 = discriminant(p11) * hasse_poly(11, p11)
     assert z6psi8 == dh11.scale(4)
     assert z6psi8 != dh11.scale(3)  # the other constant in circulation
     p17 = PrimePower(17, 1)
-    psi11 = WPoly(psi_mod_p(17), p17)
+    psi11 = psi_mod_p(17)
     dh17 = discriminant(p17) * hasse_poly(17, p17)
     assert psi11 == dh17.scale(12)
     assert psi11 != dh17.scale(10)
 
     # nonvanishing seeds: Psi_6(0,1) = 15/(2^7*7), Psi_5(1,0) = -7/(2^8*5)
-    big6 = clear_psi(psis[6], 6, lane=None)
-    assert sum(c for (i, _), c in big6.items() if i == 0) == F(15, 2 ** 7 * 7)
-    big5 = clear_psi(psis[5], 5, lane=None)
-    assert sum(c for (_, j), c in big5.items() if j == 0) == F(-7, 2 ** 8 * 5)
+    big6 = clear_psi(psis[6], 6)
+    assert sum(c for (i, _), c in big6.terms.items() if i == 0) == F(15, 2 ** 7 * 7)
+    big5 = clear_psi(psis[5], 5)
+    assert sum(c for (_, j), c in big5.terms.items() if j == 0) == F(-7, 2 ** 8 * 5)
     report(1, "value regression")
 
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -156,3 +157,46 @@ def test_console_script_entry_point():
                            "--p", "7"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["p"] == "7"
+
+
+def test_verify_all_deterministic_across_threads(capsys, monkeypatch):
+    argv = ("verify-all", "--p", "13", "--mod", "2")
+    monkeypatch.setenv("HD_THREADS", "1")
+    _, one = run_cli(capsys, *argv)
+    monkeypatch.setenv("HD_THREADS", "2")
+    _, two = run_cli(capsys, *argv)
+    assert one == two
+
+
+@pytest.mark.parametrize("argv", [
+    ("hasse", "--p", "x"),
+    ("frobnicate",),
+])
+def test_usage_errors_exit_1_with_one_typed_line(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("UsageError: ")
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: ellfrob" in capsys.readouterr().out
+
+
+# SHA-256 of stdout, recorded before psi.py and the symbolic lane moved onto
+# WPoly
+@pytest.mark.parametrize("argv, digest", [
+    (("eigen", "--p", "37"),
+     "99f6762bcddd7a41be46c383b9a21d3ea4de6d2a58c5885af59b4485c3c5c071"),
+    (("scan", "--pmin", "11", "--pmax", "101", "--format", "csv"),
+     "6cf3f0b3dc4e37f7af749b6125eee103d9c592e62e6d9e309f7d96b03686dd4a"),
+])
+def test_stdout_golden(capsys, argv, digest):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

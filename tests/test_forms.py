@@ -3,11 +3,12 @@ import pytest
 from ellfrob.errors import (DegreeMismatch, DenominatorNotLocalizer, NotAUnit,
                             NotTangential, SingularPair)
 from ellfrob.forms import (FormRing, QuasiLinearForm, c_power_w,
-                           classify_pair, form_evaluate, hasse_poly,
-                           j_invariant, lambda_1, slope_form_printed,
-                           slope_form_variant, unit_form_delta, unit_form_z4,
-                           unit_form_z6, weight_check_mod_p,
-                           weight_check_mod_p2, weight_definition_probe)
+                           classify_pair, f_power_coeff, form_evaluate,
+                           hasse_poly, j_invariant, lambda_1,
+                           slope_form_printed, slope_form_variant,
+                           unit_form_delta, unit_form_z4, unit_form_z6,
+                           weight_check_mod_p, weight_check_mod_p2,
+                           weight_definition_probe)
 from ellfrob.residue import PrimePower, delta_scalar, inv_mod
 from ellfrob.wpoly import LocFrac, LocalizerSet, WPoly, discriminant
 
@@ -223,3 +224,35 @@ def test_quasi_linear_form_degree_guard(ring13):
     bad = ring13.frac({(1, 0): 1})  # degree 4, but slot expects k = 0
     with pytest.raises(DegreeMismatch):
         QuasiLinearForm(ring13, 0, bad)
+
+
+# ------------------------------------------- multinomial coefficients of f^n
+
+def _f_power_by_products(n, q):
+    """Coefficient lists of (x^3 + z4 x + z6)^n, by n repeated products;
+    each coefficient is a dict (e4, e6) -> int, reduced mod q unless q is
+    None."""
+    poly = [{(0, 0): 1}]
+    for _ in range(n):
+        out = [{} for _ in range(len(poly) + 3)]
+        for dg, coeff in enumerate(poly):
+            for (i, j), c in coeff.items():
+                for shift, key in ((3, (i, j)), (1, (i + 1, j)),
+                                   (0, (i, j + 1))):
+                    slot = out[dg + shift]
+                    slot[key] = slot.get(key, 0) + c
+        poly = out
+    if q is not None:
+        poly = [{k: c % q for k, c in coeff.items() if c % q}
+                for coeff in poly]
+    return poly
+
+
+@pytest.mark.parametrize("q", [None, 13])
+def test_f_power_coeff_matches_repeated_products(q):
+    pm = PrimePower(q, 1) if q else None
+    for n in range(13):
+        want = _f_power_by_products(n, q)
+        for dg in range(3 * n + 4):
+            expect = want[dg] if dg < len(want) else {}
+            assert f_power_coeff(n, dg, pm).terms == expect, (n, dg)

@@ -174,3 +174,23 @@ def test_eigen_forcing_check():
     lift = build_lift_mod_p(ctx)
     assert eigen_forcing_check(lift)
     assert not eigen_forcing_check(FrobLift(ctx, lift.z, (lift.lam + 1) % 13))
+
+
+def test_df_power_formed_once_per_mod1_pair(monkeypatch):
+    """(3x^2+a)^p is formed once per context, although mu_correct and both
+    Y polynomials of a mod-1 verification use it."""
+    from ellfrob.verify import verify_pair
+    p, a, b = 31, 3, 5
+    pm1 = PrimePower(p, 1)
+    base = UPoly.monomial(3, 2, pm1) + UPoly.const(a, pm1)
+    calls = []
+    original = UPoly.__pow__
+
+    def counting_pow(self, n):
+        if n == p and self == base:
+            calls.append(n)
+        return original(self, n)
+
+    monkeypatch.setattr(UPoly, "__pow__", counting_pow)
+    assert verify_pair(p, a, b, 1)["verified"]
+    assert len(calls) == 1

@@ -5,8 +5,9 @@ import pytest
 from ellfrob.errors import (BNotUnit, NotStabilized, TOutOfRange,
                             WrongResidueClass)
 from ellfrob.forms import FormRing, form_evaluate, lambda_1
-from ellfrob.liftp import CurveContext, lie_verify, lie_verify_commutator
-from ellfrob.liftp2 import (_laurent_to_locfrac, _row_rhs, _source,
+from ellfrob.liftp import (CurveContext, k0_poly, lie_verify,
+                           lie_verify_commutator)
+from ellfrob.liftp2 import (_laurent_to_locfrac, _row_rhs, _source, _sym_k0,
                             build_lift_mod_p2, d_values,
                             lambda_properties, solve_eigen_numeric,
                             solve_eigen_symbolic, solve_truncated,
@@ -94,7 +95,7 @@ def test_eigen_determinant_is_psi():
         ctx = ctx2(p, a, b)
         _, _, det = solve_eigen_numeric(ctx)
         psi = psi_table(p).psis[(p + 5) // 2]
-        assert det == laurent_eval(psi, p, ctx.a, ctx.b)
+        assert det == laurent_eval(psi.terms, p, ctx.a, ctx.b)
 
 
 def test_generic_guess_not_stabilized():
@@ -260,3 +261,16 @@ def test_symbolic_d_values():
         d, _ = d_values(ctx)
         for s in range(1, 5):
             assert ds[s - 1].evaluate(a, b) == d[s]
+
+
+@pytest.mark.parametrize("p", [13, 17])
+def test_sym_k0_specializes_to_k0_poly(p):
+    """The symbolic K0 coefficients, evaluated at (a, b), are the
+    coefficients of the numeric K0 of that curve."""
+    pm1 = PrimePower(p, 1)
+    locs = LocalizerSet(pm1, hasse_poly(p, pm1))
+    sym = _sym_k0(p, locs)
+    for a, b in ((1, 1), (2, 3), (0, 5), (7, 0)):
+        k0 = k0_poly(CurveContext(a, b, pm1), 1)
+        assert [c.specialize(a, b) for c in sym] == \
+            [k0.coeff(dg) for dg in range(len(sym))]

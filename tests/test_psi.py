@@ -9,7 +9,7 @@ from ellfrob.psi import (alpha_beta_table, clear_psi, conjecture_scan,
                          psi_determinants, psi_mod_p, psi_recurrence_check,
                          psi_table, scan_prime)
 from ellfrob.residue import PrimePower
-from ellfrob.wpoly import discriminant
+from ellfrob.wpoly import WPoly, discriminant
 
 F = Fraction
 
@@ -21,67 +21,67 @@ def exact():
 
 def test_alpha_beta_closed_forms(exact):
     alphas, betas, _ = exact
-    assert alphas[1] == {(1, -1): F(1, 2)}
-    assert alphas[2] == {(2, -2): F(-1, 8)}
-    assert alphas[3] == {(3, -3): F(1, 16), (0, -1): F(1, 2)}
-    assert alphas[4] == {(4, -4): F(-5, 128), (1, -2): F(-1, 4)}
-    assert betas[1] == {}
-    assert betas[2] == {(1, -1): F(1, 4)}
-    assert betas[3] == {(2, -2): F(-1, 8)}
-    assert betas[4] == {(3, -3): F(5, 64), (0, -1): F(3, 8)}
+    assert alphas[1].terms == {(1, -1): F(1, 2)}
+    assert alphas[2].terms == {(2, -2): F(-1, 8)}
+    assert alphas[3].terms == {(3, -3): F(1, 16), (0, -1): F(1, 2)}
+    assert alphas[4].terms == {(4, -4): F(-5, 128), (1, -2): F(-1, 4)}
+    assert betas[1].terms == {}
+    assert betas[2].terms == {(1, -1): F(1, 4)}
+    assert betas[3].terms == {(2, -2): F(-1, 8)}
+    assert betas[4].terms == {(3, -3): F(5, 64), (0, -1): F(3, 8)}
 
 
 def test_psi_closed_forms(exact):
     _, _, psis = exact
-    assert psis[1] == {(2, -2): F(1, 8)}
-    assert psis[2] == {(1, -2): F(-1, 8)}
-    assert psis[3] == {(3, -4): F(1, 32), (0, -2): F(3, 16)}
-    assert psis[4] == {(2, -4): F(1, 640)}
-    assert psis[5] == {(4, -6): F(-7, 1280), (1, -4): F(-23, 640)}
-    assert psis[6] == {(3, -6): F(17, 7168), (0, -4): F(15, 896)}
-    assert psis[7] == {(5, -8): F(77, 40960), (2, -6): F(129, 10240)}
-    assert psis[8] == {(4, -8): F(-2477, 1146880), (1, -6): F(-1051, 71680)}
-    assert psis[9] == {(6, -10): F(-847, 983040), (3, -8): F(-2937, 573440),
+    assert psis[1].terms == {(2, -2): F(1, 8)}
+    assert psis[2].terms == {(1, -2): F(-1, 8)}
+    assert psis[3].terms == {(3, -4): F(1, 32), (0, -2): F(3, 16)}
+    assert psis[4].terms == {(2, -4): F(1, 640)}
+    assert psis[5].terms == {(4, -6): F(-7, 1280), (1, -4): F(-23, 640)}
+    assert psis[6].terms == {(3, -6): F(17, 7168), (0, -4): F(15, 896)}
+    assert psis[7].terms == {(5, -8): F(77, 40960), (2, -6): F(129, 10240)}
+    assert psis[8].terms == {(4, -8): F(-2477, 1146880), (1, -6): F(-1051, 71680)}
+    assert psis[9].terms == {(6, -10): F(-847, 983040), (3, -8): F(-2937, 573440),
                        (0, -6): F(33, 7168)}
 
 
 def test_recurrence_consistency(exact):
     _, _, psis = exact
-    assert psi_recurrence_check(psis, 9, lane=None)
+    assert psi_recurrence_check(psis, 9, pm=None)
     # a corrupted table is caught
-    bad = [dict(x) if x else x for x in psis]
-    bad[9] = {(0, -6): F(1)}
+    bad = list(psis)
+    bad[9] = WPoly({(0, -6): F(1)})
     with pytest.raises(InternalMismatch):
-        psi_recurrence_check(bad, 9, lane=None)
+        psi_recurrence_check(bad, 9, pm=None)
 
 
 def test_clear_psi_exact(exact):
     _, _, psis = exact
-    big9 = clear_psi(psis[9], 9, lane=None)
-    assert big9 == {(6, 0): F(-847, 983040), (3, 2): F(-2937, 573440),
+    big9 = clear_psi(psis[9], 9)
+    assert big9.terms == {(6, 0): F(-847, 983040), (3, 2): F(-2937, 573440),
                     (0, 4): F(33, 7168)}
     # degree datum at p = 7: pivot index 6, cleared degree 12 = p + 5
-    big6 = clear_psi(psis[6], 6, lane=None)
-    assert {4 * i + 6 * j for (i, j) in big6} == {12}
+    big6 = clear_psi(psis[6], 6)
+    assert {4 * i + 6 * j for (i, j) in big6.terms} == {12}
 
 
 def test_golem_seed_values(exact):
     _, _, psis = exact
-    big6 = clear_psi(psis[6], 6, lane=None)
-    assert sum(c for (i, j), c in big6.items() if i == 0) == F(15, 896)
-    big5 = clear_psi(psis[5], 5, lane=None)
-    assert sum(c for (i, j), c in big5.items() if j == 0) == F(-7, 1280)
+    big6 = clear_psi(psis[6], 6)
+    assert sum(c for (i, j), c in big6.terms.items() if i == 0) == F(15, 896)
+    big5 = clear_psi(psis[5], 5)
+    assert sum(c for (i, j), c in big5.terms.items() if j == 0) == F(-7, 1280)
 
 
 def test_pivot_displays_mod_p():
     # p = 11: Psi_8 = z4 (z4^3 + 4 z6^2)
-    assert psi_mod_p(11) == {(4, 0): 1, (1, 2): 4}
+    assert psi_mod_p(11).terms == {(4, 0): 1, (1, 2): 4}
     # p = 17: Psi_11 = -6 z4 (z4^3 - z6^2)(z4^3 - 6 z6^2)
-    assert psi_mod_p(17) == {(7, 0): 11, (4, 2): 8, (1, 4): 15}
+    assert psi_mod_p(17).terms == {(7, 0): 11, (4, 2): 8, (1, 4): 15}
     # p = 13: Psi_9 = 2 * Delta * H
     pm = PrimePower(13, 1)
     expect = (discriminant(pm) * hasse_poly(13, pm)).scale(2)
-    assert psi_mod_p(13) == expect.terms
+    assert psi_mod_p(13).terms == expect.terms
 
 
 def test_degree_audit():
@@ -123,10 +123,10 @@ def test_rational_independence_of_psi9_and_delta_h():
     # over Q the relation Psi_9 = c * Delta * H_13 has no solution: the
     # coefficient ratios at (6,0) and (0,4) disagree
     _, _, psis = exact_psi_table(9)
-    big9 = clear_psi(psis[9], 9, lane=None)
+    big9 = clear_psi(psis[9], 9)
     dh = (discriminant(None) * hasse_poly(13)).terms
-    r1 = F(big9[(6, 0)]) / dh[(6, 0)]
-    r2 = F(big9[(0, 4)]) / dh[(0, 4)]
+    r1 = F(big9.terms[(6, 0)]) / dh[(6, 0)]
+    r2 = F(big9.terms[(0, 4)]) / dh[(0, 4)]
     assert r1 != r2
 
 
@@ -136,6 +136,6 @@ def test_mod_p_lane_matches_exact_lane():
     _, _, psis = exact_psi_table(9)
     for n in range(1, 10):
         reduced = {k: (c.numerator * pow(c.denominator, -1, p)) % p
-                   for k, c in psis[n].items()}
+                   for k, c in psis[n].terms.items()}
         reduced = {k: v for k, v in reduced.items() if v}
-        assert table.psis[n] == reduced
+        assert table.psis[n].terms == reduced

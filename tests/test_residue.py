@@ -2,9 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellfrob.errors import ModulusMismatch, NotAUnit, NotCongruentOne
-from ellfrob.residue import (PrimePower, ResidueInt, delta_scalar, inv_mod,
-                             inverse, is_prime, sqrt_unit)
+from ellfrob.residue import PrimePower, delta_scalar, inv_mod, is_prime
 
 
 def test_is_prime_small():
@@ -30,72 +28,8 @@ def test_prime_power_q_lift_drop():
     assert pm.drop(1).q == 13
 
 
-def test_residue_arithmetic():
-    pm = PrimePower(7, 2)
-    a = ResidueInt(50, pm)
-    b = ResidueInt(3, pm)
-    assert int(a + b) == 53 % 49
-    assert int(a - b) == 47 % 49
-    assert int(a * b) == 150 % 49
-    assert int(-b) == 46
-    assert int(b ** 3) == 27
-    assert a.is_unit()
-    assert not ResidueInt(7, pm).is_unit()
-
-
-def test_mixed_moduli_refused():
-    a = ResidueInt(1, PrimePower(7, 2))
-    b = ResidueInt(1, PrimePower(7, 1))
-    with pytest.raises(ModulusMismatch):
-        a + b
-
-
-def test_inverse_7_mod_169():
-    pm = PrimePower(13, 2)
-    v = inverse(ResidueInt(7, pm))
-    assert (7 * int(v)) % 169 == 1
-
-
-def test_inverse_non_unit():
-    pm = PrimePower(13, 2)
-    with pytest.raises(NotAUnit):
-        inverse(ResidueInt(13, pm))
-
-
 def test_inv_mod():
     assert inv_mod(7, 169) * 7 % 169 == 1
-
-
-def test_sqrt_unit_one_plus_2p():
-    for p in (5, 13, 17):
-        pm = PrimePower(p, 2)
-        r = sqrt_unit(ResidueInt(1 + 2 * p, pm))
-        assert int(r) == 1 + p
-
-
-def test_sqrt_unit_one_plus_kp():
-    p = 11
-    pm = PrimePower(p, 2)
-    inv2 = inv_mod(2, p ** 2)
-    for k in range(p):
-        r = sqrt_unit(ResidueInt(1 + k * p, pm))
-        assert int(r) == (1 + k * inv2 * p) % p ** 2
-
-
-def test_sqrt_unit_requires_one_mod_p():
-    pm = PrimePower(7, 2)
-    with pytest.raises(NotCongruentOne):
-        sqrt_unit(ResidueInt(2, pm))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from([5, 7, 13]), st.integers(1, 4), st.integers(0, 10 ** 6))
-def test_sqrt_unit_squares_back(p, m, t):
-    pm = PrimePower(p, m)
-    u = ResidueInt(1 + p * t, pm)
-    r = sqrt_unit(u)
-    assert int(r * r) == int(u)
-    assert int(r) % p == 1
 
 
 def test_delta_scalar_value():

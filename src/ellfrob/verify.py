@@ -62,7 +62,12 @@ def _attempt(task):
 
 def exhaustive_verify(p, mod, samples=None, seed=2026, workers=None):
     """Summary over all F_p pairs (samples=None) or `samples` random pairs
-    drawn from [0, p^(m+1)) so the p-derivation sees nontrivial digits."""
+    drawn from [0, p^(m+1)) so the p-derivation sees nontrivial digits.
+
+    Mod p^2 needs p >= 11: the general branch truncates at (p+7)/2, which
+    must not pass p-1, so smaller primes are refused before any pair runs."""
+    if mod == 2 and p < 11:
+        raise DomainError("mod-p^2 verification needs p >= 11, got p = %d" % p)
     if samples is None:
         tasks = [(p, a, b, mod) for a in range(p) for b in range(p)]
     else:

@@ -204,6 +204,14 @@ class LocalizerSet:
     Order matters for reciprocal recognition: composite localizers first,
     so greedy division does not strip a plain variable that happens to
     divide Psi or H before those get their chance.
+
+    Mod p, LocFrac.reciprocal finds the same exponents on a p-th power
+    through its Frobenius root as one power at a time, provided every
+    localizer is squarefree: the largest k with L^k | f is then the least
+    valuation of f at a prime factor of L, which scales by p. That holds
+    for p >= 5: z4, z6 and Delta are squarefree, H is squarefree because
+    its supersingular j-invariants are distinct, and Psi is proportional
+    to Delta * H at every prime the scan covers (11..499).
     """
 
     NAMES = ("Psi", "H", "delta", "z6", "z4")
@@ -332,11 +340,29 @@ class LocFrac:
 
         Greedy exact division by each localizer in order; whatever is left
         must be a unit constant. Raises DenominatorNotLocalizer otherwise.
+
+        Frobenius descent: mod p (m = 1), a numerator r whose exponents are
+        all multiples of p is s(z4^p, z6^p) = s^p, where s keeps the
+        coefficients and divides every exponent by p (c^p = c in F_p). So
+        r is replaced by s, repeatedly, and each exponent found on the root
+        counts frob = p^k times. The value is exact on every input: if
+        s = c * prod L^e, then r = c * prod L^(e * frob), and the leftover
+        constant c stays as it is. The split into exponents is the one the
+        greedy division would find on r itself whenever every localizer is
+        squarefree, because then each valuation just scales by frob (see
+        LocalizerSet). The pivot determinant is a p-th power, and this
+        turns its p dense divisions by Psi into one.
         """
         pm = self.locs.pm
         if self.num.is_zero():
             raise DenominatorNotLocalizer("zero has no reciprocal")
         r = self.num
+        p = pm.p
+        frob = 1
+        while (pm.m == 1 and any(i or j for i, j in r.terms)
+               and not any(i % p or j % p for i, j in r.terms)):
+            r = WPoly({(i // p, j // p): c for (i, j), c in r.terms.items()}, pm)
+            frob *= p
         exps = {}
         for name in self.locs.NAMES:
             if name not in self.locs.polys:
@@ -347,12 +373,12 @@ class LocFrac:
                 if q2 is None:
                     break
                 r = q2
-                exps[name] = exps.get(name, 0) + 1
+                exps[name] = exps.get(name, 0) + frob
         if list(r.terms) != [(0, 0)]:
             raise DenominatorNotLocalizer(
                 "numerator is not a unit times a localizer monomial")
         c = r.terms[(0, 0)]
-        if c % pm.p == 0:
+        if c % p == 0:
             raise DenominatorNotLocalizer("leftover constant is not a unit")
         num = self.locs.den_poly(self.den).scale(inv_mod(c, pm.q))
         return LocFrac(num, exps, self.locs)

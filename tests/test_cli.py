@@ -142,6 +142,8 @@ def test_hasse_out_file(tmp_path, capsys):
     (("eigen", "--p", "7"), "PrimeTooSmall"),
     (("scan", "--pmin", "5", "--pmax", "7"), "PrimeTooSmall"),
     (("hasse", "--p", "11", "--mod", "0"), "InvalidModulus"),
+    (("verify-all", "--p", "5", "--mod", "2"), "DomainError"),
+    (("verify-all", "--p", "7", "--mod", "2"), "DomainError"),
 ])
 def test_domain_edges_exit_1_with_one_typed_line(capsys, argv, error):
     code = main(list(argv))
@@ -195,6 +197,8 @@ def test_help_exits_0(capsys):
      "99f6762bcddd7a41be46c383b9a21d3ea4de6d2a58c5885af59b4485c3c5c071"),
     (("scan", "--pmin", "11", "--pmax", "101", "--format", "csv"),
      "6cf3f0b3dc4e37f7af749b6125eee103d9c592e62e6d9e309f7d96b03686dd4a"),
+    (("eigen", "--p", "127"),
+     "a2d10358dd22e9f7919992dc308348ee58135ebaa8ef23c9ffb8de516d293f81"),
 ])
 def test_stdout_golden(capsys, argv, digest):
     code, out = run_cli(capsys, *argv)

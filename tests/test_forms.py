@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from ellfrob.errors import (DegreeMismatch, DenominatorNotLocalizer, NotAUnit,
@@ -9,6 +11,7 @@ from ellfrob.forms import (FormRing, QuasiLinearForm, c_power_w,
                            unit_form_delta, unit_form_z4, unit_form_z6,
                            weight_check_mod_p, weight_check_mod_p2,
                            weight_definition_probe)
+from ellfrob.psi import psi_table
 from ellfrob.residue import PrimePower, delta_scalar, inv_mod
 from ellfrob.wpoly import LocFrac, LocalizerSet, WPoly, discriminant
 
@@ -104,6 +107,48 @@ def test_locfrac_reciprocal():
     r = x.reciprocal()
     assert x * r == LocFrac.from_int(1, locs)
     bad = LocFrac(discriminant(pm) + WPoly.const(1, pm), {}, locs)
+    with pytest.raises(DenominatorNotLocalizer):
+        bad.reciprocal()
+
+
+def _greedy_den(num, locs):
+    """Strip each localizer one power at a time, in LocalizerSet order; the
+    split reciprocal has to find."""
+    den = {}
+    for name in locs.NAMES:
+        while True:
+            quo = num.divide_exact(locs.polys[name])
+            if quo is None:
+                break
+            num = quo
+            den[name] = den.get(name, 0) + 1
+    assert list(num.terms) == [(0, 0)]
+    return den
+
+
+@pytest.mark.parametrize("p", [13, 17])
+def test_reciprocal_matches_one_power_greedy(p):
+    """Numerators c * prod L^e whose exponents are all multiples of p (or
+    p^2) take the Frobenius descent; mixed ones do not. Either way the
+    denominator is the one-power-at-a-time greedy split."""
+    pm = PrimePower(p, 1)
+    locs = LocalizerSet(pm, hasse_poly(p, pm), psi_table(p).psi_big)
+    one = LocFrac.from_int(1, locs)
+    rng = random.Random(p)
+    cases = [{name: rng.choice((0, 1, 2, p)) for name in locs.NAMES}
+             for _ in range(3)]
+    cases += [{name: p * rng.randrange(3) for name in locs.NAMES}
+              for _ in range(3)]
+    cases += [{"z4": p * p * rng.randrange(1, 3), "z6": p * p,
+               "H": p * p * rng.randrange(2)}]
+    for exps in cases:
+        num = locs.den_poly(exps).scale(rng.randrange(1, p))
+        x = LocFrac(num, {"z6": rng.randrange(3)}, locs)
+        r = x.reciprocal()
+        assert r.den == _greedy_den(num, locs), exps
+        assert x * r == one
+    # a p-th power descends, but to a form that is not a localizer monomial
+    bad = LocFrac((discriminant(pm) + WPoly.const(1, pm)) ** p, {}, locs)
     with pytest.raises(DenominatorNotLocalizer):
         bad.reciprocal()
 

@@ -14,7 +14,7 @@ from ellfrob.liftp2 import (_laurent_to_locfrac, _row_rhs, _source, _sym_k0,
                             stabilization_check, sym_d_values, theta_evaluate)
 from ellfrob.psi import psi_table
 from ellfrob.residue import PrimePower, inv_mod
-from ellfrob.wpoly import LocalizerSet
+from ellfrob.wpoly import LocalizerSet, WPoly
 from ellfrob.forms import hasse_poly
 
 
@@ -274,3 +274,19 @@ def test_sym_k0_specializes_to_k0_poly(p):
         k0 = k0_poly(CurveContext(a, b, pm1), 1)
         assert [c.specialize(a, b) for c in sym] == \
             [k0.coeff(dg) for dg in range(len(sym))]
+
+
+def test_pivot_reciprocal_descends(monkeypatch):
+    """The pivot determinant is a p-th power, so its reciprocal divides its
+    Frobenius root instead of dividing by Psi p times (1652 divide_exact
+    calls at p = 61 without the descent)."""
+    calls = []
+    original = WPoly.divide_exact
+
+    def counting_divide_exact(self, g):
+        calls.append(g)
+        return original(self, g)
+
+    monkeypatch.setattr(WPoly, "divide_exact", counting_divide_exact)
+    solve_eigen_symbolic(61)
+    assert len(calls) < 40

@@ -14,10 +14,11 @@ import sys
 
 from .errors import DomainError, InternalError, UsageError
 from .forms import classify_pair, hasse_poly
-from .liftp2 import d_values, solve_eigen_numeric, solve_eigen_symbolic
+from .liftp2 import (branch_constants, solve_eigen_numeric,
+                     solve_eigen_symbolic)
 from .liftp import CurveContext
 from .psi import conjecture_scan
-from .residue import PrimePower, inv_mod, is_prime
+from .residue import PrimePower, is_prime
 from .verify import exhaustive_verify, verify_pair
 
 SCAN_COLUMNS = ["p", "class_mod_12", "psi_degree", "degree_ok", "golem_01",
@@ -72,14 +73,16 @@ def cmd_classify(args):
 
 def cmd_lift(args):
     _require_prime(args.p)
-    row = verify_pair(args.p, args.a, args.b, args.mod, branch=args.branch)
+    row = verify_pair(args.p, args.a, args.b, args.mod)
     _emit(row, args.out)
     return 0 if row["verified"] else 2
 
 
 def cmd_eigen(args):
+    if (args.a is None) != (args.b is None):
+        raise UsageError("eigen takes both --a and --b, or neither")
     _require_prime(args.p)
-    if args.a is not None and args.b is not None:
+    if args.a is not None:
         ctx = CurveContext(args.a, args.b, PrimePower(args.p, 2))
         v0, theta, det = solve_eigen_numeric(ctx)
         _emit({"p": args.p, "a": args.a, "b": args.b,
@@ -118,6 +121,8 @@ def cmd_scan(args):
 
 
 def cmd_verify_all(args):
+    if args.samples is not None and args.samples < 1:
+        raise UsageError("--samples must be positive, got %d" % args.samples)
     _require_prime(args.p)
     summary = exhaustive_verify(args.p, args.mod, samples=args.samples,
                                 seed=args.seed, workers=_workers())
@@ -126,23 +131,8 @@ def cmd_verify_all(args):
 
 
 def cmd_constants(args):
-    """The universal scalars in the special-branch eigenvalue formulas:
-    beta_1, beta_4 read off d at (0, 1) when p = 1 mod 3, and
-    alpha_2, alpha_4 read off d at (1, 0) when p = 1 mod 4."""
-    p = args.p
-    _require_prime(p)
-    out = {"p": p}
-    if p % 3 == 1:
-        d, _ = d_values(CurveContext(0, 1, PrimePower(p, 1)))
-        out["beta_1"] = d[1]
-        out["beta_4"] = d[4]
-        out["beta"] = (d[1] + 2 * d[4]) * inv_mod(3, p) % p
-    if p % 4 == 1:
-        d, _ = d_values(CurveContext(1, 0, PrimePower(p, 1)))
-        out["alpha_2"] = d[2]
-        out["alpha_4"] = d[4]
-        out["alpha"] = (d[2] + d[4]) * inv_mod(2, p) % p
-    _emit(out, args.out)
+    _require_prime(args.p)
+    _emit(dict(branch_constants(args.p), p=args.p), args.out)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -181,8 +171,6 @@ def build_parser():
     sp.add_argument("--a", type=int, required=True)
     sp.add_argument("--b", type=int, required=True)
     sp.add_argument("--mod", type=int, choices=(1, 2), default=1)
-    sp.add_argument("--branch", default="auto",
-                    choices=("auto", "general", "a0", "b0"))
     common(sp)
     sp.set_defaults(fn=cmd_lift)
 

@@ -25,6 +25,10 @@ class ModulusMismatch(DomainError):
     pass
 
 
+class DenominatorMismatch(DomainError):
+    """Fractions over different f, or over different localizer sets."""
+
+
 class NotIntegrable(DomainError):
     """Antiderivative obstruction at a degree s*p-1 monomial; carries s."""
 
@@ -50,10 +54,6 @@ class NotOrdinary(DomainError):
 
 
 class SingularSystem(InternalError):
-    pass
-
-
-class WrongResidueClass(DomainError):
     pass
 
 

@@ -1,6 +1,6 @@
 """Mod-p^2 Lie invariant lifts: the linear system in the V-coefficients,
 its truncation and stabilization, the 2x2 eigenvalue solve (numeric and
-symbolic), and the two special residue-class branches a = 0 and b = 0.
+symbolic), and the b = 0 branch, where the rows are solved for v_(s-1).
 
 The lift is assembled as Z = W + V(x^p) + p U(x)/f(x)^p with eigenvalue
 lambda = lambda0 (1 + p theta). The v_j and U only matter mod p: they enter
@@ -10,8 +10,8 @@ turns x^(jp) terms into p-multiples.
 
 from .errors import (BNotUnit, DegreeMismatch, InternalMismatch,
                      NotDivisible, NotOrdinary, NotStabilized,
-                     PropertyViolation, SigmaSingular, TOutOfRange,
-                     WrongResidueClass)
+                     PrecisionOutOfRange, PropertyViolation, SigmaSingular,
+                     TOutOfRange)
 from .forms import f_power_coeff, hasse_poly
 from .liftp import CurveContext, FrobLift, k0_poly
 from .psi import laurent_stream, laurent_units, psi_table
@@ -128,24 +128,6 @@ def solve_eigen_numeric(ctx, d=None):
     return v0, theta, det
 
 
-def _solve_a0(ctx, d):
-    """a = 0 mod p (so p = 1 mod 3 for an ordinary pair): v_0 = 0 and
-    theta = -delta(b)/(6 b^p) - beta with beta = (1/3) beta_1 + (2/3) beta_4,
-    where d_1 = beta_1 b^p and d_4 = beta_4."""
-    p = ctx.p
-    if ctx.a % p != 0:
-        raise WrongResidueClass("a = %d is a unit mod %d" % (ctx.a, p))
-    if p % 3 != 1:
-        raise WrongResidueClass("p = %d is not 1 mod 3" % p)
-    v_unit = pow(ctx.b, p, p)
-    beta1 = d[1] * inv_mod(v_unit, p) % p
-    beta4 = d[4] % p
-    beta = (beta1 + 2 * beta4) * inv_mod(3, p) % p
-    db = ctx.delta_b() % p
-    theta = (-db * inv_mod(6 * v_unit, p) - beta) % p
-    return 0, theta
-
-
 def _solve_b0(ctx, d):
     """b = 0 mod p (so p = 1 mod 4 for an ordinary pair): rows become
     (s - 3/2) a^p v_(s-1) = (9/2-s) v_(s-3) + sources and are solved forward
@@ -154,10 +136,6 @@ def _solve_b0(ctx, d):
     vanishing leading coefficient takes v_((p+1)/2) = 0 and must hold on
     its own."""
     p = ctx.p
-    if ctx.b % p != 0:
-        raise WrongResidueClass("b = %d is a unit mod %d" % (ctx.b, p))
-    if p % 4 != 1:
-        raise WrongResidueClass("p = %d is not 1 mod 4" % p)
     u = pow(ctx.a, p, p)
     alpha2 = d[2] * inv_mod(u, p) % p
     alpha4 = d[4] % p
@@ -169,9 +147,8 @@ def _solve_b0(ctx, d):
     s_special = (p + 3) // 2
     vs = []
     for s in range(1, (p + 9) // 2 + 1):
-        rhs = _source(s, p, u, theta, da, db, d)
-        rhs = (rhs + (9 - 2 * s) * inv2
-               * (vs[s - 3] if 0 <= s - 3 < len(vs) else 0)) % p
+        # v_(s-1) is not in vs yet, so _row_rhs drops its term
+        rhs = _row_rhs(s, p, u, theta, da, db, d, vs)
         lead = (2 * s - 3) * inv2 * u % p
         if s == s_special:
             if rhs:
@@ -180,6 +157,23 @@ def _solve_b0(ctx, d):
         else:
             vs.append(rhs * inv_mod(lead, p) % p)
     return vs[0], theta, vs
+
+
+def branch_constants(p):
+    """The universal scalars of the special-class eigenvalue formulas:
+    beta_1, beta_4 and beta = (beta_1 + 2 beta_4)/3 read off d at (0, 1)
+    when p = 1 mod 3, and alpha_2, alpha_4 and alpha = (alpha_2 + alpha_4)/2
+    read off d at (1, 0) when p = 1 mod 4."""
+    out = {}
+    if p % 3 == 1:
+        d, _ = d_values(CurveContext(0, 1, PrimePower(p, 1)))
+        out.update(beta_1=d[1], beta_4=d[4],
+                   beta=(d[1] + 2 * d[4]) * inv_mod(3, p) % p)
+    if p % 4 == 1:
+        d, _ = d_values(CurveContext(1, 0, PrimePower(p, 1)))
+        out.update(alpha_2=d[2], alpha_4=d[4],
+                   alpha=(d[2] + d[4]) * inv_mod(2, p) % p)
+    return out
 
 
 def assemble_lift(ctx, theta, vs, w0):
@@ -215,44 +209,30 @@ def assemble_lift(ctx, theta, vs, w0):
     return FrobLift(ctx, FracPoly(num, p, f2), lam)
 
 
-def build_lift_mod_p2(ctx, branch="auto"):
+def build_lift_mod_p2(ctx):
     """End-to-end mod-p^2 construction for an ordinary pair over Z/p^2.
 
-    branch: "auto" picks a0 / b0 / general by the residues of a and b;
-    forcing a special branch on the wrong class raises WrongResidueClass.
+    b a unit mod p: the pivot solve, then the forward rows (labelled a0
+    when a = 0 mod p, general otherwise); b = 0 mod p: the b0 solve.
     Returns (lift, info) with info holding theta, v0 and the v-vector.
     """
     p = ctx.p
     if ctx.pm.m < 2:
-        raise ValueError("mod-p^2 construction needs a precision-2 context")
+        raise PrecisionOutOfRange("mod-p^2 construction needs a precision-2 "
+                                  "context, got p^%d" % ctx.pm.m)
     if not ctx.ordinary:
         raise NotOrdinary("H(%d, %d) = 0 mod %d" % (ctx.a, ctx.b, p))
-    if branch == "auto":
-        if ctx.a % p == 0:
-            branch = "a0"
-        elif ctx.b % p == 0:
-            branch = "b0"
-        else:
-            branch = "general"
-
-    if branch not in ("general", "a0", "b0"):
-        raise ValueError("unknown branch %r" % branch)
     u, v_unit = pow(ctx.a, p, p), pow(ctx.b, p, p)
-    if branch == "general" and v_unit == 0:
-        raise BNotUnit("b = 0 mod %d: use the b0 branch" % p)
     da, db = ctx.delta_a() % p, ctx.delta_b() % p
     d, w0 = d_values(ctx)
-    if branch == "general":
+    if v_unit:
+        branch = "general" if u else "a0"
         v0, theta, _ = solve_eigen_numeric(ctx, d)
         vs = solve_truncated(p, u, v_unit, theta, da, db, d, v0, (p + 7) // 2)
-        vs = stabilization_check(p, u, v_unit, theta, da, db, d, vs)
-    elif branch == "a0":
-        v0, theta = _solve_a0(ctx, d)
-        vs = solve_truncated(p, 0, v_unit, theta, da, db, d, v0, (p + 7) // 2)
-        vs = stabilization_check(p, 0, v_unit, theta, da, db, d, vs)
     else:
+        branch = "b0"
         v0, theta, vs = _solve_b0(ctx, d)
-        vs = stabilization_check(p, u, 0, theta, da, db, d, vs)
+    vs = stabilization_check(p, u, v_unit, theta, da, db, d, vs)
     lift = assemble_lift(ctx, theta, vs, w0)
     info = {"branch": branch, "theta": theta, "v0": v0, "vs": vs}
     return lift, info
@@ -342,14 +322,13 @@ def _laurent_to_locfrac(lau, p, locs):
 
 
 class SymbolicEigen:
-    """Theta = t_const + t_da z4' + t_db z6' and the matching v_0 slots,
-    as localized fractions mod p, together with the pivot determinant."""
+    """Theta = t_const + t_da z4' + t_db z6' as localized fractions mod p,
+    together with the pivot determinant."""
 
-    def __init__(self, p, locs, theta_slots, v0_slots, det):
+    def __init__(self, p, locs, theta_slots, det):
         self.p = p
         self.locs = locs
         self.theta_const, self.theta_da, self.theta_db = theta_slots
-        self.v0_const, self.v0_da, self.v0_db = v0_slots
         self.det = det
 
 
@@ -378,13 +357,11 @@ def solve_eigen_symbolic(p):
     det = a_m * b_m1 - a_m1 * b_m
     det_inv = det.reciprocal()
 
-    theta_slots = []
-    v0_slots = []
-    for r_m, r_m1 in ((-etas[m_piv], -etas[m_piv + 1]),
-                      [-x for x in pivots(mus)], [-x for x in pivots(nus)]):
-        theta_slots.append(det_inv * (a_m * r_m1 - a_m1 * r_m))
-        v0_slots.append(det_inv * (r_m * b_m1 - r_m1 * b_m))
-    return SymbolicEigen(p, locs, theta_slots, v0_slots, det)
+    theta_slots = [det_inv * (a_m * r_m1 - a_m1 * r_m)
+                   for r_m, r_m1 in ((-etas[m_piv], -etas[m_piv + 1]),
+                                     [-x for x in pivots(mus)],
+                                     [-x for x in pivots(nus)])]
+    return SymbolicEigen(p, locs, theta_slots, det)
 
 
 def _eq_at_z4_zero(x, y):
@@ -412,9 +389,7 @@ def lambda_properties(sym):
                                     % (name, wd, want))
     result = {"degrees_ok": True, "a0_checked": False}
     if p % 3 == 1:
-        ctx = CurveContext(0, 1, PrimePower(p, 1))
-        d, _ = d_values(ctx)
-        beta = (d[1] + 2 * d[4]) * inv_mod(3, p) % p
+        beta = branch_constants(p)["beta"]
         tgt_db = LocFrac(WPoly.const(-inv_mod(6, p), locs.pm), {"z6": p}, locs)
         tgt_const = LocFrac(WPoly.const(-beta, locs.pm), {}, locs)
         if not sym.theta_da.num.restrict_z4_zero().is_zero():

@@ -87,27 +87,24 @@ def psi_recurrence_check(psis, nmax, pm=None):
 
 def clear_psi(psi_n, n):
     """Psi_n = psi_n * V^(2*ceil(n/2)); must come out polynomial and
-    weighted homogeneous of degree 4*ceil(n/2) (+4 more when n is odd)."""
+    weighted homogeneous (degree_audit checks which degree)."""
     shift = n if n % 2 == 0 else n + 1
     cleared = psi_n * WPoly.monomial(1, 0, shift, psi_n.pm)
-    expected = 2 * n if n % 2 == 0 else 2 * n + 6
-    for (i, j) in cleared.terms:
-        if j < 0:
-            raise DegreeMismatch("Psi_%d has a leftover V denominator" % n)
-        if 4 * i + 6 * j != expected:
-            raise DegreeMismatch(
-                "Psi_%d term U^%d V^%d off homogeneous degree %d" % (n, i, j, expected))
+    if any(j < 0 for (_, j) in cleared.terms):
+        raise DegreeMismatch("Psi_%d has a leftover V denominator" % n)
+    if cleared.terms and cleared.weighted_degree() is None:
+        raise DegreeMismatch("Psi_%d is not weighted homogeneous" % n)
     return cleared
 
 
 class PsiTable:
-    def __init__(self, p, alphas, betas, psis, psi_big, degree):
+    def __init__(self, p, alphas, betas, psis, psi_big):
         self.p = p
         self.alphas = alphas
         self.betas = betas
         self.psis = psis
         self.psi_big = psi_big  # the cleared Psi_{(p+5)/2}, a WPoly mod p
-        self.degree = degree
+        self.degree = psi_big.weighted_degree()  # None when Psi vanishes
 
 
 def _require_pivot_prime(p):
@@ -125,8 +122,7 @@ def psi_table(p):
     psis = psi_determinants(alphas, betas, m_piv)
     psi_recurrence_check(psis, m_piv, pm)
     psi_big = clear_psi(psis[m_piv], m_piv)
-    degree = 2 * m_piv if m_piv % 2 == 0 else 2 * m_piv + 6
-    return PsiTable(p, alphas, betas, psis, psi_big, degree)
+    return PsiTable(p, alphas, betas, psis, psi_big)
 
 
 def exact_psi_table(nmax=9):
@@ -145,15 +141,12 @@ def psi_mod_p(p):
 
 def degree_audit(p, table=None):
     """Weighted degree of the pivot Psi: p+5 when (p+5)/2 is even
-    (p = 7, 11 mod 12), p+11 when odd (p = 1, 5 mod 12)."""
+    (p = 3 mod 4), p+11 when odd (p = 1 mod 4)."""
     table = table or psi_table(p)
-    m_piv = (p + 5) // 2
-    expected = p + 5 if m_piv % 2 == 0 else p + 11
+    expected = p + 5 if p % 4 == 3 else p + 11
     if table.degree != expected:
-        raise DegreeMismatch("Psi degree %d, expected %d at p=%d"
+        raise DegreeMismatch("Psi degree %r, expected %d at p=%d"
                              % (table.degree, expected, p))
-    if not table.psi_big.is_homogeneous(expected):
-        raise DegreeMismatch("inhomogeneous Psi at p=%d" % p)
     return True
 
 

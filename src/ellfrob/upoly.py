@@ -43,8 +43,8 @@ import math
 
 import numpy as np
 
-from .errors import (FFTRoundingError, ModulusMismatch, NotDivisible,
-                     NotIntegrable, NotMonic)
+from .errors import (DenominatorMismatch, FFTRoundingError, ModulusMismatch,
+                     NotDivisible, NotIntegrable, NotMonic)
 
 _WORD_Q = 2 ** 31    # q below this: int64 storage and the FFT path
 _SHORT_LEN = 128     # np.convolve beats the FFT up to this shorter length
@@ -375,17 +375,13 @@ class FracPoly:
         self.fexp = fexp
         self.f = f
 
-    @classmethod
-    def from_poly(cls, num, f):
-        return cls(num, 0, f)
-
     @property
     def pm(self):
         return self.num.pm
 
     def _same_f(self, other):
         if self.f is not other.f and self.f != other.f:
-            raise ValueError("fractions over different f")
+            raise DenominatorMismatch("fractions over different f")
 
     def _align(self, other):
         self._same_f(other)

@@ -6,44 +6,49 @@ vanishing Hasse invariant, or hits a vanishing pivot determinant in the
 mod-p^2 solve. Everything else must construct and verify.
 """
 
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 
-from .errors import DomainError, NotOrdinary, SigmaSingular, SingularPair
+from .errors import (DomainError, InvalidModulus, NotOrdinary, SigmaSingular,
+                     SingularPair)
 from .liftp import (CurveContext, build_lift_mod_p, eigen_forcing_check,
-                    extendability_certificate, lie_verify,
-                    lie_verify_commutator, mu_correct)
+                    extendability_certificate, lie_verify_commutator,
+                    mu_correct)
 from .liftp2 import build_lift_mod_p2
 from .residue import PrimePower
 
 
-def verify_pair(p, a, b, mod, branch="auto"):
-    """Construct and fully verify one lift; returns a report row."""
+def verify_pair(p, a, b, mod):
+    """Construct and fully verify one lift; returns a report row. The
+    commutator check covers the differential congruence on x."""
     if mod == 1:
         ctx = CurveContext(a, b, PrimePower(p, 1))
         lift = build_lift_mod_p(ctx)
         _, corrected = mu_correct(ctx, lift)
         extendable, _ = extendability_certificate(ctx, corrected)
-        verified = (lie_verify(corrected, 1)
-                    and lie_verify_commutator(corrected, 1)
+        verified = (lie_verify_commutator(corrected, 1)
                     and extendable
                     and eigen_forcing_check(corrected))
         return {"p": p, "a": a, "b": b, "mod": 1, "verified": verified,
                 "lambda": corrected.lam, "extendable": extendable}
     if mod == 2:
         ctx = CurveContext(a, b, PrimePower(p, 2))
-        lift, info = build_lift_mod_p2(ctx, branch=branch)
-        verified = lie_verify(lift, 2) and lie_verify_commutator(lift, 2)
+        lift, info = build_lift_mod_p2(ctx)
+        verified = lie_verify_commutator(lift, 2)
         return {"p": p, "a": a, "b": b, "mod": 2, "verified": verified,
                 "lambda": lift.lam, "extendable": None,
                 "branch": info["branch"], "theta": info["theta"]}
-    raise ValueError("mod must be 1 or 2")
+    raise InvalidModulus("mod must be 1 or 2, got %r" % (mod,))
 
 
 def parallel_map(fn, items, workers=None):
-    """[fn(x) for x in items], on a pool of ``workers`` processes when more
-    than one is asked for; results keep the order of items either way."""
-    if workers is not None and workers > 1:
+    """[fn(x) for x in items], on a pool of processes when more than one is
+    asked for; results keep the order of items either way. The pool never
+    exceeds the item count or the CPU count: a forked pool starts all its
+    workers at the first submit."""
+    workers = min(workers or 1, len(items), os.cpu_count() or 1)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:
             return list(ex.map(fn, items))
     return [fn(x) for x in items]

@@ -10,7 +10,8 @@ polynomials (z4, z6, delta, H, Psi); this is the controlled-denominator
 fraction ring all symbolic eigenvalue work happens in.
 """
 
-from .errors import DenominatorNotLocalizer, ModulusMismatch, NotAUnit, SingularPair
+from .errors import (DenominatorMismatch, DenominatorNotLocalizer,
+                     ModulusMismatch, NotAUnit, SingularPair)
 from .residue import inv_mod
 
 
@@ -139,9 +140,6 @@ class WPoly:
         degs = {4 * i + 6 * j for (i, j) in self.terms}
         return degs.pop() if len(degs) == 1 else None
 
-    def is_homogeneous(self, d):
-        return all(4 * i + 6 * j == d for (i, j) in self.terms)
-
     def reduce(self, pm):
         return WPoly(self.terms, pm)
 
@@ -254,10 +252,6 @@ class LocFrac:
         self.locs = locs
 
     @classmethod
-    def from_wpoly(cls, num, locs):
-        return cls(num, {}, locs)
-
-    @classmethod
     def from_int(cls, c, locs):
         return cls(WPoly.const(c, locs.pm), {}, locs)
 
@@ -270,7 +264,7 @@ class LocFrac:
 
     def _common(self, other):
         if self.locs is not other.locs:
-            raise ValueError("fractions over different localizer sets")
+            raise DenominatorMismatch("fractions over different localizer sets")
         names = set(self.den) | set(other.den)
         den = {n: max(self.den.get(n, 0), other.den.get(n, 0)) for n in names}
         a = self.num
@@ -299,7 +293,7 @@ class LocFrac:
         if isinstance(other, WPoly):
             return LocFrac(self.num * other, self.den, self.locs)
         if self.locs is not other.locs:
-            raise ValueError("fractions over different localizer sets")
+            raise DenominatorMismatch("fractions over different localizer sets")
         den = dict(self.den)
         for n, k in other.den.items():
             den[n] = den.get(n, 0) + k
@@ -382,11 +376,6 @@ class LocFrac:
             raise DenominatorNotLocalizer("leftover constant is not a unit")
         num = self.locs.den_poly(self.den).scale(inv_mod(c, pm.q))
         return LocFrac(num, exps, self.locs)
-
-    def restrict_z4_zero(self):
-        """The pair (num mod z4, den polys mod z4) is formed by the caller;
-        here we just restrict the numerator and keep the denominator names."""
-        return LocFrac(self.num.restrict_z4_zero(), self.den, self.locs)
 
     def __repr__(self):
         return "LocFrac(%r / %r)" % (self.num, self.den)

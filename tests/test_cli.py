@@ -173,6 +173,10 @@ def test_verify_all_deterministic_across_threads(capsys, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ("hasse", "--p", "x"),
     ("frobnicate",),
+    ("eigen", "--p", "13", "--a", "1"),
+    ("verify-all", "--p", "13", "--samples", "-3"),
+    ("lift", "--p", "13", "--a", "0", "--b", "1", "--mod", "2",
+     "--branch", "general"),
 ])
 def test_usage_errors_exit_1_with_one_typed_line(capsys, argv):
     code = main(list(argv))
@@ -190,8 +194,8 @@ def test_help_exits_0(capsys):
     assert "usage: ellfrob" in capsys.readouterr().out
 
 
-# SHA-256 of stdout, recorded before psi.py and the symbolic lane moved onto
-# WPoly
+# SHA-256 of stdout, each recorded before a change it guards; the last two
+# before the a = 0 class moved onto the general pivot solve
 @pytest.mark.parametrize("argv, digest", [
     (("eigen", "--p", "37"),
      "99f6762bcddd7a41be46c383b9a21d3ea4de6d2a58c5885af59b4485c3c5c071"),
@@ -199,6 +203,10 @@ def test_help_exits_0(capsys):
      "6cf3f0b3dc4e37f7af749b6125eee103d9c592e62e6d9e309f7d96b03686dd4a"),
     (("eigen", "--p", "127"),
      "a2d10358dd22e9f7919992dc308348ee58135ebaa8ef23c9ffb8de516d293f81"),
+    (("lift", "--p", "13", "--a", "0", "--b", "1", "--mod", "2"),
+     "a71032731da913c05f9a032c9d7925272d611e008a78793706cab4ec90240b49"),
+    (("verify-all", "--p", "19", "--mod", "2"),
+     "a8331d0eff90db2a14424aa27df30b3a459dd97203622bd645dd510afe8de714"),
 ])
 def test_stdout_golden(capsys, argv, digest):
     code, out = run_cli(capsys, *argv)

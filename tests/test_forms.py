@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from ellfrob.errors import (DegreeMismatch, DenominatorNotLocalizer, NotAUnit,
-                            NotTangential, SingularPair)
+from ellfrob.errors import (DegreeMismatch, DenominatorMismatch,
+                            DenominatorNotLocalizer, NotAUnit, NotTangential,
+                            SingularPair)
 from ellfrob.forms import (FormRing, QuasiLinearForm, c_power_w,
                            classify_pair, f_power_coeff, form_evaluate,
                            hasse_poly, j_invariant, lambda_1,
@@ -85,6 +86,16 @@ def test_locfrac_inverse_of_h():
     inv_h = LocFrac(WPoly.const(1, pm), {"H": 1}, locs)
     h = LocFrac(locs.polys["H"], {}, locs)
     assert inv_h * h == LocFrac.from_int(1, locs)
+
+
+def test_locfrac_refuses_another_localizer_set():
+    pm = PrimePower(13, 1)
+    x = LocFrac.from_int(1, LocalizerSet(pm, hasse_poly(13, pm)))
+    y = LocFrac.from_int(1, LocalizerSet(pm, hasse_poly(13, pm)))
+    with pytest.raises(DenominatorMismatch):
+        x + y
+    with pytest.raises(DenominatorMismatch):
+        x * y
 
 
 def test_locfrac_evaluate_guards():

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from ellfrob.errors import (BNotUnit, NotStabilized, TOutOfRange,
-                            WrongResidueClass)
+from ellfrob.errors import (BNotUnit, NotStabilized, PrecisionOutOfRange,
+                            TOutOfRange)
 from ellfrob.forms import FormRing, form_evaluate, lambda_1
 from ellfrob.liftp import (CurveContext, k0_poly, lie_verify,
                            lie_verify_commutator)
@@ -166,12 +166,27 @@ def test_b0_lambda_formula():
         assert lift.lam == (1 - p * alpha) * lam1 % p ** 2
 
 
-def test_wrong_residue_class():
-    ctx = ctx2(13, 1, 1)
-    with pytest.raises(WrongResidueClass):
-        build_lift_mod_p2(ctx, branch="a0")
-    with pytest.raises(WrongResidueClass):
-        build_lift_mod_p2(ctx, branch="b0")
+@pytest.mark.parametrize("p", [13, 19, 31, 37])
+def test_a0_theta_closed_form(p):
+    """At a = 0 mod p the pivot solve meets the closed form v_0 = 0 and
+    theta = -delta(b)/(6 b^p) - beta, beta = (d_1/b^p + 2 d_4)/3, on a
+    plain pair and on one with nonzero digits above the first."""
+    for a, b in ((0, 1), (5 * p + 2 * p * p, 3 + 4 * p + 6 * p * p)):
+        ctx = ctx2(p, a, b)
+        lift, info = build_lift_mod_p2(ctx)
+        assert info["branch"] == "a0"
+        assert info["v0"] == 0
+        bp = pow(b, p, p)
+        d, _ = d_values(ctx)
+        beta = (d[1] * inv_mod(bp, p) + 2 * d[4]) * inv_mod(3, p) % p
+        delta_b = (b - b ** p) // p % p
+        assert info["theta"] == (-delta_b * inv_mod(6 * bp, p) - beta) % p
+        assert lift.lam == ctx.lambda0 * (1 + p * info["theta"]) % p ** 2
+
+
+def test_mod_p2_builder_needs_precision_2():
+    with pytest.raises(PrecisionOutOfRange):
+        build_lift_mod_p2(CurveContext(1, 1, PrimePower(13, 1)))
 
 
 def test_p17_random_pairs():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellfrob.errors import NotIntegrable
+from ellfrob.errors import DenominatorMismatch, NotIntegrable
 from ellfrob.residue import PrimePower
 from ellfrob.upoly import FracPoly, UPoly
 
@@ -143,3 +143,11 @@ def test_fracpoly_derivative_quotient_rule():
     g = FracPoly(n, 2, f)
     expect = FracPoly(n.derivative() * f - n.scale(2) * f.derivative(), 3, f)
     assert g.derivative() == expect
+
+
+def test_fracpoly_refuses_another_f():
+    one = UPoly.const(1, PM13)
+    x = FracPoly(one, 1, UPoly.x_cubic(1, 2, PM13))
+    y = FracPoly(one, 1, UPoly.x_cubic(1, 3, PM13))
+    with pytest.raises(DenominatorMismatch):
+        x + y

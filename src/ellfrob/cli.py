@@ -48,10 +48,12 @@ def _emit(obj, out=None):
 
 
 def _workers():
-    try:
-        return max(1, int(os.environ.get("HD_THREADS", "1")))
-    except ValueError:
-        return 1
+    """HD_THREADS as a worker count: 1 when unset, else a positive decimal
+    integer."""
+    raw = os.environ.get("HD_THREADS", "1")
+    if not (raw.isascii() and raw.isdigit() and int(raw) > 0):
+        raise UsageError("HD_THREADS must be a positive integer, got %r" % raw)
+    return int(raw)
 
 
 def _require_prime(p):

@@ -22,15 +22,13 @@ class CurveContext:
         self.p = pm.p
         self.a = a % pm.q
         self.b = b % pm.q
-        self.f = UPoly.x_cubic(self.a, self.b, pm)
-        self.delta_val = discriminant(pm).specialize(self.a, self.b)
-        if self.delta_val % pm.p == 0:
+        if discriminant(pm).specialize(self.a, self.b) % pm.p == 0:
             raise SingularPair("Delta(%d, %d) = 0 mod %d" % (a, b, pm.p))
         self.h_val = hasse_poly(pm.p, pm).specialize(self.a, self.b)
         self.ordinary = self.h_val % pm.p != 0
         self.lambda0 = inv_mod(self.h_val, pm.q) if self.ordinary else None
-        # f per precision (with its powers), the K forms and (3x^2+a)^p,
-        # each formed once per context; they go when the context does
+        # f per precision (with its powers) and K per precision, each
+        # formed once per context; they go when the context does
         self.memo = {}
 
     def f_at(self, prec):
@@ -58,64 +56,71 @@ class FrobLift:
         self.lam = lam
 
 
-def _k_form(ctx, prec, a_img, b_img):
-    """(1/p)(x^(3p) + a_img x^p + b_img - f^p) mod p^prec, memoized on ctx.
-
-    Computed with one guard digit so the division by p is exact integer
-    arithmetic.
-    """
-    key = ("K", prec, a_img, b_img)
-    k = ctx.memo.get(key)
+def k_poly(ctx, prec):
+    """K = (1/p)(x^(3p) + a x^p + b - f^p) mod p^prec; phi fixes the integer
+    scalars a, b. Memoized on ctx, and computed with one guard digit so the
+    division by p is exact integer arithmetic."""
+    k = ctx.memo.get(("K", prec))
     if k is None:
         p = ctx.p
         pg = PrimePower(p, prec + 1)
-        num = (UPoly.monomial(1, 3 * p, pg) + UPoly.monomial(a_img, p, pg)
-               + UPoly.const(b_img, pg) - ctx.f_at(prec + 1) ** p)
-        k = ctx.memo[key] = num.divexact_p()
+        num = (UPoly.monomial(1, 3 * p, pg) + UPoly.monomial(ctx.a, p, pg)
+               + UPoly.const(ctx.b, pg) - ctx.f_at(prec + 1) ** p)
+        k = ctx.memo[("K", prec)] = num.divexact_p()
     return k
 
 
-def k_poly(ctx, prec):
-    """K = (1/p)(x^(3p) + a x^p + b - f^p) mod p^prec; phi fixes the integer
-    scalars a, b."""
-    return _k_form(ctx, prec, ctx.a, ctx.b)
-
-
 def k0_poly(ctx, prec):
-    """K0: same as K but with a^p, b^p in place of phi(a), phi(b)."""
-    q = ctx.p ** (prec + 1)
-    return _k_form(ctx, prec, pow(ctx.a, ctx.p, q), pow(ctx.b, ctx.p, q))
+    """K0: K with a^p, b^p in place of phi(a), phi(b). The two differ by
+    (a - a^p) x^p / p + (b - b^p) / p, so K0 = K - delta(a) x^p - delta(b)."""
+    pm = PrimePower(ctx.p, prec)
+    return (k_poly(ctx, prec)
+            - UPoly.monomial(delta_scalar(ctx.a, pm), ctx.p, pm)
+            - UPoly.const(delta_scalar(ctx.b, pm), pm))
+
+
+def df_xp(ctx, prec):
+    """f'(x^p) = 3x^(2p) + a mod p^prec. Mod p it equals (3x^2 + a)^p, since
+    3^p = 3 and a^p = a there, so that power is never formed."""
+    return ctx.f_at(prec).derivative().compose_xp()
+
+
+def w_poly(ctx, prec, lam):
+    """W with dW/dx = lam f^((p-1)/2) - x^(p-1) mod p^prec; integrable when
+    lam H(a, b) = 1 mod p, which clears the x^(p-1) coefficient."""
+    p = ctx.p
+    integrand = ((ctx.f_at(prec) ** ((p - 1) // 2)).scale(lam)
+                 - UPoly.monomial(1, p - 1, PrimePower(p, prec)))
+    return integrand.antiderivative()
 
 
 def g_minus_one(ctx, z, prec):
     """G(x, Z) - 1 mod p^prec, where G = phi(f)/f^p.
 
     G - 1 = p K/f^p + p (3x^(2p)+a) Z/f^p + 3p^2 x^p Z^2/f^p + p^3 Z^3/f^p.
-    Only the terms surviving mod p^prec are formed.
+    Only the terms surviving mod p^prec are formed. The square root of G is
+    a series valid up to p^3, so prec <= 3 and the p^3 term always vanishes.
     """
+    if prec > 3:
+        raise PrecisionOutOfRange("G - 1 truncated at p^3, asked for p^%d"
+                                  % prec)
     p = ctx.p
     pg = PrimePower(p, prec)
     f = ctx.f_at(prec)
     zl = FracPoly(z.num.lift_to(pg), z.fexp, f)
     k = k_poly(ctx, prec - 1).lift_to(pg)
-    quad = UPoly.monomial(3, 2 * p, pg) + UPoly.const(ctx.a, pg)
     e = FracPoly(k.scale(p), p, f)
-    e = e + FracPoly((zl.num * quad).scale(p), z.fexp + p, f)
+    e = e + FracPoly((zl.num * df_xp(ctx, prec)).scale(p), z.fexp + p, f)
     if prec >= 3:
         zsq = zl * zl
         e = e + FracPoly((zsq.num * UPoly.monomial(3, p, pg)).scale(p * p),
                          zsq.fexp + p, f)
-    if prec >= 4:
-        zcb = zl * zl * zl
-        e = e + FracPoly(zcb.num.scale(p ** 3), zcb.fexp + p, f)
     return e
 
 
 def _sqrt_one_plus(e, prec):
-    """(1+e)^(1/2) for e = 0 mod p, valid mod p^prec for prec <= 3."""
-    if prec > 3:
-        raise PrecisionOutOfRange("square root series truncated at p^3, "
-                                  "asked for p^%d" % prec)
+    """(1+e)^(1/2) for e = 0 mod p, valid mod p^prec for prec <= 3; e comes
+    from g_minus_one, which refuses a higher precision."""
     pg = e.pm
     inv2 = inv_mod(2, pg.q)
     inv8 = inv_mod(8, pg.q)
@@ -186,29 +191,16 @@ def build_lift_mod_p(ctx):
     p = ctx.p
     if not ctx.ordinary:
         raise NotOrdinary("H(%d, %d) = 0 mod %d" % (ctx.a, ctx.b, p))
-    pm1 = PrimePower(p, 1)
-    f = ctx.f_at(1)
     lam = ctx.lambda0 % p
-    integrand = (f ** ((p - 1) // 2)).scale(lam) - UPoly.monomial(1, p - 1, pm1)
-    z = integrand.antiderivative()
-    lift_ctx = ctx if ctx.pm.m == 1 else CurveContext(ctx.a, ctx.b, pm1)
-    return FrobLift(lift_ctx, FracPoly(z, 0, f), lam)
-
-
-def _df_power(ctx):
-    """(3x^2 + a)^p mod p, memoized on ctx."""
-    dfp = ctx.memo.get("df^p")
-    if dfp is None:
-        pm1 = PrimePower(ctx.p, 1)
-        df = UPoly.monomial(3, 2, pm1) + UPoly.const(ctx.a, pm1)
-        dfp = ctx.memo["df^p"] = df ** ctx.p
-    return dfp
+    z = w_poly(ctx, 1, lam)
+    lift_ctx = (ctx if ctx.pm.m == 1
+                else CurveContext(ctx.a, ctx.b, PrimePower(p, 1)))
+    return FrobLift(lift_ctx, FracPoly(z, 0, ctx.f_at(1)), lam)
 
 
 def _y_poly(ctx, z):
-    """Y = K + (3x^2 + a)^p Z mod p, for polynomial Z."""
-    pm1 = PrimePower(ctx.p, 1)
-    return k_poly(ctx, 1) + _df_power(ctx) * UPoly(z.num.coeffs, pm1)
+    """Y(Z) = K + (3x^2 + a)^p Z mod p, for a polynomial Z mod p."""
+    return k_poly(ctx, 1) + df_xp(ctx, 1) * z
 
 
 def mu_correct(ctx, lift):
@@ -219,8 +211,8 @@ def mu_correct(ctx, lift):
     p = ctx.p
     pm1 = PrimePower(p, 1)
     f = ctx.f_at(1)
-    y = _y_poly(ctx, lift.z)
-    base = _df_power(ctx)
+    y = _y_poly(ctx, lift.z.num)
+    base = df_xp(ctx, 1)
     cols = []
     for j in range(3):
         _, rem = (base * UPoly.monomial(1, j * p, pm1)).divmod_monic(f)
@@ -252,7 +244,7 @@ def _solve3(cols, rhs, p):
 def extendability_certificate(ctx, lift):
     """Is Y divisible by f^((p+1)/2) mod p? Returns (bool, cofactor)."""
     p = ctx.p
-    y = _y_poly(ctx, lift.z)
+    y = _y_poly(ctx, lift.z.num)
     quo, rem = y.divmod_monic(ctx.f_at(1) ** ((p + 1) // 2))
     return rem.is_zero(), quo
 

@@ -13,7 +13,7 @@ from .errors import (BNotUnit, DegreeMismatch, InternalMismatch,
                      PrecisionOutOfRange, PropertyViolation, SigmaSingular,
                      TOutOfRange)
 from .forms import f_power_coeff, hasse_poly
-from .liftp import CurveContext, FrobLift, k0_poly
+from .liftp import CurveContext, FrobLift, _y_poly, df_xp, k0_poly, w_poly
 from .psi import laurent_stream, laurent_units, psi_table
 from .residue import PrimePower, inv_mod
 from .upoly import FracPoly, UPoly
@@ -27,16 +27,13 @@ def d_values(ctx):
     D = (lambda0/2) f^((p-1)/2) (K0 + (3x^(2p)+a^p) W0), all mod p,
     together with W0. deg D <= 5p-2 forces d_s = 0 for s >= 5."""
     p = ctx.p
-    pm1 = PrimePower(p, 1)
     if not ctx.ordinary:
         raise NotOrdinary("H(%d, %d) = 0 mod %d" % (ctx.a, ctx.b, p))
     lam0 = ctx.lambda0 % p
     fh = ctx.f_at(1) ** ((p - 1) // 2)
-    integrand = fh.scale(lam0) - UPoly.monomial(1, p - 1, pm1)
-    w0 = integrand.antiderivative()
-    k0 = k0_poly(ctx, 1)
-    quad = UPoly.monomial(3, 2 * p, pm1) + UPoly.const(pow(ctx.a, p, p), pm1)
-    dpoly = (fh * (k0 + quad * w0)).scale(lam0 * inv_mod(2, p))
+    w0 = w_poly(ctx, 1, lam0)
+    dpoly = (fh * (k0_poly(ctx, 1) + df_xp(ctx, 1) * w0)) \
+        .scale(lam0 * inv_mod(2, p))
     if dpoly.degree() > 5 * p - 2:
         raise DegreeMismatch("deg D = %d exceeds 5p-2 = %d"
                              % (dpoly.degree(), 5 * p - 2))
@@ -183,24 +180,18 @@ def assemble_lift(ctx, theta, vs, w0):
     call doubles as a check."""
     p = ctx.p
     pm1, pm2 = PrimePower(p, 1), PrimePower(p, 2)
-    q2 = pm2.q
-    lam = ctx.lambda0 * (1 + p * theta) % q2
+    lam = ctx.lambda0 * (1 + p * theta) % pm2.q
     f2 = ctx.f_at(2)
-    fh2 = f2 ** ((p - 1) // 2)
-    w = (fh2.scale(lam) - UPoly.monomial(1, p - 1, pm2)).antiderivative()
+    w = w_poly(ctx, 2, lam)
 
     f1 = ctx.f_at(1)
     fh1 = f1 ** ((p - 1) // 2)
     half = ctx.lambda0 * inv_mod(2, p) % p
-    quad = UPoly.monomial(3, 2 * p, pm1) + UPoly.const(pow(ctx.a, p, p), pm1)
     v_poly = UPoly(vs, pm1)
     vxp = v_poly.compose_xp()
-    # dU/dx = -x^(p-1) f^p V'(x^p) + (lambda0/2) f^((p-1)/2) (K0
-    #         + (3x^(2p)+a^p)(V(x^p) + W0 + theta x^p) + delta(b) + delta(a) x^p)
-    inner = (k0_poly(ctx, 1)
-             + quad * (vxp + w0 + UPoly.monomial(theta, p, pm1))
-             + UPoly.const(ctx.delta_b(), pm1)
-             + UPoly.monomial(ctx.delta_a(), p, pm1))
+    # dU/dx = -x^(p-1) f^p V'(x^p) + (lambda0/2) f^((p-1)/2) Y(V(x^p) + W0
+    #         + theta x^p), as K0 + delta(a) x^p + delta(b) = K mod p
+    inner = _y_poly(ctx, vxp + w0 + UPoly.monomial(theta, p, pm1))
     du = ((fh1 * inner).scale(half)
           - UPoly.monomial(1, p - 1, pm1) * (f1 ** p) * v_poly.derivative().compose_xp())
     u_poly = du.antiderivative()

@@ -51,10 +51,6 @@ class PrimePower:
     def q(self):
         return self.p ** self.m
 
-    def lift(self, extra=1):
-        """Same prime at precision m+extra (guard digits for exact division)."""
-        return PrimePower(self.p, self.m + extra)
-
     def drop(self, m):
         return PrimePower(self.p, m)
 

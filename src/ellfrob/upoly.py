@@ -236,18 +236,19 @@ class UPoly:
         return UPoly(out, self.pm)
 
     def __pow__(self, n):
+        """self^n as (self^(n//2))^2, times self when n is odd. The half
+        power goes through ``**``, so on a memoized base all powers share
+        one squaring chain. self^1 is self and is not stored, which keeps
+        the memo free of a reference cycle."""
         memo = self._powers
         if memo is not None and n in memo:
             return memo[n]
-        result = UPoly.const(1, self.pm)
-        base = self
-        e = n
-        while e > 0:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
+        if n <= 1:
+            return self if n == 1 else UPoly.const(1, self.pm)
+        half = self ** (n // 2)
+        result = half * half
+        if n & 1:
+            result = result * self
         if memo is not None:
             memo[n] = result
         return result
@@ -423,9 +424,6 @@ class FracPoly:
 
     def is_zero(self):
         return self.num.is_zero()
-
-    def reduce_to(self, m):
-        return FracPoly(self.num.reduce_to(m), self.fexp, self.f.reduce_to(m))
 
     def __repr__(self):
         return "FracPoly(%r / f^%d)" % (self.num, self.fexp)

@@ -187,6 +187,17 @@ def test_usage_errors_exit_1_with_one_typed_line(capsys, argv):
     assert len(lines) == 1 and lines[0].startswith("UsageError: ")
 
 
+@pytest.mark.parametrize("threads", ["abc", "-4", "0"])
+def test_bad_hd_threads_is_a_usage_error(capsys, monkeypatch, threads):
+    monkeypatch.setenv("HD_THREADS", threads)
+    code = main(["scan", "--pmin", "11", "--pmax", "11"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("UsageError: ")
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

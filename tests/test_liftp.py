@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from ellfrob.errors import NotOrdinary, SingularPair
+from ellfrob.errors import NotOrdinary, PrecisionOutOfRange, SingularPair
 from ellfrob.forms import hasse_poly
 from ellfrob.liftp import (CurveContext, FrobLift, _y_poly, build_lift_mod_p,
-                           eigen_forcing_check, extendability_certificate,
-                           g_minus_one, k0_poly, k_poly, lie_verify,
-                           lie_verify_commutator, mu_correct)
+                           df_xp, eigen_forcing_check,
+                           extendability_certificate, g_minus_one, k0_poly,
+                           k_poly, lie_verify, lie_verify_commutator,
+                           mu_correct)
 from ellfrob.residue import PrimePower, delta_scalar, inv_mod
 from ellfrob.upoly import FracPoly, UPoly
 
@@ -59,6 +60,47 @@ def test_k_minus_k0_is_delta_terms():
             assert diff == expect
 
 
+def _nonsingular_context(a, pm):
+    """CurveContext at (a, b) for the least b >= 1 with Delta a unit."""
+    for b in range(1, pm.p):
+        try:
+            return CurveContext(a, b, pm)
+        except SingularPair:
+            continue
+    raise AssertionError("no nonsingular b for a = %d" % a)
+
+
+@pytest.mark.parametrize("p", [5, 13, 31, 101])
+def test_df_xp_is_the_frobenius_image_of_df(p):
+    """3x^(2p) + a = (3x^2 + a)^p mod p, a with higher digits included."""
+    pm1 = PrimePower(p, 1)
+    for a in (0, 1, p - 1, 2 + 3 * p):
+        ctx = _nonsingular_context(a, PrimePower(p, 2))
+        assert ctx.a == a
+        want = (UPoly.monomial(3, 2, pm1) + UPoly.const(a, pm1)) ** p
+        assert df_xp(ctx, 1) == want
+
+
+def test_k0_poly_matches_its_guard_digit_formula():
+    """K0 = (x^(3p) + a^p x^p + b^p - f^p)/p, divided on one guard digit."""
+    rng = random.Random(11)
+    for p in (5, 13):
+        for m in (1, 2):
+            for _ in range(3):
+                a, b = rng.randrange(p ** 3), rng.randrange(p ** 3)
+                try:
+                    ctx = CurveContext(a, b, PrimePower(p, m))
+                except SingularPair:
+                    continue
+                for prec in (1, 2):
+                    pg = PrimePower(p, prec + 1)
+                    num = (UPoly.monomial(1, 3 * p, pg)
+                           + UPoly.monomial(pow(ctx.a, p, pg.q), p, pg)
+                           + UPoly.const(pow(ctx.b, p, pg.q), pg)
+                           - UPoly.x_cubic(ctx.a, ctx.b, pg) ** p)
+                    assert k0_poly(ctx, prec) == num.divexact_p()
+
+
 def test_g_minus_one_zero_z():
     p = 5
     ctx = CurveContext(1, 1, PrimePower(p, 2))
@@ -77,6 +119,13 @@ def test_g_minus_one_vanishes_mod_p():
     z = FracPoly(UPoly([2, 3, 1, 4], PrimePower(p, 2)), 0, f2)
     e = g_minus_one(ctx, z, 2)
     assert e.num.reduce_to(1).is_zero()
+
+
+def test_g_minus_one_refuses_precision_above_3():
+    ctx = CurveContext(1, 1, PrimePower(5, 4))
+    z = FracPoly(UPoly.zero(PrimePower(5, 4)), 0, ctx.f_at(4))
+    with pytest.raises(PrecisionOutOfRange):
+        g_minus_one(ctx, z, 4)
 
 
 def test_build_lift_p5_example():
@@ -142,7 +191,7 @@ def test_extendability_certificate_and_cofactor():
     _, corrected = mu_correct(ctx, build_lift_mod_p(ctx))
     ok, cof = extendability_certificate(ctx, corrected)
     assert ok
-    y = _y_poly(ctx, corrected.z)
+    y = _y_poly(ctx, corrected.z.num)
     assert cof * ctx.f_at(1) ** ((p + 1) // 2) == y
 
 
@@ -177,8 +226,8 @@ def test_eigen_forcing_check():
 
 
 def test_df_power_formed_once_per_mod1_pair(monkeypatch):
-    """(3x^2+a)^p is formed once per context, although mu_correct and both
-    Y polynomials of a mod-1 verification use it."""
+    """(3x^2+a)^p is never formed: mu_correct and both Y polynomials of a
+    mod-1 verification use 3x^(2p) + a, its value mod p."""
     from ellfrob.verify import verify_pair
     p, a, b = 31, 3, 5
     pm1 = PrimePower(p, 1)
@@ -193,4 +242,4 @@ def test_df_power_formed_once_per_mod1_pair(monkeypatch):
 
     monkeypatch.setattr(UPoly, "__pow__", counting_pow)
     assert verify_pair(p, a, b, 1)["verified"]
-    assert len(calls) == 1
+    assert len(calls) == 0

@@ -24,7 +24,6 @@ def test_prime_power_rejects_bad_p():
 def test_prime_power_q_lift_drop():
     pm = PrimePower(13, 2)
     assert pm.q == 169
-    assert pm.lift().q == 13 ** 3
     assert pm.drop(1).q == 13
 
 

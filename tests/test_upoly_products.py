@@ -171,6 +171,34 @@ def test_coefficients_are_read_only():
         x.coeffs[0] = 5
 
 
+def test_memoized_powers_share_one_squaring_chain(monkeypatch):
+    """f**31, f**15 and f**16 on one memoized f take 12 products: 8 for the
+    chain 1, 3, 7, 15, 31, none for the stored f**15 and 4 for 2, 4, 8, 16
+    (21 with square-and-multiply per exponent). Each equals the product by
+    repeated multiplication."""
+    pm = PrimePower(31, 1)
+    g = UPoly.x_cubic(3, 5, pm)
+    want = {}
+    acc = UPoly.const(1, pm)
+    for n in range(1, 32):
+        acc = acc * g
+        want[n] = acc
+    f = UPoly.x_cubic(3, 5, pm).memoize_powers()
+    calls = []
+    original = UPoly.__mul__
+
+    def counting_mul(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(UPoly, "__mul__", counting_mul)
+    got = {n: f ** n for n in (31, 15, 16)}
+    monkeypatch.undo()
+    assert len(calls) <= 12
+    for n, power in got.items():
+        assert power == want[n]
+
+
 def test_divmod_by_non_monic_raises_typed_error():
     pm = PrimePower(13, 2)
     f = UPoly([1, 2, 3, 4], pm)

@@ -38,13 +38,21 @@ def _stringify(obj):
     return obj
 
 
-def _emit(obj, out=None):
-    text = json.dumps(_stringify(obj), sort_keys=True, indent=2) + "\n"
-    if out:
+def _write(text, out):
+    """text to the file out, or to stdout when out is None; a file that
+    cannot be written is a usage error."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as e:
+        raise UsageError("cannot write %s: %s" % (out, e.strerror or e)) from None
+
+
+def _emit(obj, out=None):
+    _write(json.dumps(_stringify(obj), sort_keys=True, indent=2) + "\n", out)
 
 
 def _workers():
@@ -114,11 +122,7 @@ def cmd_scan(args):
     writer.writerow(SCAN_COLUMNS)
     for row in rows:
         writer.writerow(["" if row[c] is None else row[c] for c in SCAN_COLUMNS])
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(buf.getvalue())
-    else:
-        sys.stdout.write(buf.getvalue())
+    _write(buf.getvalue(), args.out)
     return 0
 
 

@@ -68,14 +68,12 @@ def classify_pair(a, b, p, sigmas=()):
 
 
 class FormRing:
-    """Localized fraction rings at working precision m and at precision 1."""
+    """The localized fraction ring at working precision m."""
 
     def __init__(self, p, m=2):
         self.p = p
         self.pm = PrimePower(p, m)
-        self.pm1 = PrimePower(p, 1)
         self.locs = LocalizerSet(self.pm, hasse_poly(p, self.pm))
-        self.locs1 = LocalizerSet(self.pm1, hasse_poly(p, self.pm1))
 
     def frac(self, terms, den=None):
         return LocFrac(WPoly(terms, self.pm), den or {}, self.locs)
@@ -85,12 +83,6 @@ class FormRing:
 
     def zero(self):
         return LocFrac.zero(self.locs)
-
-    def mod_p(self, frac):
-        return LocFrac(frac.num.reduce(self.pm1), frac.den, self.locs1)
-
-    def inv2(self):
-        return inv_mod(2, self.pm.q)
 
 
 class QuasiLinearForm:
@@ -126,13 +118,20 @@ class QuasiLinearForm:
                 raise DegreeMismatch("coefficient degree %r != %r" % (wd, d))
 
 
+def _vanishes_mod_p(frac):
+    """Is the fraction 0 mod p? Reduction mod p is a ring map that takes
+    each localizer at p^m to the one at p, so the sum may be formed at p^m
+    and its numerator tested."""
+    p = frac.locs.pm.p
+    return all(c % p == 0 for c in frac.num.terms.values())
+
+
 def weight_check_mod_p(form):
     """4 z4^p Gamma_{k-4p} + 6 z6^p Gamma_{k-6p} = 0 mod p."""
     ring = form.ring
     p = ring.p
-    t = (ring.mod_p(form.gamma_4) * WPoly.monomial(4, p, 0, ring.pm1)
-         + ring.mod_p(form.gamma_6) * WPoly.monomial(6, 0, p, ring.pm1))
-    return t.is_zero()
+    return _vanishes_mod_p(form.gamma_4 * WPoly.monomial(4, p, 0, ring.pm)
+                           + form.gamma_6 * WPoly.monomial(6, 0, p, ring.pm))
 
 
 def weight_check_mod_p2(form):
@@ -141,10 +140,9 @@ def weight_check_mod_p2(form):
     if not form.tangential:
         raise NotTangential("mod-p^2 criterion needs a tangential form")
     p = ring.p
-    t = (ring.mod_p(form.gamma_k)
-         + ring.mod_p(form.star_4) * WPoly.monomial(4, p, 0, ring.pm1)
-         + ring.mod_p(form.star_6) * WPoly.monomial(6, 0, p, ring.pm1))
-    return t.is_zero()
+    return _vanishes_mod_p(form.gamma_k
+                           + form.star_4 * WPoly.monomial(4, p, 0, ring.pm)
+                           + form.star_6 * WPoly.monomial(6, 0, p, ring.pm))
 
 
 def form_evaluate(form, a, b):
@@ -187,17 +185,14 @@ def weight_definition_probe(form, a, b, c, w, precision=None):
 
 
 def lambda_1(ring):
-    """(1/H)(1 - p (2 z4^(2p) z4' + 9 z6^p z6') / (2 Delta^p)).
+    """(1/H) times unit_form_delta.
 
     Weak weight 1-p; reduces to 1/H mod p.
     """
-    p = ring.p
-    inv2 = ring.inv2()
-    den = {"H": 1, "delta": p}
-    s4 = LocFrac(WPoly.monomial(-1, 2 * p, 0, ring.pm), den, ring.locs)
-    s6 = LocFrac(WPoly.monomial(-9 * inv2, 0, p, ring.pm), den, ring.locs)
-    gk = LocFrac(WPoly.const(1, ring.pm), {"H": 1}, ring.locs)
-    return QuasiLinearForm(ring, 1 - p, gk, star_4=s4, star_6=s6)
+    inv_h = LocFrac(WPoly.const(1, ring.pm), {"H": 1}, ring.locs)
+    unit = unit_form_delta(ring)
+    return QuasiLinearForm(ring, 1 - ring.p, inv_h, star_4=unit.star_4 * inv_h,
+                           star_6=unit.star_6 * inv_h)
 
 
 def unit_form_z4(ring):
@@ -217,10 +212,10 @@ def unit_form_z6(ring):
 def unit_form_delta(ring):
     """1 - p (2 z4^(2p) z4' + 9 z6^p z6') / (2 Delta^p)."""
     p = ring.p
-    inv2 = ring.inv2()
     den = {"delta": p}
     s4 = LocFrac(WPoly.monomial(-1, 2 * p, 0, ring.pm), den, ring.locs)
-    s6 = LocFrac(WPoly.monomial(-9 * inv2, 0, p, ring.pm), den, ring.locs)
+    s6 = LocFrac(WPoly.monomial(-9 * inv_mod(2, ring.pm.q), 0, p, ring.pm),
+                 den, ring.locs)
     return QuasiLinearForm(ring, 0, ring.const(1), star_4=s4, star_6=s6)
 
 

@@ -156,7 +156,8 @@ def lie_verify_commutator(lift, m):
     the condition is the differential congruence; lie_verify checks it
     first. On y, with phi(y) = h y for h = f^((p-1)/2) G^(1/2), it reads
     (1/p)(h' f + h f'/2) = lambda (3(x^p+pZ)^2 + a)/2 mod p^m,
-    using eps(y) = f'/2 and y y' = f'/2. The division by p is exact
+    using eps(y) = f'/2 and y y' = f'/2. For h = N/f^e the left side is
+    (N' f + (1/2 - e) N f')/f^e, over p. The division by p is exact
     (h = f^((p-1)/2) mod p), so h is carried mod p^(m+1).
     """
     if not lie_verify(lift, m):
@@ -173,9 +174,9 @@ def lie_verify_commutator(lift, m):
     pm = PrimePower(p, m)
     fm = ctx.f_at(m)
     zm = FracPoly(UPoly(lift.z.num.coeffs, pm), lift.z.fexp, fm)
-    t = h.derivative() * f + (h * FracPoly(f.derivative(), 0, f)).scale(inv_mod(2, q))
-    t_num = t.num.divexact_p()
-    lhs_y = FracPoly(t_num.reduce_to(m), t.fexp, fm)
+    t_num = (h.num.derivative() * f + (h.num * f.derivative())
+             .scale((1 - 2 * h.fexp) * inv_mod(2, q))).divexact_p()
+    lhs_y = FracPoly(t_num.reduce_to(m), h.fexp, fm)
     phix = FracPoly(UPoly.monomial(1, p, pm), 0, fm) + zm.scale(p)
     rhs_y = ((phix * phix).scale(3) + FracPoly(UPoly.const(ctx.a, pm), 0, fm)) \
         .scale(lift.lam * inv_mod(2, pm.q))

@@ -15,7 +15,7 @@ from .errors import (BNotUnit, DegreeMismatch, InternalMismatch,
 from .forms import f_power_coeff, hasse_poly
 from .liftp import CurveContext, FrobLift, _y_poly, df_xp, k0_poly, w_poly
 from .psi import laurent_stream, laurent_units, psi_table
-from .residue import PrimePower, inv_mod
+from .residue import PrimePower, delta_scalar, inv_mod
 from .upoly import FracPoly, UPoly
 from .wpoly import LocFrac, LocalizerSet, WPoly
 
@@ -231,11 +231,6 @@ def build_lift_mod_p2(ctx):
 
 # --------------------------------------------------------------- symbolic lane
 
-def _sym_f_pow(n, locs):
-    """Coefficient list of (x^3 + z4 x + z6)^n."""
-    return [f_power_coeff(n, dg, locs.pm) for dg in range(3 * n + 1)]
-
-
 def _sym_k0(p, locs):
     """K0 mod p as a coefficient list: the three corner terms of f^p cancel
     against x^(3p) + z4^p x^p + z6^p, and every other multinomial carries p."""
@@ -251,50 +246,34 @@ def _sym_k0(p, locs):
     return out
 
 
-def _sym_w0(p, locs, fh):
-    """W0 coefficients as localized fractions with denominator H; the
-    x^(p-1) coefficient of the integrand is lambda0 H - 1 = 0."""
-    lam0 = LocFrac(WPoly.const(1, locs.pm), {"H": 1}, locs)
-    n = len(fh)
-    w0 = [LocFrac.zero(locs) for _ in range(n + 1)]
-    for dg in range(n):
-        c = lam0 * fh[dg]
-        if dg == p - 1:
-            c = c - LocFrac.from_int(1, locs)
-            if not c.is_zero():
-                raise InternalMismatch("x^(p-1) integrand coefficient nonzero")
-            continue
-        w0[dg + 1] = c.scale(inv_mod(dg + 1, p))
-    return w0
-
-
 def sym_d_values(p, locs):
-    """Symbolic d_1..d_4 as localized fractions in (z4, z6); weighted
-    homogeneous of degree (8-2s)p, with d_5 checked to vanish."""
-    fh = _sym_f_pow((p - 1) // 2, locs)
+    """Symbolic d_1..d_4 over the fixed denominator H^2, weighted
+    homogeneous of degree (8-2s)p, with d_5 checked to vanish.
+
+    With lambda0 = 1/H, 2 H^2 d_s = [f^((p-1)/2) (H K0 + (3x^(2p) + z4^p)
+    H W0)]_(sp-1). H is the x^(p-1) coefficient of f^((p-1)/2), so H W0 is
+    the plain antiderivative of f^((p-1)/2) - H x^(p-1).
+    """
+    pm = locs.pm
+    n = (p - 1) // 2
+    fh = [f_power_coeff(n, dg, pm) for dg in range(3 * n + 1)]
+    zero = WPoly.zero(pm)
+    hw0 = [zero] + [zero if dg == p - 1 else c.scale(inv_mod(dg + 1, p))
+                    for dg, c in enumerate(fh)]
+    # (3x^(2p) + z4^p) H W0
+    dfw = [c * WPoly.monomial(1, p, 0, pm) for c in hw0] + [zero] * (2 * p)
+    for dg, c in enumerate(hw0):
+        dfw[dg + 2 * p] += c.scale(3)
+
+    def coeff(g, dg):
+        """x^dg coefficient of f^((p-1)/2) g, for g a coefficient list."""
+        return sum((fh[i] * g[dg - i] for i in range(
+            max(0, dg - len(g) + 1), min(dg, len(fh) - 1) + 1)), zero)
+
     k0 = _sym_k0(p, locs)
-    w0 = _sym_w0(p, locs, fh)
-    z4p = WPoly.monomial(1, p, 0, locs.pm)
-    half_lam0 = LocFrac(WPoly.const(inv_mod(2, p), locs.pm), {"H": 1}, locs)
-
-    def inner(dg):
-        t = LocFrac.zero(locs)
-        if 0 <= dg < len(k0):
-            t = t + LocFrac(k0[dg], {}, locs)
-        if 0 <= dg - 2 * p < len(w0):
-            t = t + w0[dg - 2 * p].scale(3)
-        if 0 <= dg < len(w0):
-            t = t + w0[dg] * z4p
-        return t
-
-    ds = [None]
-    for s in range(1, 6):
-        acc = LocFrac.zero(locs)
-        for i, fc in enumerate(fh):
-            if fc.is_zero():
-                continue
-            acc = acc + inner(s * p - 1 - i) * fc
-        ds.append(acc * half_lam0)
+    ds = [None] + [LocFrac((locs.polys["H"] * coeff(k0, s * p - 1)
+                            + coeff(dfw, s * p - 1)).scale(inv_mod(2, p)),
+                           {"H": 2}, locs) for s in range(1, 6)]
     if not ds[5].is_zero():
         raise InternalMismatch("d_5 does not vanish symbolically")
     for s in range(1, 5):
@@ -396,7 +375,6 @@ def lambda_properties(sym):
 
 def theta_evaluate(sym, a, b):
     """Value of Theta at an eligible pair (a, b are exact integers)."""
-    from .residue import delta_scalar
     pm2 = PrimePower(sym.p, 2)
     da = delta_scalar(a, pm2) % sym.p
     db = delta_scalar(b, pm2) % sym.p

@@ -236,19 +236,21 @@ class UPoly:
         return UPoly(out, self.pm)
 
     def __pow__(self, n):
-        """self^n as (self^(n//2))^2, times self when n is odd. The half
-        power goes through ``**``, so on a memoized base all powers share
-        one squaring chain. self^1 is self and is not stored, which keeps
-        the memo free of a reference cycle."""
+        """self^n as self^(n-1) * self when n is odd, else (self^(n/2))^2.
+        The smaller power goes through ``**``, so on a memoized base all
+        powers share one chain, and f^(2k) is stored on the way to
+        f^(2k+1). self^1 is self and is not stored, which keeps the memo
+        free of a reference cycle."""
         memo = self._powers
         if memo is not None and n in memo:
             return memo[n]
         if n <= 1:
             return self if n == 1 else UPoly.const(1, self.pm)
-        half = self ** (n // 2)
-        result = half * half
         if n & 1:
-            result = result * self
+            result = self ** (n - 1) * self
+        else:
+            half = self ** (n // 2)
+            result = half * half
         if memo is not None:
             memo[n] = result
         return result

@@ -140,24 +140,18 @@ class WPoly:
         degs = {4 * i + 6 * j for (i, j) in self.terms}
         return degs.pop() if len(degs) == 1 else None
 
-    def reduce(self, pm):
-        return WPoly(self.terms, pm)
-
     def divide_exact(self, g):
         """Quotient self/g when the division is exact, else None.
 
-        Single-divisor multivariate division with lex order on (e4, e6);
-        requires the leading coefficient of g to be a unit (pm with m=1, or
-        exact integers with a +/-1 leading coefficient handled via exactness).
+        Single-divisor multivariate division mod p^m with lex order on
+        (e4, e6); the leading coefficient of g must be a unit.
         """
         self._check(g)
         if g.is_zero():
             return None
-        q = self.pm.q if self.pm is not None else None
+        q = self.pm.q
         glead = max(g.terms)
-        gc = g.terms[glead]
-        if q is not None:
-            gc_inv = inv_mod(gc, q)
+        gc_inv = inv_mod(g.terms[glead], q)
         rem = dict(self.terms)
         quo = {}
         while rem:
@@ -166,18 +160,11 @@ class WPoly:
             i, j = lead[0] - glead[0], lead[1] - glead[1]
             if i < 0 or j < 0:
                 return None
-            if q is not None:
-                d = c * gc_inv % q
-            else:
-                if c % gc != 0:
-                    return None
-                d = c // gc
+            d = c * gc_inv % q
             quo[(i, j)] = d
             for (k, l), gcoef in g.terms.items():
                 key = (i + k, j + l)
-                v = rem.get(key, 0) - d * gcoef
-                if q is not None:
-                    v %= q
+                v = (rem.get(key, 0) - d * gcoef) % q
                 if v:
                     rem[key] = v
                 elif key in rem:

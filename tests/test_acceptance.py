@@ -203,14 +203,15 @@ def _rand_monomial_frac(ring, rng):
 def _rand_samples(ring, rng, n=20):
     """(a, b, c) with a, b, delta(a,b) units and delta(c) a unit mod p."""
     p = ring.p
+    pm1 = PrimePower(p, 1)
     out = []
     while len(out) < n:
         a = rng.randrange(1, p) + p * rng.randrange(p * p)
         b = rng.randrange(1, p) + p * rng.randrange(p * p)
-        if discriminant(ring.pm1).specialize(a, b) % p == 0:
+        if discriminant(pm1).specialize(a, b) % p == 0:
             continue
         c = rng.randrange(1, p) + p * rng.randrange(p * p)
-        if int(delta_scalar(c, ring.pm1)) % p == 0:
+        if int(delta_scalar(c, pm1)) % p == 0:
             continue
         out.append((a, b, c))
     return out

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
 
@@ -185,6 +186,57 @@ def test_usage_errors_exit_1_with_one_typed_line(capsys, argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("UsageError: ")
+
+
+def _matrix(p):
+    """Every subcommand at the prime p, in the forms the CLI offers."""
+    sp = str(p)
+    return [
+        ("hasse", "--p", sp),
+        ("hasse", "--p", sp, "--mod", "2"),
+        ("classify", "--p", sp, "--a", "1", "--b", "1"),
+        ("lift", "--p", sp, "--a", "1", "--b", "1"),
+        ("lift", "--p", sp, "--a", "1", "--b", "1", "--mod", "2"),
+        ("lift", "--p", sp, "--a", "0", "--b", "1", "--mod", "2"),
+        ("lift", "--p", sp, "--a", "1", "--b", "0", "--mod", "2"),
+        ("eigen", "--p", sp),
+        ("eigen", "--p", sp, "--a", "1", "--b", "1"),
+        ("scan", "--pmin", sp, "--pmax", sp),
+        ("scan", "--pmin", sp, "--pmax", sp, "--format", "csv"),
+        ("verify-all", "--p", sp),
+        ("verify-all", "--p", sp, "--mod", "2", "--samples", "4"),
+        ("constants", "--p", sp),
+    ]
+
+
+@pytest.mark.parametrize("argv", [a for p in (5, 7, 11) for a in _matrix(p)],
+                         ids=" ".join)
+def test_cli_matrix_exits_0_or_1(capsys, argv):
+    """Small primes reach the domain edges of every subcommand: each run
+    succeeds or is refused with one typed stderr line, never a traceback
+    and never exit 2."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code in (0, 1)
+    if code:
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and re.fullmatch(r"[A-Za-z]+: .+", lines[0])
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("hasse", "--p", "13"), "h.json"),
+    (("scan", "--pmin", "11", "--pmax", "11"), "rows.csv"),
+])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv, name):
+    out = tmp_path / "missing" / name
+    code = main(list(argv) + ["--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("UsageError: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("threads", ["abc", "-4", "0"])

@@ -267,6 +267,8 @@ def test_symbolic_d_values():
     pm1 = PrimePower(p, 1)
     locs = LocalizerSet(pm1, hasse_poly(p, pm1))
     ds = sym_d_values(p, locs)
+    # each d_s sits over H^2; the eigen output carries that denominator
+    assert all(frac.den == {"H": 2} for frac in ds)
     # d_4 is weighted homogeneous of degree 0 and d_s of degree (8-2s)p
     for s, frac in enumerate(ds, start=1):
         wd = frac.weighted_degree()

@@ -172,10 +172,10 @@ def test_coefficients_are_read_only():
 
 
 def test_memoized_powers_share_one_squaring_chain(monkeypatch):
-    """f**31, f**15 and f**16 on one memoized f take 12 products: 8 for the
-    chain 1, 3, 7, 15, 31, none for the stored f**15 and 4 for 2, 4, 8, 16
-    (21 with square-and-multiply per exponent). Each equals the product by
-    repeated multiplication."""
+    """f**31, f**15 and f**16 on one memoized f take 11 products: 8 for the
+    chain 2, 3, 6, 7, 14, 15, 30, 31, none for the stored f**15 and 3 for
+    4, 8, 16 (21 with square-and-multiply per exponent). Each equals the
+    product by repeated multiplication."""
     pm = PrimePower(31, 1)
     g = UPoly.x_cubic(3, 5, pm)
     want = {}
@@ -197,6 +197,25 @@ def test_memoized_powers_share_one_squaring_chain(monkeypatch):
     assert len(calls) <= 12
     for n, power in got.items():
         assert power == want[n]
+
+
+def test_odd_power_stores_the_even_power_below_it(monkeypatch):
+    """f**31 is formed as f**30 * f, so f**30 afterwards costs no product
+    (one more with f**31 as (f**15)^2 * f)."""
+    f = UPoly.x_cubic(3, 5, PrimePower(31, 1)).memoize_powers()
+    f ** 31
+    calls = []
+    original = UPoly.__mul__
+
+    def counting_mul(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(UPoly, "__mul__", counting_mul)
+    f30 = f ** 30
+    monkeypatch.undo()
+    assert calls == []
+    assert f30 * f == f ** 31
 
 
 def test_divmod_by_non_monic_raises_typed_error():

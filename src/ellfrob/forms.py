@@ -18,16 +18,15 @@ def f_power_coeff(n, deg, pm=None):
     """Coefficient of x^deg in (x^3 + z4 x + z6)^n.
 
     Multinomial expansion: the x^(3i+j) z4^j z6^k term with i+j+k = n
-    contributes n!/(i! j! k!) when 3i+j = deg. pm=None gives the exact
-    integer polynomial.
+    contributes n!/(i! j! k!) when 3i+j = deg: weight 6n - 2 deg, z4^j
+    rising by 3 as i falls. pm=None gives the exact integer polynomial.
     """
-    terms = {}
-    for i in range(min(n, deg // 3) + 1):
-        j = deg - 3 * i
-        k = n - i - j
-        if k >= 0:
-            terms[(j, k)] = math.comb(n, i) * math.comb(n - i, j)
-    return WPoly(terms, pm)
+    top = min(n, deg // 3)
+    bottom = max(0, -((n - deg) // 2))  # k = n - deg + 2i >= 0
+    return WPoly.from_coeffs(
+        6 * n - 2 * deg, deg - 3 * top,
+        [math.comb(n, i) * math.comb(n - i, deg - 3 * i)
+         for i in range(top, bottom - 1, -1)], pm)
 
 
 def hasse_poly(p, pm=None):
@@ -122,8 +121,7 @@ def _vanishes_mod_p(frac):
     """Is the fraction 0 mod p? Reduction mod p is a ring map that takes
     each localizer at p^m to the one at p, so the sum may be formed at p^m
     and its numerator tested."""
-    p = frac.locs.pm.p
-    return all(c % p == 0 for c in frac.num.terms.values())
+    return not any(c % frac.locs.pm.p for c in frac.num.c.tolist())
 
 
 def weight_check_mod_p(form):
@@ -221,7 +219,8 @@ def unit_form_delta(ring):
 
 def slope_form_printed(ring):
     """(2 z4^p z6' - 3 z6^p z6') / Delta^p, as printed in the source it was
-    taken from; both derivative slots land on z6'."""
+    taken from; both derivative slots land on z6'. The numerator adds
+    weights 4p and 6p, so building it raises DegreeMismatch."""
     p = ring.p
     g6 = LocFrac(WPoly({(p, 0): 2, (0, p): -3}, ring.pm), {"delta": p}, ring.locs)
     return QuasiLinearForm(ring, -2 * p, ring.zero(), gamma_6=g6)

@@ -232,18 +232,14 @@ def build_lift_mod_p2(ctx):
 # --------------------------------------------------------------- symbolic lane
 
 def _sym_k0(p, locs):
-    """K0 mod p as a coefficient list: the three corner terms of f^p cancel
-    against x^(3p) + z4^p x^p + z6^p, and every other multinomial carries p."""
-    corners = {0: (0, p), p: (p, 0), 3 * p: (0, 0)}
-    out = []
-    for dg in range(3 * p + 1):
-        terms = {key: c for key, c in f_power_coeff(p, dg).terms.items()
-                 if key != corners.get(dg)}
-        for c in terms.values():
-            if c % p:
-                raise NotDivisible("multinomial %d not divisible by %d" % (c, p))
-        out.append(WPoly({key: -(c // p) for key, c in terms.items()}, locs.pm))
-    return out
+    """K0 mod p as a coefficient list: the corner multinomials of f^p are 1
+    and cancel x^(3p) + z4^p x^p + z6^p (1 // p = 0); the rest carry p."""
+    fp = [f_power_coeff(p, dg) for dg in range(3 * p + 1)]
+    for c in (c for num in fp for c in num.c):
+        if c != 1 and c % p:
+            raise NotDivisible("multinomial %d not divisible by %d" % (c, p))
+    return [WPoly.from_coeffs(num.w, num.lo, -(num.c // p), locs.pm)
+            for num in fp]
 
 
 def sym_d_values(p, locs):
@@ -286,7 +282,7 @@ def sym_d_values(p, locs):
 
 def _laurent_to_locfrac(lau, p, locs):
     """Laurent WPoly in (U, V) = (z4^p, z6^p) to a localized fraction."""
-    shift = max([0] + [-j for (_, j) in lau.terms])
+    shift = max(0, -lau.lowest_z6())
     num = lau.compose_powers(p) * WPoly.monomial(1, 0, shift * p, locs.pm)
     return LocFrac(num, {"z6": shift * p}, locs)
 

@@ -3,8 +3,8 @@ nonvanishing checks at (0,1) and (1,0), and the prime scanner for the
 Psi = c * Delta * H congruence.
 
 Everything here lives in Laurent polynomials in U = a^p, V = b^p (weights 4
-and 6), stored as WPoly: the exponent pair (i, j) of U^i V^j sits in the
-(z4, z6) slots, and j may be negative. Two coefficient lanes share the
+and 6), stored as WPoly with U^i V^j in the z4^i z6^j slot (j may be < 0):
+alpha_n has weight -2n, beta_n 2 - 2n and psi_n -4n. Two lanes share the
 code: exact Fractions (pm=None) and integers mod p (pm = PrimePower(p, 1)).
 The mod-p lane runs the streams up to n = (p+7)/2 and inverts 2n and 2n+2
 there. Those are units mod p exactly when p >= 11: then 2n <= p+7 < 2p, and
@@ -86,14 +86,11 @@ def psi_recurrence_check(psis, nmax, pm=None):
 
 
 def clear_psi(psi_n, n):
-    """Psi_n = psi_n * V^(2*ceil(n/2)); must come out polynomial and
-    weighted homogeneous (degree_audit checks which degree)."""
+    """Psi_n = psi_n * V^(2*ceil(n/2)), which must come out polynomial."""
     shift = n if n % 2 == 0 else n + 1
     cleared = psi_n * WPoly.monomial(1, 0, shift, psi_n.pm)
-    if any(j < 0 for (_, j) in cleared.terms):
+    if cleared.lowest_z6() < 0:
         raise DegreeMismatch("Psi_%d has a leftover V denominator" % n)
-    if cleared.terms and cleared.weighted_degree() is None:
-        raise DegreeMismatch("Psi_%d is not weighted homogeneous" % n)
     return cleared
 
 
@@ -164,17 +161,19 @@ def golem_check(p, table=None):
 
 
 def _proportional(lhs, rhs, p):
-    """Is lhs = c * rhs mod p for a constant c? Returns (bool, c, witness)."""
-    if set(lhs) != set(rhs):
-        k = sorted(set(lhs) ^ set(rhs))[0]
-        return False, None, k
-    if not rhs:
+    """Is lhs = c * rhs mod p for a constant c? Returns (bool, c, witness),
+    the least exponent pair in one support only, else off the ratio c."""
+    if lhs.weighted_degree() != rhs.weighted_degree():
+        return False, None, min(min(x.terms) for x in (lhs, rhs) if x.terms)
+    if rhs.is_zero():
         return True, 0, None
-    k0 = sorted(rhs)[0]
-    c = lhs[k0] * inv_mod(rhs[k0], p) % p
-    for k in sorted(rhs):
-        if lhs[k] != c * rhs[k] % p:
-            return False, None, k
+    lo, a, b = lhs.aligned(rhs)
+    pairs = list(zip(a.tolist(), b.tolist()))
+    bad = [k for k, (x, y) in enumerate(pairs) if (x == 0) != (y == 0)]
+    c = None if bad else pairs[0][0] * inv_mod(pairs[0][1], p) % p
+    bad = bad or [k for k, (x, y) in enumerate(pairs) if (x - c * y) % p]
+    if bad:
+        return False, None, (lo + 3 * bad[0], (rhs.w - 4 * lo) // 6 - 2 * bad[0])
     return True, c, None
 
 
@@ -194,7 +193,7 @@ def scan_prime(p):
     lhs = table.psi_big
     if m_piv % 2 == 0:
         lhs = lhs * WPoly.z6(pm1)
-    prop, c, witness = _proportional(lhs.terms, target.terms, p)
+    prop, c, witness = _proportional(lhs, target, p)
     return {
         "p": p,
         "class_mod_12": p % 12,

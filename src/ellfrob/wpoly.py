@@ -1,56 +1,104 @@
-"""Weighted bivariate polynomials in (z4, z6) and fractions over localizers.
+"""Weighted-homogeneous polynomials in (z4, z6) and fractions over localizers.
 
-WPoly is a sparse polynomial with z4, z6 of weighted degrees 4 and 6. It
-is the one (z4, z6) polynomial type of the package: exponents may be
-negative, which makes it a Laurent polynomial (the psi tower in U = z4^p,
-V = z6^p needs V^-1), and with pm=None its coefficients are exact
-integers or Fractions (the exact lane of the psi tower holds rationals).
-LocFrac is a WPoly numerator over a monomial product of named localizer
-polynomials (z4, z6, delta, H, Psi); this is the controlled-denominator
-fraction ring all symbolic eigenvalue work happens in.
+z4, z6 have weights 4 and 6; of weight w, a polynomial is z4^e z6^f g(t) with
+t = z4^3/z6^2 (the j-line). WPoly stores w, the lowest z4 exponent lo and
+one array c trimmed at both ends: c[k] is the coefficient of z4^(lo+3k)
+z6^((w-4lo)/6-2k), exponents may be negative (Laurent). Zero has w = None;
+adding two other weights raises DegreeMismatch, so homogeneity holds by
+type. Storage is UPoly's, or exact (ints, Fractions) when pm is None; a
+product is one np.convolve. LocFrac is a WPoly over a monomial in named
+localizers (z4, z6, delta, H, Psi): the ring of symbolic eigenvalue work.
 """
 
-from .errors import (DenominatorMismatch, DenominatorNotLocalizer,
-                     ModulusMismatch, NotAUnit, SingularPair)
+from fractions import Fraction
+
+import numpy as np
+
+from .errors import (DegreeMismatch, DenominatorMismatch,
+                     DenominatorNotLocalizer, ModulusMismatch, NotAUnit,
+                     NotSquarefree, PrecisionOutOfRange, SingularPair)
 from .residue import inv_mod
+from .upoly import UPoly, _residues
+
+
+def _reduce(c, pm):
+    return c if pm is None else c % pm.q
+
+
+def _power(x, e, pm):
+    """x^e, mod pm.q or exact when pm is None; e < 0 needs x to be a unit."""
+    if e < 0 and (x if pm is None else x % pm.p) == 0:
+        raise NotAUnit("%d^%d: %d is not a unit" % (x, e, x))
+    if pm is not None:
+        return pow(x, e, pm.q)
+    return Fraction(x) ** e if e < 0 else x ** e
 
 
 class WPoly:
-    """Sparse dict (e4, e6) -> coefficient, reduced mod pm.q; pm=None means
-    exact integers or Fractions."""
+    """Weight w, lowest z4 exponent lo and coefficient array c (module doc)."""
 
-    __slots__ = ("terms", "pm")
+    __slots__ = ("w", "lo", "c", "pm")
 
     def __init__(self, terms, pm=None):
-        if pm is None:
-            self.terms = {key: c for key, c in terms.items() if c}
-        else:
-            q = pm.q
-            self.terms = {key: c % q for key, c in terms.items() if c % q}
+        """From a dict (e4, e6) -> c whose nonzero terms share one weight."""
+        poly = sum((WPoly.monomial(c, i, j, pm) for (i, j), c in terms.items()),
+                   WPoly.zero(pm))
+        self.pm, self.w, self.lo, self.c = pm, poly.w, poly.lo, poly.c
+
+    def _init(self, w, lo, c, pm):
+        """Hold the canonical array c cut to its nonzero span; returns self."""
+        nz = c.nonzero()[0].tolist()
         self.pm = pm
+        self.w, self.lo, self.c = ((w, lo + 3 * nz[0], c[nz[0]:nz[-1] + 1])
+                                   if nz else (None, 0, c[:0]))
+        return self
+
+    @classmethod
+    def from_coeffs(cls, w, lo, values, pm=None):
+        """Weight w, lowest z4 exponent lo, values[k] at z4^(lo+3k)."""
+        c = np.array(values, dtype=object) if pm is None else _residues(values, pm.q)
+        return cls.__new__(cls)._init(w, lo, c, pm)
+
+    def _new(self, w, lo, c):  # c canonical, over self.pm
+        return WPoly.__new__(WPoly)._init(w, lo, c, self.pm)
 
     @classmethod
     def zero(cls, pm=None):
-        return cls({}, pm)
+        return cls.from_coeffs(None, 0, [], pm)
 
     @classmethod
     def const(cls, c, pm=None):
-        return cls({(0, 0): c}, pm)
+        return cls.monomial(c, 0, 0, pm)
 
     @classmethod
     def monomial(cls, c, e4, e6, pm=None):
-        return cls({(e4, e6): c}, pm)
+        return cls.from_coeffs(4 * e4 + 6 * e6, e4, [c], pm)
 
     @classmethod
     def z4(cls, pm=None):
-        return cls({(1, 0): 1}, pm)
+        return cls.monomial(1, 1, 0, pm)
 
     @classmethod
     def z6(cls, pm=None):
-        return cls({(0, 1): 1}, pm)
+        return cls.monomial(1, 0, 1, pm)
+
+    @property
+    def terms(self):
+        """The nonzero terms as a dict (e4, e6) -> coefficient."""
+        e6 = self.lowest_z6() + 2 * len(self.c) - 2
+        return {(self.lo + 3 * k, e6 - 2 * k): c
+                for k, c in enumerate(self.c.tolist()) if c}
+
+    def lowest_z6(self):
+        """The least z6 exponent, that of the last array entry (zero: 0)."""
+        return ((self.w or 0) - 4 * self.lo) // 6 - 2 * max(len(self.c) - 1, 0)
 
     def is_zero(self):
-        return not self.terms
+        return self.w is None
+
+    def weighted_degree(self):
+        """The weight; None for the zero polynomial."""
+        return self.w
 
     def _check(self, other):
         if self.pm != other.pm:
@@ -58,118 +106,97 @@ class WPoly:
 
     def __eq__(self, other):
         return (isinstance(other, WPoly) and self.pm == other.pm
-                and self.terms == other.terms)
+                and self.w == other.w and self.lo == other.lo
+                and np.array_equal(self.c, other.c))
+
+    def aligned(self, other):
+        """(lo, a, b): the arrays of two equal weights over one z4 range."""
+        if self.w != other.w:
+            raise DegreeMismatch("weights %s and %s do not add"
+                                 % (self.w, other.w))
+        lo = min(self.lo, other.lo)
+        n = max(self.lo + 3 * len(self.c), other.lo + 3 * len(other.c)) - lo
+        out = np.zeros((2, n // 3), self.c.dtype)
+        for row, x in zip(out, (self, other)):
+            row[(x.lo - lo) // 3:][:len(x.c)] = x.c
+        return lo, out[0], out[1]
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, 0) + c
-        return WPoly(out, self.pm)
+        if other.w is None or self.w is None:
+            return self if other.w is None else other
+        lo, a, b = self.aligned(other)
+        return self._new(self.w, lo, _reduce(a + b, self.pm))
 
     def __sub__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, 0) - c
-        return WPoly(out, self.pm)
+        return self + -other
 
     def __neg__(self):
-        return WPoly({k: -c for k, c in self.terms.items()}, self.pm)
+        return self._new(self.w, self.lo, _reduce(-self.c, self.pm))
 
     def scale(self, c):
-        return WPoly({k: c * v for k, v in self.terms.items()}, self.pm)
+        return self._new(self.w, self.lo,
+                         _reduce(self.c * _reduce(c, self.pm), self.pm))
 
     def __mul__(self, other):
         self._check(other)
-        a, b = self.terms, other.terms
-        if len(b) == 1:
-            # a monomial factor shifts and scales in a single pass
-            ((k, l), d), = b.items()
-            return WPoly({(i + k, j + l): c * d for (i, j), c in a.items()},
-                         self.pm)
-        if not a or not b:
-            return WPoly({}, self.pm)
-        # Each exponent pair travels as the int e4 * s + e6, so the inner
-        # loop adds ints instead of building tuples. s exceeds four times
-        # every |e6| of the factors, so each e6 of the product decodes back.
-        s = 4 * max(abs(j) for t in (a, b) for (_, j) in t) + 2
-        right = [(k * s + l, d) for (k, l), d in b.items()]
-        out = {}
-        get = out.get
-        for (i, j), c in a.items():
-            base = i * s + j
-            for key, d in right:
-                key += base
-                out[key] = get(key, 0) + c * d
-        h = s // 2
-        return WPoly({((key + h) // s, (key + h) % s - h): c
-                      for key, c in out.items()}, self.pm)
+        a, b = self.c, other.c
+        if self.w is None or other.w is None:
+            return WPoly.zero(self.pm)
+        if a.dtype != object and (self.pm.q - 1) ** 2 * min(len(a), len(b)) >= 2 ** 63:
+            raise PrecisionOutOfRange("%d by %d terms mod %d overflow int64"
+                                      % (len(a), len(b), self.pm.q))
+        return self._new(self.w + other.w, self.lo + other.lo,
+                         _reduce(np.convolve(a, b), self.pm))
 
     def __pow__(self, n):
-        result = WPoly.const(1, self.pm)
-        base = self
-        while n > 0:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        if n <= 1:
+            return self if n == 1 else WPoly.const(1, self.pm)
+        half = self ** (n // 2)
+        return half * half * self if n & 1 else half * half
 
     def compose_powers(self, k):
-        """Substitute z4 -> z4^k, z6 -> z6^k."""
-        return WPoly({(i * k, j * k): c for (i, j), c in self.terms.items()}, self.pm)
+        """Substitute z4 -> z4^k, z6 -> z6^k: the array at stride k."""
+        c = np.zeros(len(self.c) and len(self.c) * k - k + 1, self.c.dtype)
+        c[::k] = self.c
+        return self._new(self.w and self.w * k, self.lo * k, c)
 
     def specialize(self, a, b):
-        """Value at (z4, z6) = (a, b); exact integer when pm is None."""
-        q = self.pm.q if self.pm is not None else None
-        acc = 0
-        for (i, j), c in self.terms.items():
-            if q is not None:
-                acc = (acc + c * pow(a, i, q) * pow(b, j, q)) % q
-            else:
-                acc += c * a ** i * b ** j
-        return acc
+        """Value at (a, b): mod q, or exact (int or Fraction) if pm is None."""
+        pm, acc, a_k = self.pm, 0, 1
+        big_a, big_b = _power(a, 3, pm), _power(b, 2, pm)
+        for c in self.c.tolist():
+            acc, a_k = acc * big_b + c * a_k, a_k * big_a
+        return _reduce(acc * _power(a, self.lo, pm)
+                       * _power(b, self.lowest_z6(), pm), pm)
 
     def restrict_z4_zero(self):
-        """Image mod z4: keep only the pure-z6 terms."""
-        return WPoly({k: c for k, c in self.terms.items() if k[0] == 0}, self.pm)
-
-    def weighted_degree(self):
-        """Weighted degree when homogeneous, else None; zero poly gives None."""
-        degs = {4 * i + 6 * j for (i, j) in self.terms}
-        return degs.pop() if len(degs) == 1 else None
+        """Image mod z4: keep only the pure-z6 term."""
+        k, r = divmod(-self.lo, 3)
+        return self._new(self.w, 0, self.c[k:k + 1] if k >= 0 and not r
+                         else self.c[:0])
 
     def divide_exact(self, g):
-        """Quotient self/g when the division is exact, else None.
-
-        Single-divisor multivariate division mod p^m with lex order on
-        (e4, e6); the leading coefficient of g must be a unit.
-        """
+        """self/g if exact with no negative exponent, else None: long division
+        of the arrays in t mod p^m, by g with a unit leading coefficient."""
         self._check(g)
-        if g.is_zero():
-            return None
-        q = self.pm.q
-        glead = max(g.terms)
-        gc_inv = inv_mod(g.terms[glead], q)
-        rem = dict(self.terms)
-        quo = {}
-        while rem:
-            lead = max(rem)
-            c = rem[lead]
-            i, j = lead[0] - glead[0], lead[1] - glead[1]
-            if i < 0 or j < 0:
-                return None
-            d = c * gc_inv % q
-            quo[(i, j)] = d
-            for (k, l), gcoef in g.terms.items():
-                key = (i + k, j + l)
-                v = (rem.get(key, 0) - d * gcoef) % q
-                if v:
-                    rem[key] = v
-                elif key in rem:
-                    del rem[key]
-        return WPoly(quo, self.pm)
+        if g.w is None or self.w is None:
+            return None if g.w is None else self
+        inv = inv_mod(int(g.c[-1]), self.pm.q)
+        quo, rem = UPoly(self.c, self.pm).divmod_monic(
+            UPoly(g.c, self.pm).scale(inv))
+        out = self._new(self.w - g.w, self.lo - g.lo, quo.scale(inv).coeffs)
+        return out if rem.is_zero() and min(out.lo, out.lowest_z6()) >= 0 else None
+
+    def squarefree(self):
+        """z4^e z6^f g(t) mod p with e <= 1, f <= 1 and gcd(g, g') = 1? Its
+        prime factors are z4, z6 and z4^3 - r z6^2 for the roots r of g."""
+        g = UPoly(self.c, self.pm)
+        h = g.derivative()
+        while not h.is_zero():
+            h, g = g.divmod_monic(h.scale(inv_mod(int(h.coeffs[-1]),
+                                                  self.pm.q)))[1], h
+        return self.lo <= 1 and self.lowest_z6() <= 1 and g.degree() == 0
 
     def to_json(self):
         return [[e4, e6, str(c)] for (e4, e6), c in sorted(self.terms.items())]
@@ -180,7 +207,7 @@ class WPoly:
 
 def discriminant(pm=None):
     """4 z4^3 + 27 z6^2."""
-    return WPoly({(3, 0): 4, (0, 2): 27}, pm)
+    return WPoly.from_coeffs(12, 0, [27, 4], pm)
 
 
 class LocalizerSet:
@@ -188,38 +215,28 @@ class LocalizerSet:
 
     Order matters for reciprocal recognition: composite localizers first,
     so greedy division does not strip a plain variable that happens to
-    divide Psi or H before those get their chance.
-
-    Mod p, LocFrac.reciprocal finds the same exponents on a p-th power
-    through its Frobenius root as one power at a time, provided every
-    localizer is squarefree: the largest k with L^k | f is then the least
-    valuation of f at a prime factor of L, which scales by p. That holds
-    for p >= 5: z4, z6 and Delta are squarefree, H is squarefree because
-    its supersingular j-invariants are distinct, and Psi is proportional
-    to Delta * H at every prime the scan covers (11..499).
+    divide Psi or H before those get their chance. At m = 1 each localizer
+    must pass WPoly.squarefree (LocFrac.reciprocal's Frobenius descent needs
+    it), or NotSquarefree is raised.
     """
 
     NAMES = ("Psi", "H", "delta", "z6", "z4")
 
     def __init__(self, pm, hasse, psi=None):
         self.pm = pm
-        self.polys = {
-            "z4": WPoly.z4(pm),
-            "z6": WPoly.z6(pm),
-            "delta": discriminant(pm),
-            "H": hasse,
-        }
+        self.polys = {"z4": WPoly.z4(pm), "z6": WPoly.z6(pm),
+                      "delta": discriminant(pm), "H": hasse}
         if psi is not None:
             self.polys["Psi"] = psi
+        for name in (self.polys if pm.m == 1 else ()):
+            if not self.polys[name].squarefree():
+                raise NotSquarefree("%s is not squarefree mod %d" % (name, pm.p))
         self._cache = {}
 
     def power(self, name, k):
-        if k == 0:
-            return WPoly.const(1, self.pm)
-        key = (name, k)
-        if key not in self._cache:
-            self._cache[key] = self.polys[name] ** k
-        return self._cache[key]
+        if (name, k) not in self._cache:
+            self._cache[name, k] = self.polys[name] ** k
+        return self._cache[name, k]
 
     def den_poly(self, den):
         out = WPoly.const(1, self.pm)
@@ -254,8 +271,7 @@ class LocFrac:
             raise DenominatorMismatch("fractions over different localizer sets")
         names = set(self.den) | set(other.den)
         den = {n: max(self.den.get(n, 0), other.den.get(n, 0)) for n in names}
-        a = self.num
-        b = other.num
+        a, b = self.num, other.num
         for n in names:
             da = den[n] - self.den.get(n, 0)
             db = den[n] - other.den.get(n, 0)
@@ -281,9 +297,8 @@ class LocFrac:
             return LocFrac(self.num * other, self.den, self.locs)
         if self.locs is not other.locs:
             raise DenominatorMismatch("fractions over different localizer sets")
-        den = dict(self.den)
-        for n, k in other.den.items():
-            den[n] = den.get(n, 0) + k
+        den = {n: self.den.get(n, 0) + other.den.get(n, 0)
+               for n in set(self.den) | set(other.den)}
         return LocFrac(self.num * other.num, den, self.locs)
 
     def scale(self, c):
@@ -295,24 +310,20 @@ class LocFrac:
 
     def weighted_degree(self):
         d = self.num.weighted_degree()
-        if d is None:
-            return None
-        for n, k in self.den.items():
-            d -= k * self.locs.polys[n].weighted_degree()
+        if d is not None:
+            d -= sum(k * self.locs.polys[n].w for n, k in self.den.items())
         return d
 
     def evaluate(self, a, b):
         """Value at a sigma-non-singular pair; raises when a denominator
         localizer fails to be a unit there."""
-        pm = self.locs.pm
-        q = pm.q
+        pm, q = self.locs.pm, self.locs.pm.q
         acc = self.num.specialize(a, b)
         for n, k in self.den.items():
             v = self.locs.polys[n].specialize(a, b)
             if v % pm.p == 0:
-                if n in ("delta", "H"):
-                    raise SingularPair("%s(%d, %d) is not a unit" % (n, a, b))
-                raise NotAUnit("%s(%d, %d) is not a unit" % (n, a, b))
+                error = SingularPair if n in ("delta", "H") else NotAUnit
+                raise error("%s(%d, %d) is not a unit" % (n, a, b))
             acc = acc * pow(inv_mod(v, q), k, q) % q
         return acc
 
@@ -322,43 +333,34 @@ class LocFrac:
         Greedy exact division by each localizer in order; whatever is left
         must be a unit constant. Raises DenominatorNotLocalizer otherwise.
 
-        Frobenius descent: mod p (m = 1), a numerator r whose exponents are
-        all multiples of p is s(z4^p, z6^p) = s^p, where s keeps the
-        coefficients and divides every exponent by p (c^p = c in F_p). So
-        r is replaced by s, repeatedly, and each exponent found on the root
-        counts frob = p^k times. The value is exact on every input: if
-        s = c * prod L^e, then r = c * prod L^(e * frob), and the leftover
-        constant c stays as it is. The split into exponents is the one the
-        greedy division would find on r itself whenever every localizer is
-        squarefree, because then each valuation just scales by frob (see
-        LocalizerSet). The pivot determinant is a p-th power, and this
-        turns its p dense divisions by Psi into one.
+        Frobenius descent: mod p (m = 1), r with every exponent a multiple
+        of p is s(z4^p, z6^p) = s^p, s being r's array at stride p (c^p = c
+        in F_p); so r becomes s while that holds, and each exponent found on
+        the root counts frob = p^k times. Every localizer L is squarefree
+        (LocalizerSet), so the largest k with L^k | r scales by frob too:
+        the split is greedy division's on r. This turns the p divisions of
+        the pivot determinant (a p-th power) by Psi into one.
         """
         pm = self.locs.pm
         if self.num.is_zero():
             raise DenominatorNotLocalizer("zero has no reciprocal")
-        r = self.num
-        p = pm.p
-        frob = 1
-        while (pm.m == 1 and any(i or j for i, j in r.terms)
-               and not any(i % p or j % p for i, j in r.terms)):
-            r = WPoly({(i // p, j // p): c for (i, j), c in r.terms.items()}, pm)
+        r, p, frob = self.num, pm.p, 1
+        while (pm.m == 1 and (r.w or r.lo or len(r.c) > 1)
+               and not (r.lo % p or r.w % p) and np.count_nonzero(r.c)
+               == np.count_nonzero(r.c[::p])):
+            r = r._new(r.w // p, r.lo // p, r.c[::p])
             frob *= p
         exps = {}
         for name in self.locs.NAMES:
-            if name not in self.locs.polys:
-                continue
-            poly = self.locs.polys[name]
-            while True:
-                q2 = r.divide_exact(poly)
+            while name in self.locs.polys:
+                q2 = r.divide_exact(self.locs.polys[name])
                 if q2 is None:
                     break
-                r = q2
-                exps[name] = exps.get(name, 0) + frob
-        if list(r.terms) != [(0, 0)]:
+                r, exps[name] = q2, exps.get(name, 0) + frob
+        if r.w != 0 or r.lo != 0 or len(r.c) != 1:
             raise DenominatorNotLocalizer(
                 "numerator is not a unit times a localizer monomial")
-        c = r.terms[(0, 0)]
+        c = int(r.c[0])
         if c % p == 0:
             raise DenominatorNotLocalizer("leftover constant is not a unit")
         num = self.locs.den_poly(self.den).scale(inv_mod(c, pm.q))

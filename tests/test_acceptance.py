@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from ellfrob.errors import NotOrdinary, NotStabilized, SingularPair
-from ellfrob.forms import (FormRing, QuasiLinearForm, classify_pair,
-                           form_evaluate, hasse_poly, lambda_1,
+from ellfrob.errors import (DegreeMismatch, NotOrdinary, NotStabilized,
+                            SingularPair)
+from ellfrob.forms import (FormRing, QuasiLinearForm, hasse_poly, lambda_1,
                            slope_form_printed, slope_form_variant,
                            unit_form_delta, unit_form_z4, unit_form_z6,
                            weight_check_mod_p, weight_check_mod_p2,
@@ -276,7 +276,8 @@ def test_criterion_6_weight_criterion_equivalence():
             assert weight_check_mod_p(mk(ring))
             assert weight_check_mod_p2(mk(ring))
         assert weight_check_mod_p2(lambda_1(ring))
-        assert not weight_check_mod_p(slope_form_printed(ring))
+        with pytest.raises(DegreeMismatch):
+            slope_form_printed(ring)
         assert weight_check_mod_p(slope_form_variant(ring))
     report(6, "weight-criterion equivalence")
 

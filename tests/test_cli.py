@@ -270,6 +270,13 @@ def test_help_exits_0(capsys):
      "a71032731da913c05f9a032c9d7925272d611e008a78793706cab4ec90240b49"),
     (("verify-all", "--p", "19", "--mod", "2"),
      "a8331d0eff90db2a14424aa27df30b3a459dd97203622bd645dd510afe8de714"),
+    # recorded before WPoly moved onto coefficient arrays
+    (("hasse", "--p", "499"),
+     "447e97ab10535a78b7ecbce22b2c1fcf1b9d843ad070afd794cfa872f8fafa4c"),
+    (("hasse", "--p", "13", "--mod", "3"),
+     "a8742f17b36091882e2bab0a110e28c7ef1e5f4670da30c19a5abb91d3613032"),
+    (("eigen", "--p", "151"),
+     "42cfcec2fd9d13530bf1e5dad44a876c6504e5d79655484af93a7722c6399b18"),
 ])
 def test_stdout_golden(capsys, argv, digest):
     code, out = run_cli(capsys, *argv)

@@ -117,9 +117,14 @@ def test_locfrac_reciprocal():
     x = LocFrac(num, {"z6": 1}, locs)
     r = x.reciprocal()
     assert x * r == LocFrac.from_int(1, locs)
-    bad = LocFrac(discriminant(pm) + WPoly.const(1, pm), {}, locs)
+    # z4^3 + z6^2 is homogeneous but proportional to no localizer
+    z4, z6 = WPoly.z4(pm), WPoly.z6(pm)
+    bad = LocFrac(z4 ** 3 + z6 ** 2, {}, locs)
     with pytest.raises(DenominatorNotLocalizer):
         bad.reciprocal()
+    # Delta + 1 adds weights 12 and 0
+    with pytest.raises(DegreeMismatch):
+        discriminant(pm) + WPoly.const(1, pm)
 
 
 def _greedy_den(num, locs):
@@ -159,9 +164,12 @@ def test_reciprocal_matches_one_power_greedy(p):
         assert r.den == _greedy_den(num, locs), exps
         assert x * r == one
     # a p-th power descends, but to a form that is not a localizer monomial
-    bad = LocFrac((discriminant(pm) + WPoly.const(1, pm)) ** p, {}, locs)
+    z4, z6 = WPoly.z4(pm), WPoly.z6(pm)
+    bad = LocFrac((z4 ** 3 + z6 ** 2) ** p, {}, locs)
     with pytest.raises(DenominatorNotLocalizer):
         bad.reciprocal()
+    with pytest.raises(DegreeMismatch):
+        discriminant(pm) + WPoly.const(1, pm)
 
 
 # ------------------------------------------------------- j and classification
@@ -227,8 +235,23 @@ def test_lambda_1_reduces_to_inverse_hasse(ring13):
         assert int(form_evaluate(form, a, b)) % p == inv_mod(h, p)
 
 
+def _printed_slope_value(a, b, pm):
+    """The printed slope form at exact integers a, b, taken with scalars:
+    (2 a^p - 3 b^p) delta(b) / Delta(a, b)^p mod p^m."""
+    p, q = pm.p, pm.q
+    num = (2 * pow(a, p, q) - 3 * pow(b, p, q)) * delta_scalar(b, pm)
+    return num * pow(inv_mod((4 * a ** 3 + 27 * b ** 2) % q, q), p, q) % q
+
+
 def test_slope_form_printed_fails_criterion(ring13):
-    assert not weight_check_mod_p(slope_form_printed(ring13))
+    # the printed z6' coefficient is not weighted homogeneous: refused
+    with pytest.raises(DegreeMismatch):
+        slope_form_printed(ring13)
+    # with scalars, 4 z4^p Gamma_4 + 6 z6^p Gamma_6 = 6 b^p (2 a^p - 3 b^p)
+    # / Delta^p is not 0 mod p
+    p = ring13.p
+    for a, b in ((1, 1), (2, 3), (5, 1), (1, 7)):
+        assert 6 * pow(b, p, p) * (2 * pow(a, p, p) - 3 * pow(b, p, p)) % p
 
 
 def test_slope_form_variant_passes_criterion(ring13, ring17):
@@ -262,9 +285,14 @@ def test_probe_matches_criterion_on_named_forms(ring13):
     form = slope_form_variant(ring13)
     for a, b, c in samples:
         assert weight_definition_probe(form, a, b, c, (-p, -1), precision=1)
-    # the printed slope form fails the probe at a generic sample
-    form = slope_form_printed(ring13)
-    assert not weight_definition_probe(form, 1, 1, 2, (-p, -1), precision=1)
+    # the printed slope form is refused; taken with scalars, its value
+    # fails the weight identity at a generic sample
+    with pytest.raises(DegreeMismatch):
+        slope_form_printed(ring13)
+    a, b, c = 1, 1, 2
+    lhs = _printed_slope_value(c ** 4 * a, c ** 6 * b, ring13.pm)
+    rhs = c_power_w(c, (-p, -1), ring13.pm) * _printed_slope_value(a, b, ring13.pm)
+    assert (lhs - rhs) % p
 
 
 def test_form_evaluate_uses_exact_deltas(ring13):

@@ -9,7 +9,7 @@ from ellfrob.liftp import (CurveContext, FrobLift, _y_poly, build_lift_mod_p,
                            extendability_certificate, g_minus_one, k0_poly,
                            k_poly, lie_verify, lie_verify_commutator,
                            mu_correct)
-from ellfrob.residue import PrimePower, delta_scalar, inv_mod
+from ellfrob.residue import PrimePower, delta_scalar
 from ellfrob.upoly import FracPoly, UPoly
 
 

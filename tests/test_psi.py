@@ -2,12 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from ellfrob.errors import InternalMismatch, TheoremViolation
+from ellfrob.errors import InternalMismatch
 from ellfrob.forms import hasse_poly
-from ellfrob.psi import (alpha_beta_table, clear_psi, conjecture_scan,
-                         degree_audit, exact_psi_table, golem_check,
-                         psi_determinants, psi_mod_p, psi_recurrence_check,
-                         psi_table, scan_prime)
+from ellfrob.psi import (clear_psi, conjecture_scan, degree_audit,
+                         exact_psi_table, golem_check, psi_mod_p,
+                         psi_recurrence_check, psi_table, scan_prime)
 from ellfrob.residue import PrimePower
 from ellfrob.wpoly import WPoly, discriminant
 

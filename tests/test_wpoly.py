@@ -1,0 +1,166 @@
+"""WPoly on coefficient arrays against dict oracles written here, exact
+specialization of Laurent polynomials, and the squarefree localizer check."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ellfrob.errors import DegreeMismatch, NotAUnit, NotSquarefree
+from ellfrob.forms import hasse_poly
+from ellfrob.psi import _proportional, exact_psi_table, psi_table
+from ellfrob.residue import PrimePower
+from ellfrob.wpoly import LocalizerSet, WPoly, discriminant
+
+PM13 = PrimePower(13, 1)
+
+
+def _clean(terms, pm):
+    """Reduce mod q (pm given) and drop zero coefficients."""
+    if pm is not None:
+        terms = {k: c % pm.q for k, c in terms.items()}
+    return {k: c for k, c in terms.items() if c}
+
+
+def _mul(a, b, pm):
+    out = {}
+    for (i, j), c in a.items():
+        for (k, l), d in b.items():
+            out[(i + k, j + l)] = out.get((i + k, j + l), 0) + c * d
+    return _clean(out, pm)
+
+
+def _add(a, b, pm):
+    out = dict(a)
+    for key, c in b.items():
+        out[key] = out.get(key, 0) + c
+    return _clean(out, pm)
+
+
+COEFF = {"mod13": st.integers(-40, 40),
+         "exact": st.fractions(min_value=-5, max_value=5, max_denominator=6)}
+
+
+@st.composite
+def homogeneous(draw, lane, anchor=None):
+    """Terms z4^(lo+3k) z6^(e6-2k), k < n, all of one weight. With an
+    anchor (lo, e6) the start slides along the j-line and exponents may be
+    negative (Laurent); without one every exponent is >= 0."""
+    n = draw(st.integers(0, 5))
+    if anchor is None:
+        lo, e6 = draw(st.integers(0, 4)), draw(st.integers(2 * max(n - 1, 0), 8))
+    else:
+        s = draw(st.integers(-2, 2))
+        lo, e6 = anchor[0] + 3 * s, anchor[1] - 2 * s
+    cs = draw(st.lists(COEFF[lane], min_size=n, max_size=n))
+    return {(lo + 3 * k, e6 - 2 * k): c for k, c in enumerate(cs)}
+
+
+ANCHORS = st.tuples(st.integers(-2, 4), st.integers(-4, 6))
+
+
+def _pm(lane):
+    return PM13 if lane == "mod13" else None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(COEFF)), st.data())
+def test_product_and_sum_match_dict_oracle(lane, data):
+    pm = _pm(lane)
+    anchor = data.draw(ANCHORS)
+    a = data.draw(homogeneous(lane, anchor))
+    b = data.draw(homogeneous(lane, data.draw(ANCHORS)))
+    c = data.draw(homogeneous(lane, anchor))  # the weight of a
+    wa, wb, wc = WPoly(a, pm), WPoly(b, pm), WPoly(c, pm)
+    assert wa.terms == _clean(a, pm)
+    assert (wa * wb).terms == _mul(a, b, pm)
+    assert (wa + wc).terms == _add(a, c, pm)
+    assert (wa - wc).terms == _add(a, {k: -v for k, v in c.items()}, pm)
+    if not (wa.is_zero() or wb.is_zero()) and (
+            wa.weighted_degree() != wb.weighted_degree()):
+        with pytest.raises(DegreeMismatch):
+            wa + wb
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(COEFF)), st.data(), st.integers(1, 5))
+def test_compose_and_restrict_match_dict_oracle(lane, data, k):
+    pm = _pm(lane)
+    a = data.draw(homogeneous(lane, data.draw(ANCHORS)))
+    w = WPoly(a, pm)
+    assert w.compose_powers(k).terms == {(i * k, j * k): c
+                                         for (i, j), c in _clean(a, pm).items()}
+    assert w.restrict_z4_zero().terms == {key: c for key, c in _clean(a, pm).items()
+                                          if key[0] == 0}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_divide_exact_round_trip(data):
+    q = WPoly(data.draw(homogeneous("mod13")), PM13)
+    g = WPoly(data.draw(homogeneous("mod13")), PM13)
+    if g.is_zero():
+        assert (q * g).divide_exact(g) is None
+    else:
+        assert (q * g).divide_exact(g) == q
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(COEFF)), st.data(), st.integers(1, 12),
+       st.integers(1, 12))
+def test_specialize_matches_dict_oracle(lane, data, x, y):
+    pm = _pm(lane)
+    a = _clean(data.draw(homogeneous(lane, data.draw(ANCHORS))), pm)
+    want = sum((c * Fraction(x) ** i * Fraction(y) ** j
+                for (i, j), c in a.items()), Fraction(0))
+    got = WPoly(a, pm).specialize(x, y)
+    if pm is None:
+        assert got == want
+    else:
+        assert got == want.numerator * pow(want.denominator, -1, 13) % 13
+
+
+def _proportional_by_dicts(lhs, rhs, p):
+    """The scan's proportionality test on term dicts: the witness is the
+    least pair in one support only, else the least off the ratio c."""
+    if set(lhs) != set(rhs):
+        return False, None, sorted(set(lhs) ^ set(rhs))[0]
+    if not rhs:
+        return True, 0, None
+    k0 = min(rhs)
+    c = lhs[k0] * pow(rhs[k0], -1, p) % p
+    bad = [k for k in sorted(rhs) if lhs[k] != c * rhs[k] % p]
+    return (False, None, bad[0]) if bad else (True, c, None)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.booleans(), st.integers(1, 12))
+def test_proportional_matches_dict_oracle(data, same_weight, scale):
+    anchor = data.draw(ANCHORS)
+    rhs = _clean(data.draw(homogeneous("mod13", anchor)), PM13)
+    lhs = _clean(data.draw(homogeneous(
+        "mod13", anchor if same_weight else data.draw(ANCHORS))), PM13)
+    if data.draw(st.booleans()):
+        lhs = {k: c * scale % 13 for k, c in rhs.items()}
+    assert _proportional(WPoly(lhs, PM13), WPoly(rhs, PM13), 13) == \
+        _proportional_by_dicts(lhs, rhs, 13)
+
+
+def test_specialize_is_exact_on_laurent_input():
+    psi_1 = exact_psi_table(9)[2][1]
+    value = psi_1.specialize(1, 2)
+    assert type(value) is Fraction and value == Fraction(1, 32)
+    with pytest.raises(NotAUnit):
+        psi_table(11).psis[1].specialize(1, 0)
+
+
+@pytest.mark.parametrize("p", [13, 17, 61])
+def test_localizers_are_squarefree(p):
+    pm = PrimePower(p, 1)
+    h = hasse_poly(p, pm)
+    psi = psi_table(p).psi_big
+    LocalizerSet(pm, h, psi)
+    assert discriminant(pm).squarefree() and h.squarefree() and psi.squarefree()
+    with pytest.raises(NotSquarefree):
+        LocalizerSet(pm, h * h)

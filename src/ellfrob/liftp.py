@@ -221,8 +221,7 @@ def mu_correct(ctx, lift):
     _, yrem = y.divmod_monic(f)
     rhs = [(-yrem.coeff(i)) % p for i in range(3)]
     mu = _solve3(cols, rhs, p)
-    corrected = lift.z.num + UPoly([mu[0]] + [0] * (p - 1) + [mu[1]]
-                                   + [0] * (p - 1) + [mu[2]], pm1)
+    corrected = lift.z.num + UPoly(mu, pm1).compose_xp()
     return mu, FrobLift(ctx, FracPoly(corrected, 0, f), lift.lam)
 
 

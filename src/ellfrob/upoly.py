@@ -7,7 +7,8 @@ with room to spare. Larger moduli use an object array of Python ints.
 ``coeff``, ``evaluate``, ``to_json`` and ``repr`` hand out Python ints only.
 
 Products. Degrees reach a few times p^2 in the mod-p^2 pipeline, so
-``__mul__`` picks one of three exact paths by operand length and q:
+``_mul``, the array product behind ``__mul__`` and the division, picks one
+of three exact paths by operand length and q:
 
 - int64 ``np.convolve`` when the shorter operand has at most
   ``_SHORT_LEN`` coefficients and every output sum is below 2^62, i.e.
@@ -37,6 +38,20 @@ guard checks that every computed value lies within 1/4 of its rounded
 integer and raises ``FFTRoundingError`` (an InternalError, exit code 2)
 if one ever does not. A square (``x * x`` with the same object on both
 sides) reuses its forward transforms.
+
+Division. ``divmod_monic`` divides P of length l by a monic g of degree d
+with two products. Reversing coefficients turns P = g Q + R into
+rev(P) = rev(g) rev(Q) mod x^n, n = l - d, so the quotient is the
+reversed rev(P) rev(g)^-1 mod x^n, and R = P - g Q needs only the low d
+terms of g Q. rev(g)^-1 comes from Newton's iteration
+h <- h (2 - rev(g) h), which doubles the precision of h at each step
+(von zur Gathen and Gerhard, Modern Computer Algebra, Sec. 9.1). It is
+exact over Z/p^m: g is monic, so rev(g) has constant term 1, a unit, and
+every step is ring arithmetic. Every operand stays a canonical residue,
+since the FFT limb split cannot take negative values. The inverse is kept
+on the divisor, which is immutable like every UPoly, so it lives exactly
+as long as the divisor does (the CurveContext, for f and its powers): a
+shorter request slices it, a longer one resumes Newton from it.
 """
 
 import math
@@ -126,13 +141,56 @@ def _fft_mul(a, b, q):
     return out
 
 
+def _zeros(n, q):
+    return np.zeros(n, dtype=np.int64 if q < _WORD_Q else object)
+
+
+def _mul(a, b, q):
+    """Exact product mod q of two canonical residue arrays, canonical and
+    untrimmed; empty when a factor is (module doc, Products)."""
+    la, lb = len(a), len(b)
+    if not la or not lb:
+        return a[:0]
+    short = min(la, lb)
+    if short <= _SHORT_LEN and (q - 1) ** 2 * short < 2 ** 62:
+        return np.convolve(a, b) % q
+    if q < _WORD_Q:
+        return _fft_mul(a, b, q)
+    out = [0] * (la + lb - 1)
+    b_ints = b.tolist()
+    for i, ci in enumerate(a.tolist()):
+        if ci:
+            for j, cj in enumerate(b_ints):
+                out[i + j] += ci * cj
+    return _residues(out, q)
+
+
+def _series_inverse(r, n, q, h):
+    """r^-1 mod x^n for r[0] = 1, extending h = r^-1 mod x^len(h).
+
+    With r h = 1 + E x^k, Newton's h (2 - r h) is h - h E x^k, so up to
+    x^m, m <= 2k, the low k terms stay and the next m - k are -(h E).
+    """
+    while len(h) < n:
+        k = len(h)
+        m = min(2 * k, n)
+        err = _mul(r[:m], h, q)[k:m]
+        out = _zeros(m, q)
+        out[:k] = h
+        corr = _mul(h[:m - k], err, q)[:m - k]
+        out[k:k + len(corr)] = -corr % q
+        h = out
+    return h
+
+
 class UPoly:
-    __slots__ = ("coeffs", "pm", "_powers")
+    __slots__ = ("coeffs", "pm", "_powers", "_inverse")
 
     def __init__(self, coeffs, pm):
         self.coeffs = _trim(_residues(coeffs, pm.q))
         self.pm = pm
         self._powers = None
+        self._inverse = None  # rev(self)^-1 mod x^len, for divmod_monic
 
     @classmethod
     def _wrap(cls, arr, pm):
@@ -141,6 +199,7 @@ class UPoly:
         obj.coeffs = _trim(arr)
         obj.pm = pm
         obj._powers = None
+        obj._inverse = None
         return obj
 
     @classmethod
@@ -149,16 +208,20 @@ class UPoly:
 
     @classmethod
     def const(cls, c, pm):
-        return cls([c], pm)
+        return cls.monomial(c, 0, pm)
 
     @classmethod
     def monomial(cls, c, d, pm):
-        return cls([0] * d + [c], pm)
+        out = _zeros(d + 1, pm.q)
+        out[d] = int(c) % pm.q
+        return cls._wrap(out, pm)
 
     @classmethod
     def x_cubic(cls, a, b, pm):
         """f(x) = x^3 + a x + b."""
-        return cls([b, a, 0, 1], pm)
+        out = _zeros(4, pm.q)
+        out[0], out[1], out[3] = int(b) % pm.q, int(a) % pm.q, 1
+        return cls._wrap(out, pm)
 
     def memoize_powers(self):
         """Make ``self ** n`` keep each result on this object; returns self.
@@ -184,9 +247,6 @@ class UPoly:
         if self.pm != other.pm:
             raise ModulusMismatch("mixed moduli %r / %r" % (self.pm, other.pm))
 
-    def _zeros(self, n):
-        return np.zeros(n, dtype=self.coeffs.dtype)
-
     def __eq__(self, other):
         return (isinstance(other, UPoly) and self.pm == other.pm
                 and np.array_equal(self.coeffs, other.coeffs))
@@ -194,7 +254,7 @@ class UPoly:
     def _addsub(self, other, sign):
         self._check(other)
         a, b = self.coeffs, other.coeffs
-        out = self._zeros(max(len(a), len(b)))
+        out = _zeros(max(len(a), len(b)), self.pm.q)
         out[:len(a)] = a
         if sign > 0:
             out[:len(b)] += b
@@ -218,22 +278,8 @@ class UPoly:
 
     def __mul__(self, other):
         self._check(other)
-        if self.is_zero() or other.is_zero():
-            return UPoly.zero(self.pm)
-        q = self.pm.q
-        a, b = self.coeffs, other.coeffs
-        short = min(len(a), len(b))
-        if short <= _SHORT_LEN and (q - 1) ** 2 * short < 2 ** 62:
-            return UPoly._wrap(np.convolve(a, b) % q, self.pm)
-        if q < _WORD_Q:
-            return UPoly._wrap(_fft_mul(a, b, q), self.pm)
-        la, lb = a.tolist(), b.tolist()
-        out = [0] * (len(la) + len(lb) - 1)
-        for i, ci in enumerate(la):
-            if ci:
-                for j, cj in enumerate(lb):
-                    out[i + j] += ci * cj
-        return UPoly(out, self.pm)
+        return UPoly._wrap(_mul(self.coeffs, other.coeffs, self.pm.q),
+                           self.pm)
 
     def __pow__(self, n):
         """self^n as self^(n-1) * self when n is odd, else (self^(n/2))^2.
@@ -265,7 +311,7 @@ class UPoly:
         """Substitute x -> x^p."""
         p = self.pm.p
         c = self.coeffs
-        out = self._zeros(p * self.degree() + 1 if len(c) else 0)
+        out = _zeros(p * self.degree() + 1 if len(c) else 0, self.pm.q)
         out[::p] = c
         return UPoly._wrap(out, self.pm)
 
@@ -308,7 +354,7 @@ class UPoly:
             s = int(den[den % p == 0][0])
             raise NotIntegrable(s, "x^(%d*p-1): s is divisible by p, so the "
                                    "coefficient needs p^2" % s)
-        out = self._zeros(len(c) + 1)
+        out = _zeros(len(c) + 1, q)
         out[deg1] = num * self._unit_inverses(den.astype(c.dtype)) % q
         return UPoly._wrap(out, self.pm)
 
@@ -339,22 +385,24 @@ class UPoly:
         return UPoly(c // p, self.pm.drop(self.pm.m - 1))
 
     def divmod_monic(self, g):
-        """divmod by a monic polynomial."""
+        """divmod by a monic polynomial through rev(g)^-1, which is kept on
+        g (module doc, Division)."""
         self._check(g)
-        q = self.pm.q
         if g.is_zero() or g.coeffs[-1] != 1:
             raise NotMonic("divisor %r is not monic" % (g,))
-        rem = self.coeffs.tolist()
-        gl = g.coeffs.tolist()
-        dg = g.degree()
-        quo = [0] * max(len(rem) - dg, 0)
-        for i in range(len(rem) - 1, dg - 1, -1):
-            c = rem[i] % q
-            if c:
-                quo[i - dg] = c
-                for j, gj in enumerate(gl):
-                    rem[i - dg + j] = (rem[i - dg + j] - c * gj) % q
-        return UPoly(quo, self.pm), UPoly(rem[:dg], self.pm)
+        q, d, c = self.pm.q, g.degree(), self.coeffs
+        n = len(c) - d
+        if n <= 0:
+            return UPoly.zero(self.pm), self
+        inv, rev = g._inverse, g.coeffs[::-1]
+        if inv is None or len(inv) < n:
+            # rev[:1] = [1] is the inverse mod x, where Newton starts
+            inv = g._inverse = _series_inverse(
+                rev, n, q, rev[:1] if inv is None else inv)
+            inv.flags.writeable = False
+        quo = _mul(c[d:][::-1], inv[:n], q)[n - 1::-1].copy()
+        rem = (c[:d] - _mul(g.coeffs[:d], quo[:d], q)[:d]) % q
+        return UPoly._wrap(quo, self.pm), UPoly._wrap(rem, self.pm)
 
     def to_json(self):
         return [str(c) for c in self.coeffs.tolist()]

@@ -46,12 +46,31 @@ def parallel_map(fn, items, workers=None):
     """[fn(x) for x in items], on a pool of processes when more than one is
     asked for; results keep the order of items either way. The pool never
     exceeds the item count or the CPU count: a forked pool starts all its
-    workers at the first submit."""
+    workers at the first submit.
+
+    The pool gets k = min(len(items), 4 * workers) tasks, not one per item:
+    task i maps the strided chunk items[i::k], and the results are
+    interleaved back in item order. Few tasks keep the per-task pickling and
+    queueing small next to a cheap fn; several per worker, each drawn across
+    the whole list, keep the load even when the cost of fn rises along it
+    (scan's per-prime cost grows with p), where contiguous chunks would
+    leave the costliest items to one worker at the end."""
     workers = min(workers or 1, len(items), os.cpu_count() or 1)
     if workers > 1:
+        k = min(len(items), 4 * workers)
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(fn, items))
+            parts = list(ex.map(_map_chunk, [(fn, items[i::k])
+                                             for i in range(k)]))
+        out = [None] * len(items)
+        for i, part in enumerate(parts):
+            out[i::k] = part
+        return out
     return [fn(x) for x in items]
+
+
+def _map_chunk(task):
+    fn, chunk = task
+    return [fn(x) for x in chunk]
 
 
 def _attempt(task):

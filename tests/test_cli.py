@@ -171,6 +171,15 @@ def test_verify_all_deterministic_across_threads(capsys, monkeypatch):
     assert one == two
 
 
+def test_scan_to_101_same_on_one_and_two_workers(capsys, monkeypatch):
+    argv = ("scan", "--pmin", "11", "--pmax", "101")
+    monkeypatch.setenv("HD_THREADS", "1")
+    _, one = run_cli(capsys, *argv)
+    monkeypatch.setenv("HD_THREADS", "2")
+    _, two = run_cli(capsys, *argv)
+    assert one == two and one.count("\n") > 20
+
+
 @pytest.mark.parametrize("argv", [
     ("hasse", "--p", "x"),
     ("frobnicate",),

@@ -27,6 +27,27 @@ def test_curve_context_rejects_singular():
         CurveContext(0, 0, PrimePower(5, 1))
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_h_val_is_a_coefficient_of_the_memoized_f_power(m):
+    """H(a, b) mod p^m is the x^(p-1) coefficient of f^((p-1)/2), the power
+    that w_poly and lie_verify take from the context's memo; the multinomial
+    expansion in hasse_poly shares no code with UPoly's squaring chain."""
+    p = 13
+    pm = PrimePower(p, m)
+    h = hasse_poly(p, pm)
+    checked = 0
+    for a in range(p ** m):
+        for b in range(0, p ** m, 1 if m == 1 else 7):
+            try:
+                ctx = CurveContext(a, b, pm)
+            except SingularPair:
+                continue
+            power = ctx.f_at(m) ** ((p - 1) // 2)
+            assert ctx.h_val == h.specialize(a, b) == power.coeff(p - 1)
+            checked += 1
+    assert checked > (p - 1) ** 2 // 2
+
+
 def test_k_poly_zero_curve_scalars():
     # a = b = 0 is singular; use p | a, p | b instead: K = delta-contributions
     ctx = CurveContext(1, 1, PrimePower(5, 1))

@@ -218,6 +218,84 @@ def test_odd_power_stores_the_even_power_below_it(monkeypatch):
     assert f30 * f == f ** 31
 
 
+def long_division(a, g, q):
+    """Reference divmod by a monic g: the schoolbook loop on Python ints
+    that UPoly.divmod_monic ran before its Newton inverse, trimmed."""
+    rem = list(a)
+    d = len(g) - 1
+    quo = [0] * max(len(rem) - d, 0)
+    for i in range(len(rem) - 1, d - 1, -1):
+        c = rem[i] % q
+        if c:
+            quo[i - d] = c
+            for j, gj in enumerate(g):
+                rem[i - d + j] = (rem[i - d + j] - c * gj) % q
+    return schoolbook(quo, [1], q), schoolbook(rem[:d], [1], q)
+
+
+def divisor(kind, pm, rng):
+    q = pm.q
+    if kind == "one":
+        return UPoly.const(1, pm)
+    if kind == "dense":
+        return UPoly([rng.randrange(q) for _ in range(rng.randrange(1, 60))]
+                     + [1], pm)
+    f = UPoly.x_cubic(rng.randrange(q), rng.randrange(q), pm)
+    return f if kind == "cubic" else f ** ((pm.p + 1) // 2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(pm=st.sampled_from(SMALL_MODULI + [BIG]),
+       kind=st.sampled_from(["one", "cubic", "f_power", "dense"]),
+       quo_lens=st.lists(st.integers(-8, 1500), min_size=1, max_size=3),
+       seed=st.integers(0, 2 ** 32 - 1))
+# one divisor, long then short then longer dividends: the stored inverse
+# is sliced, then extended; quotients past _SHORT_LEN take the FFT lane
+@example(pm=PrimePower(211, 3), kind="cubic", quo_lens=[700, 40, 1500],
+         seed=1)
+@example(pm=PrimePower(499, 2), kind="f_power", quo_lens=[300, -8, 1200],
+         seed=2)
+@example(pm=BIG, kind="f_power", quo_lens=[200, -3], seed=3)
+@example(pm=BIG, kind="one", quo_lens=[150], seed=4)
+def test_divmod_matches_long_division(pm, kind, quo_lens, seed):
+    q = pm.q
+    rng = random.Random(seed)
+    g = divisor(kind, pm, rng)
+    for n in quo_lens:
+        if q >= 2 ** 31:
+            n %= 300  # the references are quadratic Python loops
+        length = max(0, g.degree() + n)
+        a = [rng.randrange(q) for _ in range(length)]
+        quo, rem = UPoly(a, pm).divmod_monic(g)
+        want_quo, want_rem = long_division(a, g.coeffs.tolist(), q)
+        assert quo.coeffs.tolist() == want_quo
+        assert rem.coeffs.tolist() == want_rem
+        assert quo.pm == rem.pm == pm
+        assert rem.degree() < g.degree()
+
+
+def test_divisor_keeps_and_extends_its_inverse():
+    """A shorter quotient reuses the stored rev(g)^-1; a longer one extends
+    it, keeping its prefix."""
+    pm = PrimePower(31, 1)
+    g = UPoly.x_cubic(3, 5, pm)
+    rng = random.Random(31)
+
+    def dividend(n):
+        return UPoly([rng.randrange(pm.q) for _ in range(n + 3)], pm)
+
+    dividend(200).divmod_monic(g)
+    stored = g._inverse
+    assert len(stored) == 200 and not stored.flags.writeable
+    dividend(20).divmod_monic(g)
+    assert g._inverse is stored
+    dividend(500).divmod_monic(g)
+    assert len(g._inverse) == 500
+    assert g._inverse[:200].tolist() == stored.tolist()
+    one = UPoly(g.coeffs[::-1], pm) * UPoly(g._inverse, pm)
+    assert one.coeffs[:500].tolist() == [1] + [0] * 499
+
+
 def test_divmod_by_non_monic_raises_typed_error():
     pm = PrimePower(13, 2)
     f = UPoly([1, 2, 3, 4], pm)

@@ -119,5 +119,9 @@ class PrimeTooSmall(DomainError):
     pass
 
 
+class NegativeExponent(DomainError, ValueError):
+    """A polynomial raised to a negative power."""
+
+
 class UsageError(DomainError):
     """A command line that argparse rejects."""

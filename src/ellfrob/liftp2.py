@@ -14,7 +14,7 @@ from .errors import (BNotUnit, DegreeMismatch, InternalMismatch,
                      TOutOfRange)
 from .forms import f_power_coeff, hasse_poly
 from .liftp import CurveContext, FrobLift, _y_poly, df_xp, k0_poly, w_poly
-from .psi import laurent_stream, laurent_units, psi_table
+from .psi import psi_table
 from .residue import PrimePower, delta_scalar, inv_mod
 from .upoly import FracPoly, UPoly
 from .wpoly import LocFrac, LocalizerSet, WPoly
@@ -298,6 +298,24 @@ class SymbolicEigen:
         self.det = det
 
 
+def eta_pivots(table, ds, locs):
+    """Rows m = M, M+1 (M = (p+5)/2) of the eta stream (v_0 = 0, sources
+    d_1..d_4) as sum_s d_s G_s(z4^p, z6^p) (see the psi module doc), each
+    over z6^((m-2)p) H^2. Row n of a stream reaches at most one V deeper
+    than rows n-1 and n-3, so V^-n from the source at step 1; but at
+    n = (p+3)/2 the U v_{n-1} term has coefficient 3/2 - n = -p/2 = 0 mod p,
+    and from there on the depth lags two behind n."""
+    p, pm = table.p, locs.pm
+    etas = []
+    for m in ((p + 5) // 2, (p + 7) // 2):
+        num = sum((table.gs[s][m].compose_powers(p) * d.num
+                   for s, d in enumerate(ds, 1)), WPoly.zero(pm))
+        shift = (m - 2) * p
+        etas.append(LocFrac(num * WPoly.monomial(1, 0, shift, pm),
+                            {"z6": shift, "H": 2}, locs))
+    return etas
+
+
 def solve_eigen_symbolic(p):
     """Cramer solve of the pivot system over the fraction ring localized at
     z4, z6, Delta, H and the pivot polynomial Psi."""
@@ -305,28 +323,23 @@ def solve_eigen_symbolic(p):
     table = psi_table(p)
     locs = LocalizerSet(pm1, hasse_poly(p, pm1), table.psi_big)
     m_piv = (p + 5) // 2
-    # the z4' and z6' streams in (U, V); the d-sourced eta stream over locs
-    half = WPoly.const(inv_mod(2, p), pm1)
-    u, v_inv = laurent_units(pm1)
-    mus = laurent_stream(m_piv + 1, WPoly.zero(pm1), {2: half}, u, v_inv, pm1)
-    nus = laurent_stream(m_piv + 1, WPoly.zero(pm1), {1: half}, u, v_inv, pm1)
-    etas = laurent_stream(
-        m_piv + 1, LocFrac.zero(locs), dict(enumerate(sym_d_values(p, locs), 1)),
-        LocFrac(WPoly.monomial(1, p, 0, pm1), {}, locs),
-        LocFrac(WPoly.const(1, pm1), {"z6": p}, locs), pm1)
+    half = inv_mod(2, p)
 
-    def pivots(seq):
-        return [_laurent_to_locfrac(v, p, locs) for v in seq[m_piv:m_piv + 2]]
+    def pivots(rows, c=1):
+        return [_laurent_to_locfrac(rows[n].scale(c), p, locs)
+                for n in (m_piv, m_piv + 1)]
 
     a_m, a_m1 = pivots(table.alphas)
     b_m, b_m1 = pivots(table.betas)
     det = a_m * b_m1 - a_m1 * b_m
     det_inv = det.reciprocal()
 
+    # right-hand sides: the eta stream, and the z4' and z6' streams G_2/2, G_1/2
     theta_slots = [det_inv * (a_m * r_m1 - a_m1 * r_m)
-                   for r_m, r_m1 in ((-etas[m_piv], -etas[m_piv + 1]),
-                                     [-x for x in pivots(mus)],
-                                     [-x for x in pivots(nus)])]
+                   for r_m, r_m1 in ([-x for x in eta_pivots(
+                                         table, sym_d_values(p, locs), locs)],
+                                     [-x for x in pivots(table.gs[2], half)],
+                                     [-x for x in pivots(table.gs[1], half)])]
     return SymbolicEigen(p, locs, theta_slots, det)
 
 

@@ -59,7 +59,7 @@ import math
 import numpy as np
 
 from .errors import (DenominatorMismatch, FFTRoundingError, ModulusMismatch,
-                     NotDivisible, NotIntegrable, NotMonic)
+                     NegativeExponent, NotDivisible, NotIntegrable, NotMonic)
 
 _WORD_Q = 2 ** 31    # q below this: int64 storage and the FFT path
 _SHORT_LEN = 128     # np.convolve beats the FFT up to this shorter length
@@ -287,6 +287,8 @@ class UPoly:
         powers share one chain, and f^(2k) is stored on the way to
         f^(2k+1). self^1 is self and is not stored, which keeps the memo
         free of a reference cycle."""
+        if n < 0:
+            raise NegativeExponent("UPoly ** %d" % n)
         memo = self._powers
         if memo is not None and n in memo:
             return memo[n]

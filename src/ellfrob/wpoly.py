@@ -15,8 +15,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (DegreeMismatch, DenominatorMismatch,
-                     DenominatorNotLocalizer, ModulusMismatch, NotAUnit,
-                     NotSquarefree, PrecisionOutOfRange, SingularPair)
+                     DenominatorNotLocalizer, ModulusMismatch, NegativeExponent,
+                     NotAUnit, NotSquarefree, PrecisionOutOfRange, SingularPair)
 from .residue import inv_mod
 from .upoly import UPoly, _residues
 
@@ -150,6 +150,8 @@ class WPoly:
                          _reduce(np.convolve(a, b), self.pm))
 
     def __pow__(self, n):
+        if n < 0:
+            raise NegativeExponent("WPoly ** %d" % n)
         if n <= 1:
             return self if n == 1 else WPoly.const(1, self.pm)
         half = self ** (n // 2)

@@ -4,11 +4,12 @@ import pytest
 
 from ellfrob.errors import InternalMismatch
 from ellfrob.forms import hasse_poly
-from ellfrob.psi import (clear_psi, conjecture_scan, degree_audit,
+from ellfrob.liftp2 import eta_pivots, sym_d_values
+from ellfrob.psi import (PsiTable, clear_psi, conjecture_scan, degree_audit,
                          exact_psi_table, golem_check, psi_mod_p,
                          psi_recurrence_check, psi_table, scan_prime)
 from ellfrob.residue import PrimePower
-from ellfrob.wpoly import WPoly, discriminant
+from ellfrob.wpoly import LocalizerSet, LocFrac, WPoly, discriminant
 
 F = Fraction
 
@@ -44,14 +45,92 @@ def test_psi_closed_forms(exact):
                        (0, -6): F(33, 7168)}
 
 
-def test_recurrence_consistency(exact):
-    _, _, psis = exact
-    assert psi_recurrence_check(psis, 9, pm=None)
-    # a corrupted table is caught
-    bad = list(psis)
-    bad[9] = WPoly({(0, -6): F(1)})
+def test_recurrence_consistency():
+    table = PsiTable(9)
+    assert psi_recurrence_check(table.psi_rows, 9, pm=None)
+    # a corrupted table is caught: psi_9 := z6^-6 (column 6 of row 9 is U^0)
+    table.psi_rows[9] = 0
+    table.psi_rows[9, 6] = F(1)
+    assert table.psis[9] == WPoly({(0, -6): F(1)})
     with pytest.raises(InternalMismatch):
-        psi_recurrence_check(bad, 9, pm=None)
+        psi_recurrence_check(table.psi_rows, 9, pm=None)
+
+
+# a middle row, and the last column of the pivot row M = 18
+@pytest.mark.parametrize("n, k", [(11, 2), (18, -1)])
+def test_recurrence_check_catches_one_mod_p_entry(n, k):
+    p = 31
+    pm, m_piv = PrimePower(p, 1), (p + 5) // 2
+    rows = psi_table(p).psi_rows.copy()
+    assert psi_recurrence_check(rows, m_piv, pm)
+    rows[n, k] = (rows[n, k] + 1) % p
+    with pytest.raises(InternalMismatch, match="psi_%d" % n):
+        psi_recurrence_check(rows, m_piv, pm)
+
+
+def stream_oracle(nmax, v0, sources, u, v_inv, fr):
+    """The row recursion n V v_n = (3/2 - n) U v_{n-1} + (9/2 - n) v_{n-3}
+    + source_n one step at a time, over any ring with +, * and .scale;
+    u is U there, v_inv is 1/V and fr(a, b) the scalar a/b."""
+    seq = [v0]
+    for n in range(1, nmax + 1):
+        t = seq[n - 1] * u.scale(fr(3 - 2 * n, 2))
+        if n >= 3:
+            t = t + seq[n - 3].scale(fr(9 - 2 * n, 2))
+        if n in sources:
+            t = t + sources[n]
+        seq.append(t * v_inv.scale(fr(1, n)))
+    return seq
+
+
+def _lane(pm):
+    """(fr, u, v_inv, const) for the exact lane (pm None) or mod p."""
+    def fr(a, b):
+        return F(a, b) if pm is None else a * pow(b, -1, pm.p) % pm.p
+    return (fr, WPoly.monomial(1, 1, 0, pm), WPoly.monomial(1, 0, -1, pm),
+            lambda c: WPoly.const(c, pm))
+
+
+@pytest.mark.parametrize("p", [None, 11, 13, 61])
+def test_streams_match_one_step_oracle(p):
+    pm = None if p is None else PrimePower(p, 1)
+    table = PsiTable(9) if p is None else psi_table(p)
+    nmax = len(table.alphas) - 1
+    fr, u, v_inv, const = _lane(pm)
+    zero = WPoly.zero(pm)
+    oracles = {
+        "alpha": (table.alphas, stream_oracle(nmax, const(1), {}, u, v_inv, fr)),
+        "beta": (table.betas, stream_oracle(
+            nmax, zero, {2: u.scale(fr(1, 2)), 4: const(fr(3, 2))}, u, v_inv, fr)),
+    }
+    for s in (1, 2):  # nu = G_1/2 and mu = G_2/2
+        seq = stream_oracle(nmax, zero, {s: const(fr(1, 2))}, u, v_inv, fr)
+        oracles["G_%d/2" % s] = ([table.gs[s][n].scale(fr(1, 2))
+                                  for n in range(nmax + 1)], seq)
+    for name, (rows, seq) in oracles.items():
+        for n in range(nmax + 1):
+            assert rows[n] == seq[n], (name, n)
+    for n in range(1, len(table.psis)):
+        det = (table.alphas[n] * table.betas[n + 1]
+               - table.alphas[n + 1] * table.betas[n])
+        assert table.psis[n] == det, n
+
+
+@pytest.mark.parametrize("p", [13, 17, 37])
+def test_eta_pivots_match_locfrac_stream(p):
+    pm = PrimePower(p, 1)
+    table = psi_table(p)
+    locs = LocalizerSet(pm, hasse_poly(p, pm), table.psi_big)
+    ds = sym_d_values(p, locs)
+    m_piv = (p + 5) // 2
+    fr = _lane(pm)[0]
+    seq = stream_oracle(
+        m_piv + 1, LocFrac.zero(locs), dict(enumerate(ds, 1)),
+        LocFrac(WPoly.monomial(1, p, 0, pm), {}, locs),
+        LocFrac(WPoly.const(1, pm), {"z6": p}, locs), fr)
+    for got, want in zip(eta_pivots(table, ds, locs), seq[m_piv:]):
+        assert got.num == want.num
+        assert got.den == want.den
 
 
 def test_clear_psi_exact(exact):

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellfrob.errors import DegreeMismatch, NotAUnit, NotSquarefree
+from ellfrob.errors import (DegreeMismatch, NegativeExponent, NotAUnit,
+                            NotSquarefree)
 from ellfrob.forms import hasse_poly
 from ellfrob.psi import _proportional, exact_psi_table, psi_table
 from ellfrob.residue import PrimePower
+from ellfrob.upoly import UPoly
 from ellfrob.wpoly import LocalizerSet, WPoly, discriminant
 
 PM13 = PrimePower(13, 1)
@@ -164,3 +166,13 @@ def test_localizers_are_squarefree(p):
     assert discriminant(pm).squarefree() and h.squarefree() and psi.squarefree()
     with pytest.raises(NotSquarefree):
         LocalizerSet(pm, h * h)
+
+
+def test_negative_powers_raise():
+    # both power methods once returned the constant 1 for any n < 0
+    with pytest.raises(NegativeExponent):
+        discriminant(PM13) ** -2
+    with pytest.raises(NegativeExponent):
+        UPoly.x_cubic(2, 3, PM13) ** -2
+    assert (discriminant(PM13) ** 0).terms == {(0, 0): 1}
+    assert list((UPoly.x_cubic(2, 3, PM13) ** 0).coeffs) == [1]

@@ -7,6 +7,7 @@ parallelism.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -210,9 +211,16 @@ def build_parser():
     return top
 
 
+@functools.lru_cache(maxsize=None)
+def _parser():
+    """The parser, built once per process: parse_args keeps no state between
+    calls, since each call fills a fresh namespace from the defaults."""
+    return build_parser()
+
+
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.fn(args) or 0
     except DomainError as e:
         print("%s: %s" % (type(e).__name__, e), file=sys.stderr)

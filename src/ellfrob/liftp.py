@@ -6,8 +6,8 @@ Pairs (a, b) are exact integers (canonical representatives); they are what
 the p-derivation and the guard-digit divisions by p act on.
 """
 
-from .errors import (NotOrdinary, PrecisionOutOfRange, SingularPair,
-                     SingularSystem)
+from .errors import (NotDivisible, NotOrdinary, PrecisionOutOfRange,
+                     SingularPair, SingularSystem)
 from .forms import hasse_poly
 from .residue import PrimePower, delta_scalar, inv_mod
 from .upoly import FracPoly, UPoly
@@ -95,57 +95,74 @@ def w_poly(ctx, prec, lam):
 
 
 def g_minus_one(ctx, z, prec):
-    """G(x, Z) - 1 mod p^prec, where G = phi(f)/f^p.
+    """G(x, Z) - 1 mod p^prec, where G = phi(f)/f^p, for Z = N/f^zf, as a
+    list of fractions that sum to it.
 
-    G - 1 = p K/f^p + p (3x^(2p)+a) Z/f^p + 3p^2 x^p Z^2/f^p + p^3 Z^3/f^p.
-    Only the terms surviving mod p^prec are formed. The square root of G is
-    a series valid up to p^3, so prec <= 3 and the p^3 term always vanishes.
+    G - 1 = p K/f^p + p (3x^(2p)+a) Z/f^p + 3p^2 x^p Z^2/f^p + p^3 Z^3/f^p
+          = p A/f^(p+zf) + p^2 B/f^(2p+2zf),
+    with A = K f^zf + N f'(x^p) and B = 3x^p f^p N^2. A is formed mod
+    p^(prec-1). B enters at prec 3 only, formed mod p as N1^2 3x^p f^p for
+    N1 = N mod p, squared mod p: p^2 (N^2 - N1^2) = p^2 (N - N1)(N + N1)
+    = 0 mod p^3. The square root of G is a series valid up to p^3, so
+    prec <= 3 and the p^3 term vanishes.
     """
     if prec > 3:
         raise PrecisionOutOfRange("G - 1 truncated at p^3, asked for p^%d"
                                   % prec)
-    p = ctx.p
-    pg = PrimePower(p, prec)
-    f = ctx.f_at(prec)
-    zl = FracPoly(z.num.lift_to(pg), z.fexp, f)
-    k = k_poly(ctx, prec - 1).lift_to(pg)
-    e = FracPoly(k.scale(p), p, f)
-    e = e + FracPoly((zl.num * df_xp(ctx, prec)).scale(p), z.fexp + p, f)
-    if prec >= 3:
-        zsq = zl * zl
-        e = e + FracPoly((zsq.num * UPoly.monomial(3, p, pg)).scale(p * p),
-                         zsq.fexp + p, f)
-    return e
+    p, zf = ctx.p, z.fexp
+    f, fa = ctx.f_at(prec), ctx.f_at(prec - 1)
+    n = UPoly(z.num.coeffs, fa.pm)
+    a_num = n * df_xp(ctx, prec - 1) + k_poly(ctx, prec - 1) * fa ** zf
+    terms = [FracPoly(a_num.times_p_to(f.pm), p + zf, f)]
+    if prec == 3:
+        f1 = ctx.f_at(1)
+        n1 = UPoly(z.num.coeffs, f1.pm)
+        b_num = n1 * n1 * (UPoly.monomial(3, p, f1.pm) * f1 ** p)
+        terms.append(FracPoly(b_num.times_p_to(f.pm), 2 * (p + zf), f))
+    return terms
 
 
-def _sqrt_one_plus(e, prec):
-    """(1+e)^(1/2) for e = 0 mod p, valid mod p^prec for prec <= 3; e comes
-    from g_minus_one, which refuses a higher precision."""
-    pg = e.pm
-    inv2 = inv_mod(2, pg.q)
-    inv8 = inv_mod(8, pg.q)
-    one = FracPoly(UPoly.const(1, pg), 0, e.f)
-    out = one + e.scale(inv2)
-    if prec >= 3:
-        out = out - (e * e).scale(inv8)
-    return out
+def _f_half_sqrt(ctx, z, prec):
+    """f^((p-1)/2) G(x, Z)^(1/2) mod p^prec over the one f-power f^F,
+    F = (prec-1)(p+zf), for Z = N/f^zf and prec <= 3.
+
+    With G - 1 = p A/f^(p+zf) + p^2 B/f^(2p+2zf) from g_minus_one,
+    G^(1/2) = 1 + (G-1)/2 - (G-1)^2/8 mod p^3, and h = (p-1)/2, it is
+    (f^(h+F) + (p/2) f^h A)/f^F at prec 2, and at prec 3
+    (f^(h+F) + (p/2) f^(h+p+zf) A + p^2 f^h (4B - A^2)/8)/f^F.
+    Each product that p^k multiplies is formed mod p^(prec-k). A and B are
+    read off the terms by exact divisions by p. The p^2 bracket is formed
+    mod p from A1 = A mod p: p^2 (A^2 - A1^2) = p^2 (A - A1)(A + A1) = 0
+    mod p^3. Every f-power is a memoized one of the context.
+    """
+    terms = g_minus_one(ctx, z, prec)
+    p, zf = ctx.p, z.fexp
+    half = (p - 1) // 2
+    f, f1 = ctx.f_at(prec), ctx.f_at(1)
+    a_num = terms[0].num.divexact_p()
+    fexp = (prec - 1) * (p + zf)
+    mid = ctx.f_at(prec - 1) ** (half + fexp - p - zf) * a_num
+    out = f ** (half + fexp) + mid.scale(inv_mod(2, mid.pm.q)).times_p_to(f.pm)
+    if prec == 3:
+        b1 = terms[1].num.divexact_p().divexact_p()
+        a1 = UPoly(a_num.coeffs, f1.pm)
+        bracket = b1.scale(4) - a1 * a1
+        out = out + (f1 ** half * bracket).scale(inv_mod(8, p)).times_p_to(f.pm)
+    return FracPoly(out, fexp, f)
 
 
 def lie_verify(lift, m):
     """dZ/dx + x^(p-1) = lambda f^((p-1)/2) G(x,Z)^(1/2) mod p^m."""
     ctx = lift.ctx
     p = ctx.p
-    pg = PrimePower(p, m)
     f = ctx.f_at(m)
-    z = FracPoly(UPoly(lift.z.num.coeffs, pg), lift.z.fexp, f)
-    lhs = z.derivative() + FracPoly(UPoly.monomial(1, p - 1, pg), 0, f)
-    half = FracPoly(f ** ((p - 1) // 2), 0, f)
+    z = FracPoly(UPoly(lift.z.num.coeffs, f.pm), lift.z.fexp, f)
+    lhs = z.derivative() + FracPoly(UPoly.monomial(1, p - 1, f.pm), 0, f)
     if m == 1:
-        rhs = half.scale(lift.lam)
+        rhs = FracPoly(f ** ((p - 1) // 2), 0, f)
     else:
-        g_half = _sqrt_one_plus(g_minus_one(ctx, z, m), m)
-        rhs = (half * g_half).scale(lift.lam)
-    return lhs == rhs
+        rhs = _f_half_sqrt(ctx, z, m)
+    return lhs == rhs.scale(lift.lam)
 
 
 def lie_verify_commutator(lift, m):
@@ -153,34 +170,44 @@ def lie_verify_commutator(lift, m):
     generators, with eps = y d/dx.
 
     On x, (1/p) eps(phi(x)) = y (x^(p-1) + dZ/dx) and phi(eps x) = h y, so
-    the condition is the differential congruence; lie_verify checks it
-    first. On y, with phi(y) = h y for h = f^((p-1)/2) G^(1/2), it reads
-    (1/p)(h' f + h f'/2) = lambda (3(x^p+pZ)^2 + a)/2 mod p^m,
-    using eps(y) = f'/2 and y y' = f'/2. For h = N/f^e the left side is
-    (N' f + (1/2 - e) N f')/f^e, over p. The division by p is exact
-    (h = f^((p-1)/2) mod p), so h is carried mod p^(m+1).
-    """
-    if not lie_verify(lift, m):
-        return False
-    ctx = lift.ctx
-    p = ctx.p
-    pg = PrimePower(p, m + 1)
-    q = pg.q
-    f = ctx.f_at(m + 1)
-    zg = FracPoly(UPoly(lift.z.num.coeffs, pg), lift.z.fexp, f)
-    e = g_minus_one(ctx, zg, m + 1)
-    h = FracPoly(f ** ((p - 1) // 2), 0, f) * _sqrt_one_plus(e, m + 1)
+    the condition is the differential congruence, which lie_verify checks
+    first; y_commutator checks the generator y."""
+    return lie_verify(lift, m) and y_commutator(lift, m)
 
-    pm = PrimePower(p, m)
-    fm = ctx.f_at(m)
-    zm = FracPoly(UPoly(lift.z.num.coeffs, pm), lift.z.fexp, fm)
-    t_num = (h.num.derivative() * f + (h.num * f.derivative())
-             .scale((1 - 2 * h.fexp) * inv_mod(2, q))).divexact_p()
-    lhs_y = FracPoly(t_num.reduce_to(m), h.fexp, fm)
-    phix = FracPoly(UPoly.monomial(1, p, pm), 0, fm) + zm.scale(p)
-    rhs_y = ((phix * phix).scale(3) + FracPoly(UPoly.const(ctx.a, pm), 0, fm)) \
-        .scale(lift.lam * inv_mod(2, pm.q))
-    return lhs_y == rhs_y
+
+def y_commutator(lift, m):
+    """The lambda-commutator on y. With phi(y) = h y for
+    h = f^((p-1)/2) G^(1/2), it reads
+    (1/p)(h' f + h f'/2) = lambda f'(phi(x))/2 mod p^m,
+    using eps(y) = f'/2 and y y' = f'/2. For h = N/f^F the left side is
+    (N' f + (1/2 - F) N f')/f^F, over p. The division by p is exact
+    (h = f^((p-1)/2) mod p), so h is carried mod p^(m+1), and m <= 2.
+    """
+    ctx = lift.ctx
+    f = ctx.f_at(m + 1)
+    h = _f_half_sqrt(ctx, lift.z, m + 1)
+    lhs = (h.num.derivative() * f + (h.num * f.derivative())
+           .scale((1 - 2 * h.fexp) * inv_mod(2, f.pm.q))).divexact_p()
+    rhs = _df_phi(ctx, lift.z, m, h.fexp)
+    return lhs == rhs.scale(lift.lam * inv_mod(2, rhs.pm.q))
+
+
+def _df_phi(ctx, z, m, fexp):
+    """The numerator of f'(phi(x)) = 3(x^p + pZ)^2 + a over f^fexp, mod p^m
+    for m <= 2 and Z = N/f^zf, zf <= fexp.
+
+    Mod p^2, (x^p + pZ)^2 = x^(2p) + 2p x^p Z, as p^2 Z^2 vanishes, so the
+    numerator is (3x^(2p) + a) f^fexp + 6p x^p N f^(fexp-zf), its last
+    product taken mod p.
+    """
+    p = ctx.p
+    fm, f1 = ctx.f_at(m), ctx.f_at(1)
+    out = df_xp(ctx, m) * fm ** fexp
+    if m > 1:
+        n1 = UPoly(z.num.coeffs, f1.pm)
+        cross = n1 * (UPoly.monomial(6, p, f1.pm) * f1 ** (fexp - z.fexp))
+        out = out + cross.times_p_to(fm.pm)
+    return out
 
 
 def build_lift_mod_p(ctx):
@@ -204,25 +231,59 @@ def _y_poly(ctx, z):
     return k_poly(ctx, 1) + df_xp(ctx, 1) * z
 
 
+def _mulmod_f(u, v, a, b, q):
+    """u v mod (f, q) for residues u, v of degree <= 2, as coefficient
+    lists [c0, c1, c2]: x^3 = -a x - b and x^4 = -a x^2 - b x mod f."""
+    c = [0] * 5
+    for i, ui in enumerate(u):
+        for j, vj in enumerate(v):
+            c[i + j] += ui * vj
+    return [(c[0] - b * c[3]) % q, (c[1] - a * c[3] - b * c[4]) % q,
+            (c[2] - a * c[4]) % q]
+
+
+def _xp_mod_f(ctx, q):
+    """x^p mod (f, q), by square-and-multiply on residues of degree <= 2."""
+    a, b = ctx.a, ctx.b
+    out, base, e = [1, 0, 0], [0, 1, 0], ctx.p
+    while e:
+        if e & 1:
+            out = _mulmod_f(out, base, a, b, q)
+        e >>= 1
+        if e:
+            base = _mulmod_f(base, base, a, b, q)
+    return out
+
+
 def mu_correct(ctx, lift):
     """Solve Y + (3x^2+a)^p (mu0 + mu1 x^p + mu2 x^(2p)) = 0 mod (f, p).
 
-    3x3 linear solve over Z/p in the basis 1, x, x^2 of S[x]/(f).
+    3x3 linear solve over Z/p in the basis 1, x, x^2 of S[x]/(f). Every
+    term is a residue of degree <= 2 built from r = x^p mod f, taken mod
+    p^2: (3x^2+a)^p = 3r^2 + a mod p, the columns are (3r^2 + a) r^j, and
+    K mod f = ((r^3 + a r + b) mod f)/p, since pK = x^(3p) + a x^p + b - f^p
+    and f^p = 0 mod f. Only Z is divided by f.
     """
-    p = ctx.p
-    pm1 = PrimePower(p, 1)
-    f = ctx.f_at(1)
-    y = _y_poly(ctx, lift.z.num)
-    base = df_xp(ctx, 1)
-    cols = []
-    for j in range(3):
-        _, rem = (base * UPoly.monomial(1, j * p, pm1)).divmod_monic(f)
-        cols.append([rem.coeff(i) for i in range(3)])
-    _, yrem = y.divmod_monic(f)
-    rhs = [(-yrem.coeff(i)) % p for i in range(3)]
+    p, a, b = ctx.p, ctx.a, ctx.b
+    q2 = p * p
+    r2 = _xp_mod_f(ctx, q2)
+    r3 = _mulmod_f(_mulmod_f(r2, r2, a, b, q2), r2, a, b, q2)
+    pk = [(r3[0] + a * r2[0] + b) % q2, (r3[1] + a * r2[1]) % q2,
+          (r3[2] + a * r2[2]) % q2]
+    if any(c % p for c in pk):
+        raise NotDivisible("x^(3p) + a x^p + b mod (f, p^2) is not p K")
+    r = [c % p for c in r2]
+    sq = _mulmod_f(r, r, a, b, p)
+    base = [(3 * sq[0] + a) % p, 3 * sq[1] % p, 3 * sq[2] % p]
+    cols = [base]
+    for _ in range(2):
+        cols.append(_mulmod_f(cols[-1], r, a, b, p))
+    _, zrem = lift.z.num.divmod_monic(ctx.f_at(1))
+    yrem = _mulmod_f(base, [zrem.coeff(i) for i in range(3)], a, b, p)
+    rhs = [-(c // p + yc) % p for c, yc in zip(pk, yrem)]
     mu = _solve3(cols, rhs, p)
-    corrected = lift.z.num + UPoly(mu, pm1).compose_xp()
-    return mu, FrobLift(ctx, FracPoly(corrected, 0, f), lift.lam)
+    corrected = lift.z.num + UPoly(mu, PrimePower(p, 1)).compose_xp()
+    return mu, FrobLift(ctx, FracPoly(corrected, 0, ctx.f_at(1)), lift.lam)
 
 
 def _solve3(cols, rhs, p):

@@ -196,7 +196,7 @@ def assemble_lift(ctx, theta, vs, w0):
           - UPoly.monomial(1, p - 1, pm1) * (f1 ** p) * v_poly.derivative().compose_xp())
     u_poly = du.antiderivative()
 
-    num = (w + vxp.lift_to(pm2)) * (f2 ** p) + u_poly.lift_to(pm2).scale(p)
+    num = (w + vxp.lift_to(pm2)) * (f2 ** p) + u_poly.times_p_to(pm2)
     return FrobLift(ctx, FracPoly(num, p, f2), lam)
 
 

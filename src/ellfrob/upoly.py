@@ -8,13 +8,25 @@ with room to spare. Larger moduli use an object array of Python ints.
 
 Products. Degrees reach a few times p^2 in the mod-p^2 pipeline, so
 ``_mul``, the array product behind ``__mul__`` and the division, picks one
-of three exact paths by operand length and q:
+of four exact paths by operand length, sparsity and q:
 
 - int64 ``np.convolve`` when the shorter operand has at most
   ``_SHORT_LEN`` coefficients and every output sum is below 2^62, i.e.
   (q-1)^2 * min(la, lb) < 2^62;
+- otherwise, for q < 2^31, the sparse lane when one operand has at most
+  ``_SPARSE_NNZ`` nonzero coefficients, such as a monomial x^k, the
+  binomial f'(x^p) = 3x^(2p) + a or f^p = x^(3p) + a x^p + b mod p: the
+  product is a sum of shifted copies of the other operand, each scaled by
+  one nonzero coefficient c. Every raw term c * b is below q^2 < 2^62.
+  When nnz (q-1)^2 < 2^63 the raw terms are summed as they are; otherwise
+  each term is first reduced below q, and a sum of nnz such terms stays
+  below nnz * q < 2^62. Either way the int64 sums are exact, and one
+  reduction mod q ends the product;
 - otherwise, for q < 2^31, a limb-split float FFT (below);
 - for q >= 2^31, the schoolbook double loop on Python ints.
+
+Small products pay no nonzero count: the sparse lane is tried only where
+the FFT would run.
 
 The FFT path writes each residue as k limbs of L bits, c = sum_i c_i 2^(iL),
 convolves the limb sequences in float64 with ``numpy.fft.rfft/irfft`` at a
@@ -63,6 +75,7 @@ from .errors import (DenominatorMismatch, FFTRoundingError, ModulusMismatch,
 
 _WORD_Q = 2 ** 31    # q below this: int64 storage and the FFT path
 _SHORT_LEN = 128     # np.convolve beats the FFT up to this shorter length
+_SPARSE_NNZ = 8      # shifted copies beat the FFT up to this many nonzeros
 _EPS = 2.0 ** -53
 
 
@@ -145,6 +158,20 @@ def _zeros(n, q):
     return np.zeros(n, dtype=np.int64 if q < _WORD_Q else object)
 
 
+def _sparse_mul(a, idx, b, q):
+    """Exact product mod q < 2^31 of int64 residue arrays, a nonzero at idx
+    only: one shifted, scaled copy of b per index (module doc, Products)."""
+    out = np.zeros(len(a) + len(b) - 1, dtype=np.int64)
+    reduce_terms = len(idx) * (q - 1) ** 2 >= 2 ** 63
+    for i in idx.tolist():
+        term = b * int(a[i])
+        if reduce_terms:
+            term %= q
+        out[i:i + len(b)] += term
+    out %= q
+    return out
+
+
 def _mul(a, b, q):
     """Exact product mod q of two canonical residue arrays, canonical and
     untrimmed; empty when a factor is (module doc, Products)."""
@@ -155,6 +182,9 @@ def _mul(a, b, q):
     if short <= _SHORT_LEN and (q - 1) ** 2 * short < 2 ** 62:
         return np.convolve(a, b) % q
     if q < _WORD_Q:
+        for x, y in ((a, b), (b, a)):
+            if np.count_nonzero(x) <= _SPARSE_NNZ:
+                return _sparse_mul(x, np.flatnonzero(x), y, q)
         return _fft_mul(a, b, q)
     out = [0] * (la + lb - 1)
     b_ints = b.tolist()
@@ -282,11 +312,13 @@ class UPoly:
                            self.pm)
 
     def __pow__(self, n):
-        """self^n as self^(n-1) * self when n is odd, else (self^(n/2))^2.
-        The smaller power goes through ``**``, so on a memoized base all
-        powers share one chain, and f^(2k) is stored on the way to
-        f^(2k+1). self^1 is self and is not stored, which keeps the memo
-        free of a reference cycle."""
+        """self^n from the largest stored power self^k when k >= n/2, as
+        self^k * self^(n-k); otherwise self^(n-1) * self for odd n and
+        (self^(n/2))^2 for even n. Every smaller power goes through ``**``,
+        so on a memoized base all powers share the stored ones, and a new
+        exponent near an old one, such as (p-1)/2 + 2p next to p, costs a
+        few products rather than a fresh squaring chain. self^1 is self
+        and is not stored, which keeps the memo free of a reference cycle."""
         if n < 0:
             raise NegativeExponent("UPoly ** %d" % n)
         memo = self._powers
@@ -294,7 +326,10 @@ class UPoly:
             return memo[n]
         if n <= 1:
             return self if n == 1 else UPoly.const(1, self.pm)
-        if n & 1:
+        stored = max([e for e in memo if e < n], default=0) if memo else 0
+        if 2 * stored >= n:
+            result = memo[stored] * self ** (n - stored)
+        elif n & 1:
             result = self ** (n - 1) * self
         else:
             half = self ** (n // 2)
@@ -376,15 +411,29 @@ class UPoly:
         any ambiguity mod p^m is harmless, e.g. behind an explicit p factor)."""
         return UPoly(self.coeffs, pm)
 
+    def times_p_to(self, pm):
+        """p^j self over pm = p^(m+j), j >= 0. Exact for any representatives
+        of self mod p^m, since p^j absorbs their ambiguity, and canonical
+        without a reduction, since p^j c < p^(m+j) for c < p^m."""
+        c = self.coeffs
+        if pm.q >= _WORD_Q:
+            c = c.astype(object)
+        return UPoly._wrap(c * pm.p ** (pm.m - self.pm.m), pm)
+
     def divexact_p(self):
         """Exact division by p, dropping one digit of precision."""
         p = self.pm.p
         c = self.coeffs
-        rem = c % p
+        low = self.pm.drop(self.pm.m - 1)
+        if c.dtype == object:
+            quo, rem = c // p, c % p
+        else:
+            quo, rem = np.divmod(c, p)
         if rem.any():
             bad = int(c[np.flatnonzero(rem)[0]])
             raise NotDivisible("coefficient %d not divisible by %d" % (bad, p))
-        return UPoly(c // p, self.pm.drop(self.pm.m - 1))
+        # c < p^m, so the quotient is a canonical residue mod p^(m-1)
+        return UPoly(quo, low) if c.dtype == object else UPoly._wrap(quo, low)
 
     def divmod_monic(self, g):
         """divmod by a monic polynomial through rev(g)^-1, which is kept on

@@ -295,3 +295,25 @@ def test_stdout_golden(capsys, argv, digest):
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_parser_built_once_keeps_no_state_between_calls(capsys):
+    """main builds its parser once per process. A run of calls whose options
+    differ (--mod given, then defaulted; eigen with and without --a/--b)
+    prints, call by call, the bytes that a freshly built parser prints."""
+    from ellfrob import cli
+    calls = [["lift", "--p", "13", "--a", "2", "--b", "3", "--mod", "2"],
+             ["lift", "--p", "13", "--a", "2", "--b", "3"],
+             ["eigen", "--p", "13", "--a", "2", "--b", "3"],
+             ["eigen", "--p", "13"],
+             ["lift", "--p", "13", "--a", "2", "--b", "3", "--mod", "2"],
+             ["verify-all", "--p", "13", "--samples", "3"],
+             ["verify-all", "--p", "13", "--mod", "2", "--samples", "3"]]
+    shared = [run_cli(capsys, *argv) for argv in calls]
+    assert cli._parser() is cli._parser()
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert shared == fresh
+    assert [code for code, _ in shared] == [0] * len(calls)

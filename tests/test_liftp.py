@@ -2,14 +2,16 @@ import random
 
 import pytest
 
-from ellfrob.errors import NotOrdinary, PrecisionOutOfRange, SingularPair
+from ellfrob.errors import (DomainError, NotOrdinary, PrecisionOutOfRange,
+                            SingularPair)
 from ellfrob.forms import hasse_poly
-from ellfrob.liftp import (CurveContext, FrobLift, _y_poly, build_lift_mod_p,
-                           df_xp, eigen_forcing_check,
-                           extendability_certificate, g_minus_one, k0_poly,
-                           k_poly, lie_verify, lie_verify_commutator,
-                           mu_correct)
-from ellfrob.residue import PrimePower, delta_scalar
+from ellfrob.liftp import (CurveContext, FrobLift, _df_phi, _f_half_sqrt,
+                           _solve3, _y_poly, build_lift_mod_p, df_xp,
+                           eigen_forcing_check, extendability_certificate,
+                           g_minus_one, k0_poly, k_poly, lie_verify,
+                           lie_verify_commutator, mu_correct, y_commutator)
+from ellfrob.liftp2 import build_lift_mod_p2
+from ellfrob.residue import PrimePower, delta_scalar, inv_mod
 from ellfrob.upoly import FracPoly, UPoly
 
 
@@ -127,7 +129,7 @@ def test_g_minus_one_zero_z():
     ctx = CurveContext(1, 1, PrimePower(p, 2))
     f2 = ctx.f_at(2)
     z0 = FracPoly(UPoly.zero(PrimePower(p, 2)), 0, f2)
-    e = g_minus_one(ctx, z0, 2)
+    (e,) = g_minus_one(ctx, z0, 2)
     k = k_poly(ctx, 1)
     expect = FracPoly(k.lift_to(PrimePower(p, 2)).scale(p), p, f2)
     assert e == expect
@@ -138,7 +140,7 @@ def test_g_minus_one_vanishes_mod_p():
     ctx = CurveContext(1, 1, PrimePower(p, 2))
     f2 = ctx.f_at(2)
     z = FracPoly(UPoly([2, 3, 1, 4], PrimePower(p, 2)), 0, f2)
-    e = g_minus_one(ctx, z, 2)
+    (e,) = g_minus_one(ctx, z, 2)
     assert e.num.reduce_to(1).is_zero()
 
 
@@ -264,3 +266,106 @@ def test_df_power_formed_once_per_mod1_pair(monkeypatch):
     monkeypatch.setattr(UPoly, "__pow__", counting_pow)
     assert verify_pair(p, a, b, 1)["verified"]
     assert len(calls) == 0
+
+
+def division_mu(ctx, lift):
+    """mu by dividing Y and the three columns (3x^(2p) + a) x^(jp) by f."""
+    p = ctx.p
+    pm1, f = PrimePower(p, 1), ctx.f_at(1)
+    base = UPoly.monomial(3, 2 * p, pm1) + UPoly.const(ctx.a, pm1)
+    cols = []
+    for j in range(3):
+        _, rem = (base * UPoly.monomial(1, j * p, pm1)).divmod_monic(f)
+        cols.append([rem.coeff(i) for i in range(3)])
+    _, yrem = _y_poly(ctx, lift.z.num).divmod_monic(f)
+    return _solve3(cols, [-yrem.coeff(i) % p for i in range(3)], p)
+
+
+@pytest.mark.parametrize("p", [13, 31])
+def test_mu_correct_matches_division(p):
+    """mu from residues of x^p mod f equals mu from dividing by f, at every
+    eligible pair."""
+    checked = 0
+    for a in range(p):
+        for b in range(p):
+            try:
+                ctx = CurveContext(a, b, PrimePower(p, 1))
+                lift = build_lift_mod_p(ctx)
+            except DomainError:
+                continue
+            assert mu_correct(ctx, lift)[0] == division_mu(ctx, lift)
+            checked += 1
+    assert checked == len(ordinary_pairs(p))
+
+
+def full_g_minus_one(ctx, z, prec):
+    """G - 1 = p K/f^p + p f'(x^p) Z/f^p + 3p^2 x^p Z^2/f^p, with every
+    product at the full precision p^prec."""
+    p = ctx.p
+    pg = PrimePower(p, prec)
+    f = UPoly.x_cubic(ctx.a, ctx.b, pg)
+    zg = FracPoly(UPoly(z.num.coeffs, pg), z.fexp, f)
+    dfx = UPoly.monomial(3, 2 * p, pg) + UPoly.const(ctx.a, pg)
+    e = (FracPoly(k_poly(ctx, prec - 1).lift_to(pg).scale(p), p, f)
+         + FracPoly((zg.num * dfx).scale(p), z.fexp + p, f))
+    if prec == 3:
+        zsq = zg * zg
+        e = e + FracPoly(zsq.num * UPoly.monomial(3 * p * p, p, pg),
+                         zsq.fexp + p, f)
+    return e, f
+
+
+@pytest.mark.parametrize("p, a, b", [(13, 2, 3), (101, 2202, 9326)])
+@pytest.mark.parametrize("source", ["lift", "random"])
+def test_reduced_precision_terms_match_full_formula(p, a, b, source):
+    """Each product formed below full precision equals the full-precision
+    formula: G - 1 with zl zl 3x^p at p^3, f^((p-1)/2) (1 + e/2 - e e/8)
+    with e e at p^3 (and 1 + e/2 at p^2), and 3(x^p + pZ)^2 + a at p^2. Z
+    is a mod-p^2 lift's, or random over f^p."""
+    ctx = CurveContext(a, b, PrimePower(p, 2))
+    if source == "lift":
+        z = build_lift_mod_p2(ctx)[0].z
+    else:
+        rng = random.Random(p)
+        pm = PrimePower(p, 2)
+        z = FracPoly(UPoly([rng.randrange(pm.q) for _ in range(3 * p * p)],
+                           pm), p, ctx.f_at(2))
+    p = ctx.p
+    for prec in (2, 3):
+        e, f = full_g_minus_one(ctx, z, prec)
+        terms = g_minus_one(ctx, z, prec)
+        total = terms[0]
+        for t in terms[1:]:
+            total = total + t
+        assert total == e
+        one = FracPoly(UPoly.const(1, e.pm), 0, f)
+        root = one + e.scale(inv_mod(2, e.pm.q))
+        if prec == 3:
+            root = root - (e * e).scale(inv_mod(8, e.pm.q))
+        want = FracPoly(f ** ((p - 1) // 2), 0, f) * root
+        assert _f_half_sqrt(ctx, z, prec) == want
+
+    pm = PrimePower(p, 2)
+    f = UPoly.x_cubic(ctx.a, ctx.b, pm)
+    phix = (FracPoly(UPoly.monomial(1, p, pm), 0, f)
+            + FracPoly(UPoly(z.num.coeffs, pm), z.fexp, f).scale(p))
+    want = (phix * phix).scale(3) + FracPoly(UPoly.const(ctx.a, pm), 0, f)
+    fexp = 4 * p
+    assert FracPoly(_df_phi(ctx, z, 2, fexp), fexp, f) == want
+
+
+@pytest.mark.parametrize("p, a, b", [(13, 2, 3), (211, 5, 7)])
+def test_mod2_verification_rejects_broken_lifts(p, a, b):
+    """A wrong p-digit of lambda and a shifted p-digit (U-digit) of the
+    numerator each fail the commutator, and the check on y alone, which runs
+    the reduced-precision and sparse products, fails them too."""
+    ctx = CurveContext(a, b, PrimePower(p, 2))
+    lift, _ = build_lift_mod_p2(ctx)
+    assert lie_verify_commutator(lift, 2)
+    num = lift.z.num
+    wrong_lambda = FrobLift(ctx, lift.z, lift.lam * (1 + p) % (p * p))
+    shifted = FrobLift(ctx, FracPoly(num + UPoly.monomial(p, 1, num.pm),
+                                     lift.z.fexp, lift.z.f), lift.lam)
+    for bad in (wrong_lambda, shifted):
+        assert not lie_verify_commutator(bad, 2)
+        assert not y_commutator(bad, 2)

@@ -95,6 +95,50 @@ def test_mul_matches_schoolbook(pm, la, lb, kind_a, kind_b, square, seed):
     assert prod.coeffs.tolist() == schoolbook(a, b, q)
 
 
+# the int64 FFT moduli the pipeline uses, up to the largest, 1289^3 < 2^31
+SPARSE_MODULI = [PrimePower(13, 2), PrimePower(211, 3), PrimePower(1289, 3)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(pm=st.sampled_from(SPARSE_MODULI),
+       nnz=st.integers(1, upoly._SPARSE_NNZ),
+       ls=st.integers(upoly._SHORT_LEN + 1, 3000),
+       ld=st.integers(upoly._SHORT_LEN + 1, 3000),
+       ends=st.booleans(), sparse_left=st.booleans(), top=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(pm=PrimePower(1289, 3), nnz=upoly._SPARSE_NNZ, ls=129, ld=3000,
+         ends=True, sparse_left=False, top=True, seed=7)
+@example(pm=PrimePower(13, 2), nnz=1, ls=3000, ld=129, ends=True,
+         sparse_left=True, top=False, seed=8)
+def test_sparse_lane_matches_schoolbook(pm, nnz, ls, ld, ends, sparse_left,
+                                        top, seed):
+    """Both operands are past the convolution lane, so the product takes the
+    sparse lane. The sparse operand's last index is always nonzero, so it
+    keeps its length; ``ends`` adds index 0. ``top`` draws every coefficient
+    from the largest residues, where the int64 sums are largest."""
+    q = pm.q
+    rng = random.Random(seed)
+
+    def residue():
+        return q - 1 - rng.randrange(8) if top else rng.randrange(1, q)
+
+    inner = rng.sample(range(1, ls - 1), nnz - 1)
+    if ends and nnz > 1:
+        inner[0] = 0
+    idx = set(inner) | {ls - 1}
+    sparse = [residue() if i in idx else 0 for i in range(ls)]
+    dense = [residue() for _ in range(ld)]
+    lanes = []
+    real = upoly._sparse_mul
+    a, b = (sparse, dense) if sparse_left else (dense, sparse)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(upoly, "_sparse_mul",
+                   lambda *args: lanes.append(1) or real(*args))
+        prod = UPoly(a, pm) * UPoly(b, pm)
+    assert lanes == [1]
+    assert prod.coeffs.tolist() == schoolbook(a, b, q)
+
+
 def test_product_at_largest_length_the_bound_admits():
     pm = PrimePower(499, 3)
     q = pm.q
@@ -172,10 +216,11 @@ def test_coefficients_are_read_only():
 
 
 def test_memoized_powers_share_one_squaring_chain(monkeypatch):
-    """f**31, f**15 and f**16 on one memoized f take 11 products: 8 for the
-    chain 2, 3, 6, 7, 14, 15, 30, 31, none for the stored f**15 and 3 for
-    4, 8, 16 (21 with square-and-multiply per exponent). Each equals the
-    product by repeated multiplication."""
+    """f**31, f**15 and f**16 on one memoized f take 9 products: 8 for the
+    chain 2, 3, 6, 7, 14, 15, 30, 31, none for the stored f**15 and one
+    for f**16 = f**15 * f, from the largest stored power (21 with
+    square-and-multiply per exponent). Each equals the product by repeated
+    multiplication."""
     pm = PrimePower(31, 1)
     g = UPoly.x_cubic(3, 5, pm)
     want = {}
@@ -194,7 +239,7 @@ def test_memoized_powers_share_one_squaring_chain(monkeypatch):
     monkeypatch.setattr(UPoly, "__mul__", counting_mul)
     got = {n: f ** n for n in (31, 15, 16)}
     monkeypatch.undo()
-    assert len(calls) <= 12
+    assert len(calls) <= 9
     for n, power in got.items():
         assert power == want[n]
 

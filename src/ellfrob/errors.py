@@ -99,10 +99,6 @@ class NotMonic(InternalError):
     pass
 
 
-class NotSquarefree(InternalError):
-    """A localizer that the Frobenius descent needs squarefree is not."""
-
-
 class PrecisionOutOfRange(InternalError):
     pass
 

@@ -280,11 +280,11 @@ def sym_d_values(p, locs):
     return ds[1:5]
 
 
-def _laurent_to_locfrac(lau, p, locs):
-    """Laurent WPoly in (U, V) = (z4^p, z6^p) to a localized fraction."""
+def _laurent_to_locfrac(lau, locs):
+    """Laurent WPoly to a localized fraction, (U, V) in the (z4, z6) slots."""
     shift = max(0, -lau.lowest_z6())
-    num = lau.compose_powers(p) * WPoly.monomial(1, 0, shift * p, locs.pm)
-    return LocFrac(num, {"z6": shift * p}, locs)
+    return LocFrac(lau * WPoly.monomial(1, 0, shift, locs.pm),
+                   {"z6": shift}, locs)
 
 
 class SymbolicEigen:
@@ -318,7 +318,11 @@ def eta_pivots(table, ds, locs):
 
 def solve_eigen_symbolic(p):
     """Cramer solve of the pivot system over the fraction ring localized at
-    z4, z6, Delta, H and the pivot polynomial Psi."""
+    z4, z6, Delta, H and the pivot polynomial Psi. det, Theta_z4' and
+    Theta_z6' are solved on the (U, V) = (z4^p, z6^p) rows at stride 1 and
+    composed once by LocFrac.frobenius, a ring map mod p: each localizer L
+    has F_p coefficients, so L(z4^p, z6^p) = L^p. Only the eta pivots,
+    dense in z4 and z6 through the d_s, meet composed alpha rows."""
     pm1 = PrimePower(p, 1)
     table = psi_table(p)
     locs = LocalizerSet(pm1, hasse_poly(p, pm1), table.psi_big)
@@ -326,7 +330,7 @@ def solve_eigen_symbolic(p):
     half = inv_mod(2, p)
 
     def pivots(rows, c=1):
-        return [_laurent_to_locfrac(rows[n].scale(c), p, locs)
+        return [_laurent_to_locfrac(rows[n].scale(c), locs)
                 for n in (m_piv, m_piv + 1)]
 
     a_m, a_m1 = pivots(table.alphas)
@@ -334,13 +338,15 @@ def solve_eigen_symbolic(p):
     det = a_m * b_m1 - a_m1 * b_m
     det_inv = det.reciprocal()
 
-    # right-hand sides: the eta stream, and the z4' and z6' streams G_2/2, G_1/2
-    theta_slots = [det_inv * (a_m * r_m1 - a_m1 * r_m)
-                   for r_m, r_m1 in ([-x for x in eta_pivots(
-                                         table, sym_d_values(p, locs), locs)],
-                                     [-x for x in pivots(table.gs[2], half)],
-                                     [-x for x in pivots(table.gs[1], half)])]
-    return SymbolicEigen(p, locs, theta_slots, det)
+    # right-hand sides: minus the z4', z6' streams G_2/2, G_1/2 and eta
+    theta_da, theta_db = [(det_inv * (a_m1 * r_m - a_m * r_m1)).frobenius()
+                          for r_m, r_m1 in (pivots(table.gs[2], half),
+                                            pivots(table.gs[1], half))]
+    e_m, e_m1 = eta_pivots(table, sym_d_values(p, locs), locs)
+    theta_const = det_inv.frobenius() * (a_m1.frobenius() * e_m
+                                         - a_m.frobenius() * e_m1)
+    return SymbolicEigen(p, locs, (theta_const, theta_da, theta_db),
+                         det.frobenius())
 
 
 def _eq_at_z4_zero(x, y):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import (DegreeMismatch, DenominatorMismatch,
                      DenominatorNotLocalizer, ModulusMismatch, NegativeExponent,
-                     NotAUnit, NotSquarefree, PrecisionOutOfRange, SingularPair)
+                     NotAUnit, PrecisionOutOfRange, SingularPair)
 from .residue import inv_mod
 from .upoly import UPoly, _residues
 
@@ -217,9 +217,9 @@ class LocalizerSet:
 
     Order matters for reciprocal recognition: composite localizers first,
     so greedy division does not strip a plain variable that happens to
-    divide Psi or H before those get their chance. At m = 1 each localizer
-    must pass WPoly.squarefree (LocFrac.reciprocal's Frobenius descent needs
-    it), or NotSquarefree is raised.
+    divide Psi or H before those get their chance. At m = 1 every localizer
+    L has F_p coefficients, so L(z4^p, z6^p) = L^p: that makes
+    LocFrac.frobenius a ring map.
     """
 
     NAMES = ("Psi", "H", "delta", "z6", "z4")
@@ -230,9 +230,6 @@ class LocalizerSet:
                       "delta": discriminant(pm), "H": hasse}
         if psi is not None:
             self.polys["Psi"] = psi
-        for name in (self.polys if pm.m == 1 else ()):
-            if not self.polys[name].squarefree():
-                raise NotSquarefree("%s is not squarefree mod %d" % (name, pm.p))
         self._cache = {}
 
     def power(self, name, k):
@@ -329,41 +326,40 @@ class LocFrac:
             acc = acc * pow(inv_mod(v, q), k, q) % q
         return acc
 
+    def frobenius(self):
+        """z4 -> z4^p, z6 -> z6^p: the numerator at stride p, each localizer
+        exponent times p. A ring map mod p only (LocalizerSet), so m > 1
+        raises PrecisionOutOfRange."""
+        pm = self.locs.pm
+        if pm.m != 1:
+            raise PrecisionOutOfRange("Frobenius is no ring map mod p^%d"
+                                      % pm.m)
+        return LocFrac(self.num.compose_powers(pm.p),
+                       {n: k * pm.p for n, k in self.den.items()}, self.locs)
+
     def reciprocal(self):
         """Inverse, for numerators that factor as unit * localizer monomial.
 
-        Greedy exact division by each localizer in order; whatever is left
-        must be a unit constant. Raises DenominatorNotLocalizer otherwise.
-
-        Frobenius descent: mod p (m = 1), r with every exponent a multiple
-        of p is s(z4^p, z6^p) = s^p, s being r's array at stride p (c^p = c
-        in F_p); so r becomes s while that holds, and each exponent found on
-        the root counts frob = p^k times. Every localizer L is squarefree
-        (LocalizerSet), so the largest k with L^k | r scales by frob too:
-        the split is greedy division's on r. This turns the p divisions of
-        the pivot determinant (a p-th power) by Psi into one.
+        Greedy exact division by each localizer in order, one power at a
+        time; whatever is left must be a unit constant, or
+        DenominatorNotLocalizer is raised. Mod p, s(z4^p, z6^p) = s^p has p
+        times the divisions of s, so invert s, then apply frobenius.
         """
         pm = self.locs.pm
         if self.num.is_zero():
             raise DenominatorNotLocalizer("zero has no reciprocal")
-        r, p, frob = self.num, pm.p, 1
-        while (pm.m == 1 and (r.w or r.lo or len(r.c) > 1)
-               and not (r.lo % p or r.w % p) and np.count_nonzero(r.c)
-               == np.count_nonzero(r.c[::p])):
-            r = r._new(r.w // p, r.lo // p, r.c[::p])
-            frob *= p
-        exps = {}
+        r, exps = self.num, {}
         for name in self.locs.NAMES:
             while name in self.locs.polys:
                 q2 = r.divide_exact(self.locs.polys[name])
                 if q2 is None:
                     break
-                r, exps[name] = q2, exps.get(name, 0) + frob
+                r, exps[name] = q2, exps.get(name, 0) + 1
         if r.w != 0 or r.lo != 0 or len(r.c) != 1:
             raise DenominatorNotLocalizer(
                 "numerator is not a unit times a localizer monomial")
         c = int(r.c[0])
-        if c % p == 0:
+        if c % pm.p == 0:
             raise DenominatorNotLocalizer("leftover constant is not a unit")
         num = self.locs.den_poly(self.den).scale(inv_mod(c, pm.q))
         return LocFrac(num, exps, self.locs)

@@ -4,7 +4,7 @@ import pytest
 
 from ellfrob.errors import (DegreeMismatch, DenominatorMismatch,
                             DenominatorNotLocalizer, NotAUnit, NotTangential,
-                            SingularPair)
+                            PrecisionOutOfRange, SingularPair)
 from ellfrob.forms import (FormRing, QuasiLinearForm, c_power_w,
                            classify_pair, f_power_coeff, form_evaluate,
                            hasse_poly, j_invariant, lambda_1,
@@ -12,6 +12,7 @@ from ellfrob.forms import (FormRing, QuasiLinearForm, c_power_w,
                            unit_form_delta, unit_form_z4, unit_form_z6,
                            weight_check_mod_p, weight_check_mod_p2,
                            weight_definition_probe)
+from ellfrob.liftp2 import _laurent_to_locfrac
 from ellfrob.psi import psi_table
 from ellfrob.residue import PrimePower, delta_scalar, inv_mod
 from ellfrob.wpoly import LocFrac, LocalizerSet, WPoly, discriminant
@@ -144,9 +145,9 @@ def _greedy_den(num, locs):
 
 @pytest.mark.parametrize("p", [13, 17])
 def test_reciprocal_matches_one_power_greedy(p):
-    """Numerators c * prod L^e whose exponents are all multiples of p (or
-    p^2) take the Frobenius descent; mixed ones do not. Either way the
-    denominator is the one-power-at-a-time greedy split."""
+    """Numerators c * prod L^e with exponents mixed, all multiples of p, or
+    all multiples of p^2: the denominator is the one-power-at-a-time greedy
+    split written here, and x times its reciprocal is 1."""
     pm = PrimePower(p, 1)
     locs = LocalizerSet(pm, hasse_poly(p, pm), psi_table(p).psi_big)
     one = LocFrac.from_int(1, locs)
@@ -163,13 +164,71 @@ def test_reciprocal_matches_one_power_greedy(p):
         r = x.reciprocal()
         assert r.den == _greedy_den(num, locs), exps
         assert x * r == one
-    # a p-th power descends, but to a form that is not a localizer monomial
+    # a p-th power of a form that is not a localizer monomial
     z4, z6 = WPoly.z4(pm), WPoly.z6(pm)
     bad = LocFrac((z4 ** 3 + z6 ** 2) ** p, {}, locs)
     with pytest.raises(DenominatorNotLocalizer):
         bad.reciprocal()
     with pytest.raises(DegreeMismatch):
         discriminant(pm) + WPoly.const(1, pm)
+
+
+def _weight_matched_monomials(locs, rng):
+    """Two random c * prod L^e / prod L^f of one weighted degree: the second
+    is the first times a random localizer monomial over a z4, z6 monomial
+    of the same weight."""
+    def exps():
+        return {name: rng.randrange(3) for name in locs.NAMES}
+
+    def frac(num, den):
+        c = rng.randrange(1, locs.pm.p)
+        return LocFrac(locs.den_poly(num).scale(c), den, locs)
+
+    num, den, extra = exps(), exps(), exps()
+    w = sum(k * locs.polys[n].w for n, k in extra.items())
+    balance = {"z4": w // 4} if w % 4 == 0 else {"z4": (w - 6) // 4, "z6": 1}
+    return frac(num, den), frac(num, den) * frac(extra, balance)
+
+
+def test_frobenius_is_a_ring_map_mod_p_only():
+    """z4 -> z4^p, z6 -> z6^p commutes with +, - and * mod p, where every
+    localizer L has F_p coefficients and L(z4^p, z6^p) = L^p; mod p^2 it
+    is no ring map and is refused."""
+    p = 13
+    pm = PrimePower(p, 1)
+    locs = LocalizerSet(pm, hasse_poly(p, pm), psi_table(p).psi_big)
+    rng = random.Random(p)
+    for _ in range(6):
+        x, y = _weight_matched_monomials(locs, rng)
+        fx, fy = x.frobenius(), y.frobenius()
+        assert fx.den == {n: p * k for n, k in x.den.items()}
+        assert (x + y).frobenius() == fx + fy
+        assert (x - y).frobenius() == fx - fy
+        assert (x * y).frobenius() == fx * fy
+    pm2 = PrimePower(p, 2)
+    locs2 = LocalizerSet(pm2, hasse_poly(p, pm2))
+    for x in (LocFrac.from_int(1, locs2),
+              LocFrac(locs2.polys["H"], {"z6": 1}, locs2)):
+        with pytest.raises(PrecisionOutOfRange):
+            x.frobenius()
+
+
+def test_pivot_det_reciprocal_commutes_with_frobenius():
+    """The pivot determinant at p = 37 inverted on its (U, V) rows and then
+    composed equals the inverse of its composition, which the greedy finds
+    by stripping Psi p times."""
+    p = 37
+    pm = PrimePower(p, 1)
+    table = psi_table(p)
+    locs = LocalizerSet(pm, hasse_poly(p, pm), table.psi_big)
+    m = (p + 5) // 2
+    a_m, a_m1, b_m, b_m1 = (_laurent_to_locfrac(rows[n], locs)
+                            for rows in (table.alphas, table.betas)
+                            for n in (m, m + 1))
+    det = a_m * b_m1 - a_m1 * b_m
+    slow, fast = det.frobenius().reciprocal(), det.reciprocal().frobenius()
+    assert slow == fast
+    assert slow.den == fast.den == {"Psi": p, "z6": 14 * p}
 
 
 # ------------------------------------------------------- j and classification

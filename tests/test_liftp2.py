@@ -206,9 +206,10 @@ def test_p17_random_pairs():
         done += 1
 
 
-def test_symbolic_matches_numeric_theta(sym13):
+@pytest.mark.parametrize("p", [13, 37, 61])
+def test_symbolic_matches_numeric_theta(p):
+    sym = solve_eigen_symbolic(p)
     rng = random.Random(3)
-    p = 13
     done = 0
     while done < 6:
         a, b = rng.randrange(p ** 3), rng.randrange(p ** 3)
@@ -219,8 +220,8 @@ def test_symbolic_matches_numeric_theta(sym13):
         if not ctx.ordinary or ctx.a % p == 0 or ctx.b % p == 0:
             continue
         v0, theta, det = solve_eigen_numeric(ctx)
-        assert theta_evaluate(sym13, a, b) == theta
-        assert sym13.det.evaluate(ctx.a, ctx.b) % p == det
+        assert theta_evaluate(sym, a, b) == theta
+        assert sym.det.evaluate(ctx.a, ctx.b) % p == det
         done += 1
 
 
@@ -255,7 +256,7 @@ def test_psi1_as_localized_fraction():
     p = 13
     pm1 = PrimePower(p, 1)
     locs = LocalizerSet(pm1, hasse_poly(p, pm1))
-    got = _laurent_to_locfrac(psi_table(p).psis[1], p, locs)
+    got = _laurent_to_locfrac(psi_table(p).psis[1], locs).frobenius()
     from ellfrob.wpoly import LocFrac, WPoly
     want = LocFrac(WPoly.monomial(inv_mod(8, p), 2 * p, 0, pm1),
                    {"z6": 2 * p}, locs)
@@ -293,10 +294,11 @@ def test_sym_k0_specializes_to_k0_poly(p):
             [k0.coeff(dg) for dg in range(len(sym))]
 
 
-def test_pivot_reciprocal_descends(monkeypatch):
-    """The pivot determinant is a p-th power, so its reciprocal divides its
-    Frobenius root instead of dividing by Psi p times (1652 divide_exact
-    calls at p = 61 without the descent)."""
+def test_pivot_reciprocal_at_stride_one(monkeypatch):
+    """The pivot determinant is inverted on its (U, V) rows, before the
+    composition with z4^p, z6^p, so each localizer power is stripped once
+    rather than p times (1652 divide_exact calls at p = 61 when the composed
+    determinant is divided one power at a time)."""
     calls = []
     original = WPoly.divide_exact
 

@@ -1,5 +1,5 @@
 """WPoly on coefficient arrays against dict oracles written here, exact
-specialization of Laurent polynomials, and the squarefree localizer check."""
+specialization of Laurent polynomials, and squarefree localizers."""
 
 from fractions import Fraction
 
@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellfrob.errors import (DegreeMismatch, NegativeExponent, NotAUnit,
-                            NotSquarefree)
+from ellfrob.errors import DegreeMismatch, NegativeExponent, NotAUnit
 from ellfrob.forms import hasse_poly
 from ellfrob.psi import _proportional, exact_psi_table, psi_table
 from ellfrob.residue import PrimePower
 from ellfrob.upoly import UPoly
-from ellfrob.wpoly import LocalizerSet, WPoly, discriminant
+from ellfrob.wpoly import WPoly, discriminant
 
 PM13 = PrimePower(13, 1)
 
@@ -162,10 +161,7 @@ def test_localizers_are_squarefree(p):
     pm = PrimePower(p, 1)
     h = hasse_poly(p, pm)
     psi = psi_table(p).psi_big
-    LocalizerSet(pm, h, psi)
     assert discriminant(pm).squarefree() and h.squarefree() and psi.squarefree()
-    with pytest.raises(NotSquarefree):
-        LocalizerSet(pm, h * h)
 
 
 def test_negative_powers_raise():

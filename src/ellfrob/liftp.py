@@ -13,6 +13,8 @@ from .residue import PrimePower, delta_scalar, inv_mod
 from .upoly import FracPoly, UPoly
 from .wpoly import discriminant
 
+_FORMS = {}  # modulus -> (Delta, H) as WPolys, shared by its CurveContexts
+
 
 class CurveContext:
     """f = x^3 + ax + b over Z/p^m with Delta(a,b) a unit."""
@@ -22,9 +24,12 @@ class CurveContext:
         self.p = pm.p
         self.a = a % pm.q
         self.b = b % pm.q
-        if discriminant(pm).specialize(self.a, self.b) % pm.p == 0:
+        if pm not in _FORMS:
+            _FORMS[pm] = discriminant(pm), hasse_poly(pm.p, pm)
+        delta, hasse = _FORMS[pm]
+        if delta.specialize(self.a, self.b) % pm.p == 0:
             raise SingularPair("Delta(%d, %d) = 0 mod %d" % (a, b, pm.p))
-        self.h_val = hasse_poly(pm.p, pm).specialize(self.a, self.b)
+        self.h_val = hasse.specialize(self.a, self.b)
         self.ordinary = self.h_val % pm.p != 0
         self.lambda0 = inv_mod(self.h_val, pm.q) if self.ordinary else None
         # f per precision (with its powers) and K per precision, each

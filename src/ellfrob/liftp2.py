@@ -8,11 +8,13 @@ the verified congruences either multiplied by p or through d/dx, which
 turns x^(jp) terms into p-multiples.
 """
 
+import numpy as np
+
 from .errors import (BNotUnit, DegreeMismatch, InternalMismatch,
-                     NotDivisible, NotOrdinary, NotStabilized,
+                     NotOrdinary, NotStabilized,
                      PrecisionOutOfRange, PropertyViolation, SigmaSingular,
                      TOutOfRange)
-from .forms import f_power_coeff, hasse_poly
+from .forms import hasse_poly
 from .liftp import CurveContext, FrobLift, _y_poly, df_xp, k0_poly, w_poly
 from .psi import psi_table
 from .residue import PrimePower, delta_scalar, inv_mod
@@ -231,44 +233,63 @@ def build_lift_mod_p2(ctx):
 
 # --------------------------------------------------------------- symbolic lane
 
-def _sym_k0(p, locs):
-    """K0 mod p as a coefficient list: the corner multinomials of f^p are 1
-    and cancel x^(3p) + z4^p x^p + z6^p (1 // p = 0); the rest carry p."""
-    fp = [f_power_coeff(p, dg) for dg in range(3 * p + 1)]
-    for c in (c for num in fp for c in num.c):
-        if c != 1 and c % p:
-            raise NotDivisible("multinomial %d not divisible by %d" % (c, p))
-    return [WPoly.from_coeffs(num.w, num.lo, -(num.c // p), locs.pm)
-            for num in fp]
+def _multinomial_rows(n, p):
+    """1/(i! j! k!) mod p at x^(3i+j) z4^j z6^k, i + j + k = n: row dg on
+    the j-line of weight 6n - 2dg, entry t at z4^(dg mod 3 + 3t). 1/k! runs
+    down from 1/(p-1)! = -1 (Wilson's theorem), and 1/p! is taken as 0."""
+    inv = [0] * (p - 1) + [p - 1, 0]
+    for k in range(p - 1, 0, -1):
+        inv[k - 1] = inv[k] * k % p
+    inv = np.array(inv, dtype=np.int64)
+    dg, t = np.arange(3 * n + 1)[:, None], np.arange(n // 3 + 1)
+    i, j, k = dg // 3 - t, dg % 3 + 3 * t, n - dg // 3 - dg % 3 - 2 * t
+    ok = (i >= 0) & (k >= 0)
+    return inv[i * ok] * inv[j * ok] % p * inv[k * ok] % p * ok
+
+
+def _row_product(a, b, r):
+    """sum_dg a[dg] b[r - dg] for row tables on the j-line, unreduced, entry
+    t at z4^(r mod 3 + 3t). Row offsets dg mod 3 and (r - dg) mod 3 add to r
+    mod 3 plus a carry of 0 or 3, fixed on each class of dg mod 3: one matrix
+    product per class, summed along anti-diagonals by a reshape."""
+    wa, wb = a.shape[1], b.shape[1]
+    acc = np.zeros((wa, wa + wb + 1), dtype=np.int64)
+    lo, hi = max(0, r - len(b) + 1), min(r, len(a) - 1)
+    for first in range(lo, min(lo + 3, hi + 1)):
+        carry = (first % 3 + (r - first) % 3) // 3
+        rows = a[first:hi + 1:3]
+        acc[:, carry:carry + wb] += rows.T @ b[r - first::-3][:len(rows)]
+    return acc.ravel()[:wa * (wa + wb)].reshape(wa, wa + wb).sum(axis=0)
 
 
 def sym_d_values(p, locs):
     """Symbolic d_1..d_4 over the fixed denominator H^2, weighted
     homogeneous of degree (8-2s)p, with d_5 checked to vanish.
 
-    With lambda0 = 1/H, 2 H^2 d_s = [f^((p-1)/2) (H K0 + (3x^(2p) + z4^p)
-    H W0)]_(sp-1). H is the x^(p-1) coefficient of f^((p-1)/2), so H W0 is
-    the plain antiderivative of f^((p-1)/2) - H x^(p-1).
+    With lambda0 = 1/H and n = (p-1)/2, 2 H^2 d_s = [f^n (H K0 + (3x^(2p)
+    + z4^p) H W0)]_(sp-1). The rows of f^n hold n!/(i! j! k!) (n < p) and
+    those of K0 = (x^(3p) + z4^p x^p + z6^p - f^p)/p hold -(p-1)!/(i! j! k!)
+    = 1/(i! j! k!), 0 at the three corners. H is row p-1 of f^n, so H W0,
+    the antiderivative of f^n - H x^(p-1), is row dg of f^n over dg + 1 at
+    x^(dg+1), row p-1 dropped. A row product entry sums (3n+1)(n/3+1) < p^2
+    products below p^2, exact in int64 far past any p whose tables fit.
     """
-    pm = locs.pm
-    n = (p - 1) // 2
-    fh = [f_power_coeff(n, dg, pm) for dg in range(3 * n + 1)]
-    zero = WPoly.zero(pm)
-    hw0 = [zero] + [zero if dg == p - 1 else c.scale(inv_mod(dg + 1, p))
-                    for dg, c in enumerate(fh)]
-    # (3x^(2p) + z4^p) H W0
-    dfw = [c * WPoly.monomial(1, p, 0, pm) for c in hw0] + [zero] * (2 * p)
-    for dg, c in enumerate(hw0):
-        dfw[dg + 2 * p] += c.scale(3)
-
-    def coeff(g, dg):
-        """x^dg coefficient of f^((p-1)/2) g, for g a coefficient list."""
-        return sum((fh[i] * g[dg - i] for i in range(
-            max(0, dg - len(g) + 1), min(dg, len(fh) - 1) + 1)), zero)
-
-    k0 = _sym_k0(p, locs)
-    ds = [None] + [LocFrac((locs.polys["H"] * coeff(k0, s * p - 1)
-                            + coeff(dfw, s * p - 1)).scale(inv_mod(2, p)),
+    pm, n = locs.pm, (p - 1) // 2
+    fh = _multinomial_rows(n, p)
+    fh = fh * inv_mod(int(fh[0, 0]), p) % p  # row 0 is z6^n / n!
+    k0 = _multinomial_rows(p, p)
+    hw0 = fh * np.array([0 if dg == p - 1 else inv_mod(dg + 1, p)
+                         for dg in range(3 * n + 1)])[:, None] % p
+    # [f^n K0]_(sp-1) and [f^n H W0]_(sp-1) (s <= 0: zero), x of weight 2
+    fk0 = {s: WPoly.from_coeffs(6 * n + 6 * p + 2 - 2 * s * p, (s * p - 1) % 3,
+                                _row_product(fh, k0, s * p - 1), pm)
+           for s in range(1, 6)}
+    fhw0 = {s: WPoly.from_coeffs(12 * n + 4 - 2 * s * p, (s * p - 2) % 3,
+                                 _row_product(fh, hw0, s * p - 2), pm)
+            for s in range(-1, 6)}
+    z4p = WPoly.monomial(1, p, 0, pm)
+    ds = [None] + [LocFrac((locs.polys["H"] * fk0[s] + z4p * fhw0[s]
+                            + fhw0[s - 2].scale(3)).scale(inv_mod(2, p)),
                            {"H": 2}, locs) for s in range(1, 6)]
     if not ds[5].is_zero():
         raise InternalMismatch("d_5 does not vanish symbolically")

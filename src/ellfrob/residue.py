@@ -5,9 +5,11 @@ modulus travels separately as a PrimePower. Python ints promote to arbitrary
 precision automatically, so there is no separate big-integer path.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InvalidModulus, NotDivisible
+
+_PRIMES = set()  # every p that passed is_prime in this process
 
 
 def is_prime(n):
@@ -36,20 +38,20 @@ def is_prime(n):
 
 @dataclass(frozen=True)
 class PrimePower:
-    """Working modulus p^m, p an odd prime >= 5."""
+    """Working modulus p^m, p an odd prime >= 5, and q = p^m, formed once.
+    Miller-Rabin runs once per p per process."""
 
     p: int
     m: int = 1
+    q: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.p in (2, 3) or not is_prime(self.p):
+        if self.p not in _PRIMES and (self.p in (2, 3) or not is_prime(self.p)):
             raise InvalidModulus("p must be a prime >= 5, got %r" % (self.p,))
         if self.m < 1:
             raise InvalidModulus("exponent m must be >= 1, got %r" % (self.m,))
-
-    @property
-    def q(self):
-        return self.p ** self.m
+        _PRIMES.add(self.p)
+        object.__setattr__(self, "q", self.p ** self.m)
 
     def drop(self, m):
         return PrimePower(self.p, m)

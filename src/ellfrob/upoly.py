@@ -7,26 +7,26 @@ with room to spare. Larger moduli use an object array of Python ints.
 ``coeff``, ``evaluate``, ``to_json`` and ``repr`` hand out Python ints only.
 
 Products. Degrees reach a few times p^2 in the mod-p^2 pipeline, so
-``_mul``, the array product behind ``__mul__`` and the division, picks one
-of four exact paths by operand length, sparsity and q:
+``_mul``, the array product behind ``__mul__``, the division and the WPoly
+product, picks one of four exact paths by operand length, sparsity and q:
 
-- int64 ``np.convolve`` when the shorter operand has at most
-  ``_SHORT_LEN`` coefficients and every output sum is below 2^62, i.e.
-  (q-1)^2 * min(la, lb) < 2^62;
-- otherwise, for q < 2^31, the sparse lane when one operand has at most
-  ``_SPARSE_NNZ`` nonzero coefficients, such as a monomial x^k, the
-  binomial f'(x^p) = 3x^(2p) + a or f^p = x^(3p) + a x^p + b mod p: the
-  product is a sum of shifted copies of the other operand, each scaled by
-  one nonzero coefficient c. Every raw term c * b is below q^2 < 2^62.
-  When nnz (q-1)^2 < 2^63 the raw terms are summed as they are; otherwise
-  each term is first reduced below q, and a sum of nnz such terms stays
-  below nnz * q < 2^62. Either way the int64 sums are exact, and one
-  reduction mod q ends the product;
+- for q < 2^31, when the longer operand is past ``_SHORT_LEN`` and the
+  shorter past ``_SPARSE_NNZ`` coefficients, the sparse lane if one of them
+  has at most ``_SPARSE_NNZ`` nonzero coefficients, such as a monomial x^k,
+  the binomial f'(x^p) = 3x^(2p) + a, f^p = x^(3p) + a x^p + b mod p or a
+  row composed at stride p: the product is a sum of shifted copies of the
+  other operand, each scaled by one nonzero coefficient c. Every raw term
+  c * b is below q^2 < 2^62. When nnz (q-1)^2 < 2^63 the raw terms are
+  summed as they are; otherwise each term is first reduced below q, and a
+  sum of nnz such terms stays below nnz * q < 2^62. Either way the int64
+  sums are exact, and one reduction mod q ends the product;
+- otherwise int64 ``np.convolve`` when the shorter operand has at most
+  ``_SHORT_LEN`` coefficients and (q-1)^2 min(la, lb) < 2^62;
 - otherwise, for q < 2^31, a limb-split float FFT (below);
 - for q >= 2^31, the schoolbook double loop on Python ints.
 
-Small products pay no nonzero count: the sparse lane is tried only where
-the FFT would run.
+With both operands short, or one of at most ``_SPARSE_NNZ`` coefficients,
+a convolution costs no more than the sparse lane, which is not tried.
 
 The FFT path writes each residue as k limbs of L bits, c = sum_i c_i 2^(iL),
 convolves the limb sequences in float64 with ``numpy.fft.rfft/irfft`` at a
@@ -179,12 +179,13 @@ def _mul(a, b, q):
     if not la or not lb:
         return a[:0]
     short = min(la, lb)
-    if short <= _SHORT_LEN and (q - 1) ** 2 * short < 2 ** 62:
-        return np.convolve(a, b) % q
-    if q < _WORD_Q:
+    if q < _WORD_Q and short > _SPARSE_NNZ and max(la, lb) > _SHORT_LEN:
         for x, y in ((a, b), (b, a)):
             if np.count_nonzero(x) <= _SPARSE_NNZ:
                 return _sparse_mul(x, np.flatnonzero(x), y, q)
+    if short <= _SHORT_LEN and (q - 1) ** 2 * short < 2 ** 62:
+        return np.convolve(a, b) % q
+    if q < _WORD_Q:
         return _fft_mul(a, b, q)
     out = [0] * (la + lb - 1)
     b_ints = b.tolist()

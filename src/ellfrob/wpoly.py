@@ -6,7 +6,8 @@ one array c trimmed at both ends: c[k] is the coefficient of z4^(lo+3k)
 z6^((w-4lo)/6-2k), exponents may be negative (Laurent). Zero has w = None;
 adding two other weights raises DegreeMismatch, so homogeneity holds by
 type. Storage is UPoly's, or exact (ints, Fractions) when pm is None; a
-product is one np.convolve. LocFrac is a WPoly over a monomial in named
+product is UPoly's exact array product (upoly module doc, Products), or one
+np.convolve when pm is None. LocFrac is a WPoly over a monomial in named
 localizers (z4, z6, delta, H, Psi): the ring of symbolic eigenvalue work.
 """
 
@@ -18,7 +19,7 @@ from .errors import (DegreeMismatch, DenominatorMismatch,
                      DenominatorNotLocalizer, ModulusMismatch, NegativeExponent,
                      NotAUnit, PrecisionOutOfRange, SingularPair)
 from .residue import inv_mod
-from .upoly import UPoly, _residues
+from .upoly import UPoly, _mul, _residues
 
 
 def _reduce(c, pm):
@@ -140,14 +141,12 @@ class WPoly:
 
     def __mul__(self, other):
         self._check(other)
-        a, b = self.c, other.c
         if self.w is None or other.w is None:
             return WPoly.zero(self.pm)
-        if a.dtype != object and (self.pm.q - 1) ** 2 * min(len(a), len(b)) >= 2 ** 63:
-            raise PrecisionOutOfRange("%d by %d terms mod %d overflow int64"
-                                      % (len(a), len(b), self.pm.q))
+        a, b = self.c, other.c
         return self._new(self.w + other.w, self.lo + other.lo,
-                         _reduce(np.convolve(a, b), self.pm))
+                         np.convolve(a, b) if self.pm is None
+                         else _mul(a, b, self.pm.q))
 
     def __pow__(self, n):
         if n < 0:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import ellfrob.liftp as liftp
 from ellfrob.errors import (DomainError, NotOrdinary, PrecisionOutOfRange,
                             SingularPair)
 from ellfrob.forms import hasse_poly
@@ -27,6 +28,22 @@ def ordinary_pairs(p):
 def test_curve_context_rejects_singular():
     with pytest.raises(SingularPair):
         CurveContext(0, 0, PrimePower(5, 1))
+
+
+def test_delta_and_h_are_built_once_per_modulus(monkeypatch):
+    """Every CurveContext over one modulus shares its Delta and H, so
+    hasse_poly runs at most once per modulus in a process; each context
+    still reads its own H(a, b) and rejects a singular pair."""
+    calls = []
+    monkeypatch.setattr(liftp, "hasse_poly",
+                        lambda p, pm: calls.append(pm) or hasse_poly(p, pm))
+    pm = PrimePower(1009, 1)
+    h = hasse_poly(1009, pm)
+    for a, b in ((1, 1), (2, 3), (5, 7)):
+        assert CurveContext(a, b, pm).h_val == h.specialize(a, b)
+    with pytest.raises(SingularPair):
+        CurveContext(0, 0, pm)
+    assert len(calls) <= 1
 
 
 @pytest.mark.parametrize("m", [1, 2])

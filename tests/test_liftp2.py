@@ -1,13 +1,17 @@
+import math
 import random
 
+import numpy as np
 import pytest
 
+from ellfrob import upoly
 from ellfrob.errors import (BNotUnit, NotStabilized, PrecisionOutOfRange,
                             TOutOfRange)
-from ellfrob.forms import FormRing, form_evaluate, lambda_1
+from ellfrob.forms import FormRing, f_power_coeff, form_evaluate, lambda_1
 from ellfrob.liftp import (CurveContext, k0_poly, lie_verify,
                            lie_verify_commutator)
-from ellfrob.liftp2 import (_laurent_to_locfrac, _row_rhs, _source, _sym_k0,
+from ellfrob.liftp2 import (_laurent_to_locfrac, _multinomial_rows,
+                            _row_rhs, _source, eta_pivots,
                             build_lift_mod_p2, d_values,
                             lambda_properties, solve_eigen_numeric,
                             solve_eigen_symbolic, solve_truncated,
@@ -263,8 +267,8 @@ def test_psi1_as_localized_fraction():
     assert got == want
 
 
-def test_symbolic_d_values():
-    p = 13
+@pytest.mark.parametrize("p", [13, 37, 61])
+def test_symbolic_d_values(p):
     pm1 = PrimePower(p, 1)
     locs = LocalizerSet(pm1, hasse_poly(p, pm1))
     ds = sym_d_values(p, locs)
@@ -281,17 +285,70 @@ def test_symbolic_d_values():
             assert ds[s - 1].evaluate(a, b) == d[s]
 
 
+def _k0_rows(p):
+    """The rows of the K0 table as WPolys, x^dg of weight 6p - 2dg."""
+    pm1 = PrimePower(p, 1)
+    rows = _multinomial_rows(p, p)
+    return [WPoly.from_coeffs(6 * p - 2 * dg, dg % 3, row, pm1)
+            for dg, row in enumerate(rows)]
+
+
 @pytest.mark.parametrize("p", [13, 17])
 def test_sym_k0_specializes_to_k0_poly(p):
     """The symbolic K0 coefficients, evaluated at (a, b), are the
     coefficients of the numeric K0 of that curve."""
     pm1 = PrimePower(p, 1)
-    locs = LocalizerSet(pm1, hasse_poly(p, pm1))
-    sym = _sym_k0(p, locs)
+    sym = _k0_rows(p)
     for a, b in ((1, 1), (2, 3), (0, 5), (7, 0)):
         k0 = k0_poly(CurveContext(a, b, pm1), 1)
         assert [c.specialize(a, b) for c in sym] == \
             [k0.coeff(dg) for dg in range(len(sym))]
+
+
+@pytest.mark.parametrize("p", [13, 31, 61])
+def test_factorial_tables_match_multinomials(p):
+    """The tables behind sym_d_values against the exact multinomials of
+    f_power_coeff: f^((p-1)/2) is the table times n!, and every coefficient
+    of f^p but the three corners 1 is divisible by p, with K0 its quotient
+    negated."""
+    pm1 = PrimePower(p, 1)
+    n = (p - 1) // 2
+    rows = _multinomial_rows(n, p)
+    assert len(rows) == 3 * n + 1
+    for dg, row in enumerate(rows):
+        got = WPoly.from_coeffs(6 * n - 2 * dg, dg % 3,
+                                row * (math.factorial(n) % p), pm1)
+        assert got == f_power_coeff(n, dg, pm1), dg
+    corners = 0
+    for dg, row in enumerate(_k0_rows(p)):
+        exact = f_power_coeff(p, dg)
+        corners += sum(c == 1 for c in exact.c)
+        assert all(c == 1 or c % p == 0 for c in exact.c), dg
+        want = WPoly.from_coeffs(exact.w, exact.lo, -(exact.c // p), pm1)
+        assert row == want, dg
+    assert corners == 3
+
+
+def test_stride_p_times_dense_matches_convolve(monkeypatch):
+    """One product of Theta_const at p = 127: the alpha pivot row composed at
+    stride p times the dense eta pivot, both past the convolution lane, goes
+    through the FFT and equals np.convolve of the arrays mod p."""
+    p = 127
+    pm1 = PrimePower(p, 1)
+    table = psi_table(p)
+    locs = LocalizerSet(pm1, hasse_poly(p, pm1), table.psi_big)
+    alpha = _laurent_to_locfrac(table.alphas[(p + 7) // 2], locs).frobenius().num
+    eta = eta_pivots(table, sym_d_values(p, locs), locs)[0].num
+    assert min(len(alpha.c), len(eta.c)) > upoly._SHORT_LEN
+    assert np.count_nonzero(alpha.c) > upoly._SPARSE_NNZ
+    lanes = []
+    real = upoly._fft_mul
+    monkeypatch.setattr(upoly, "_fft_mul",
+                        lambda *args: lanes.append(1) or real(*args))
+    prod = alpha * eta
+    assert lanes == [1]
+    assert (prod.w, prod.lo) == (alpha.w + eta.w, alpha.lo + eta.lo)
+    assert np.array_equal(prod.c, np.convolve(alpha.c, eta.c) % p)
 
 
 def test_pivot_reciprocal_at_stride_one(monkeypatch):

@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ellfrob.residue as residue
+from ellfrob.errors import InvalidModulus
 from ellfrob.residue import PrimePower, delta_scalar, inv_mod, is_prime
 
 
@@ -19,6 +21,26 @@ def test_prime_power_rejects_bad_p():
             PrimePower(p)
     with pytest.raises(ValueError):
         PrimePower(5, 0)
+
+
+def test_prime_power_checks_each_p_once_and_rejects_every_bad_one(monkeypatch):
+    """Miller-Rabin runs once per p, and the memo of passed primes never
+    lets a bad modulus through: every bad construction raises, also when it
+    is repeated and when p has passed before."""
+    calls = []
+    real = residue.is_prime
+    monkeypatch.setattr(residue, "is_prime",
+                        lambda n: calls.append(n) or real(n))
+    pm = PrimePower(1000003, 2)
+    assert PrimePower(1000003, 1).q == 1000003
+    assert pm.q == 1000003 ** 2 and calls.count(1000003) <= 1
+    assert pm == PrimePower(1000003, 2) and "q" not in repr(pm)
+    for _ in range(2):
+        for p, m in ((1, 1), (2, 1), (3, 1), (9, 1), (15, 2), (561, 1),
+                     (1000003, 0), (13, -1)):
+            with pytest.raises(InvalidModulus):
+                PrimePower(p, m)
+    assert calls.count(561) == 2
 
 
 def test_prime_power_q_lift_drop():

@@ -102,7 +102,7 @@ SPARSE_MODULI = [PrimePower(13, 2), PrimePower(211, 3), PrimePower(1289, 3)]
 @settings(max_examples=40, deadline=None)
 @given(pm=st.sampled_from(SPARSE_MODULI),
        nnz=st.integers(1, upoly._SPARSE_NNZ),
-       ls=st.integers(upoly._SHORT_LEN + 1, 3000),
+       ls=st.integers(upoly._SPARSE_NNZ + 1, 3000),
        ld=st.integers(upoly._SHORT_LEN + 1, 3000),
        ends=st.booleans(), sparse_left=st.booleans(), top=st.booleans(),
        seed=st.integers(0, 2 ** 32 - 1))
@@ -110,12 +110,19 @@ SPARSE_MODULI = [PrimePower(13, 2), PrimePower(211, 3), PrimePower(1289, 3)]
          ends=True, sparse_left=False, top=True, seed=7)
 @example(pm=PrimePower(13, 2), nnz=1, ls=3000, ld=129, ends=True,
          sparse_left=True, top=False, seed=8)
+@example(pm=PrimePower(29, 1), nnz=3, ls=88, ld=3000, ends=True,
+         sparse_left=False, top=True, seed=9)
+@example(pm=PrimePower(1289, 3), nnz=upoly._SPARSE_NNZ, ls=upoly._SPARSE_NNZ + 1,
+         ld=upoly._SHORT_LEN + 1, ends=True, sparse_left=True, top=True,
+         seed=10)
 def test_sparse_lane_matches_schoolbook(pm, nnz, ls, ld, ends, sparse_left,
                                         top, seed):
-    """Both operands are past the convolution lane, so the product takes the
-    sparse lane. The sparse operand's last index is always nonzero, so it
-    keeps its length; ``ends`` adds index 0. ``top`` draws every coefficient
-    from the largest residues, where the int64 sums are largest."""
+    """The dense operand is past the convolution lane's length and the
+    sparse one is longer than its nonzero count, short (down to
+    _SPARSE_NNZ + 1 coefficients) or long, so the product takes the sparse
+    lane. The sparse operand's last index is always nonzero, so it keeps its
+    length; ``ends`` adds index 0. ``top`` draws every coefficient from the
+    largest residues, where the int64 sums are largest."""
     q = pm.q
     rng = random.Random(seed)
 

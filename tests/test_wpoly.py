@@ -1,6 +1,7 @@
 """WPoly on coefficient arrays against dict oracles written here, exact
 specialization of Laurent polynomials, and squarefree localizers."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from ellfrob.upoly import UPoly
 from ellfrob.wpoly import WPoly, discriminant
 
 PM13 = PrimePower(13, 1)
+BIG = PrimePower(1301, 3)  # q >= 2^31: object storage, schoolbook products
 
 
 def _clean(terms, pm):
@@ -82,6 +84,26 @@ def test_product_and_sum_match_dict_oracle(lane, data):
             wa.weighted_degree() != wb.weighted_degree()):
         with pytest.raises(DegreeMismatch):
             wa + wb
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 300), st.integers(1, 300), st.integers(-3, 3),
+       st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_product_past_word_moduli_matches_dict_oracle(la, lb, lo, top, seed):
+    """Over q = 1301^3 >= 2^31 a product of arrays of Python ints, each
+    operand short or past upoly._SHORT_LEN, equals the dict product; ``top``
+    draws every coefficient from the largest residues."""
+    rng = random.Random(seed)
+
+    def operand(n, lo):
+        cs = [BIG.q - 1 - rng.randrange(8) if top else rng.randrange(BIG.q)
+              for _ in range(n)]
+        return WPoly.from_coeffs(4 * lo + 12 * n, lo, cs, BIG)
+
+    a, b = operand(la, lo), operand(lb, lo + 1)
+    prod = a * b
+    assert prod.c.dtype == object
+    assert prod.terms == _mul(a.terms, b.terms, BIG)
 
 
 @settings(max_examples=60, deadline=None)

@@ -8,48 +8,88 @@ with room to spare. Larger moduli use an object array of Python ints.
 
 Products. Degrees reach a few times p^2 in the mod-p^2 pipeline, so
 ``_mul``, the array product behind ``__mul__``, the division and the WPoly
-product, picks one of four exact paths by operand length, sparsity and q:
+product, picks one of four exact lanes by operand length, nonzero pattern
+and q:
 
-- for q < 2^31, when the longer operand is past ``_SHORT_LEN`` and the
-  shorter past ``_SPARSE_NNZ`` coefficients, the sparse lane if one of them
-  has at most ``_SPARSE_NNZ`` nonzero coefficients, such as a monomial x^k,
-  the binomial f'(x^p) = 3x^(2p) + a, f^p = x^(3p) + a x^p + b mod p or a
-  row composed at stride p: the product is a sum of shifted copies of the
-  other operand, each scaled by one nonzero coefficient c. Every raw term
-  c * b is below q^2 < 2^62. When nnz (q-1)^2 < 2^63 the raw terms are
-  summed as they are; otherwise each term is first reduced below q, and a
-  sum of nnz such terms stays below nnz * q < 2^62. Either way the int64
-  sums are exact, and one reduction mod q ends the product;
-- otherwise int64 ``np.convolve`` when the shorter operand has at most
-  ``_SHORT_LEN`` coefficients and (q-1)^2 min(la, lb) < 2^62;
-- otherwise, for q < 2^31, a limb-split float FFT (below);
+- for q < 2^31, int64 ``np.convolve`` when the shorter operand has at most
+  ``_SHORT_LEN`` coefficients and (q-1)^2 min(la, lb) < 2^62, otherwise a
+  limb-split float FFT (below): together, the dense lanes;
+- for q < 2^31, the structured lane (below), where its estimated cost is
+  below that of the dense lane it replaces;
 - for q >= 2^31, the schoolbook double loop on Python ints.
 
-With both operands short, or one of at most ``_SPARSE_NNZ`` coefficients,
-a convolution costs no more than the sparse lane, which is not tried.
+The structured lane. The lift phi(x) = x^p + pZ has Z = W + V(x^p) +
+pU/f^p, so mod p the numerators the checks multiply are a short dense
+polynomial plus a tail in x^p, such as N1 = W f(x^p) + (V f)(x^p); other
+operands are monomials, binomials like f'(x^p) = 3x^(2p) + a, or rows
+composed at stride p. An operand x splits into a head x[:h] and a tail,
+the nonzeros past h. Counting a nonempty head as W = ``_TAIL_WEIGHT`` plus
+h coefficients and each tail nonzero as W, h minimizes the sum; a head of
+at most ``_SHORT_LEN`` coefficients is also tried empty, since a short
+product can cost more than its nonzeros as tail entries. Then
+ab = Ha Hb + Ha Tb + Ta Hb + Ta Tb, and a square is Ha^2 + 2 Ha Ta + Ta^2:
 
-The FFT path writes each residue as k limbs of L bits, c = sum_i c_i 2^(iL),
-convolves the limb sequences in float64 with ``numpy.fft.rfft/irfft`` at a
-power-of-two length N = 2^n >= la + lb - 1, rounds, reduces mod q and
-recombines with the weights 2^(sL) mod q. The limb products with the same
-weight s are summed in the frequency domain, so one output sequence adds at
-most k limb convolutions. Exactness rests on an a priori bound. For a
-power-of-two FFT with roots of unity accurate to beta, Percival (Math. Comp.
-72 (2003), Thm. 5.1) bounds every output error of a convolution by
+- Ha Hb is a product of its own, dense as a rule;
+- Ha Tb is one shifted copy of Ha per tail nonzero, scaled by it; or, with
+  the tail on a stride g (its indices equal mod g) and packed into T, so
+  Tb = x^s T(x^g), a loop over the rows of Ha of width g, each adding its
+  outer product with T into a grid of width g that, read row by row, is
+  Ha T(x^g);
+- Ta Tb on a common stride g is one product of the packed tails, spread
+  at stride g; otherwise one scaled copy of the longer tail per nonzero of
+  the shorter.
+
+Each piece takes whichever of its two forms costs less, and the lane is
+taken only where its estimate beats the dense lane's. The estimates are in
+ns on a 2-vCPU x86 VM (module constants): a numpy call, an element of a
+copy or an outer product, and T N log2 N for an FFT product of T real
+transforms of size N. They choose a lane only; every lane is exact. The
+lane is planned only past ``_PLAN_NS`` of estimated dense work. An operand
+is split when under 1/W of its coefficients are nonzero, or when its back
+half is that sparse and the dense lane is an FFT past ``_SEARCH_NS``, where
+the search costs little beside it. An operand with at most 8 nonzeros is
+the case of an empty or short head.
+
+Overflow of the structured lane. Each raw term, a residue times a residue,
+is below (q-1)^2 < 2^62. An output coefficient sums one reduced head
+product, at most ta + tb terms from the two head-tail pieces (one per tail
+nonzero whose window covers it; a square has one piece with the head
+doubled mod q), and at most min(ta, tb) terms or one reduced value from
+the tails, ta and tb counting tail nonzeros. When (2 + ta + tb +
+min(ta, tb)) (q-1)^2 < 2^63 these int64 sums are exact as they are;
+otherwise each term is reduced below q first, and the sum stays below
+(2 + ta + tb + min(ta, tb)) q < 2^63. One reduction mod q ends the product.
+
+The FFT lane writes each residue balanced, in (-q/2, q/2], and splits it
+into k limbs of L = ceil(bits(q-1) / k) bits, c = sum_i c_i 2^(iL): each
+low limb is ((c + 2^(L-1)) mod 2^L) - 2^(L-1), and the last is what
+remains. Since q is odd, |c| <= (q-1)/2 <= 2^(kL-1) - 1, and each step
+(c - c_i)/2^L keeps the remainder within 2^(-L)(|c| + 2^(L-1)), so the last
+limb too is at most 2^(L-1) in absolute value. The lane convolves the limb
+sequences in float64 with ``numpy.fft.rfft/irfft`` at a power-of-two
+length N = 2^n >= la + lb - 1, rounds, reduces mod q and recombines with
+the weights 2^(sL) mod q; each limb value below q times a weight below q
+stays under 2^62. The limb products with the same weight s are summed in
+the frequency domain, so one output sequence adds at most k limb
+convolutions. Exactness rests on an a priori bound. For a power-of-two FFT
+with roots of unity accurate to beta, Percival (Math. Comp. 72 (2003),
+Thm. 5.1) bounds every output error of a convolution by
 
     |x| |y| ((1+eps)^(3n) (1+eps sqrt5)^(3n+1) (1+beta)^(3n) - 1),
 
-with |.| the Euclidean norm, eps = 2^-53 and here beta = eps. For limb
-vectors |x| |y| <= sqrt(la lb) (2^L - 1)^2. ``_limb_plan`` takes the
-smallest k (the widest limbs, L = ceil(bits(q-1) / k)) for which k times
-that bound stays below 1/4, so rounding to the nearest integer is exact
-with a factor two of slack; it also keeps every exact limb sum below 2^52.
-At q = 211^3 that is two 12-bit limbs up to about 2.6e5 coefficients.
-numpy's pocketfft is not the radix-2 FFT of the analysis, so a runtime
-guard checks that every computed value lies within 1/4 of its rounded
-integer and raises ``FFTRoundingError`` (an InternalError, exit code 2)
-if one ever does not. A square (``x * x`` with the same object on both
-sides) reuses its forward transforms.
+with |.| the Euclidean norm, eps = 2^-53 and here beta = eps. For balanced
+limb vectors |x| |y| <= sqrt(la lb) 2^(2L-2), a quarter of the
+(2^L - 1)^2 of unsigned limbs. ``_limb_plan`` takes the smallest k (the
+widest limbs) for which k times that bound stays below 1/4, so rounding to
+the nearest integer is exact with a factor two of slack; it also keeps
+every exact limb sum, at most k min(la, lb) 2^(2L-2) in absolute value,
+below 2^52. At q = 211^2 one 16-bit limb reaches 10874 coefficients a
+side, and at q = 499^3 two 14-bit limbs 72633. numpy's pocketfft is not
+the radix-2 FFT of the analysis, so a runtime guard checks that every
+computed value lies within 1/4 of its rounded integer and raises
+``FFTRoundingError`` (an InternalError, exit code 2) if one ever does not.
+A square (``x * x`` with the same object on both sides) reuses its forward
+transforms.
 
 Division. ``divmod_monic`` divides P of length l by a monic g of degree d
 with two products. Reversing coefficients turns P = g Q + R into
@@ -60,12 +100,13 @@ h <- h (2 - rev(g) h), which doubles the precision of h at each step
 (von zur Gathen and Gerhard, Modern Computer Algebra, Sec. 9.1). It is
 exact over Z/p^m: g is monic, so rev(g) has constant term 1, a unit, and
 every step is ring arithmetic. Every operand stays a canonical residue,
-since the FFT limb split cannot take negative values. The inverse is kept
+as the product lanes require. The inverse is kept
 on the divisor, which is immutable like every UPoly, so it lives exactly
 as long as the divisor does (the CurveContext, for f and its powers): a
 shorter request slices it, a longer one resumes Newton from it.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -75,7 +116,15 @@ from .errors import (DenominatorMismatch, FFTRoundingError, ModulusMismatch,
 
 _WORD_Q = 2 ** 31    # q below this: int64 storage and the FFT path
 _SHORT_LEN = 128     # np.convolve beats the FFT up to this shorter length
-_SPARSE_NNZ = 8      # shifted copies beat the FFT up to this many nonzeros
+_TAIL_WEIGHT = 16    # a tail nonzero costs about this many head coefficients
+# The lane cost model, in ns on a 2-vCPU x86 VM (module doc, Products): one
+# numpy call, and one element of a shifted copy or an outer product; a
+# reduction mod q costs two elements.
+_CALL_NS = 3000
+_ELEM_NS = 3
+_PLAN_NS = 10 * _CALL_NS    # planning the structured lane costs about this
+_SEARCH_NS = 500000         # dense work that pays for a dense-looking split
+_NO_TAIL = np.zeros(0, dtype=np.intp)
 _EPS = 2.0 ** -53
 
 
@@ -103,16 +152,17 @@ def _fft_error_bound(la, lb, limb_bits, n_limbs, log2n):
     growth = math.expm1(3 * log2n * math.log1p(_EPS)
                         + (3 * log2n + 1) * math.log1p(_EPS * math.sqrt(5))
                         + 3 * log2n * math.log1p(_EPS))
-    return n_limbs * math.sqrt(la * lb) * ((1 << limb_bits) - 1) ** 2 * growth
+    return n_limbs * math.sqrt(la * lb) * 2.0 ** (2 * limb_bits - 2) * growth
 
 
+@functools.lru_cache(maxsize=1024)
 def _limb_plan(la, lb, q):
     """(limb bits L, limb count k) for an exact FFT product mod q, widest first."""
     bits = (q - 1).bit_length()
     log2n = max(1, (la + lb - 2).bit_length())
     for k in range(1, bits + 1):
         width = -(-bits // k)
-        exact_max = k * min(la, lb) * ((1 << width) - 1) ** 2
+        exact_max = k * min(la, lb) << (2 * width - 2)
         if (exact_max < 2 ** 52
                 and _fft_error_bound(la, lb, width, k, log2n) < 0.25):
             return width, k
@@ -126,12 +176,20 @@ def _fft_mul(a, b, q):
     width, k = _limb_plan(la, lb, q)
     n = la + lb - 1
     size = 1 << (n - 1).bit_length()
-    mask = (1 << width) - 1
+    half, mask = 1 << (width - 1), (1 << width) - 1
     rfft, irfft = np.fft.rfft, np.fft.irfft
-    fa = [rfft((a >> (width * i)) & mask, size) for i in range(k)]
-    fb = fa if b is a else [rfft((b >> (width * i)) & mask, size)
-                            for i in range(k)]
-    out = np.zeros(n, dtype=np.int64)
+
+    def spectra(x):
+        c = np.where(x > q // 2, x - q, x)  # balanced residues
+        out = []
+        for _ in range(k - 1):
+            c = c + half
+            out.append(rfft((c & mask) - half, size))
+            c >>= width
+        return out + [rfft(c, size)]
+
+    fa = spectra(a)
+    fb = fa if b is a else spectra(b)
     for s in range(2 * k - 1):
         spec = None
         for i in range(max(0, s - k + 1), min(s, k - 1) + 1):
@@ -148,9 +206,12 @@ def _fft_mul(a, b, q):
         limb = exact.astype(np.int64)
         del vals, exact
         limb %= q
-        limb *= pow(2, width * s, q)
-        out += limb
-        out %= q
+        if s:
+            limb *= pow(2, width * s, q)
+            out += limb
+            out %= q
+        else:
+            out = limb
     return out
 
 
@@ -158,18 +219,161 @@ def _zeros(n, q):
     return np.zeros(n, dtype=np.int64 if q < _WORD_Q else object)
 
 
-def _sparse_mul(a, idx, b, q):
-    """Exact product mod q < 2^31 of int64 residue arrays, a nonzero at idx
-    only: one shifted, scaled copy of b per index (module doc, Products)."""
-    out = np.zeros(len(a) + len(b) - 1, dtype=np.int64)
-    reduce_terms = len(idx) * (q - 1) ** 2 >= 2 ** 63
-    for i in idx.tolist():
-        term = b * int(a[i])
-        if reduce_terms:
-            term %= q
-        out[i:i + len(b)] += term
-    out %= q
-    return out
+def _convolves(short, q):
+    """Does a product with a shorter length ``short`` take np.convolve?"""
+    return short <= _SHORT_LEN and (q - 1) ** 2 * short < 2 ** 62
+
+
+def _dense_cost(la, lb, q, square):
+    """Estimated ns of the dense lane on lengths la, lb (module doc)."""
+    if _convolves(min(la, lb), q):
+        return _CALL_NS + la * lb + 4 * _ELEM_NS * (la + lb)
+    k = _limb_plan(la, lb, q)[1]
+    size = 1 << (la + lb - 2).bit_length()
+    transforms = (3 if square else 4) * k - 1
+    return transforms * (size * size.bit_length() + 4 * _CALL_NS)
+
+
+def _splits(x):
+    """Candidate splits (head, tail indices, tail stride) of x: the head
+    x[:h], the indices of the nonzeros past it, and the largest g with all
+    of them equal mod g (0 for one). A nonempty head costs _TAIL_WEIGHT (one
+    more product) plus h, each tail nonzero _TAIL_WEIGHT, and the first
+    candidate's h minimizes the sum. A head of at most _SHORT_LEN
+    coefficients may cost more as a product than as tail entries (a short
+    FFT, or a convolution with few nonzeros), so no head is a second
+    candidate then."""
+    nz = x.nonzero()[0]
+    cuts = [(x[:0], nz)]
+    if len(nz):
+        # a cut after nz[i] costs W + nz[i] + 1 + W (n - 1 - i), no head W n
+        lead = nz - np.arange(0, _TAIL_WEIGHT * len(nz), _TAIL_WEIGHT)
+        i = lead.argmin()
+        if lead[i] < -1:
+            h = int(nz[i]) + 1
+            cuts = [(x[:h], nz[i + 1:])] + (cuts if h <= _SHORT_LEN else [])
+    return [(head, idx, math.gcd(*(idx[1:] - idx[:-1]).tolist()))
+            for head, idx in cuts]
+
+
+def _head_tail(head, x, idx, g, q):
+    """(cost, add): add(out, reduce) adds head times the tail of x at idx,
+    on stride g, to out, reducing each term mod q first when asked. One
+    shifted copy of the head per tail entry, or the head's rows of width g
+    against the packed tail, whichever costs less."""
+    h, t = len(head), len(idx)
+    copies = t * (_CALL_NS + _ELEM_NS * h)
+    if g:
+        rows, start = -(-h // g), int(idx[0])
+        s = x[start:int(idx[-1]) + 1:g]
+        m = len(s)
+        by_rows = (rows + 3) * _CALL_NS + _ELEM_NS * rows * m * g
+    if g and by_rows < copies:
+        def add(out, reduce):
+            grid = np.zeros(rows * g, dtype=np.int64)
+            grid[:h] = head
+            acc = np.zeros((rows + m - 1, g), dtype=np.int64)
+            for k, row in enumerate(grid.reshape(rows, g)):
+                term = np.outer(s, row)
+                if reduce:
+                    term %= q
+                acc[k:k + m] += term
+            n = h + g * (m - 1)
+            out[start:start + n] += acc.ravel()[:n]
+        return by_rows, add
+
+    def add(out, reduce):
+        for i, c in zip(idx.tolist(), x[idx].tolist()):
+            term = head * c
+            if reduce:
+                term %= q
+            out[i:i + h] += term
+    return copies, add
+
+
+def _tail_tail(xa, ia, ga, xb, ib, gb, q):
+    """(cost, add) for the product of two tails, as ``_head_tail``: one
+    scaled copy of the longer tail per entry of the shorter, or, on a common
+    stride g, one short product of the packed tails spread at stride g,
+    whichever costs less."""
+    if len(ia) > len(ib):
+        xa, ia, xb, ib = xb, ib, xa, ia
+    copies = len(ia) * (_CALL_NS + _ELEM_NS * len(ib))
+    g = math.gcd(ga, gb) if len(ia) > 1 else 0
+    if g:
+        sa = xa[ia[0]:ia[-1] + 1:g]
+        sb = sa if ib is ia else xb[ib[0]:ib[-1] + 1:g]
+        packed = _CALL_NS + _dense_cost(len(sa), len(sb), q, sb is sa)
+        if packed < copies:
+            def add(out, reduce):
+                prod = _mul(sa, sb, q)
+                start = int(ia[0] + ib[0])
+                out[start:start + g * len(prod):g] += prod
+            return packed, add
+
+    def add(out, reduce):
+        vb = xb[ib]
+        for i, c in zip(ia.tolist(), xa[ia].tolist()):
+            term = vb * c
+            if reduce:
+                term %= q
+            out[i + ib] += term
+    return copies, add
+
+
+def _structured(a, b, q, dense):
+    """(cost, run) of the cheapest head/tail product of a and b mod q < 2^31:
+    the estimated ns, and a function computing the product. An operand is
+    split when it is sparse, or when its back half is and the dense lane,
+    of estimated cost ``dense``, is an FFT that pays for the search (module
+    doc, Products)."""
+    square = a is b
+    search = dense > _SEARCH_NS and not _convolves(min(len(a), len(b)), q)
+    splits = []
+    for x in (a,) if square else (a, b):
+        n, half = len(x), len(x) // 2
+        if (np.count_nonzero(x) * _TAIL_WEIGHT < n
+                or search and np.count_nonzero(x[half:]) * _TAIL_WEIGHT
+                < n - half):
+            splits.append(_splits(x))
+        else:
+            splits.append([(x, _NO_TAIL, 0)])
+    plans = ([_plan(a, b, q, s, s) for s in splits[0]] if square
+             else [_plan(a, b, q, s, t) for s in splits[0] for t in splits[1]])
+    return min(plans, key=lambda plan: plan[0])
+
+
+def _plan(a, b, q, split_a, split_b):
+    """(cost, run) of the product of a and b from one split of each."""
+    la, lb = len(a), len(b)
+    square = a is b
+    (ha, ia, ga), (hb, ib, gb) = split_a, split_b
+    ta, tb = len(ia), len(ib)
+    if not ta and not tb:
+        return math.inf, None
+    heads = len(ha) and len(hb)
+    pieces = []
+    if square and heads:
+        pieces.append(_head_tail(2 * ha % q, a, ia, ga, q))
+    if not square and tb and len(ha):
+        pieces.append(_head_tail(ha, b, ib, gb, q))
+    if not square and ta and len(hb):
+        pieces.append(_head_tail(hb, a, ia, ga, q))
+    if ta and tb:
+        pieces.append(_tail_tail(a, ia, ga, b, ib, gb, q))
+    cost = (3 * _CALL_NS + 2 * _ELEM_NS * (la + lb) + sum(c for c, _ in pieces)
+            + (_dense_cost(len(ha), len(hb), q, square) if heads else 0))
+    reduce = (2 + ta + tb + min(ta, tb)) * (q - 1) ** 2 >= 2 ** 63
+
+    def run():
+        out = np.zeros(la + lb - 1, dtype=np.int64)
+        if heads:
+            out[:len(ha) + len(hb) - 1] = _mul(ha, ha if square else hb, q)
+        for _, add in pieces:
+            add(out, reduce)
+        out %= q
+        return out
+    return cost, run
 
 
 def _mul(a, b, q):
@@ -178,12 +382,13 @@ def _mul(a, b, q):
     la, lb = len(a), len(b)
     if not la or not lb:
         return a[:0]
-    short = min(la, lb)
-    if q < _WORD_Q and short > _SPARSE_NNZ and max(la, lb) > _SHORT_LEN:
-        for x, y in ((a, b), (b, a)):
-            if np.count_nonzero(x) <= _SPARSE_NNZ:
-                return _sparse_mul(x, np.flatnonzero(x), y, q)
-    if short <= _SHORT_LEN and (q - 1) ** 2 * short < 2 ** 62:
+    if q < _WORD_Q and max(la, lb) > _SHORT_LEN:
+        dense = _dense_cost(la, lb, q, a is b)
+        if dense > _PLAN_NS:
+            cost, run = _structured(a, b, q, dense)
+            if cost < dense:
+                return run()
+    if _convolves(min(la, lb), q):
         return np.convolve(a, b) % q
     if q < _WORD_Q:
         return _fft_mul(a, b, q)

@@ -48,10 +48,11 @@ class WPoly:
 
     def _init(self, w, lo, c, pm):
         """Hold the canonical array c cut to its nonzero span; returns self."""
-        nz = c.nonzero()[0].tolist()
+        nz = np.flatnonzero(c)
         self.pm = pm
-        self.w, self.lo, self.c = ((w, lo + 3 * nz[0], c[nz[0]:nz[-1] + 1])
-                                   if nz else (None, 0, c[:0]))
+        self.w, self.lo, self.c = ((w, lo + 3 * int(nz[0]),
+                                    c[nz[0]:nz[-1] + 1])
+                                   if len(nz) else (None, 0, c[:0]))
         return self
 
     @classmethod

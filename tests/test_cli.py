@@ -290,6 +290,9 @@ def test_help_exits_0(capsys):
     # the 499 ceiling of the perfbench references
     (("scan", "--pmin", "500", "--pmax", "700", "--format", "csv"),
      "7eab59368e1be5006343d1f774a852d80920f623e87f547116b9b46bed54691f"),
+    # recorded before the structured product lane and balanced FFT limbs
+    (("lift", "--p", "211", "--a", "5", "--b", "7", "--mod", "2"),
+     "bf3ed699770cf3e3e9b941d92df1176c192fc886ffe525cc6d4fa2666b50b054"),
 ])
 def test_stdout_golden(capsys, argv, digest):
     code, out = run_cli(capsys, *argv)

@@ -331,8 +331,9 @@ def test_factorial_tables_match_multinomials(p):
 
 def test_stride_p_times_dense_matches_convolve(monkeypatch):
     """One product of Theta_const at p = 127: the alpha pivot row composed at
-    stride p times the dense eta pivot, both past the convolution lane, goes
-    through the FFT and equals np.convolve of the arrays mod p."""
+    stride p, all tail, times the dense eta pivot, both past the convolution
+    lane, goes through the structured lane and equals np.convolve of the
+    arrays mod p."""
     p = 127
     pm1 = PrimePower(p, 1)
     table = psi_table(p)
@@ -340,13 +341,18 @@ def test_stride_p_times_dense_matches_convolve(monkeypatch):
     alpha = _laurent_to_locfrac(table.alphas[(p + 7) // 2], locs).frobenius().num
     eta = eta_pivots(table, sym_d_values(p, locs), locs)[0].num
     assert min(len(alpha.c), len(eta.c)) > upoly._SHORT_LEN
-    assert np.count_nonzero(alpha.c) > upoly._SPARSE_NNZ
-    lanes = []
-    real = upoly._fft_mul
-    monkeypatch.setattr(upoly, "_fft_mul",
-                        lambda *args: lanes.append(1) or real(*args))
+    (head, tail, stride), = upoly._splits(alpha.c)
+    assert (len(head), stride) == (0, p) and len(tail) > 8
+    runs = []
+    real = upoly._structured
+
+    def recording(a, b, q, dense):
+        cost, run = real(a, b, q, dense)
+        return cost, lambda: runs.append(1) or run()
+
+    monkeypatch.setattr(upoly, "_structured", recording)
     prod = alpha * eta
-    assert lanes == [1]
+    assert runs == [1]
     assert (prod.w, prod.lo) == (alpha.w + eta.w, alpha.lo + eta.lo)
     assert np.array_equal(prod.c, np.convolve(alpha.c, eta.c) % p)
 

@@ -2,6 +2,7 @@
 against references that share no code with them, plus the Python-int
 surface of the array storage."""
 
+import decimal
 import hashlib
 import json
 import random
@@ -40,17 +41,19 @@ def schoolbook(a, b, q):
 
 
 def kronecker(a, b, q):
-    """Reference product through one Python big-int multiplication, with
-    128-bit slots (enough for every sum of products used below)."""
-    width = 16
+    """Reference product through one big-number multiplication: Kronecker
+    substitution at base 10^width, wide enough for every sum of products,
+    on decimal's number-theoretic transform for huge operands."""
+    n = len(a) + len(b) - 1
+    width = len(str(min(len(a), len(b)) * max(a) * max(b))) + 1
 
     def pack(cs):
-        return int.from_bytes(
-            b"".join(int(c).to_bytes(width, "little") for c in cs), "little")
+        return decimal.Decimal("".join("%0*d" % (width, c)
+                                       for c in reversed(cs)))
 
-    n = len(a) + len(b) - 1
-    raw = (pack(a) * pack(b)).to_bytes(width * n, "little")
-    return [int.from_bytes(raw[width * i:width * (i + 1)], "little") % q
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
+    raw = str(exact.multiply(pack(a), pack(b))).rjust(width * n, "0")
+    return [int(raw[len(raw) - width * (i + 1):len(raw) - width * i]) % q
             for i in range(n)]
 
 
@@ -99,30 +102,43 @@ def test_mul_matches_schoolbook(pm, la, lb, kind_a, kind_b, square, seed):
 SPARSE_MODULI = [PrimePower(13, 2), PrimePower(211, 3), PrimePower(1289, 3)]
 
 
+def lane_runs(mp):
+    """Record, in the returned list, each product the structured lane
+    computes while the monkeypatch ``mp`` is active."""
+    runs = []
+    real = upoly._structured
+
+    def recording(a, b, q, dense):
+        cost, run = real(a, b, q, dense)
+        return cost, lambda: runs.append(1) or run()
+
+    mp.setattr(upoly, "_structured", recording)
+    return runs
+
+
 @settings(max_examples=40, deadline=None)
 @given(pm=st.sampled_from(SPARSE_MODULI),
-       nnz=st.integers(1, upoly._SPARSE_NNZ),
-       ls=st.integers(upoly._SPARSE_NNZ + 1, 3000),
+       nnz=st.integers(1, 8),
+       ls=st.integers(9, 3000),
        ld=st.integers(upoly._SHORT_LEN + 1, 3000),
        ends=st.booleans(), sparse_left=st.booleans(), top=st.booleans(),
        seed=st.integers(0, 2 ** 32 - 1))
-@example(pm=PrimePower(1289, 3), nnz=upoly._SPARSE_NNZ, ls=129, ld=3000,
+@example(pm=PrimePower(1289, 3), nnz=8, ls=129, ld=3000,
          ends=True, sparse_left=False, top=True, seed=7)
 @example(pm=PrimePower(13, 2), nnz=1, ls=3000, ld=129, ends=True,
          sparse_left=True, top=False, seed=8)
 @example(pm=PrimePower(29, 1), nnz=3, ls=88, ld=3000, ends=True,
          sparse_left=False, top=True, seed=9)
-@example(pm=PrimePower(1289, 3), nnz=upoly._SPARSE_NNZ, ls=upoly._SPARSE_NNZ + 1,
-         ld=upoly._SHORT_LEN + 1, ends=True, sparse_left=True, top=True,
-         seed=10)
+@example(pm=PrimePower(1289, 3), nnz=8, ls=9, ld=upoly._SHORT_LEN + 1,
+         ends=True, sparse_left=True, top=True, seed=10)
 def test_sparse_lane_matches_schoolbook(pm, nnz, ls, ld, ends, sparse_left,
                                         top, seed):
-    """The dense operand is past the convolution lane's length and the
-    sparse one is longer than its nonzero count, short (down to
-    _SPARSE_NNZ + 1 coefficients) or long, so the product takes the sparse
-    lane. The sparse operand's last index is always nonzero, so it keeps its
-    length; ``ends`` adds index 0. ``top`` draws every coefficient from the
-    largest residues, where the int64 sums are largest."""
+    """An operand with at most 8 nonzeros, short (down to 9 coefficients)
+    or long, times a dense one past the convolution lane's length. Past that
+    length on both sides the product takes the structured lane. The sparse
+    operand's last index is always nonzero, so it keeps its length; ``ends``
+    adds index 0. ``top`` draws every coefficient from the largest residues,
+    where the int64 sums are largest."""
     q = pm.q
     rng = random.Random(seed)
 
@@ -135,15 +151,98 @@ def test_sparse_lane_matches_schoolbook(pm, nnz, ls, ld, ends, sparse_left,
     idx = set(inner) | {ls - 1}
     sparse = [residue() if i in idx else 0 for i in range(ls)]
     dense = [residue() for _ in range(ld)]
-    lanes = []
-    real = upoly._sparse_mul
     a, b = (sparse, dense) if sparse_left else (dense, sparse)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(upoly, "_sparse_mul",
-                   lambda *args: lanes.append(1) or real(*args))
+        runs = lane_runs(mp)
         prod = UPoly(a, pm) * UPoly(b, pm)
-    assert lanes == [1]
+    if ls > upoly._SHORT_LEN:
+        assert runs == [1]
     assert prod.coeffs.tolist() == schoolbook(a, b, q)
+
+
+# q = 997^3 sums up to 9 raw products of residues in an int64; q = 1289^3
+# reduces every term first
+LANE_MODULI = [PrimePower(13, 2), PrimePower(211, 1), PrimePower(211, 3),
+               PrimePower(997, 3), PrimePower(1289, 3)]
+SHAPES = ["head+stride", "short+stride", "stride", "single", "random8",
+          "dense"]
+
+
+def shaped(kind, g, q, rng, top):
+    """An operand of one shape: a dense head of several strides g, of 1-8
+    coefficients or none, then a tail on stride g with some slots zero;
+    a head and a single-entry tail; at most 8 nonzeros at random positions;
+    or dense."""
+    def residue():
+        return q - 1 - rng.randrange(8) if top else rng.randrange(1, q)
+
+    if kind == "dense":
+        return [residue() for _ in range(rng.randrange(1, 400))]
+    if kind == "random8":
+        n = rng.randrange(9, 2000)
+        idx = set(rng.sample(range(n), rng.randint(1, 8))) | {n - 1}
+        return [residue() if i in idx else 0 for i in range(n)]
+    h = {"head+stride": g * rng.randint(2, 4) + rng.randrange(g),
+         "short+stride": rng.randint(1, 8), "stride": 0,
+         "single": rng.randrange(3 * g)}[kind]
+    t = 1 if kind == "single" else rng.randint(2, 30)
+    start = h + rng.randrange(2 * g)
+    out = [residue() for _ in range(h)] + [0] * (start - h + g * (t - 1) + 1)
+    for j in range(t):
+        if j in (0, t - 1) or rng.random() < 0.75:
+            out[start + g * j] = residue()
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(pm=st.sampled_from(LANE_MODULI), kind_a=st.sampled_from(SHAPES),
+       kind_b=st.sampled_from(SHAPES), ga=st.integers(16, 64),
+       gb=st.integers(16, 64), same_stride=st.booleans(),
+       square=st.booleans(), top=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+# short heads against long stride tails (the rows of a head), a long head
+# against a few tail entries (shifted copies), two tails on strides 16 and
+# 17 (no common stride) and on 32 and 48 (packed at 16), squares, and
+# per-term reduction at 1289^3 next to raw sums at 997^3
+@example(pm=PrimePower(211, 1), kind_a="head+stride", kind_b="short+stride",
+         ga=40, gb=40, same_stride=True, square=False, top=False, seed=1)
+@example(pm=PrimePower(997, 3), kind_a="head+stride", kind_b="single",
+         ga=64, gb=16, same_stride=False, square=False, top=True, seed=2)
+@example(pm=PrimePower(1289, 3), kind_a="stride", kind_b="stride",
+         ga=16, gb=17, same_stride=False, square=False, top=True, seed=3)
+@example(pm=PrimePower(13, 2), kind_a="head+stride", kind_b="stride",
+         ga=32, gb=48, same_stride=False, square=False, top=False, seed=4)
+@example(pm=PrimePower(1289, 3), kind_a="head+stride", kind_b="dense",
+         ga=50, gb=50, same_stride=True, square=True, top=True, seed=5)
+@example(pm=PrimePower(211, 3), kind_a="random8", kind_b="head+stride",
+         ga=20, gb=30, same_stride=False, square=False, top=True, seed=6)
+def test_structured_lane_matches_schoolbook(pm, kind_a, kind_b, ga, gb,
+                                            same_stride, square, top, seed):
+    """Every plan of the structured lane, one per pair of candidate splits
+    (the whole operand as a head included), and the product as UPoly takes
+    it, equal the schoolbook product."""
+    q = pm.q
+    rng = random.Random(seed)
+    a = shaped(kind_a, ga, q, rng, top)
+    b = a if square else shaped(kind_b, ga if same_stride else gb, q, rng,
+                                top)
+    want = schoolbook(a, b, q) if len(a) < len(b) else schoolbook(b, a, q)
+    x = np.array(a, dtype=np.int64)
+    y = x if square else np.array(b, dtype=np.int64)
+    x.flags.writeable = y.flags.writeable = False
+
+    def splits(v):
+        return upoly._splits(v) + [(v, upoly._NO_TAIL, 0)]
+
+    pairs = ([(s, s) for s in splits(x)] if square
+             else [(s, t) for s in splits(x) for t in splits(y)])
+    for sa, sb in pairs:
+        _, run = upoly._plan(x, y, q, sa, sb)
+        if run is not None:
+            assert schoolbook(run().tolist(), [1], q) == want
+    ux = UPoly(a, pm)
+    prod = ux * ux if square else ux * UPoly(b, pm)
+    assert prod.coeffs.tolist() == want
 
 
 def test_product_at_largest_length_the_bound_admits():
@@ -158,12 +257,34 @@ def test_product_at_largest_length_the_bound_admits():
             lo = mid
         else:
             hi = mid - 1
-    assert lo == 20406  # the Percival bound at q = 499^3, two 14-bit limbs
+    # the Percival bound at q = 499^3, two balanced 14-bit limbs
+    assert lo == 72633
     assert upoly._limb_plan(lo + 1, lo + 1, q)[1] == 3
     rng = random.Random(499)
     for n in (lo, lo + 1):
         a = [rng.randrange(q) for _ in range(n)]
-        b = [q - 1 - rng.randrange(8) for _ in range(n)]  # near-maximal limbs
+        # balanced residues near -q/2: limbs of near-maximal magnitude
+        b = [(q + 1) // 2 + rng.randrange(8) for _ in range(n)]
+        got = (UPoly(a, pm) * UPoly(b, pm)).coeffs.tolist()
+        assert got == kronecker(a, b, q)
+
+
+def test_balanced_limbs_on_both_sides_of_the_one_limb_boundary():
+    """At q = 211^2 one balanced 16-bit limb reaches length 10874 per side;
+    the unsigned residues it replaced needed two limbs for the three largest
+    products of a mod-p^2 lift at p = 211, which one limb now covers. Past
+    the boundary two limbs take over. Residues are the largest balanced
+    ones, +-(q-1)/2 up to 8, each side of one sign."""
+    pm = PrimePower(211, 2)
+    q = pm.q
+    for lengths in ((23318, 631), (1582, 23738), (22578, 634)):
+        assert upoly._limb_plan(*lengths, q) == (16, 1)
+    assert upoly._limb_plan(10874, 10874, q) == (16, 1)
+    assert upoly._limb_plan(10875, 10875, q)[1] == 2
+    rng = random.Random(211)
+    for n in (10874, 10875):
+        a = [(q - 1) // 2 - rng.randrange(8) for _ in range(n)]
+        b = [(q + 1) // 2 + rng.randrange(8) for _ in range(n)]
         got = (UPoly(a, pm) * UPoly(b, pm)).coeffs.tolist()
         assert got == kronecker(a, b, q)
 

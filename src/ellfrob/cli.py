@@ -1,14 +1,22 @@
 """Command-line surface: hasse, classify, lift, eigen, scan, verify-all,
-constants. JSON output is canonical (sorted keys, all numbers as decimal
-strings); scan also writes CSV. Exit codes: 0 success, 1 domain error
-(a usage error included), 2 internal invariant failure. HD_THREADS sets
-parallelism.
+constants. Exit codes: 0 success, 1 domain error (a usage error included),
+2 internal invariant failure. HD_THREADS sets parallelism.
+
+JSON output is canonical: keys str(key), sorted, indent 2, every int a
+decimal string, bools, nulls and floats as json writes them, strings with
+ASCII escapes; scan also writes CSV. These are the bytes of json.dumps(doc,
+sort_keys=True, indent=2) with the ints of doc made strings, and _dumps
+writes them itself: json runs its C encoder only when indent is None, so
+with indent=2 every string of a long WPoly term list went through its
+pure-Python generator. _dumps writes a list of equal-length rows of ints,
+such as a term list, with one format string.
 """
 
 import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import os
 import sys
@@ -26,17 +34,67 @@ SCAN_COLUMNS = ["p", "class_mod_12", "psi_degree", "degree_ok", "golem_01",
                 "golem_10", "proportional", "constant_c", "counterexample"]
 
 
-def _stringify(obj):
-    """Numbers to decimal strings, recursively; bools stay bools."""
-    if isinstance(obj, bool) or obj is None:
-        return obj
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, (list, tuple)):
-        return [_stringify(v) for v in obj]
-    if isinstance(obj, dict):
-        return {str(k): _stringify(v) for k, v in obj.items()}
-    return obj
+_ESCAPE = json.encoder.encode_basestring_ascii
+
+
+def _dumps(obj):
+    """The text json.dumps(obj, sort_keys=True, indent=2) gives once every
+    int in obj is a decimal string and every key is str(key) (module doc)."""
+    parts = []
+    _put(obj, "\n", parts)
+    return "".join(parts)
+
+
+def _put(obj, nl, parts):
+    """Append the text of obj to parts; nl is a newline and the indent of
+    the line obj starts on."""
+    if isinstance(obj, (dict, list, tuple)) and obj:
+        inner = nl + "  "
+        if isinstance(obj, dict):
+            sep = "{" + inner
+            for k, v in sorted({str(k): v for k, v in obj.items()}.items()):
+                parts.append(sep + _ESCAPE(k) + ": ")
+                _put(v, inner, parts)
+                sep = "," + inner
+            parts.append(nl + "}")
+            return
+        rows = _rows(obj, inner)
+        if rows is not None:
+            parts.append("[" + inner + rows + nl + "]")
+            return
+        sep = "[" + inner
+        for v in obj:
+            parts.append(sep)
+            _put(v, inner, parts)
+            sep = "," + inner
+        parts.append(nl + "]")
+    elif isinstance(obj, dict):
+        parts.append("{}")
+    elif isinstance(obj, (list, tuple)):
+        parts.append("[]")
+    elif isinstance(obj, int) and not isinstance(obj, bool):
+        parts.append('"%d"' % obj)
+    elif isinstance(obj, str):
+        parts.append(_ESCAPE(obj))
+    else:
+        parts.append(json.dumps(obj))
+
+
+def _rows(obj, nl):
+    """The items of obj, each at the indent of nl, when obj is a list of
+    equal-length nonempty rows of ints (a WPoly term list): one format
+    string for all rows. None for any other list."""
+    if not set(map(type, obj)) <= {list, tuple}:
+        return None
+    lengths = set(map(len, obj))
+    if len(lengths) != 1 or 0 in lengths:
+        return None
+    flat = tuple(itertools.chain.from_iterable(obj))
+    if set(map(type, flat)) != {int}:
+        return None
+    inner = nl + "  "
+    row = "[" + inner + ("," + inner).join(['"%d"'] * lengths.pop())
+    return ("," + nl).join([row + nl + "]"] * len(obj)) % flat
 
 
 def _write(text, out):
@@ -53,7 +111,7 @@ def _write(text, out):
 
 
 def _emit(obj, out=None):
-    _write(json.dumps(_stringify(obj), sort_keys=True, indent=2) + "\n", out)
+    _write(_dumps(obj) + "\n", out)
 
 
 def _workers():

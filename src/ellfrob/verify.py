@@ -8,7 +8,6 @@ mod-p^2 solve. Everything else must construct and verify.
 
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 
 from .errors import (DomainError, InvalidModulus, NotOrdinary, SigmaSingular,
                      SingularPair)
@@ -58,7 +57,7 @@ def parallel_map(fn, items, workers=None):
     workers = min(workers or 1, len(items), os.cpu_count() or 1)
     if workers > 1:
         k = min(len(items), 4 * workers)
-        with ProcessPoolExecutor(max_workers=workers) as ex:
+        with _process_pool(workers) as ex:
             parts = list(ex.map(_map_chunk, [(fn, items[i::k])
                                              for i in range(k)]))
         out = [None] * len(items)
@@ -66,6 +65,14 @@ def parallel_map(fn, items, workers=None):
             out[i::k] = part
         return out
     return [fn(x) for x in items]
+
+
+def _process_pool(workers):
+    """A ProcessPoolExecutor of `workers` processes. concurrent.futures is
+    imported here, not with the module: it costs about 25 ms of start-up,
+    and serial runs never start a pool."""
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=workers)
 
 
 def _map_chunk(task):

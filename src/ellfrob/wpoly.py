@@ -38,7 +38,7 @@ def _power(x, e, pm):
 class WPoly:
     """Weight w, lowest z4 exponent lo and coefficient array c (module doc)."""
 
-    __slots__ = ("w", "lo", "c", "pm")
+    __slots__ = ("w", "lo", "c", "pm", "_divisor")
 
     def __init__(self, terms, pm=None):
         """From a dict (e4, e6) -> c whose nonzero terms share one weight."""
@@ -87,9 +87,7 @@ class WPoly:
     @property
     def terms(self):
         """The nonzero terms as a dict (e4, e6) -> coefficient."""
-        e6 = self.lowest_z6() + 2 * len(self.c) - 2
-        return {(self.lo + 3 * k, e6 - 2 * k): c
-                for k, c in enumerate(self.c.tolist()) if c}
+        return {(e4, e6): c for e4, e6, c in self.to_json()}
 
     def lowest_z6(self):
         """The least z6 exponent, that of the last array entry (zero: 0)."""
@@ -180,13 +178,18 @@ class WPoly:
 
     def divide_exact(self, g):
         """self/g if exact with no negative exponent, else None: long division
-        of the arrays in t mod p^m, by g with a unit leading coefficient."""
+        of the arrays in t mod p^m, by g with a unit leading coefficient. g
+        keeps its monic form, which keeps its series inverse
+        (UPoly.divmod_monic), so each localizer of a LocalizerSet finds that
+        inverse once."""
         self._check(g)
         if g.w is None or self.w is None:
             return None if g.w is None else self
-        inv = inv_mod(int(g.c[-1]), self.pm.q)
-        quo, rem = UPoly(self.c, self.pm).divmod_monic(
-            UPoly(g.c, self.pm).scale(inv))
+        if getattr(g, "_divisor", None) is None:
+            inv = inv_mod(int(g.c[-1]), self.pm.q)
+            g._divisor = inv, UPoly._wrap(g.c, self.pm).scale(inv)
+        inv, monic = g._divisor
+        quo, rem = UPoly._wrap(self.c, self.pm).divmod_monic(monic)
         out = self._new(self.w - g.w, self.lo - g.lo, quo.scale(inv).coeffs)
         return out if rem.is_zero() and min(out.lo, out.lowest_z6()) >= 0 else None
 
@@ -201,7 +204,13 @@ class WPoly:
         return self.lo <= 1 and self.lowest_z6() <= 1 and g.degree() == 0
 
     def to_json(self):
-        return [[e4, e6, str(c)] for (e4, e6), c in sorted(self.terms.items())]
+        """The nonzero terms as (e4, e6, c) rows of Python ints (mod p^m;
+        ints or Fractions when pm is None) in (e4, e6) order, which is the
+        array order: e4 = lo + 3k rises with k."""
+        k = np.flatnonzero(self.c)
+        e6 = self.lowest_z6() + 2 * len(self.c) - 2
+        return list(zip((self.lo + 3 * k).tolist(), (e6 - 2 * k).tolist(),
+                        self.c[k].tolist()))
 
     def __repr__(self):
         return "WPoly(%r)" % (self.terms,)

@@ -5,10 +5,13 @@ import json
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ellfrob.cli import main
+from ellfrob.cli import _dumps, main
 
 
 def run_cli(capsys, *argv):
@@ -293,11 +296,108 @@ def test_help_exits_0(capsys):
     # recorded before the structured product lane and balanced FFT limbs
     (("lift", "--p", "211", "--a", "5", "--b", "7", "--mod", "2"),
      "bf3ed699770cf3e3e9b941d92df1176c192fc886ffe525cc6d4fa2666b50b054"),
+    # recorded before the JSON writer replaced json.dumps: the JSON shapes
+    # with bools, nulls, nested lists and dicts of every other command
+    (("scan", "--pmin", "11", "--pmax", "61", "--format", "json"),
+     "929ee680c2d892e0d8cb4d1a474b9bee7085c553b3891fbb57b0eea4c7c30b36"),
+    (("constants", "--p", "13"),
+     "6dca2cf02bb6352cb67199aa5a64fa4d7aa53f09514297d5d535b50e120d015c"),
+    (("classify", "--p", "13", "--a", "2", "--b", "3"),
+     "3c2cbbe30836cf6ed86ef9f2f3d41351cf9fc9b6af8e71892854e5d22bc11c43"),
+    (("eigen", "--p", "13", "--a", "2", "--b", "3"),
+     "a197e0449a17668c1ce41435b27a52d0da9c6ca8e9faded4ffcfaa1924f2ef42"),
+    (("verify-all", "--p", "13", "--mod", "1", "--samples", "5"),
+     "0364e918c135e78642fa2a4376f5d83c30b02a2d41c8df1f3fde9f8873e16305"),
 ])
 def test_stdout_golden(capsys, argv, digest):
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ("eigen", "--p", "37"),
+    ("scan", "--pmin", "11", "--pmax", "31", "--format", "json"),
+    ("verify-all", "--p", "13", "--mod", "1", "--samples", "5"),
+    ("classify", "--p", "13", "--a", "2", "--b", "3"),
+])
+def test_out_file_holds_the_stdout_bytes(tmp_path, capsys, argv):
+    out = tmp_path / "doc.json"
+    _, printed = run_cli(capsys, *argv)
+    code, rest = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 0 and rest == ""
+    assert out.read_bytes() == printed.encode()
+
+
+def _stringify(obj):
+    """The canonical form the writer replaces: every int a decimal string,
+    every key str(key), recursively; bools stay bools."""
+    if isinstance(obj, bool) or obj is None:
+        return obj
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, (list, tuple)):
+        return [_stringify(v) for v in obj]
+    if isinstance(obj, dict):
+        return {str(k): _stringify(v) for k, v in obj.items()}
+    return obj
+
+
+def _oracle(obj):
+    return json.dumps(_stringify(obj), sort_keys=True, indent=2)
+
+
+_TEXT = st.text() | st.sampled_from(
+    ['"', "\\", 'a"b\\c', "\x00\x1f\n\t\r", "\u00e9", "\u2028", "\U0001f600",
+     "\ud800", "%d", "%s %%", ""])
+_INTS = (st.integers() | st.integers(2 ** 64, 2 ** 200)
+         | st.integers(-2 ** 200, -2 ** 64))
+_SCALARS = (st.none() | st.booleans() | st.floats() | _INTS | _TEXT)
+_CELLS = _INTS | _TEXT | st.booleans() | st.lists(_INTS, max_size=3)
+
+
+def _row_lists(cells):
+    """Rows of one length k, as lists or tuples, and rows of mixed lengths."""
+    equal = st.integers(0, 4).flatmap(lambda k: st.lists(
+        st.lists(cells, min_size=k, max_size=k) | st.tuples(*[cells] * k),
+        max_size=6))
+    return equal | st.lists(st.lists(cells, max_size=4), max_size=6)
+
+
+_DOCS = st.recursive(
+    _SCALARS | _row_lists(_INTS) | _row_lists(_INTS | _TEXT)
+    | _row_lists(_CELLS),
+    lambda kids: (st.lists(kids, max_size=4)
+                  | st.lists(kids, max_size=4).map(tuple)
+                  | st.dictionaries(_INTS | _TEXT | st.booleans(), kids,
+                                    max_size=4)),
+    max_leaves=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_DOCS)
+def test_writer_matches_json_dumps_of_the_stringified_doc(doc):
+    assert _dumps(doc) == _oracle(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    {}, [], (), [[]], [(), ()], {1: "a", "1": "b"}, {"b": {}, "a": [[]]},
+    [[1, 2, 3], [4, 5, 6]], [[1, "x"], (2, "y\n")], [[1, 2], [3]],
+    [[1, True], [2, False]], [[1, [2]], [3, [4]]], [[-1, 2 ** 70]],
+    [[1.5, 2]], [float("nan"), float("-inf"), -0.0], {None: None},
+])
+def test_writer_edge_shapes(doc):
+    assert _dumps(doc) == _oracle(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    {"x": object()}, [[1, Fraction(1, 2)]], [Fraction(1, 2)], {"s": {1, 2}},
+])
+def test_writer_raises_where_json_dumps_raises(doc):
+    with pytest.raises(TypeError):
+        _oracle(doc)
+    with pytest.raises(TypeError):
+        _dumps(doc)
 
 
 def test_parser_built_once_keeps_no_state_between_calls(capsys):

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ellfrob import upoly
-from ellfrob.cli import _stringify, main
+from ellfrob.cli import _dumps, main
 from ellfrob.errors import FFTRoundingError, NotMonic
 from ellfrob.liftp import CurveContext, lie_verify, lie_verify_commutator
 from ellfrob.liftp2 import build_lift_mod_p2
@@ -312,9 +312,10 @@ def test_python_ints_at_the_surface(pm):
     assert all(type(s) is str for s in x.to_json())
     assert [int(s) for s in x.to_json()] == x.coeffs.tolist()
     assert type(x.evaluate(3)) is int
-    doc = _stringify({"c": x.coeff(0), "terms": [x.coeff(d) for d in range(5)]})
-    assert json.dumps(doc) == json.dumps(
-        {"c": str(x.coeff(0)), "terms": [str(x.coeff(d)) for d in range(5)]})
+    doc = _dumps({"c": x.coeff(0), "terms": [x.coeff(d) for d in range(5)]})
+    assert doc == json.dumps(
+        {"c": str(x.coeff(0)), "terms": [str(x.coeff(d)) for d in range(5)]},
+        sort_keys=True, indent=2)
 
 
 def test_object_storage_agrees_with_int64_storage():

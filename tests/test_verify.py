@@ -41,7 +41,7 @@ class FakePool:
 def test_parallel_map_clamps_pool_size(monkeypatch, workers, items, cpus,
                                        size):
     FakePool.sizes = []
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(verify, "_process_pool", FakePool)
     monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
     data = list(range(items))
     assert parallel_map(abs, data, workers) == data
@@ -53,7 +53,7 @@ def test_parallel_map_keeps_item_order_across_chunks(monkeypatch, workers):
     """Up to 4 * workers strided chunks go to the pool; results come back in
     item order for every item count, including counts that do not divide
     evenly and counts beyond the chunk count."""
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(verify, "_process_pool", FakePool)
     monkeypatch.setattr(verify.os, "cpu_count", lambda: 8)
     for n in range(4 * workers + 4):
         items = [(7 * i) % 11 - 5 for i in range(n)]

@@ -77,6 +77,8 @@ def test_product_and_sum_match_dict_oracle(lane, data):
     c = data.draw(homogeneous(lane, anchor))  # the weight of a
     wa, wb, wc = WPoly(a, pm), WPoly(b, pm), WPoly(c, pm)
     assert wa.terms == _clean(a, pm)
+    assert wa.to_json() == [(i, j, v)
+                            for (i, j), v in sorted(_clean(a, pm).items())]
     assert (wa * wb).terms == _mul(a, b, pm)
     assert (wa + wc).terms == _add(a, c, pm)
     assert (wa - wc).terms == _add(a, {k: -v for k, v in c.items()}, pm)

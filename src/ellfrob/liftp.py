@@ -100,31 +100,28 @@ def w_poly(ctx, prec, lam):
 
 
 def g_minus_one(ctx, z, prec):
-    """G(x, Z) - 1 mod p^prec, where G = phi(f)/f^p, for Z = N/f^zf, as a
-    list of fractions that sum to it.
+    """The numerators (A, B) of G(x, Z) - 1 mod p^prec, where G = phi(f)/f^p,
+    for Z = N/f^zf:
 
     G - 1 = p K/f^p + p (3x^(2p)+a) Z/f^p + 3p^2 x^p Z^2/f^p + p^3 Z^3/f^p
           = p A/f^(p+zf) + p^2 B/f^(2p+2zf),
     with A = K f^zf + N f'(x^p) and B = 3x^p f^p N^2. A is formed mod
-    p^(prec-1). B enters at prec 3 only, formed mod p as N1^2 3x^p f^p for
-    N1 = N mod p, squared mod p: p^2 (N^2 - N1^2) = p^2 (N - N1)(N + N1)
-    = 0 mod p^3. The square root of G is a series valid up to p^3, so
-    prec <= 3 and the p^3 term vanishes.
+    p^(prec-1). B enters at prec 3 only (it is None below), formed mod p as
+    N1^2 3x^p f^p for N1 = N mod p, squared mod p: p^2 (N^2 - N1^2)
+    = p^2 (N - N1)(N + N1) = 0 mod p^3. The square root of G is a series
+    valid up to p^3, so prec <= 3 and the p^3 term vanishes.
     """
     if prec > 3:
         raise PrecisionOutOfRange("G - 1 truncated at p^3, asked for p^%d"
                                   % prec)
-    p, zf = ctx.p, z.fexp
-    f, fa = ctx.f_at(prec), ctx.f_at(prec - 1)
+    fa = ctx.f_at(prec - 1)
     n = UPoly(z.num.coeffs, fa.pm)
-    a_num = n * df_xp(ctx, prec - 1) + k_poly(ctx, prec - 1) * fa ** zf
-    terms = [FracPoly(a_num.times_p_to(f.pm), p + zf, f)]
-    if prec == 3:
-        f1 = ctx.f_at(1)
-        n1 = UPoly(z.num.coeffs, f1.pm)
-        b_num = n1 * n1 * (UPoly.monomial(3, p, f1.pm) * f1 ** p)
-        terms.append(FracPoly(b_num.times_p_to(f.pm), 2 * (p + zf), f))
-    return terms
+    a_num = n * df_xp(ctx, prec - 1) + k_poly(ctx, prec - 1) * fa ** z.fexp
+    if prec < 3:
+        return a_num, None
+    f1 = ctx.f_at(1)
+    n1 = UPoly(z.num.coeffs, f1.pm)
+    return a_num, n1 * n1 * (UPoly.monomial(3, ctx.p, f1.pm) * f1 ** ctx.p)
 
 
 def _f_half_sqrt(ctx, z, prec):
@@ -135,21 +132,19 @@ def _f_half_sqrt(ctx, z, prec):
     G^(1/2) = 1 + (G-1)/2 - (G-1)^2/8 mod p^3, and h = (p-1)/2, it is
     (f^(h+F) + (p/2) f^h A)/f^F at prec 2, and at prec 3
     (f^(h+F) + (p/2) f^(h+p+zf) A + p^2 f^h (4B - A^2)/8)/f^F.
-    Each product that p^k multiplies is formed mod p^(prec-k). A and B are
-    read off the terms by exact divisions by p. The p^2 bracket is formed
-    mod p from A1 = A mod p: p^2 (A^2 - A1^2) = p^2 (A - A1)(A + A1) = 0
-    mod p^3. Every f-power is a memoized one of the context.
+    Each product that p^k multiplies is formed mod p^(prec-k). The p^2
+    bracket is formed mod p from A1 = A mod p: p^2 (A^2 - A1^2)
+    = p^2 (A - A1)(A + A1) = 0 mod p^3. Every f-power is a memoized one of
+    the context.
     """
-    terms = g_minus_one(ctx, z, prec)
+    a_num, b1 = g_minus_one(ctx, z, prec)
     p, zf = ctx.p, z.fexp
     half = (p - 1) // 2
     f, f1 = ctx.f_at(prec), ctx.f_at(1)
-    a_num = terms[0].num.divexact_p()
     fexp = (prec - 1) * (p + zf)
     mid = ctx.f_at(prec - 1) ** (half + fexp - p - zf) * a_num
     out = f ** (half + fexp) + mid.scale(inv_mod(2, mid.pm.q)).times_p_to(f.pm)
     if prec == 3:
-        b1 = terms[1].num.divexact_p().divexact_p()
         a1 = UPoly(a_num.coeffs, f1.pm)
         bracket = b1.scale(4) - a1 * a1
         out = out + (f1 ** half * bracket).scale(inv_mod(8, p)).times_p_to(f.pm)

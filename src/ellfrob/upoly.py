@@ -1,22 +1,24 @@
 """Dense univariate polynomials over Z/p^m, and fractions with f-power denominators.
 
-Storage. ``UPoly.coeffs`` is one trimmed, read-only numpy array, index =
-degree, entries the canonical residues in [0, q), q = p^m. When q < 2^31
-the dtype is int64: a sum or a product of two residues then fits a word
-with room to spare. Larger moduli use an object array of Python ints.
+Storage. ``UPoly.coeffs`` is one trimmed, read-only int64 array, index =
+degree, entries the canonical residues in [0, q), q = p^m < 2^62 (a larger
+q raises ``InvalidModulus`` where an array is built). A sum of two residues
+fits a word, and so does a product when q <= 2^31. Above that, ``_mulmod``
+forms x c mod q by Horner's rule over the base-2^s digits c_i of c, s =
+63 - bits(q-1): acc <- (acc 2^s mod q + x c_i mod q) mod q. As acc, x <
+2^bits(q-1) and c_i < 2^s, each product is below 2^63, and so is the sum.
 ``coeff``, ``evaluate``, ``to_json`` and ``repr`` hand out Python ints only.
 
 Products. Degrees reach a few times p^2 in the mod-p^2 pipeline, so
 ``_mul``, the array product behind ``__mul__``, the division and the WPoly
-product, picks one of four exact lanes by operand length, nonzero pattern
+product, picks one of three exact lanes by operand length, nonzero pattern
 and q:
 
-- for q < 2^31, int64 ``np.convolve`` when the shorter operand has at most
+- int64 ``np.convolve`` when the shorter operand has at most
   ``_SHORT_LEN`` coefficients and (q-1)^2 min(la, lb) < 2^62, otherwise a
   limb-split float FFT (below): together, the dense lanes;
 - for q < 2^31, the structured lane (below), where its estimated cost is
-  below that of the dense lane it replaces;
-- for q >= 2^31, the schoolbook double loop on Python ints.
+  below that of the dense lane it replaces.
 
 The structured lane. The lift phi(x) = x^p + pZ has Z = W + V(x^p) +
 pU/f^p, so mod p the numerators the checks multiply are a short dense
@@ -67,9 +69,10 @@ remains. Since q is odd, |c| <= (q-1)/2 <= 2^(kL-1) - 1, and each step
 (c - c_i)/2^L keeps the remainder within 2^(-L)(|c| + 2^(L-1)), so the last
 limb too is at most 2^(L-1) in absolute value. The lane convolves the limb
 sequences in float64 with ``numpy.fft.rfft/irfft`` at a power-of-two
-length N = 2^n >= la + lb - 1, rounds, reduces mod q and recombines with
-the weights 2^(sL) mod q; each limb value below q times a weight below q
-stays under 2^62. The limb products with the same weight s are summed in
+length N = 2^n >= la + lb - 1 and rounds. It recombines the limb sums
+C_s, weighted 2^(sL), by Horner's rule from the top: out <- (C_s + out 2^L
+mod q) mod q, the product through ``_mulmod``; below 2^52 + q < 2^63, the
+sum is exact. The limb products with the same weight s are summed in
 the frequency domain, so one output sequence adds at most k limb
 convolutions. Exactness rests on an a priori bound. For a power-of-two FFT
 with roots of unity accurate to beta, Percival (Math. Comp. 72 (2003),
@@ -111,10 +114,12 @@ import math
 
 import numpy as np
 
-from .errors import (DenominatorMismatch, FFTRoundingError, ModulusMismatch,
-                     NegativeExponent, NotDivisible, NotIntegrable, NotMonic)
+from .errors import (DenominatorMismatch, FFTRoundingError, InvalidModulus,
+                     ModulusMismatch, NegativeExponent, NotDivisible,
+                     NotIntegrable, NotMonic)
 
-_WORD_Q = 2 ** 31    # q below this: int64 storage and the FFT path
+_MAX_Q = 2 ** 62     # q below this: int64 storage (module doc, Storage)
+_WORD_Q = 2 ** 31    # up to this q, a product of two residues fits int64
 _SHORT_LEN = 128     # np.convolve beats the FFT up to this shorter length
 _TAIL_WEIGHT = 16    # a tail nonzero costs about this many head coefficients
 # The lane cost model, in ns on a 2-vCPU x86 VM (module doc, Products): one
@@ -128,13 +133,37 @@ _NO_TAIL = np.zeros(0, dtype=np.intp)
 _EPS = 2.0 ** -53
 
 
+def _zeros(n, q):
+    if q >= _MAX_Q:
+        raise InvalidModulus("modulus %d is not below 2^62, the limit of "
+                             "int64 coefficient storage" % q)
+    return np.zeros(n, dtype=np.int64)
+
+
 def _residues(values, q):
-    """Canonical residues of an int sequence or array, in the storage dtype for q."""
-    if q < _WORD_Q:
-        if isinstance(values, np.ndarray):
-            return np.remainder(values, q).astype(np.int64, copy=False)
-        return np.array([int(c) % q for c in values], dtype=np.int64)
-    return np.array([int(c) % q for c in values], dtype=object)
+    """Canonical residues of an int sequence or array, as int64."""
+    out = _zeros(len(values), q)
+    if isinstance(values, np.ndarray):
+        return np.remainder(values, q, out=out, casting="unsafe")
+    out[:] = [int(c) % q for c in values]
+    return out
+
+
+def _mulmod(x, c, q):
+    """x c mod q for an int64 residue array x and a residue c, an int or an
+    array: above q = 2^31, Horner's rule over the base-2^s digits of c from
+    its leading one (module doc, Storage)."""
+    if q <= _WORD_Q:
+        return x * c % q
+    bits = (q - 1).bit_length()
+    s = 63 - bits
+    shift = s * ((max(c.bit_length() if isinstance(c, int) else bits, 1) - 1)
+                 // s)
+    acc = x * (c >> shift) % q
+    while shift:
+        shift -= s
+        acc = (acc * (1 << s) % q + x * (c >> shift & (1 << s) - 1) % q) % q
+    return acc
 
 
 def _trim(arr):
@@ -171,7 +200,7 @@ def _limb_plan(la, lb, q):
 
 
 def _fft_mul(a, b, q):
-    """Exact product of two int64 residue arrays mod q < 2^31 (see module doc)."""
+    """Exact product of two int64 residue arrays mod q (see module doc)."""
     la, lb = len(a), len(b)
     width, k = _limb_plan(la, lb, q)
     n = la + lb - 1
@@ -190,7 +219,8 @@ def _fft_mul(a, b, q):
 
     fa = spectra(a)
     fb = fa if b is a else spectra(b)
-    for s in range(2 * k - 1):
+    out, weight = None, pow(2, width, q)
+    for s in range(2 * k - 2, -1, -1):
         spec = None
         for i in range(max(0, s - k + 1), min(s, k - 1) + 1):
             term = fa[i] * fb[s - i]
@@ -205,18 +235,11 @@ def _fft_mul(a, b, q):
                 % (worst, la, lb, q))
         limb = exact.astype(np.int64)
         del vals, exact
+        if out is not None:
+            limb += _mulmod(out, weight, q)
         limb %= q
-        if s:
-            limb *= pow(2, width * s, q)
-            out += limb
-            out %= q
-        else:
-            out = limb
+        out = limb
     return out
-
-
-def _zeros(n, q):
-    return np.zeros(n, dtype=np.int64 if q < _WORD_Q else object)
 
 
 def _convolves(short, q):
@@ -390,15 +413,7 @@ def _mul(a, b, q):
                 return run()
     if _convolves(min(la, lb), q):
         return np.convolve(a, b) % q
-    if q < _WORD_Q:
-        return _fft_mul(a, b, q)
-    out = [0] * (la + lb - 1)
-    b_ints = b.tolist()
-    for i, ci in enumerate(a.tolist()):
-        if ci:
-            for j, cj in enumerate(b_ints):
-                out[i + j] += ci * cj
-    return _residues(out, q)
+    return _fft_mul(a, b, q)
 
 
 def _series_inverse(r, n, q, h):
@@ -430,7 +445,7 @@ class UPoly:
 
     @classmethod
     def _wrap(cls, arr, pm):
-        """A UPoly over residues already canonical and in the storage dtype."""
+        """A UPoly over residues already canonical, as int64."""
         obj = cls.__new__(cls)
         obj.coeffs = _trim(arr)
         obj.pm = pm
@@ -510,7 +525,7 @@ class UPoly:
 
     def scale(self, c):
         q = self.pm.q
-        return UPoly._wrap(self.coeffs * (int(c) % q) % q, self.pm)
+        return UPoly._wrap(_mulmod(self.coeffs, int(c) % q, q), self.pm)
 
     def __mul__(self, other):
         self._check(other)
@@ -547,8 +562,8 @@ class UPoly:
     def derivative(self):
         c = self.coeffs
         q = self.pm.q
-        idx = np.arange(1, len(c), dtype=c.dtype) % q
-        return UPoly._wrap(idx * c[1:] % q, self.pm)
+        idx = np.arange(1, len(c), dtype=np.int64) % q
+        return UPoly._wrap(_mulmod(c[1:], idx, q), self.pm)
 
     def compose_xp(self):
         """Substitute x -> x^p."""
@@ -558,29 +573,13 @@ class UPoly:
         out[::p] = c
         return UPoly._wrap(out, self.pm)
 
-    def _unit_inverses(self, vals):
-        """Inverses mod q of an int array of units mod p."""
-        q = self.pm.q
-        if vals.dtype == object:
-            return np.array([pow(int(v), -1, q) for v in vals], dtype=object)
-        # Euler: v^(phi(q) - 1), square-and-multiply on the whole array
-        e = self.pm.p ** (self.pm.m - 1) * (self.pm.p - 1) - 1
-        base = vals % q
-        out = np.ones_like(base)
-        while e:
-            if e & 1:
-                out = out * base % q
-            e >>= 1
-            if e:
-                base = base * base % q
-        return out
-
     def antiderivative(self):
         """The W with dW/dx = self and W(0) = 0.
 
         A monomial c*x^(sp-1) needs p | c; the p cancels against the p in
         sp = p*s and the result coefficient is (c/p) * s^{-1} * x^{sp}.
-        Everything else divides by degree+1, a unit.
+        Everything else divides by degree+1, a unit. A unit v has inverse
+        v^(phi(q) - 1) (Euler), formed by square-and-multiply on the array.
         """
         p, q = self.pm.p, self.pm.q
         c = self.coeffs
@@ -597,8 +596,15 @@ class UPoly:
             s = int(den[den % p == 0][0])
             raise NotIntegrable(s, "x^(%d*p-1): s is divisible by p, so the "
                                    "coefficient needs p^2" % s)
+        base, e = den % q, q // p * (p - 1) - 1
+        while e:
+            if e & 1:
+                num = _mulmod(num, base, q)
+            e >>= 1
+            if e:
+                base = _mulmod(base, base, q)
         out = _zeros(len(c) + 1, q)
-        out[deg1] = num * self._unit_inverses(den.astype(c.dtype)) % q
+        out[deg1] = num
         return UPoly._wrap(out, self.pm)
 
     def evaluate(self, x0):
@@ -621,25 +627,20 @@ class UPoly:
         """p^j self over pm = p^(m+j), j >= 0. Exact for any representatives
         of self mod p^m, since p^j absorbs their ambiguity, and canonical
         without a reduction, since p^j c < p^(m+j) for c < p^m."""
-        c = self.coeffs
-        if pm.q >= _WORD_Q:
-            c = c.astype(object)
-        return UPoly._wrap(c * pm.p ** (pm.m - self.pm.m), pm)
+        out = _zeros(len(self.coeffs), pm.q)
+        np.multiply(self.coeffs, pm.p ** (pm.m - self.pm.m), out=out)
+        return UPoly._wrap(out, pm)
 
     def divexact_p(self):
         """Exact division by p, dropping one digit of precision."""
         p = self.pm.p
         c = self.coeffs
-        low = self.pm.drop(self.pm.m - 1)
-        if c.dtype == object:
-            quo, rem = c // p, c % p
-        else:
-            quo, rem = np.divmod(c, p)
+        quo, rem = np.divmod(c, p)
         if rem.any():
             bad = int(c[np.flatnonzero(rem)[0]])
             raise NotDivisible("coefficient %d not divisible by %d" % (bad, p))
         # c < p^m, so the quotient is a canonical residue mod p^(m-1)
-        return UPoly(quo, low) if c.dtype == object else UPoly._wrap(quo, low)
+        return UPoly._wrap(quo, self.pm.drop(self.pm.m - 1))
 
     def divmod_monic(self, g):
         """divmod by a monic polynomial through rev(g)^-1, which is kept on

@@ -19,7 +19,7 @@ from .errors import (DegreeMismatch, DenominatorMismatch,
                      DenominatorNotLocalizer, ModulusMismatch, NegativeExponent,
                      NotAUnit, PrecisionOutOfRange, SingularPair)
 from .residue import inv_mod
-from .upoly import UPoly, _mul, _residues
+from .upoly import UPoly, _mul, _mulmod, _residues
 
 
 def _reduce(c, pm):
@@ -135,8 +135,8 @@ class WPoly:
         return self._new(self.w, self.lo, _reduce(-self.c, self.pm))
 
     def scale(self, c):
-        return self._new(self.w, self.lo,
-                         _reduce(self.c * _reduce(c, self.pm), self.pm))
+        return self._new(self.w, self.lo, self.c * c if self.pm is None
+                         else _mulmod(self.c, c % self.pm.q, self.pm.q))
 
     def __mul__(self, other):
         self._check(other)

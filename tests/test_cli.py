@@ -148,6 +148,8 @@ def test_hasse_out_file(tmp_path, capsys):
     (("hasse", "--p", "11", "--mod", "0"), "InvalidModulus"),
     (("verify-all", "--p", "5", "--mod", "2"), "DomainError"),
     (("verify-all", "--p", "7", "--mod", "2"), "DomainError"),
+    # 13^17 >= 2^62, past int64 coefficient storage
+    (("hasse", "--p", "13", "--mod", "17"), "InvalidModulus"),
 ])
 def test_domain_edges_exit_1_with_one_typed_line(capsys, argv, error):
     code = main(list(argv))
@@ -308,6 +310,12 @@ def test_help_exits_0(capsys):
      "a197e0449a17668c1ce41435b27a52d0da9c6ca8e9faded4ffcfaa1924f2ef42"),
     (("verify-all", "--p", "13", "--mod", "1", "--samples", "5"),
      "0364e918c135e78642fa2a4376f5d83c30b02a2d41c8df1f3fde9f8873e16305"),
+    # recorded while moduli past 2^31 had object-array storage: 13^16 just
+    # below 2^62, and 101^9
+    (("hasse", "--p", "13", "--mod", "16"),
+     "68b8b7172f1d64b4cf979c029fc6769a4040e408bcb3c9c316b292cbbc90d301"),
+    (("hasse", "--p", "101", "--mod", "9"),
+     "f1e164fe0d8c06c3b875f0dced2aa59140a55fc2e3d50469df6febf070b7b305"),
 ])
 def test_stdout_golden(capsys, argv, digest):
     code, out = run_cli(capsys, *argv)

@@ -142,23 +142,27 @@ def test_k0_poly_matches_its_guard_digit_formula():
 
 
 def test_g_minus_one_zero_z():
+    # Z = 0: G - 1 = p K/f^p, so A = K and there is no B at prec 2
     p = 5
     ctx = CurveContext(1, 1, PrimePower(p, 2))
-    f2 = ctx.f_at(2)
-    z0 = FracPoly(UPoly.zero(PrimePower(p, 2)), 0, f2)
-    (e,) = g_minus_one(ctx, z0, 2)
-    k = k_poly(ctx, 1)
-    expect = FracPoly(k.lift_to(PrimePower(p, 2)).scale(p), p, f2)
-    assert e == expect
+    z0 = FracPoly(UPoly.zero(PrimePower(p, 2)), 0, ctx.f_at(2))
+    a_num, b_num = g_minus_one(ctx, z0, 2)
+    assert a_num == k_poly(ctx, 1)
+    assert b_num is None
 
 
 def test_g_minus_one_vanishes_mod_p():
+    # G - 1 = p A/f^(p+zf) + p^2 B/f^(2p+2zf) with A mod p^(prec-1) and
+    # B mod p, so p A and p^2 B vanish mod p and G - 1 with them
     p = 5
-    ctx = CurveContext(1, 1, PrimePower(p, 2))
-    f2 = ctx.f_at(2)
-    z = FracPoly(UPoly([2, 3, 1, 4], PrimePower(p, 2)), 0, f2)
-    (e,) = g_minus_one(ctx, z, 2)
-    assert e.num.reduce_to(1).is_zero()
+    ctx = CurveContext(1, 1, PrimePower(p, 3))
+    z = FracPoly(UPoly([2, 3, 1, 4], PrimePower(p, 3)), 0, ctx.f_at(3))
+    a_num, b_num = g_minus_one(ctx, z, 3)
+    assert a_num.pm == PrimePower(p, 2) and b_num.pm == PrimePower(p, 1)
+    assert not a_num.is_zero() and not b_num.is_zero()
+    for num in (a_num.times_p_to(PrimePower(p, 3)),
+                b_num.times_p_to(PrimePower(p, 3))):
+        assert num.reduce_to(1).is_zero()
 
 
 def test_g_minus_one_refuses_precision_above_3():
@@ -350,10 +354,13 @@ def test_reduced_precision_terms_match_full_formula(p, a, b, source):
     p = ctx.p
     for prec in (2, 3):
         e, f = full_g_minus_one(ctx, z, prec)
-        terms = g_minus_one(ctx, z, prec)
-        total = terms[0]
-        for t in terms[1:]:
-            total = total + t
+        a_num, b_num = g_minus_one(ctx, z, prec)
+        total = FracPoly(a_num.times_p_to(f.pm), p + z.fexp, f)
+        if prec == 3:
+            total = total + FracPoly(b_num.times_p_to(f.pm),
+                                     2 * (p + z.fexp), f)
+        else:
+            assert b_num is None
         assert total == e
         one = FracPoly(UPoly.const(1, e.pm), 0, f)
         root = one + e.scale(inv_mod(2, e.pm.q))

@@ -1,10 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellfrob.errors import DenominatorMismatch, NotIntegrable
+from ellfrob.errors import DenominatorMismatch, InvalidModulus, NotIntegrable
 from ellfrob.residue import PrimePower
 from ellfrob.upoly import FracPoly, UPoly
 
@@ -70,15 +71,17 @@ def test_derivative_antiderivative_roundtrip():
         assert w.derivative() == h
 
 
-def test_mul_matches_schoolbook_at_large_modulus():
-    # big q forces the schoolbook path; compare against the numpy path
-    big = PrimePower(5, 30)
-    small = PrimePower(5, 2)
-    a = [3, 1, 4, 1, 5]
-    b = [2, 7, 1]
-    prod_big = (UPoly(a, big) * UPoly(b, big)).reduce_to(2)
-    prod_small = UPoly(a, small) * UPoly(b, small)
-    assert prod_big == prod_small
+def test_modulus_past_int64_storage_is_refused():
+    # 5^30 >= 2^62: every way of building coefficients refuses it, while
+    # 5^26 < 2^62, the largest power of 5 below, is stored
+    big, small = PrimePower(5, 30), PrimePower(5, 26)
+    for build in (lambda pm: UPoly([3, 1, 4], pm),
+                  lambda pm: UPoly.monomial(1, 2, pm),
+                  lambda pm: UPoly.x_cubic(2, 3, pm),
+                  lambda pm: UPoly.const(5, small).times_p_to(pm)):
+        with pytest.raises(InvalidModulus):
+            build(big)
+        assert build(small).coeffs.dtype == np.int64
 
 
 @settings(max_examples=40, deadline=None)

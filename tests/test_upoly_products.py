@@ -1,6 +1,6 @@
-"""The UPoly product paths (int64 convolution, limb-split FFT, schoolbook)
-against references that share no code with them, plus the Python-int
-surface of the array storage."""
+"""The UPoly product paths (int64 convolution, limb-split FFT, structured
+lane) and the residue multiply ``_mulmod`` against references that share no
+code with them, plus the Python-int surface of the array storage."""
 
 import decimal
 import hashlib
@@ -22,7 +22,10 @@ from ellfrob.upoly import UPoly
 
 SMALL_MODULI = [PrimePower(p, m) for p in (5, 13, 101, 211, 499)
                 for m in (1, 2, 3)]
-BIG = PrimePower(1301, 3)  # q >= 2^31: object storage, schoolbook products
+BIG = PrimePower(1301, 3)  # q >= 2^31: _mulmod's digit loop, FFT products
+# past 2^31 up to the largest stored modulus: 13^16 (60 bits) and
+# (2^31 - 1)^2 (62 bits), whose one-bit digits make _mulmod's longest loop
+WIDE_MODULI = [BIG, PrimePower(13, 16), PrimePower(2 ** 31 - 1, 2)]
 
 
 def schoolbook(a, b, q):
@@ -72,7 +75,7 @@ KINDS = st.sampled_from(["dense", "dense", "dense", "zero", "const",
 
 
 @settings(max_examples=40, deadline=None)
-@given(pm=st.sampled_from(SMALL_MODULI + [BIG]),
+@given(pm=st.sampled_from(SMALL_MODULI + WIDE_MODULI),
        la=st.integers(1, 3000), lb=st.integers(1, 3000),
        kind_a=KINDS, kind_b=KINDS, square=st.booleans(),
        seed=st.integers(0, 2 ** 32 - 1))
@@ -80,11 +83,13 @@ KINDS = st.sampled_from(["dense", "dense", "dense", "zero", "const",
          square=True, seed=5)  # an FFT square, always run
 @example(pm=PrimePower(5, 1), la=3000, lb=2999, kind_a="dense",
          kind_b="monomial", square=False, seed=6)
+@example(pm=PrimePower(2 ** 31 - 1, 2), la=400, lb=400, kind_a="dense",
+         kind_b="dense", square=False, seed=7)
 def test_mul_matches_schoolbook(pm, la, lb, kind_a, kind_b, square, seed):
     q = pm.q
     if q >= 2 ** 31:
-        # the library multiplies these with its own Python double loop, so
-        # lengths stay short enough for two quadratic products per example
+        # the quadratic reference multiplies multi-word Python ints here, so
+        # lengths stay short enough for it
         la, lb = la % 400 + 1, lb % 400 + 1
     rng = random.Random(seed)
     a = operand(kind_a, la, q, rng)
@@ -307,7 +312,7 @@ def test_rounding_guard_raises(monkeypatch):
 @pytest.mark.parametrize("pm", [PrimePower(13, 2), BIG])
 def test_python_ints_at_the_surface(pm):
     x = UPoly([pm.q - 1, 0, 7, 3], pm) * UPoly([2, pm.q - 5], pm)
-    assert x.coeffs.dtype == (np.int64 if pm.q < 2 ** 31 else object)
+    assert x.coeffs.dtype == np.int64
     assert all(type(x.coeff(d)) is int for d in range(-1, 8))
     assert all(type(s) is str for s in x.to_json())
     assert [int(s) for s in x.to_json()] == x.coeffs.tolist()
@@ -318,9 +323,10 @@ def test_python_ints_at_the_surface(pm):
         sort_keys=True, indent=2)
 
 
-def test_object_storage_agrees_with_int64_storage():
-    # reduction mod p^2 commutes with every op below, so the object-dtype
-    # results at p^3 >= 2^31 must reduce to the int64 results at p^2
+def test_storage_past_2_31_agrees_with_storage_below():
+    # reduction mod p^2 commutes with every op below, so the results at
+    # p^3 >= 2^31, through _mulmod's digit loop, must reduce to the results
+    # at p^2, through one word product
     rng = random.Random(13)
     low = PrimePower(1301, 2)
     cs = [rng.randrange(BIG.q) for _ in range(60)]
@@ -333,9 +339,32 @@ def test_object_storage_agrees_with_int64_storage():
              (x.antiderivative(), xl.antiderivative()), (x * y, xl * yl),
              (x.scale(1301).divexact_p(), xl.scale(1301).divexact_p())]
     for big, small in pairs:
-        assert big.coeffs.dtype == (object if big.pm.q >= 2 ** 31 else np.int64)
+        assert big.coeffs.dtype == small.coeffs.dtype == np.int64
         m = min(big.pm.m, small.pm.m)
         assert big.reduce_to(m) == small.reduce_to(m)
+
+
+# 1301^3 just past the word, 101^5 (34 bits) where a word product would
+# overflow, and (2^31 - 1)^2 with one-bit digits
+@pytest.mark.parametrize("pm", [BIG, PrimePower(101, 5),
+                                PrimePower(2 ** 31 - 1, 2)])
+def test_mulmod_matches_python_ints(pm):
+    """_mulmod against Python ints at the digit edges of c: 0, 1, the
+    largest one-digit 2^s - 1, the smallest two-digit 2^s and q - 1, each as
+    an int and as an array; and an array of random residues."""
+    q = pm.q
+    s = 63 - (q - 1).bit_length()
+    rng = random.Random(q)
+    xs = [0, 1, q - 1] + [rng.randrange(q) for _ in range(40)]
+    x = np.array(xs, dtype=np.int64)
+    for c in (0, 1, 2 ** s - 1, 2 ** s, q - 1):
+        want = [v * c % q for v in xs]
+        assert upoly._mulmod(x, c, q).tolist() == want
+        cs = np.full(len(xs), c, dtype=np.int64)
+        assert upoly._mulmod(x, cs, q).tolist() == want
+    cs = [rng.randrange(q) for _ in xs]
+    assert (upoly._mulmod(x, np.array(cs, dtype=np.int64), q).tolist()
+            == [v * c % q for v, c in zip(xs, cs)])
 
 
 def test_coefficients_are_read_only():
@@ -415,11 +444,12 @@ def divisor(kind, pm, rng):
         return UPoly([rng.randrange(q) for _ in range(rng.randrange(1, 60))]
                      + [1], pm)
     f = UPoly.x_cubic(rng.randrange(q), rng.randrange(q), pm)
-    return f if kind == "cubic" else f ** ((pm.p + 1) // 2)
+    # f^((p+1)/2), its degree capped for p = 2^31 - 1
+    return f if kind == "cubic" else f ** ((min(pm.p, 1301) + 1) // 2)
 
 
 @settings(max_examples=30, deadline=None)
-@given(pm=st.sampled_from(SMALL_MODULI + [BIG]),
+@given(pm=st.sampled_from(SMALL_MODULI + WIDE_MODULI),
        kind=st.sampled_from(["one", "cubic", "f_power", "dense"]),
        quo_lens=st.lists(st.integers(-8, 1500), min_size=1, max_size=3),
        seed=st.integers(0, 2 ** 32 - 1))
@@ -431,13 +461,15 @@ def divisor(kind, pm, rng):
          seed=2)
 @example(pm=BIG, kind="f_power", quo_lens=[200, -3], seed=3)
 @example(pm=BIG, kind="one", quo_lens=[150], seed=4)
+@example(pm=PrimePower(2 ** 31 - 1, 2), kind="f_power", quo_lens=[300],
+         seed=5)
 def test_divmod_matches_long_division(pm, kind, quo_lens, seed):
     q = pm.q
     rng = random.Random(seed)
     g = divisor(kind, pm, rng)
     for n in quo_lens:
         if q >= 2 ** 31:
-            n %= 300  # the references are quadratic Python loops
+            n %= 300  # the quadratic references multiply multi-word ints
         length = max(0, g.degree() + n)
         a = [rng.randrange(q) for _ in range(length)]
         quo, rem = UPoly(a, pm).divmod_monic(g)

@@ -4,6 +4,7 @@ specialization of Laurent polynomials, and squarefree localizers."""
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,7 @@ from ellfrob.upoly import UPoly
 from ellfrob.wpoly import WPoly, discriminant
 
 PM13 = PrimePower(13, 1)
-BIG = PrimePower(1301, 3)  # q >= 2^31: object storage, schoolbook products
+BIG = PrimePower(1301, 3)  # q >= 2^31: _mulmod's digit loop, FFT products
 
 
 def _clean(terms, pm):
@@ -92,8 +93,8 @@ def test_product_and_sum_match_dict_oracle(lane, data):
 @given(st.integers(1, 300), st.integers(1, 300), st.integers(-3, 3),
        st.booleans(), st.integers(0, 2 ** 32 - 1))
 def test_product_past_word_moduli_matches_dict_oracle(la, lb, lo, top, seed):
-    """Over q = 1301^3 >= 2^31 a product of arrays of Python ints, each
-    operand short or past upoly._SHORT_LEN, equals the dict product; ``top``
+    """Over q = 1301^3 >= 2^31 a product of int64 arrays, each operand short
+    or past upoly._SHORT_LEN, and its scale equal the dict oracles; ``top``
     draws every coefficient from the largest residues."""
     rng = random.Random(seed)
 
@@ -104,8 +105,11 @@ def test_product_past_word_moduli_matches_dict_oracle(la, lb, lo, top, seed):
 
     a, b = operand(la, lo), operand(lb, lo + 1)
     prod = a * b
-    assert prod.c.dtype == object
+    assert prod.c.dtype == np.int64
     assert prod.terms == _mul(a.terms, b.terms, BIG)
+    c = BIG.q - 1 - seed % 8
+    assert a.scale(c).terms == _clean({k: v * c for k, v in a.terms.items()},
+                                      BIG)
 
 
 @settings(max_examples=60, deadline=None)

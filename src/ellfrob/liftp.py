@@ -4,34 +4,72 @@ mu-correction and extendability certificate.
 
 Pairs (a, b) are exact integers (canonical representatives); they are what
 the p-derivation and the guard-digit divisions by p act on.
+
+Stacks. A context may hold equal-length int64 arrays a and b of residues
+mod p^m <= 2^31: a stack of pairs, one per row of every UPoly it forms
+(upoly module doc, Stacks). Its scalars (h_val, lambda0) are then arrays,
+and the mod-p steps (build_lift_mod_p, mu_correct,
+extendability_certificate, lie_verify_commutator at m = 1 and
+eigen_forcing_check) give one verdict per row where one pair gives a bool.
+A check that cannot proceed on some row raises, as it does for that pair
+alone, naming the first such pair.
 """
+
+import numpy as np
 
 from .errors import (NotDivisible, NotOrdinary, PrecisionOutOfRange,
                      SingularPair, SingularSystem)
 from .forms import hasse_poly
 from .residue import PrimePower, delta_scalar, inv_mod
-from .upoly import FracPoly, UPoly
+from .upoly import FracPoly, UPoly, unit_inverses
 from .wpoly import discriminant
 
 _FORMS = {}  # modulus -> (Delta, H) as WPolys, shared by its CurveContexts
 
 
+def curve_forms(pm):
+    """(Delta, H) over pm as WPolys, formed once per modulus."""
+    if pm not in _FORMS:
+        _FORMS[pm] = discriminant(pm), hasse_poly(pm.p, pm)
+    return _FORMS[pm]
+
+
+def _inverse(v, pm):
+    """v^-1 mod pm.q for a unit v: an int, or an array of units."""
+    if isinstance(v, np.ndarray):
+        return unit_inverses(v, pm)
+    return inv_mod(v, pm.q)
+
+
+def _holds(ok):
+    """A verdict for one pair; for a stack, whether it holds on every row."""
+    return ok.all() if isinstance(ok, np.ndarray) else ok
+
+
+def _refuse(ok, a, b, error, text, p):
+    """Raise error(text % (a, b, p)) for the first pair (a, b), of one pair
+    or of a stack, where ok does not hold."""
+    if not _holds(ok):
+        i = int(np.argmin(np.atleast_1d(ok)))
+        raise error(text % (np.atleast_1d(a)[i], np.atleast_1d(b)[i], p))
+
+
 class CurveContext:
-    """f = x^3 + ax + b over Z/p^m with Delta(a,b) a unit."""
+    """f = x^3 + ax + b over Z/p^m with Delta(a,b) a unit; a and b may be
+    arrays, a stack of pairs (module doc, Stacks)."""
 
     def __init__(self, a, b, pm):
         self.pm = pm
         self.p = pm.p
         self.a = a % pm.q
         self.b = b % pm.q
-        if pm not in _FORMS:
-            _FORMS[pm] = discriminant(pm), hasse_poly(pm.p, pm)
-        delta, hasse = _FORMS[pm]
-        if delta.specialize(self.a, self.b) % pm.p == 0:
-            raise SingularPair("Delta(%d, %d) = 0 mod %d" % (a, b, pm.p))
+        delta, hasse = curve_forms(pm)
+        _refuse(delta.specialize(self.a, self.b) % pm.p != 0, a, b,
+                SingularPair, "Delta(%d, %d) = 0 mod %d", pm.p)
         self.h_val = hasse.specialize(self.a, self.b)
         self.ordinary = self.h_val % pm.p != 0
-        self.lambda0 = inv_mod(self.h_val, pm.q) if self.ordinary else None
+        self.lambda0 = (_inverse(self.h_val, pm) if _holds(self.ordinary)
+                        else None)
         # f per precision (with its powers) and K per precision, each
         # formed once per context; they go when the context does
         self.memo = {}
@@ -171,8 +209,12 @@ def lie_verify_commutator(lift, m):
 
     On x, (1/p) eps(phi(x)) = y (x^(p-1) + dZ/dx) and phi(eps x) = h y, so
     the condition is the differential congruence, which lie_verify checks
-    first; y_commutator checks the generator y."""
-    return lie_verify(lift, m) and y_commutator(lift, m)
+    first; y_commutator checks the generator y, when some row passed it. On
+    a stack a row that failed the first may make the second raise."""
+    ok = lie_verify(lift, m)
+    if not (ok.any() if isinstance(ok, np.ndarray) else ok):
+        return ok
+    return ok & y_commutator(lift, m)
 
 
 def y_commutator(lift, m):
@@ -189,7 +231,7 @@ def y_commutator(lift, m):
     lhs = (h.num.derivative() * f + (h.num * f.derivative())
            .scale((1 - 2 * h.fexp) * inv_mod(2, f.pm.q))).divexact_p()
     rhs = _df_phi(ctx, lift.z, m, h.fexp)
-    return lhs == rhs.scale(lift.lam * inv_mod(2, rhs.pm.q))
+    return lhs.equal_rows(rhs.scale(lift.lam * inv_mod(2, rhs.pm.q)))
 
 
 def _df_phi(ctx, z, m, fexp):
@@ -217,8 +259,8 @@ def build_lift_mod_p(ctx):
     made to vanish exactly when H(a,b) is a unit.
     """
     p = ctx.p
-    if not ctx.ordinary:
-        raise NotOrdinary("H(%d, %d) = 0 mod %d" % (ctx.a, ctx.b, p))
+    _refuse(ctx.ordinary, ctx.a, ctx.b, NotOrdinary, "H(%d, %d) = 0 mod %d",
+            p)
     lam = ctx.lambda0 % p
     z = w_poly(ctx, 1, lam)
     lift_ctx = (ctx if ctx.pm.m == 1
@@ -270,7 +312,7 @@ def mu_correct(ctx, lift):
     r3 = _mulmod_f(_mulmod_f(r2, r2, a, b, q2), r2, a, b, q2)
     pk = [(r3[0] + a * r2[0] + b) % q2, (r3[1] + a * r2[1]) % q2,
           (r3[2] + a * r2[2]) % q2]
-    if any(c % p for c in pk):
+    if any(np.any(c % p) for c in pk):
         raise NotDivisible("x^(3p) + a x^p + b mod (f, p^2) is not p K")
     r = [c % p for c in r2]
     sq = _mulmod_f(r, r, a, b, p)
@@ -282,32 +324,36 @@ def mu_correct(ctx, lift):
     yrem = _mulmod_f(base, [zrem.coeff(i) for i in range(3)], a, b, p)
     rhs = [-(c // p + yc) % p for c, yc in zip(pk, yrem)]
     mu = _solve3(cols, rhs, p)
-    corrected = lift.z.num + UPoly(mu, PrimePower(p, 1)).compose_xp()
+    corrected = (lift.z.num
+                 + UPoly(np.stack(mu, axis=-1), PrimePower(p, 1)).compose_xp())
     return mu, FrobLift(ctx, FracPoly(corrected, 0, ctx.f_at(1)), lift.lam)
 
 
+def _det3(c0, c1, c2):
+    """The determinant of the 3x3 matrix with columns c0, c1, c2."""
+    return (c0[0] * (c1[1] * c2[2] - c1[2] * c2[1])
+            - c1[0] * (c0[1] * c2[2] - c0[2] * c2[1])
+            + c2[0] * (c0[1] * c1[2] - c0[2] * c1[1]))
+
+
 def _solve3(cols, rhs, p):
-    """Gaussian elimination for the 3x3 system (columns given) over Z/p."""
-    m = [[cols[j][i] for j in range(3)] + [rhs[i]] for i in range(3)]
-    for c in range(3):
-        piv = next((r for r in range(c, 3) if m[r][c] % p != 0), None)
-        if piv is None:
-            raise SingularSystem("singular correction system mod %d" % p)
-        m[c], m[piv] = m[piv], m[c]
-        inv = inv_mod(m[c][c], p)
-        m[c] = [v * inv % p for v in m[c]]
-        for r in range(3):
-            if r != c and m[r][c]:
-                m[r] = [(m[r][k] - m[r][c] * m[c][k]) % p for k in range(4)]
-    return [m[i][3] for i in range(3)]
+    """Cramer's rule for the 3x3 system (columns given) over Z/p, on
+    residues or on per-row arrays of them: x_j = det(cols, rhs in column
+    j) / det(cols). Entries are below p, so a determinant is below 6 p^3."""
+    det = _det3(*cols) % p
+    if np.any(det == 0):
+        raise SingularSystem("singular correction system mod %d" % p)
+    inv = _inverse(det, PrimePower(p, 1))
+    return [_det3(*(cols[:j] + [rhs] + cols[j + 1:])) * inv % p
+            for j in range(3)]
 
 
 def extendability_certificate(ctx, lift):
-    """Is Y divisible by f^((p+1)/2) mod p? Returns (bool, cofactor)."""
+    """Is Y divisible by f^((p+1)/2) mod p? Returns (verdict, cofactor)."""
     p = ctx.p
     y = _y_poly(ctx, lift.z.num)
     quo, rem = y.divmod_monic(ctx.f_at(1) ** ((p + 1) // 2))
-    return rem.is_zero(), quo
+    return rem.equal_rows(UPoly.zero(rem.pm)), quo
 
 
 def eigen_forcing_check(lift):

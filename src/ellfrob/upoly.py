@@ -7,18 +7,50 @@ fits a word, and so does a product when q <= 2^31. Above that, ``_mulmod``
 forms x c mod q by Horner's rule over the base-2^s digits c_i of c, s =
 63 - bits(q-1): acc <- (acc 2^s mod q + x c_i mod q) mod q. As acc, x <
 2^bits(q-1) and c_i < 2^s, each product is below 2^63, and so is the sum.
-``coeff``, ``evaluate``, ``to_json`` and ``repr`` hand out Python ints only.
+``coeff``, ``evaluate``, ``to_json`` and ``repr`` hand out Python ints only
+(``coeff`` on a stack: a column).
+
+Stacks. ``coeffs`` may also be a (B, n) array: B polynomials over one
+modulus, one per row, such as the mod-p checks of B curves at once (liftp
+module doc, Stacks). Every method indexes the last axis, and a 1-D operand
+stands for every row. ``_trim`` drops the trailing columns that are zero
+in every row, so ``degree`` is the largest over the rows and ``is_zero``
+says that every row is zero. ``scale`` takes an int or a per-row array;
+``equal_rows`` and FracPoly's ``==`` give one verdict per row, while
+UPoly's ``==`` stays one bool. A product with a 2-D operand runs row by
+row in one of two lanes. It takes the copies lane (below) when
+``_convolves`` holds for the shorter length and one operand has at most
+``_STACK_COPIES`` live columns, as f, f', a monomial or f'(x^p) have;
+otherwise it takes the FFT lane along the last axis, whose limb plan rests
+on per-row bounds (the lengths, hence the Percival bound, are those of one
+row) and whose rounding guard checks every row. A copy costs one pass over
+all rows, about what the FFT costs in all, so between dense operands the
+FFT wins: at p = 61 it made the mod-p checks of a stack 1.4-1.6 times
+faster. The structured lane stays 1-D.
 
 Products. Degrees reach a few times p^2 in the mod-p^2 pipeline, so
 ``_mul``, the array product behind ``__mul__``, the division and the WPoly
-product, picks one of three exact lanes by operand length, nonzero pattern
+product, picks one of four exact lanes by operand length, nonzero pattern
 and q:
 
 - int64 ``np.convolve`` when the shorter operand has at most
   ``_SHORT_LEN`` coefficients and (q-1)^2 min(la, lb) < 2^62, otherwise a
   limb-split float FFT (below): together, the dense lanes;
 - for q < 2^31, the structured lane (below), where its estimated cost is
-  below that of the dense lane it replaces.
+  below that of the dense lane it replaces;
+- past the convolution's bound (q > 2^31), the copies lane with reduced
+  copies, for a shorter operand of at most ``_SHORT_LEN`` coefficients,
+  min(la, lb) q < 2^63 and an estimate (``_copies_cost``) below the FFT's:
+  a long operand times f or f' at q = p^3, say, which would otherwise cost
+  a transform of the full length.
+
+The copies lane adds, for each live column of one operand (nonzero in some
+row), the other operand times that column, shifted; it loops over the
+operand with fewer live columns, so each output coefficient of a row sums
+at most min(la, lb) terms. Summed as they are, the terms are products of
+residues below (q-1)^2, and (q-1)^2 min(la, lb) < 2^62 keeps the int64 sum
+exact: the bound of ``np.convolve``. Otherwise each copy is reduced below q
+through ``_mulmod`` first, and the sum stays below min(la, lb) q < 2^63.
 
 The structured lane. The lift phi(x) = x^p + pZ has Z = W + V(x^p) +
 pU/f^p, so mod p the numerators the checks multiply are a short dense
@@ -121,6 +153,7 @@ from .errors import (DenominatorMismatch, FFTRoundingError, InvalidModulus,
 _MAX_Q = 2 ** 62     # q below this: int64 storage (module doc, Storage)
 _WORD_Q = 2 ** 31    # up to this q, a product of two residues fits int64
 _SHORT_LEN = 128     # np.convolve beats the FFT up to this shorter length
+_STACK_COPIES = 8    # a stack product takes copies up to this many live columns
 _TAIL_WEIGHT = 16    # a tail nonzero costs about this many head coefficients
 # The lane cost model, in ns on a 2-vCPU x86 VM (module doc, Products): one
 # numpy call, and one element of a shifted copy or an outer product; a
@@ -133,20 +166,26 @@ _NO_TAIL = np.zeros(0, dtype=np.intp)
 _EPS = 2.0 ** -53
 
 
-def _zeros(n, q):
+def _zeros(shape, q):
     if q >= _MAX_Q:
         raise InvalidModulus("modulus %d is not below 2^62, the limit of "
                              "int64 coefficient storage" % q)
-    return np.zeros(n, dtype=np.int64)
+    return np.zeros(shape, dtype=np.int64)
 
 
 def _residues(values, q):
     """Canonical residues of an int sequence or array, as int64."""
-    out = _zeros(len(values), q)
     if isinstance(values, np.ndarray):
-        return np.remainder(values, q, out=out, casting="unsafe")
+        return np.remainder(values, q, out=_zeros(values.shape, q),
+                            casting="unsafe")
+    out = _zeros(len(values), q)
     out[:] = [int(c) % q for c in values]
     return out
+
+
+def _residue(c, q):
+    """c mod q for an int, or for an array of per-row values of a stack."""
+    return c % q if isinstance(c, np.ndarray) else int(c) % q
 
 
 def _mulmod(x, c, q):
@@ -166,12 +205,40 @@ def _mulmod(x, c, q):
     return acc
 
 
+def powmod(x, e, q):
+    """x^e mod q, elementwise, for an int64 residue array x and e >= 0, by
+    square-and-multiply through ``_mulmod``."""
+    if e < 0:
+        raise NegativeExponent("powmod with exponent %d" % e)
+    out = None
+    while e:
+        if e & 1:
+            out = x if out is None else _mulmod(out, x, q)
+        e >>= 1
+        if e:
+            x = _mulmod(x, x, q)
+    return np.full_like(x, 1 % q) if out is None else out
+
+
+def unit_inverses(x, pm):
+    """x^-1 mod p^m, elementwise, for an array of units x: x^(phi(q) - 1)
+    (Euler)."""
+    return powmod(x, pm.q // pm.p * (pm.p - 1) - 1, pm.q)
+
+
+def _live(arr):
+    """The columns of arr (one row, or a stack) that are nonzero in some
+    row."""
+    return np.flatnonzero(arr if arr.ndim == 1 else arr.any(axis=0))
+
+
 def _trim(arr):
-    n = len(arr)
-    if n and arr[n - 1] == 0:
-        nz = np.flatnonzero(arr)
+    n = arr.shape[-1]
+    if n and (arr[n - 1] == 0 if arr.ndim == 1
+              else not arr[:, n - 1].any()):
+        nz = _live(arr)
         n = int(nz[-1]) + 1 if len(nz) else 0
-        arr = arr[:n]
+        arr = arr[..., :n]
     arr.flags.writeable = False
     return arr
 
@@ -200,8 +267,9 @@ def _limb_plan(la, lb, q):
 
 
 def _fft_mul(a, b, q):
-    """Exact product of two int64 residue arrays mod q (see module doc)."""
-    la, lb = len(a), len(b)
+    """Exact product of two int64 residue arrays, or stacks of them, mod q,
+    along the last axis (see module doc)."""
+    la, lb = a.shape[-1], b.shape[-1]
     width, k = _limb_plan(la, lb, q)
     n = la + lb - 1
     size = 1 << (n - 1).bit_length()
@@ -225,7 +293,7 @@ def _fft_mul(a, b, q):
         for i in range(max(0, s - k + 1), min(s, k - 1) + 1):
             term = fa[i] * fb[s - i]
             spec = term if spec is None else spec + term
-        vals = irfft(spec, size)[:n]
+        vals = irfft(spec, size)[..., :n]
         del spec
         exact = np.rint(vals)
         worst = float(np.max(np.abs(vals - exact)))
@@ -399,20 +467,61 @@ def _plan(a, b, q, split_a, split_b):
     return cost, run
 
 
+def _fewer_live(a, b):
+    """(x, y, live): the operands with y the one of fewer live columns
+    (nonzero in some row), and the indices of those columns."""
+    ia, ib = _live(a), _live(b)
+    return (a, b, ib) if len(ib) <= len(ia) else (b, a, ia)
+
+
+def _copies(a, b, live, q):
+    """a b mod q as one shifted copy of a per live column of b (module doc,
+    Stacks): each copy is summed as it is when ``_convolves`` holds for the
+    shorter length, and reduced through ``_mulmod`` first otherwise."""
+    la, lb = a.shape[-1], b.shape[-1]
+    reduce = not _convolves(min(la, lb), q)
+    out = np.zeros((a.shape[:-1] or b.shape[:-1]) + (la + lb - 1,),
+                   dtype=np.int64)
+    term = np.empty(out.shape[:-1] + (la,), dtype=np.int64)
+    for j in live.tolist():
+        c = b[..., j:j + 1]
+        out[..., j:j + la] += (_mulmod(a, c, q) if reduce
+                               else np.multiply(a, c, out=term))
+    out %= q
+    return out
+
+
+def _copies_cost(la, lb, q):
+    """Estimated ns of ``_copies`` with each copy reduced: about four numpy
+    passes over the longer operand per base-2^s digit of ``_mulmod``."""
+    digits = -(-(q - 1).bit_length() // (63 - (q - 1).bit_length()))
+    return min(la, lb) * digits * 4 * (_CALL_NS + _ELEM_NS * max(la, lb))
+
+
 def _mul(a, b, q):
     """Exact product mod q of two canonical residue arrays, canonical and
-    untrimmed; empty when a factor is (module doc, Products)."""
-    la, lb = len(a), len(b)
+    untrimmed; empty when a factor is (module doc, Products). On a stack
+    (either operand 2-D) the product runs row by row (module doc, Stacks)."""
+    la, lb = a.shape[-1], b.shape[-1]
     if not la or not lb:
-        return a[:0]
+        return a[..., :0]
+    short = min(la, lb)
+    if a.ndim > 1 or b.ndim > 1:
+        x, y, live = _fewer_live(a, b)
+        if _convolves(short, q) and len(live) <= _STACK_COPIES:
+            return _copies(x, y, live, q)
+        return _fft_mul(a, b, q)
     if q < _WORD_Q and max(la, lb) > _SHORT_LEN:
         dense = _dense_cost(la, lb, q, a is b)
         if dense > _PLAN_NS:
             cost, run = _structured(a, b, q, dense)
             if cost < dense:
                 return run()
-    if _convolves(min(la, lb), q):
+    if _convolves(short, q):
         return np.convolve(a, b) % q
+    if (short <= _SHORT_LEN and short * q < 2 ** 63
+            and _copies_cost(la, lb, q) < _dense_cost(la, lb, q, a is b)):
+        return _copies(*_fewer_live(a, b), q)
     return _fft_mul(a, b, q)
 
 
@@ -422,14 +531,14 @@ def _series_inverse(r, n, q, h):
     With r h = 1 + E x^k, Newton's h (2 - r h) is h - h E x^k, so up to
     x^m, m <= 2k, the low k terms stay and the next m - k are -(h E).
     """
-    while len(h) < n:
-        k = len(h)
+    while h.shape[-1] < n:
+        k = h.shape[-1]
         m = min(2 * k, n)
-        err = _mul(r[:m], h, q)[k:m]
-        out = _zeros(m, q)
-        out[:k] = h
-        corr = _mul(h[:m - k], err, q)[:m - k]
-        out[k:k + len(corr)] = -corr % q
+        err = _mul(r[..., :m], h, q)[..., k:m]
+        out = _zeros(h.shape[:-1] + (m,), q)
+        out[..., :k] = h
+        corr = _mul(h[..., :m - k], err, q)[..., :m - k]
+        out[..., k:k + corr.shape[-1]] = -corr % q
         h = out
     return h
 
@@ -463,15 +572,18 @@ class UPoly:
 
     @classmethod
     def monomial(cls, c, d, pm):
-        out = _zeros(d + 1, pm.q)
-        out[d] = int(c) % pm.q
+        """c x^d; a per-row array c gives a stack."""
+        c = _residue(c, pm.q)
+        out = _zeros(getattr(c, "shape", ()) + (d + 1,), pm.q)
+        out[..., d] = c
         return cls._wrap(out, pm)
 
     @classmethod
     def x_cubic(cls, a, b, pm):
-        """f(x) = x^3 + a x + b."""
-        out = _zeros(4, pm.q)
-        out[0], out[1], out[3] = int(b) % pm.q, int(a) % pm.q, 1
+        """f(x) = x^3 + a x + b; per-row arrays a, b give a stack."""
+        a = _residue(a, pm.q)
+        out = _zeros(getattr(a, "shape", ()) + (4,), pm.q)
+        out[..., 0], out[..., 1], out[..., 3] = _residue(b, pm.q), a, 1
         return cls._wrap(out, pm)
 
     def memoize_powers(self):
@@ -486,13 +598,19 @@ class UPoly:
         return self
 
     def degree(self):
-        return len(self.coeffs) - 1
+        """The degree; on a stack, the largest over its rows."""
+        return self.coeffs.shape[-1] - 1
 
     def is_zero(self):
-        return len(self.coeffs) == 0
+        """Is the polynomial, or every row of a stack, zero?"""
+        return self.coeffs.shape[-1] == 0
 
     def coeff(self, d):
-        return int(self.coeffs[d]) if 0 <= d < len(self.coeffs) else 0
+        """The x^d coefficient as an int; on a stack, the column of it."""
+        c = self.coeffs
+        if not 0 <= d < c.shape[-1]:
+            return 0
+        return c[:, d] if c.ndim > 1 else int(c[d])
 
     def _check(self, other):
         if self.pm != other.pm:
@@ -502,15 +620,30 @@ class UPoly:
         return (isinstance(other, UPoly) and self.pm == other.pm
                 and np.array_equal(self.coeffs, other.coeffs))
 
+    def equal_rows(self, other):
+        """Per-row equality: a bool for two polynomials, one bool per row
+        when either side is a stack (a polynomial stands for every row)."""
+        self._check(other)
+        a, b = self.coeffs, other.coeffs
+        if a.ndim == b.ndim == 1:  # both trimmed
+            return np.array_equal(a, b)
+        if a.shape[-1] < b.shape[-1]:
+            a, b = b, a
+        n = b.shape[-1]
+        same = (a[..., :n] == b).all(axis=-1) & ~a[..., n:].any(axis=-1)
+        return same if same.ndim else bool(same)
+
     def _addsub(self, other, sign):
         self._check(other)
         a, b = self.coeffs, other.coeffs
-        out = _zeros(max(len(a), len(b)), self.pm.q)
-        out[:len(a)] = a
+        la, lb = a.shape[-1], b.shape[-1]
+        out = _zeros((a.shape[:-1] or b.shape[:-1]) + (max(la, lb),),
+                     self.pm.q)
+        out[..., :la] = a
         if sign > 0:
-            out[:len(b)] += b
+            out[..., :lb] += b
         else:
-            out[:len(b)] -= b
+            out[..., :lb] -= b
         out %= self.pm.q
         return UPoly._wrap(out, self.pm)
 
@@ -524,8 +657,10 @@ class UPoly:
         return UPoly._wrap(-self.coeffs % self.pm.q, self.pm)
 
     def scale(self, c):
+        """c self, for an int c or, on a stack, a per-row array c."""
         q = self.pm.q
-        return UPoly._wrap(_mulmod(self.coeffs, int(c) % q, q), self.pm)
+        c = (c % q)[..., None] if isinstance(c, np.ndarray) else int(c) % q
+        return UPoly._wrap(_mulmod(self.coeffs, c, q), self.pm)
 
     def __mul__(self, other):
         self._check(other)
@@ -562,15 +697,16 @@ class UPoly:
     def derivative(self):
         c = self.coeffs
         q = self.pm.q
-        idx = np.arange(1, len(c), dtype=np.int64) % q
-        return UPoly._wrap(_mulmod(c[1:], idx, q), self.pm)
+        idx = np.arange(1, c.shape[-1], dtype=np.int64) % q
+        return UPoly._wrap(_mulmod(c[..., 1:], idx, q), self.pm)
 
     def compose_xp(self):
         """Substitute x -> x^p."""
         p = self.pm.p
         c = self.coeffs
-        out = _zeros(p * self.degree() + 1 if len(c) else 0, self.pm.q)
-        out[::p] = c
+        out = _zeros(c.shape[:-1] + (p * self.degree() + 1
+                                     if c.shape[-1] else 0,), self.pm.q)
+        out[..., ::p] = c
         return UPoly._wrap(out, self.pm)
 
     def antiderivative(self):
@@ -578,33 +714,27 @@ class UPoly:
 
         A monomial c*x^(sp-1) needs p | c; the p cancels against the p in
         sp = p*s and the result coefficient is (c/p) * s^{-1} * x^{sp}.
-        Everything else divides by degree+1, a unit. A unit v has inverse
-        v^(phi(q) - 1) (Euler), formed by square-and-multiply on the array.
+        Everything else divides by degree+1, a unit (``unit_inverses``).
+        Only the live columns are divided, so a zero coefficient asks
+        nothing.
         """
         p, q = self.pm.p, self.pm.q
         c = self.coeffs
-        idx = np.flatnonzero(c)
-        vals = c[idx]
+        idx = _live(c)
+        vals = np.take(c, idx, axis=-1)
         deg1 = idx + 1
         special = deg1 % p == 0
         bad = special & (vals % p != 0)
         if bad.any():
-            raise NotIntegrable(int(deg1[bad][0]) // p)
+            raise NotIntegrable(int(deg1[_live(bad)[0]]) // p)
         den = np.where(special, deg1 // p, deg1)
         num = np.where(special, vals // p, vals)
         if (den % p == 0).any():
             s = int(den[den % p == 0][0])
             raise NotIntegrable(s, "x^(%d*p-1): s is divisible by p, so the "
                                    "coefficient needs p^2" % s)
-        base, e = den % q, q // p * (p - 1) - 1
-        while e:
-            if e & 1:
-                num = _mulmod(num, base, q)
-            e >>= 1
-            if e:
-                base = _mulmod(base, base, q)
-        out = _zeros(len(c) + 1, q)
-        out[deg1] = num
+        out = _zeros(c.shape[:-1] + (c.shape[-1] + 1,), q)
+        out[..., deg1] = _mulmod(num, unit_inverses(den % q, self.pm), q)
         return UPoly._wrap(out, self.pm)
 
     def evaluate(self, x0):
@@ -627,7 +757,7 @@ class UPoly:
         """p^j self over pm = p^(m+j), j >= 0. Exact for any representatives
         of self mod p^m, since p^j absorbs their ambiguity, and canonical
         without a reduction, since p^j c < p^(m+j) for c < p^m."""
-        out = _zeros(len(self.coeffs), pm.q)
+        out = _zeros(self.coeffs.shape, pm.q)
         np.multiply(self.coeffs, pm.p ** (pm.m - self.pm.m), out=out)
         return UPoly._wrap(out, pm)
 
@@ -637,7 +767,7 @@ class UPoly:
         c = self.coeffs
         quo, rem = np.divmod(c, p)
         if rem.any():
-            bad = int(c[np.flatnonzero(rem)[0]])
+            bad = int(c.ravel()[np.flatnonzero(rem)[0]])
             raise NotDivisible("coefficient %d not divisible by %d" % (bad, p))
         # c < p^m, so the quotient is a canonical residue mod p^(m-1)
         return UPoly._wrap(quo, self.pm.drop(self.pm.m - 1))
@@ -646,20 +776,22 @@ class UPoly:
         """divmod by a monic polynomial through rev(g)^-1, which is kept on
         g (module doc, Division)."""
         self._check(g)
-        if g.is_zero() or g.coeffs[-1] != 1:
+        if g.is_zero() or np.count_nonzero(g.coeffs[..., -1] != 1):
             raise NotMonic("divisor %r is not monic" % (g,))
         q, d, c = self.pm.q, g.degree(), self.coeffs
-        n = len(c) - d
+        n = c.shape[-1] - d
         if n <= 0:
             return UPoly.zero(self.pm), self
-        inv, rev = g._inverse, g.coeffs[::-1]
-        if inv is None or len(inv) < n:
+        inv, rev = g._inverse, g.coeffs[..., ::-1]
+        if inv is None or inv.shape[-1] < n:
             # rev[:1] = [1] is the inverse mod x, where Newton starts
             inv = g._inverse = _series_inverse(
-                rev, n, q, rev[:1] if inv is None else inv)
+                rev, n, q, rev[..., :1] if inv is None else inv)
             inv.flags.writeable = False
-        quo = _mul(c[d:][::-1], inv[:n], q)[n - 1::-1].copy()
-        rem = (c[:d] - _mul(g.coeffs[:d], quo[:d], q)[:d]) % q
+        quo = _mul(c[..., d:][..., ::-1], inv[..., :n],
+                   q)[..., n - 1::-1].copy()
+        rem = (c[..., :d] - _mul(g.coeffs[..., :d], quo[..., :d],
+                                 q)[..., :d]) % q
         return UPoly._wrap(quo, self.pm), UPoly._wrap(rem, self.pm)
 
     def to_json(self):
@@ -727,8 +859,10 @@ class FracPoly:
         return FracPoly(n, self.fexp + 1, self.f)
 
     def __eq__(self, other):
+        """Equality in the localization: a bool, or one per row on a
+        stack (``UPoly.equal_rows``)."""
         a, b, _ = self._align(other)
-        return a == b
+        return a.equal_rows(b)
 
     def is_zero(self):
         return self.num.is_zero()

@@ -19,7 +19,7 @@ from .errors import (DegreeMismatch, DenominatorMismatch,
                      DenominatorNotLocalizer, ModulusMismatch, NegativeExponent,
                      NotAUnit, PrecisionOutOfRange, SingularPair)
 from .residue import inv_mod
-from .upoly import UPoly, _mul, _mulmod, _residues
+from .upoly import UPoly, _mul, _mulmod, _residues, powmod
 
 
 def _reduce(c, pm):
@@ -27,7 +27,10 @@ def _reduce(c, pm):
 
 
 def _power(x, e, pm):
-    """x^e, mod pm.q or exact when pm is None; e < 0 needs x to be a unit."""
+    """x^e, mod pm.q or exact when pm is None; e < 0 needs x to be a unit.
+    An int64 array x of residues (with pm set) gives one power per entry."""
+    if isinstance(x, np.ndarray):
+        return powmod(x, e, pm.q)
     if e < 0 and (x if pm is None else x % pm.p) == 0:
         raise NotAUnit("%d^%d: %d is not a unit" % (x, e, x))
     if pm is not None:
@@ -162,12 +165,17 @@ class WPoly:
         return self._new(self.w and self.w * k, self.lo * k, c)
 
     def specialize(self, a, b):
-        """Value at (a, b): mod q, or exact (int or Fraction) if pm is None."""
+        """Value at (a, b): mod q, or exact (int or Fraction) if pm is None.
+        a and b may be equal-length int64 arrays of residues mod q <= 2^31,
+        a stack of pairs, for a polynomial without negative exponents: every
+        step is reduced mod q, so each product of two residues stays below
+        2^62, and the value is one residue per pair."""
         pm, acc, a_k = self.pm, 0, 1
         big_a, big_b = _power(a, 3, pm), _power(b, 2, pm)
         for c in self.c.tolist():
-            acc, a_k = acc * big_b + c * a_k, a_k * big_a
-        return _reduce(acc * _power(a, self.lo, pm)
+            acc = _reduce(acc * big_b + c * a_k, pm)
+            a_k = _reduce(a_k * big_a, pm)
+        return _reduce(_reduce(acc * _power(a, self.lo, pm), pm)
                        * _power(b, self.lowest_z6(), pm), pm)
 
     def restrict_z4_zero(self):

@@ -316,6 +316,13 @@ def test_help_exits_0(capsys):
      "68b8b7172f1d64b4cf979c029fc6769a4040e408bcb3c9c316b292cbbc90d301"),
     (("hasse", "--p", "101", "--mod", "9"),
      "f1e164fe0d8c06c3b875f0dced2aa59140a55fc2e3d50469df6febf070b7b305"),
+    # recorded while mod-p sweeps ran pair by pair: every pair of p = 31, and
+    # sampled pairs from [0, p^2) at p = 101
+    (("verify-all", "--p", "31", "--mod", "1"),
+     "1f61fca19c03e044a25196d02f6a3ee9cc2a3d320079e7e2a56f98b25e16d982"),
+    (("verify-all", "--p", "101", "--mod", "1", "--samples", "100", "--seed",
+      "3"),
+     "fafbb0629e908b10eb8644de0ccdcd042dce5cd7c3ea386e076b7757c228753d"),
 ])
 def test_stdout_golden(capsys, argv, digest):
     code, out = run_cli(capsys, *argv)

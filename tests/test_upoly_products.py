@@ -103,6 +103,31 @@ def test_mul_matches_schoolbook(pm, la, lb, kind_a, kind_b, square, seed):
     assert prod.coeffs.tolist() == schoolbook(a, b, q)
 
 
+@pytest.mark.parametrize("kind", ["f", "df", "monomial", "one"])
+def test_long_times_short_past_the_word(monkeypatch, kind):
+    """At q = 1291^3 > 2^31 a long operand times f, f' or a monomial takes
+    the copies lane, each copy reduced through _mulmod, not a full-length
+    FFT; it equals schoolbook with the largest balanced residues on both
+    sides, in either order."""
+    pm = PrimePower(1291, 3)
+    q = pm.q
+    runs = []
+    real = upoly._copies
+    monkeypatch.setattr(upoly, "_copies",
+                        lambda *args: runs.append(1) or real(*args))
+    rng = random.Random(kind)
+    pool = [(q - 1) // 2, (q + 1) // 2, q - 1]
+    long = [rng.choice(pool) if i % 2 else rng.randrange(q)
+            for i in range(3000)]
+    f = UPoly.x_cubic(pool[0], pool[1], pm)
+    short = {"f": f, "df": f.derivative(), "monomial": UPoly.monomial(
+        pool[2], 2, pm), "one": UPoly.const(pool[1], pm)}[kind]
+    few = short.coeffs.tolist()
+    assert (UPoly(long, pm) * short).coeffs.tolist() == schoolbook(long, few, q)
+    assert (short * UPoly(long, pm)).coeffs.tolist() == schoolbook(few, long, q)
+    assert len(runs) == 2
+
+
 # the int64 FFT moduli the pipeline uses, up to the largest, 1289^3 < 2^31
 SPARSE_MODULI = [PrimePower(13, 2), PrimePower(211, 3), PrimePower(1289, 3)]
 

@@ -1,8 +1,12 @@
+import random
+
+import numpy as np
 import pytest
 
 import ellfrob.verify as verify
-from ellfrob.errors import InvalidModulus
-from ellfrob.verify import parallel_map, verify_pair
+from ellfrob.errors import (DomainError, InvalidModulus, NotAUnit,
+                            NotOrdinary, SingularPair)
+from ellfrob.verify import exhaustive_verify, parallel_map, verify_pair
 
 
 def test_verify_pair_refuses_other_moduli():
@@ -58,3 +62,92 @@ def test_parallel_map_keeps_item_order_across_chunks(monkeypatch, workers):
     for n in range(4 * workers + 4):
         items = [(7 * i) % 11 - 5 for i in range(n)]
         assert parallel_map(repr, items, workers) == [repr(x) for x in items]
+
+
+def pairwise_summary(p, samples=None, seed=2026):
+    """exhaustive_verify's mod-p summary, built pair by pair from
+    verify_pair over the same draw."""
+    if samples is None:
+        pairs = [(a, b) for a in range(p) for b in range(p)]
+    else:
+        rng = random.Random(seed)
+        pairs = [(rng.randrange(p * p), rng.randrange(p * p))
+                 for _ in range(samples)]
+    eligible = constructed = verified = 0
+    failures = []
+    for a, b in pairs:
+        try:
+            row = verify_pair(p, a, b, 1)
+        except (SingularPair, NotOrdinary):
+            continue
+        except DomainError as e:
+            eligible += 1
+            failures.append({"p": p, "a": a, "b": b, "mod": 1,
+                             "error": type(e).__name__})
+            continue
+        eligible += 1
+        constructed += 1
+        if row["verified"]:
+            verified += 1
+        else:
+            failures.append(row)
+    return {"p": p, "mod": 1, "pairs": len(pairs), "eligible": eligible,
+            "constructed": constructed, "verified": verified,
+            "failed": len(failures), "failures": failures}
+
+
+@pytest.mark.parametrize("p, samples", [(13, None), (17, None), (37, 200)])
+def test_stacked_sweep_matches_pair_by_pair(p, samples):
+    assert exhaustive_verify(p, 1, samples=samples) == pairwise_summary(
+        p, samples)
+
+
+ERROR_PAIR, FALSE_PAIRS = (2, 3), {(1, 5), (10, 4)}
+
+
+def sabotage(monkeypatch):
+    """mu_correct raises a DomainError on ERROR_PAIR, alone or in a stack,
+    and eigen_forcing_check says False on FALSE_PAIRS, through the names
+    the sweep calls."""
+    real_mu, real_eigen = verify.mu_correct, verify.eigen_forcing_check
+
+    def pairs(ctx):
+        return list(zip(np.atleast_1d(ctx.a).tolist(),
+                        np.atleast_1d(ctx.b).tolist()))
+
+    def mu_correct(ctx, lift):
+        if ERROR_PAIR in pairs(ctx):
+            raise NotAUnit("sabotaged")
+        return real_mu(ctx, lift)
+
+    def eigen_forcing_check(lift):
+        ok = real_eigen(lift)
+        bad = [pair in FALSE_PAIRS for pair in pairs(lift.ctx)]
+        if isinstance(ok, np.ndarray):
+            return ok & ~np.array(bad)
+        return ok and not bad[0]
+
+    monkeypatch.setattr(verify, "mu_correct", mu_correct)
+    monkeypatch.setattr(verify, "eigen_forcing_check", eigen_forcing_check)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_failures_name_their_pairs_in_task_order(monkeypatch, workers):
+    """One stack at 1 worker, two on the in-process pool (the error pair
+    and one false pair share the first): the failure rows are those of a
+    pair-by-pair sweep, in task order."""
+    monkeypatch.setattr(verify, "_process_pool", FakePool)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 8)
+    FakePool.sizes = []
+    sabotage(monkeypatch)
+    summary = exhaustive_verify(13, 1, workers=workers)
+    assert FakePool.sizes == ([] if workers == 1 else [2])
+    assert summary == pairwise_summary(13)
+    assert summary["failures"] == [
+        {"p": 13, "a": 1, "b": 5, "mod": 1, "verified": False, "lambda": 8,
+         "extendable": True},
+        {"p": 13, "a": 2, "b": 3, "mod": 1, "error": "NotAUnit"},
+        {"p": 13, "a": 10, "b": 4, "mod": 1, "verified": False, "lambda": 12,
+         "extendable": True}]
+    assert (summary["eligible"], summary["constructed"],
+            summary["verified"]) == (144, 143, 141)

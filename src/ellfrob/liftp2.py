@@ -6,6 +6,22 @@ The lift is assembled as Z = W + V(x^p) + p U(x)/f(x)^p with eigenvalue
 lambda = lambda0 (1 + p theta). The v_j and U only matter mod p: they enter
 the verified congruences either multiplied by p or through d/dx, which
 turns x^(jp) terms into p-multiples.
+
+Stacks. The numeric lane also runs on a stack of pairs (liftp module doc,
+Stacks), a context whose a and b are int64 arrays: d_values, the row
+solves (_source, _row_rhs, solve_truncated, _solve_b0),
+stabilization_check, solve_eigen_numeric, assemble_lift and
+build_lift_mod_p2 then take and give per-row arrays where one pair has
+ints, and an int among arrays stands for every row. Each check gives each
+row its own verdict; when one fails, it raises through liftp._refuse,
+which names the first failing pair (as (a, b) mod p in the row solves,
+which see no more of it). A stack holds one branch: build_lift_mod_p2
+takes the b0 solve when every row has b = 0 mod p, and the pivot solve
+otherwise, where a row with b = 0 stops at BNotUnit. The row solves form
+every product of two residues below p, reducing a row constant times a^p
+before it meets v, so a row sum stays below 4 p^2. The largest int64 value
+of the lane is lambda0 (1 + p theta) before its reduction mod p^2, below
+p^4; both are below 2^63 for every p whose p^2 a stack admits (<= 2^31).
 """
 
 import numpy as np
@@ -15,7 +31,8 @@ from .errors import (BNotUnit, DegreeMismatch, InternalMismatch,
                      PrecisionOutOfRange, PropertyViolation, SigmaSingular,
                      TOutOfRange)
 from .forms import hasse_poly
-from .liftp import CurveContext, FrobLift, _y_poly, df_xp, k0_poly, w_poly
+from .liftp import (CurveContext, FrobLift, _holds, _inverse, _refuse,
+                    _y_poly, df_xp, k0_poly, w_poly)
 from .psi import psi_table
 from .residue import PrimePower, delta_scalar, inv_mod
 from .upoly import FracPoly, UPoly
@@ -29,16 +46,15 @@ def d_values(ctx):
     D = (lambda0/2) f^((p-1)/2) (K0 + (3x^(2p)+a^p) W0), all mod p,
     together with W0. deg D <= 5p-2 forces d_s = 0 for s >= 5."""
     p = ctx.p
-    if not ctx.ordinary:
-        raise NotOrdinary("H(%d, %d) = 0 mod %d" % (ctx.a, ctx.b, p))
+    _refuse(ctx.ordinary, ctx.a, ctx.b, NotOrdinary, "H(%d, %d) = 0 mod %d",
+            p)
     lam0 = ctx.lambda0 % p
     fh = ctx.f_at(1) ** ((p - 1) // 2)
     w0 = w_poly(ctx, 1, lam0)
     dpoly = (fh * (k0_poly(ctx, 1) + df_xp(ctx, 1) * w0)) \
         .scale(lam0 * inv_mod(2, p))
-    if dpoly.degree() > 5 * p - 2:
-        raise DegreeMismatch("deg D = %d exceeds 5p-2 = %d"
-                             % (dpoly.degree(), 5 * p - 2))
+    _refuse(~dpoly.coeffs[..., 5 * p - 1:].any(axis=-1), ctx.a, ctx.b,
+            DegreeMismatch, "deg D exceeds 5p-2 at (%d, %d) mod %d", p)
     return [0] + [dpoly.coeff(s * p - 1) for s in range(1, 5)], w0
 
 
@@ -46,11 +62,11 @@ def _source(s, p, u, theta, da, db, d):
     inv2 = inv_mod(2, p)
     src = d[s] if s < len(d) else 0
     if s == 1:
-        src += db * inv2
+        src = src + db * inv2
     elif s == 2:
-        src += (u * theta + da) * inv2
+        src = src + (u * theta + da) % p * inv2
     elif s == 4:
-        src += 3 * theta * inv2
+        src = src + 3 * theta * inv2
     return src % p
 
 
@@ -62,7 +78,8 @@ def _row_rhs(s, p, u, theta, da, db, d, vs):
     def v(i):
         return vs[i] if 0 <= i < len(vs) else 0
 
-    t = (3 - 2 * s) * inv2 * u * v(s - 1) + (9 - 2 * s) * inv2 * v(s - 3)
+    t = ((3 - 2 * s) * inv2 % p * u % p * v(s - 1)
+         + (9 - 2 * s) * inv2 % p * v(s - 3))
     return (t + _source(s, p, u, theta, da, db, d)) % p
 
 
@@ -70,15 +87,16 @@ def solve_truncated(p, u, v_unit, theta, da, db, d, v0, t_max):
     """The unique mod-p solution v_0..v_T of the first T rows
     s b^p v_s = (3/2-s) a^p v_(s-1) + (9/2-s) v_(s-3) + c_s+d_s+e_s+f_s,
     for b a unit and 1 <= T <= p-1."""
-    if v_unit % p == 0:
-        raise BNotUnit("b = 0 mod %d: rows cannot be solved for v_s" % p)
+    _refuse(v_unit % p != 0, u, v_unit, BNotUnit,
+            "b = 0 at (a, b) = (%d, %d) mod %d: rows cannot be solved for v_s",
+            p)
     if not 1 <= t_max <= p - 1:
         raise TOutOfRange("truncation %d outside [1, %d]" % (t_max, p - 1))
-    inv_v = inv_mod(v_unit, p)
+    inv_v = _inverse(v_unit % p, PrimePower(p, 1))
     vs = [v0 % p]
     for s in range(1, t_max + 1):
         rhs = _row_rhs(s, p, u, theta, da, db, d, vs)
-        vs.append(rhs * inv_mod(s, p) * inv_v % p)
+        vs.append(rhs * inv_mod(s, p) % p * inv_v % p)
     return vs
 
 
@@ -87,14 +105,16 @@ def stabilization_check(p, u, v_unit, theta, da, db, d, vs):
     at (p+3)/2, and re-verify every row up to s = (p+13)/2 against the
     truncated solution (rows beyond that have all terms identically 0)."""
     piv = (p + 5) // 2
-    if vs[piv] % p or vs[piv + 1] % p:
-        raise NotStabilized("pivots v_%d, v_%d = %d, %d mod %d"
-                            % (piv, piv + 1, vs[piv], vs[piv + 1], p))
+    _refuse((vs[piv] % p == 0) & (vs[piv + 1] % p == 0), u, v_unit,
+            NotStabilized, "pivots v_%d, v_%d do not vanish at (a, b) = "
+            "(%%d, %%d) mod %%d" % (piv, piv + 1), p)
     truncated = vs[:(p + 3) // 2 + 1]
+    ok = True
     for s in range(1, (p + 13) // 2 + 1):
-        lhs = s * v_unit * (truncated[s] if s < len(truncated) else 0) % p
-        if lhs != _row_rhs(s, p, u, theta, da, db, d, truncated):
-            raise NotStabilized("row %d fails after truncation" % s)
+        lhs = s * v_unit % p * (truncated[s] if s < len(truncated) else 0) % p
+        ok = ok & (lhs == _row_rhs(s, p, u, theta, da, db, d, truncated))
+    _refuse(ok, u, v_unit, NotStabilized,
+            "a row fails after truncation at (a, b) = (%d, %d) mod %d", p)
     return truncated
 
 
@@ -108,7 +128,7 @@ def solve_eigen_numeric(ctx, d=None):
     here when not given.
     """
     p = ctx.p
-    u, v_unit = pow(ctx.a, p, p), pow(ctx.b, p, p)
+    u, v_unit = ctx.a % p, ctx.b % p  # a^p = a mod p
     if d is None:
         d, _ = d_values(ctx)
     da, db = ctx.delta_a() % p, ctx.delta_b() % p
@@ -117,13 +137,15 @@ def solve_eigen_numeric(ctx, d=None):
     alpha = solve_truncated(p, u, v_unit, 0, 0, 0, [0], 1, t_max)
     beta = solve_truncated(p, u, v_unit, 1, 0, 0, [0], 0, t_max)
     rho = solve_truncated(p, u, v_unit, 0, da, db, d, 0, t_max)
-    det = (alpha[m_piv] * beta[m_piv + 1] - alpha[m_piv + 1] * beta[m_piv]) % p
-    if det == 0:
-        raise SigmaSingular("pivot determinant vanishes at (%d, %d) mod %d"
-                            % (ctx.a, ctx.b, p))
-    det_inv = inv_mod(det, p)
-    v0 = (rho[m_piv + 1] * beta[m_piv] - rho[m_piv] * beta[m_piv + 1]) * det_inv % p
-    theta = (rho[m_piv] * alpha[m_piv + 1] - rho[m_piv + 1] * alpha[m_piv]) * det_inv % p
+    det = (alpha[m_piv] * beta[m_piv + 1]
+           - alpha[m_piv + 1] * beta[m_piv]) % p
+    _refuse(det != 0, ctx.a, ctx.b, SigmaSingular,
+            "pivot determinant vanishes at (%d, %d) mod %d", p)
+    det_inv = _inverse(det, PrimePower(p, 1))
+    v0 = ((rho[m_piv + 1] * beta[m_piv] - rho[m_piv] * beta[m_piv + 1]) % p
+          * det_inv % p)
+    theta = ((rho[m_piv] * alpha[m_piv + 1] - rho[m_piv + 1] * alpha[m_piv])
+             % p * det_inv % p)
     return v0, theta, det
 
 
@@ -135,26 +157,28 @@ def _solve_b0(ctx, d):
     vanishing leading coefficient takes v_((p+1)/2) = 0 and must hold on
     its own."""
     p = ctx.p
-    u = pow(ctx.a, p, p)
-    alpha2 = d[2] * inv_mod(u, p) % p
-    alpha4 = d[4] % p
-    alpha = (alpha2 + alpha4) * inv_mod(2, p) % p
-    da, db = ctx.delta_a() % p, ctx.delta_b() % p
-    theta = (-da * inv_mod(4 * u, p) - alpha) % p
-
+    u = ctx.a % p  # a^p = a mod p, a unit as b = 0
+    inv_u = _inverse(u, PrimePower(p, 1))
     inv2 = inv_mod(2, p)
+    alpha2 = d[2] * inv_u % p
+    alpha4 = d[4] % p
+    alpha = (alpha2 + alpha4) * inv2 % p
+    da, db = ctx.delta_a() % p, ctx.delta_b() % p
+    theta = (-da * inv_u % p * inv_mod(4, p) - alpha) % p
+
     s_special = (p + 3) // 2
     vs = []
     for s in range(1, (p + 9) // 2 + 1):
         # v_(s-1) is not in vs yet, so _row_rhs drops its term
         rhs = _row_rhs(s, p, u, theta, da, db, d, vs)
-        lead = (2 * s - 3) * inv2 * u % p
         if s == s_special:
-            if rhs:
-                raise InternalMismatch("degenerate row %d fails" % s)
+            _refuse(rhs == 0, ctx.a, ctx.b, InternalMismatch,
+                    "degenerate row %d fails at (%%d, %%d) mod %%d" % s, p)
             vs.append(0)
         else:
-            vs.append(rhs * inv_mod(lead, p) % p)
+            # the leading coefficient is (2s - 3)/2 a^p
+            lead_inv = inv_mod((2 * s - 3) * inv2, p)
+            vs.append(rhs * lead_inv % p * inv_u % p)
     return vs[0], theta, vs
 
 
@@ -189,7 +213,8 @@ def assemble_lift(ctx, theta, vs, w0):
     f1 = ctx.f_at(1)
     fh1 = f1 ** ((p - 1) // 2)
     half = ctx.lambda0 * inv_mod(2, p) % p
-    v_poly = UPoly(vs, pm1)
+    v_poly = UPoly(np.stack(np.broadcast_arrays(*vs), axis=-1)
+                   if isinstance(ctx.a, np.ndarray) else vs, pm1)
     vxp = v_poly.compose_xp()
     # dU/dx = -x^(p-1) f^p V'(x^p) + (lambda0/2) f^((p-1)/2) Y(V(x^p) + W0
     #         + theta x^p), as K0 + delta(a) x^p + delta(b) = K mod p
@@ -203,28 +228,33 @@ def assemble_lift(ctx, theta, vs, w0):
 
 
 def build_lift_mod_p2(ctx):
-    """End-to-end mod-p^2 construction for an ordinary pair over Z/p^2.
+    """End-to-end mod-p^2 construction for an ordinary pair over Z/p^2,
+    or for a stack of pairs of one branch (module doc, Stacks).
 
     b a unit mod p: the pivot solve, then the forward rows (labelled a0
     when a = 0 mod p, general otherwise); b = 0 mod p: the b0 solve.
-    Returns (lift, info) with info holding theta, v0 and the v-vector.
+    Returns (lift, info) with info holding the branch, theta, v0 and the
+    v-vector: one of each per row on a stack, the branch one for all rows
+    of the b0 solve.
     """
     p = ctx.p
     if ctx.pm.m < 2:
         raise PrecisionOutOfRange("mod-p^2 construction needs a precision-2 "
                                   "context, got p^%d" % ctx.pm.m)
-    if not ctx.ordinary:
-        raise NotOrdinary("H(%d, %d) = 0 mod %d" % (ctx.a, ctx.b, p))
-    u, v_unit = pow(ctx.a, p, p), pow(ctx.b, p, p)
+    _refuse(ctx.ordinary, ctx.a, ctx.b, NotOrdinary, "H(%d, %d) = 0 mod %d",
+            p)
+    u, v_unit = ctx.a % p, ctx.b % p  # a^p = a and b^p = b mod p
     da, db = ctx.delta_a() % p, ctx.delta_b() % p
     d, w0 = d_values(ctx)
-    if v_unit:
-        branch = "general" if u else "a0"
-        v0, theta, _ = solve_eigen_numeric(ctx, d)
-        vs = solve_truncated(p, u, v_unit, theta, da, db, d, v0, (p + 7) // 2)
-    else:
+    if _holds(v_unit == 0):
         branch = "b0"
         v0, theta, vs = _solve_b0(ctx, d)
+    else:
+        # a stack with some b = 0 rows stops at BNotUnit in solve_truncated
+        branch = (np.where(u != 0, "general", "a0")
+                  if isinstance(u, np.ndarray) else "general" if u else "a0")
+        v0, theta, _ = solve_eigen_numeric(ctx, d)
+        vs = solve_truncated(p, u, v_unit, theta, da, db, d, v0, (p + 7) // 2)
     vs = stabilization_check(p, u, v_unit, theta, da, db, d, vs)
     lift = assemble_lift(ctx, theta, vs, w0)
     info = {"branch": branch, "theta": theta, "v0": v0, "vs": vs}

@@ -3,11 +3,17 @@
 Values are plain Python integers canonically reduced to [0, p^m); the
 modulus travels separately as a PrimePower. Python ints promote to arbitrary
 precision automatically, so there is no separate big-integer path.
+``delta_scalar`` also takes an int64 array of values below 2^63, a stack of
+pairs (liftp module doc, Stacks), and reduces it mod p^(m+1) before any
+power is formed.
 """
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import InvalidModulus, NotDivisible
+from .upoly import powmod
 
 _PRIMES = set()  # every p that passed is_prime in this process
 
@@ -63,13 +69,21 @@ def inv_mod(v, q):
 
 
 def delta_scalar(a, pm):
-    """p-derivation of an integer: (a - a^p)/p reduced mod p^m.
+    """p-derivation of an integer: (a - a^p)/p reduced mod p^m; of each
+    entry, for an int64 array a.
 
     The division is exact by Fermat; it is carried out on a representative
-    mod p^(m+1) so no full-size power of a is ever formed.
+    mod p^(m+1) so no full-size power of a is ever formed. On an array,
+    a^p mod p^(m+1) comes from ``powmod``, exact for p^(m+1) < 2^62.
     """
     guard = pm.p ** (pm.m + 1)
-    num = (a - pow(a, pm.p, guard)) % guard
-    if num % pm.p:
-        raise NotDivisible("a - a^p not divisible by %d for a = %d" % (pm.p, a))
+    if isinstance(a, np.ndarray):
+        num = (a - powmod(a % guard, pm.p, guard)) % guard
+    else:
+        num = (a - pow(a, pm.p, guard)) % guard
+    rem = num % pm.p
+    if rem.any() if isinstance(rem, np.ndarray) else rem:
+        raise NotDivisible("a - a^p not divisible by %d for a = %d"
+                           % (pm.p, np.atleast_1d(a)[np.argmax(
+                               np.atleast_1d(rem) != 0)]))
     return num // pm.p

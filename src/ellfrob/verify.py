@@ -5,19 +5,40 @@ A pair is ineligible (skipped, not failed) when it is singular, has
 vanishing Hasse invariant, or hits a vanishing pivot determinant in the
 mod-p^2 solve. Everything else must construct and verify.
 
-Stacks. A mod-p sweep checks its pairs in stacks (liftp module doc,
-Stacks), not one by one: the tasks are cut into contiguous runs of at most
-``_STACK_CELLS // p`` pairs, and of at most an equal share per worker, and
-each run is one item of the pool. A run first sets aside its singular and
-supersingular pairs, from Delta(a, b) and H(a, b) mod p; the rest go
-through the same steps as ``verify_pair``, as rows of one CurveContext.
-Should any step raise on the stack (a DomainError, or an InternalError for
-a broken invariant), the run is checked again pair by pair through
-``verify_pair``, so each failure row names its pair and error class, in
-task order, and an InternalError that ends the sweep names its pair, as in
-a pair-by-pair sweep. Stacks hold int64 entries; the largest, in the
-reduction of x^p mod (f, p^2) in ``mu_correct``, stay below 7 p^5, under
-2^63 for p < ``_STACK_P``, and larger primes go pair by pair.
+Stacks. A sweep at p < ``_STACK_P`` checks its pairs in stacks (liftp
+module doc, Stacks), not one by one, at both precisions m: the tasks are
+cut into contiguous runs of at most ``_STACK_CELLS[m] // p^m`` pairs, and
+of at most an equal share per worker, and each run is one item of the
+pool. A stack's polynomials have degrees of the order of p^m (V(x^p) has
+degree about p^2/2 mod p^2), so pairs times p^m measures its arrays at
+either precision. Mod p^2, on two workers, 2^15 cells ran the sweeps at
+p = 13 and 29 1.2-1.8 times as fast as 2^13 cells, and no larger count
+was faster; mod p they stay at 2^13, since 2^15 ran the p = 31 sweep
+hardly faster and raised its peak RSS from 35 to 50 MB. A run first sets aside its singular and
+supersingular pairs, from Delta(a, b) and H(a, b) mod p. The rest go
+through ``verify_pair`` as rows of one CurveContext: mod p all of them,
+and mod p^2 one stack per branch of ``build_lift_mod_p2``, the pairs with
+b a unit (general and a0) and those with b = 0 mod p (b0). A stack of
+fewer than ``_STACK_MIN`` rows goes pair by pair through ``_attempt``
+instead: one pair alone takes the structured product lane (upoly module
+doc), which a stack does not, and has no stack overhead. In-process, per
+pair, 4 sampled pairs in a stack took 2.4 ms against 2.1 ms alone at p =
+13 mod p^2 and 1.2 against 1.0 ms at p = 31 mod p, and 8 took 1.3 against
+1.8 ms and 0.6 against 0.9 ms; the cut follows the room too, so mod-p^2
+sweeps past p = 64 (room for 7 pairs or fewer) go pair by pair, where
+stacks of 5 or 4 at p = 79 and 89 ran slower. Of the benchmark's
+sweeps, only the b0 rows at p = 13 mod p^2 on two workers (6 a stack) go
+alone, and none runs past p = 64, so the cut is not checked end to end
+there. Should any step raise on a stack (a DomainError, or an
+InternalError for a broken invariant), that stack is checked again pair
+by pair through ``_attempt``, so each failure row names its pair and error
+class, in task order, and an InternalError that ends the sweep names its
+pair, as in a pair-by-pair sweep. A sigma-singular pair, whose pivot
+determinant vanishes, makes its stack raise SigmaSingular in the same
+way. Stacks hold int64 entries; the largest,
+7 p^5 in the reduction of x^p mod (f, p^2) in ``mu_correct`` mod p and p^4
+in lambda mod p^2 (liftp2 module doc, Stacks), stay under 2^63 for p <
+``_STACK_P``, and larger primes go pair by pair.
 """
 
 import os
@@ -33,40 +54,44 @@ from .liftp import (CurveContext, build_lift_mod_p, curve_forms,
 from .liftp2 import build_lift_mod_p2
 from .residue import PrimePower
 
-_STACK_P = 2 ** 12       # mod-p sweeps below this p run in stacks
-_STACK_CELLS = 2 ** 13   # pairs times p in one stack, which bounds its memory
+_STACK_P = 2 ** 12       # sweeps below this p run in stacks
+_STACK_CELLS = {1: 2 ** 13, 2: 2 ** 15}  # mod -> pairs times p^mod per stack
+_STACK_MIN = 8           # a stack of fewer rows goes pair by pair
 
 
-def _verify_mod_p(ctx):
-    """(lambda, verified, extendable) of the mod-p lift of ctx's pair, or
-    one of each per row of a stack. The commutator check covers the
-    differential congruence on x."""
-    lift = build_lift_mod_p(ctx)
-    _, corrected = mu_correct(ctx, lift)
-    extendable, _ = extendability_certificate(ctx, corrected)
-    verified = (lie_verify_commutator(corrected, 1) & extendable
-                & eigen_forcing_check(corrected))
-    return corrected.lam, verified, extendable
-
-
-def _mod_p_row(p, a, b, lam, verified, extendable):
-    return {"p": p, "a": a, "b": b, "mod": 1, "verified": bool(verified),
-            "lambda": int(lam), "extendable": bool(extendable)}
+def _report(p, a, b, mod, lam, verified, extendable, branch, theta):
+    row = {"p": p, "a": int(a), "b": int(b), "mod": mod,
+           "verified": bool(verified), "lambda": int(lam),
+           "extendable": None if extendable is None else bool(extendable)}
+    if mod == 2:
+        row.update(branch=str(branch), theta=int(theta))
+    return row
 
 
 def verify_pair(p, a, b, mod):
-    """Construct and fully verify one lift; returns a report row."""
+    """Construct and fully verify the lift of one pair; returns its report
+    row. For a stack (a and b int64 arrays, module doc, Stacks), the list
+    of the rows of its pairs. Mod p, the commutator check covers the
+    differential congruence on x."""
+    if mod not in (1, 2):
+        raise InvalidModulus("mod must be 1 or 2, got %r" % (mod,))
+    ctx = CurveContext(a, b, PrimePower(p, mod))
     if mod == 1:
-        ctx = CurveContext(a, b, PrimePower(p, 1))
-        return _mod_p_row(p, a, b, *_verify_mod_p(ctx))
-    if mod == 2:
-        ctx = CurveContext(a, b, PrimePower(p, 2))
+        lift = build_lift_mod_p(ctx)
+        _, corrected = mu_correct(ctx, lift)
+        extendable, _ = extendability_certificate(ctx, corrected)
+        verified = (lie_verify_commutator(corrected, 1) & extendable
+                    & eigen_forcing_check(corrected))
+        cols = corrected.lam, verified, extendable, None, None
+    else:
         lift, info = build_lift_mod_p2(ctx)
-        verified = lie_verify_commutator(lift, 2)
-        return {"p": p, "a": a, "b": b, "mod": 2, "verified": verified,
-                "lambda": lift.lam, "extendable": None,
-                "branch": info["branch"], "theta": info["theta"]}
-    raise InvalidModulus("mod must be 1 or 2, got %r" % (mod,))
+        cols = (lift.lam, lie_verify_commutator(lift, 2), None,
+                info["branch"], info["theta"])
+    if not isinstance(a, np.ndarray):
+        return _report(p, a, b, mod, *cols)
+    return [_report(p, *row) for row in zip(
+        a.tolist(), b.tolist(), [mod] * len(a),
+        *(np.broadcast_to(c, a.shape).tolist() for c in cols))]
 
 
 def parallel_map(fn, items, workers=None):
@@ -120,33 +145,43 @@ def _attempt(task):
 
 
 def _attempt_stack(tasks):
-    """[_attempt(t) for t in tasks], for mod-p tasks of one prime, checked
-    as one stack (module doc, Stacks)."""
-    p = tasks[0][0]
-    pm = PrimePower(p, 1)
-    a = np.array([t[1] for t in tasks], dtype=np.int64) % p
-    b = np.array([t[2] for t in tasks], dtype=np.int64) % p
-    delta, hasse = curve_forms(pm)
-    rows = np.flatnonzero((delta.specialize(a, b) % p != 0)
-                          & (hasse.specialize(a, b) % p != 0))
+    """[_attempt(t) for t in tasks], for tasks of one prime and precision,
+    checked in stacks of one branch each (module doc, Stacks)."""
+    p, mod = tasks[0][0], tasks[0][3]
+    a = np.array([t[1] for t in tasks], dtype=np.int64)
+    b = np.array([t[2] for t in tasks], dtype=np.int64)
+    a1, b1 = a % p, b % p
+    delta, hasse = curve_forms(PrimePower(p, 1))
+    eligible = ((delta.specialize(a1, b1) % p != 0)
+                & (hasse.specialize(a1, b1) % p != 0))
+    groups = ([eligible] if mod == 1
+              else [eligible & (b1 != 0), eligible & (b1 == 0)])
     outcomes = [("ineligible", None)] * len(tasks)
-    if len(rows):
-        try:
-            checked = _verify_mod_p(CurveContext(a[rows], b[rows], pm))
-        except EllfrobError:
-            return [_attempt(task) for task in tasks]
-        for j, row in zip(rows.tolist(), zip(*checked)):
-            outcomes[j] = "ok", _mod_p_row(p, tasks[j][1], tasks[j][2], *row)
+    for group in groups:
+        rows = np.flatnonzero(group).tolist()
+        checked = None
+        if len(rows) >= _STACK_MIN:
+            try:
+                checked = [("ok", row) for row in
+                           verify_pair(p, a[rows], b[rows], mod)]
+            except EllfrobError:
+                pass
+        if checked is None:
+            checked = [_attempt(tasks[j]) for j in rows]
+        for j, outcome in zip(rows, checked):
+            outcomes[j] = outcome
     return outcomes
 
 
 def exhaustive_verify(p, mod, samples=None, seed=2026, workers=None):
     """Summary over all F_p pairs (samples=None) or `samples` random pairs
     drawn from [0, p^(m+1)) so the p-derivation sees nontrivial digits.
-    Mod p, the pairs are checked in stacks (module doc, Stacks).
+    The pairs are checked in stacks (module doc, Stacks).
 
     Mod p^2 needs p >= 11: the general branch truncates at (p+7)/2, which
     must not pass p-1, so smaller primes are refused before any pair runs."""
+    if mod not in (1, 2):
+        raise InvalidModulus("mod must be 1 or 2, got %r" % (mod,))
     if mod == 2 and p < 11:
         raise DomainError("mod-p^2 verification needs p >= 11, got p = %d" % p)
     if samples is None:
@@ -156,8 +191,8 @@ def exhaustive_verify(p, mod, samples=None, seed=2026, workers=None):
         span = p ** (mod + 1)
         tasks = [(p, rng.randrange(span), rng.randrange(span), mod)
                  for _ in range(samples)]
-    if mod == 1 and p < _STACK_P:
-        size = max(1, min(_STACK_CELLS // p,
+    if p < _STACK_P:
+        size = max(1, min(_STACK_CELLS[mod] // p ** mod,
                           -(-len(tasks) // (workers or 1))))
         stacks = [tasks[i:i + size] for i in range(0, len(tasks), size)]
         outcomes = [outcome for part in

@@ -323,6 +323,13 @@ def test_help_exits_0(capsys):
     (("verify-all", "--p", "101", "--mod", "1", "--samples", "100", "--seed",
       "3"),
      "fafbb0629e908b10eb8644de0ccdcd042dce5cd7c3ea386e076b7757c228753d"),
+    # recorded while mod-p^2 sweeps ran pair by pair: every pair of p = 17
+    # (b = 0 rows), and sampled pairs from [0, p^3) at p = 29
+    (("verify-all", "--p", "17", "--mod", "2"),
+     "00772b41542e70450db9882a8cd8dbc578a532398d7ac1394962d34c9236ec62"),
+    (("verify-all", "--p", "29", "--mod", "2", "--samples", "40", "--seed",
+      "3"),
+     "b45fe748664ffae4e0ecac475bf7a0a37917ab722296b60aaf12e060edf59ccb"),
 ])
 def test_stdout_golden(capsys, argv, digest):
     code, out = run_cli(capsys, *argv)

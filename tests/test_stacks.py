@@ -2,6 +2,7 @@
 the mod-p checks on a stack of pairs, against the same operations applied
 row by row on 1-D UPolys and pair by pair."""
 
+import itertools
 import random
 
 import numpy as np
@@ -11,14 +12,16 @@ from hypothesis import strategies as st
 
 import ellfrob.liftp as liftp
 from ellfrob import upoly
-from ellfrob.errors import (NotIntegrable, NotOrdinary, SingularPair,
-                            SingularSystem)
+from ellfrob.errors import (NotDivisible, NotIntegrable, NotOrdinary,
+                            NotStabilized, SingularPair, SingularSystem)
 from ellfrob.liftp import (CurveContext, _solve3, build_lift_mod_p,
                            eigen_forcing_check, extendability_certificate,
                            lie_verify_commutator, mu_correct)
-from ellfrob.residue import PrimePower
+from ellfrob.liftp2 import (_solve_b0, d_values, solve_eigen_numeric,
+                            solve_truncated, stabilization_check)
+from ellfrob.residue import PrimePower, delta_scalar, is_prime
 from ellfrob.upoly import FracPoly, UPoly
-from ellfrob.verify import verify_pair
+from ellfrob.verify import _STACK_P, verify_pair
 
 # q from 29 up to the largest stored modulus, (2^31 - 1)^2; 1291^3 and
 # 13^16 are past the 2^31 word, where a stack product takes the FFT lane
@@ -238,3 +241,95 @@ def test_commutator_verdict_is_the_and_of_both_generators(monkeypatch):
                         lambda lift, m: np.zeros(6, dtype=bool))
     assert lie_verify_commutator(lift, 1).tolist() == [False] * 6
     assert calls == [1]
+
+
+# the largest prime whose sweeps run in stacks
+TOP_P = max(q for q in range(_STACK_P) if is_prime(q))
+
+
+def row_ints(values, i):
+    """Row i of a list of per-row arrays and ints, as Python ints."""
+    return [int(v[i]) if isinstance(v, np.ndarray) else v for v in values]
+
+
+def test_row_solve_on_a_stack_at_the_largest_stacked_prime():
+    """The mod-p row solve on rows of residues p - 1 (and one row of
+    others), through its longest truncation p - 1, equals the solve on each
+    row's Python ints: no int64 step overflows."""
+    p, rng = TOP_P, random.Random(11)
+
+    def col():
+        return np.array([p - 1, p - 1, rng.randrange(1, p)], dtype=np.int64)
+
+    u, v_unit, theta, da, db, v0 = (col() for _ in range(6))
+    d = [0] + [col() for _ in range(4)]
+    vs = solve_truncated(p, u, v_unit, theta, da, db, d, v0, p - 1)
+    for i in range(3):
+        one = solve_truncated(p, *row_ints((u, v_unit, theta, da, db), i),
+                              row_ints(d, i), int(v0[i]), p - 1)
+        assert row_ints(vs, i) == one
+
+
+def test_b0_solve_on_a_stack_at_the_largest_stacked_prime():
+    """d_values and the b0 solve on a stack of ordinary b = 0 pairs at the
+    largest stacked prime, a the largest residues mod p^2 for which H is a
+    unit, against each pair alone."""
+    p = TOP_P
+    pm = PrimePower(p, 2)
+    a = list(itertools.islice((x for x in range(p * p - 1, 0, -1)
+                               if x % p and CurveContext(x, 0, pm).ordinary),
+                              3))
+    b = [0, p, p * p - p]
+    ctx = CurveContext(np.array(a), np.array(b), pm)
+    d, _ = d_values(ctx)
+    v0, theta, vs = _solve_b0(ctx, d)
+    for i in range(3):
+        one = CurveContext(a[i], b[i], pm)
+        d1, _ = d_values(one)
+        assert row_ints(d, i) == d1
+        v01, theta1, vs1 = _solve_b0(one, d1)
+        assert (int(v0[i]), int(theta[i]), row_ints(vs, i)) == (v01, theta1,
+                                                                vs1)
+
+
+def test_delta_scalar_on_an_array_at_the_largest_stacked_prime():
+    p = TOP_P
+    for m in (1, 2):
+        pm = PrimePower(p, m)
+        values = [0, 1, p - 1, p * p - 1, p ** 3 - 1, 2 ** 63 - 1]
+        out = delta_scalar(np.array(values, dtype=np.int64), pm)
+        assert out.tolist() == [delta_scalar(x, pm) for x in values]
+
+
+class NotPrime:
+    """A modulus that PrimePower would refuse: 9 = 3^2, for which a - a^p
+    need not be divisible by p."""
+    p, m = 9, 1
+
+
+def test_delta_scalar_refusal_on_an_array_names_the_value():
+    with pytest.raises(NotDivisible, match=r"for a = 2$"):
+        delta_scalar(np.array([0, 1, 2, 3], dtype=np.int64), NotPrime)
+    with pytest.raises(NotDivisible, match=r"for a = 2$"):
+        delta_scalar(2, NotPrime)
+
+
+def test_stabilization_check_on_a_stack_names_the_failing_row():
+    """Row by row the truncation of each pair alone; a stack whose middle
+    row breaks one row of its system (pivots still zero) names that
+    pair."""
+    p, pairs = 13, [(1, 1), (2, 3), (1, 5)]
+    ctx = CurveContext(np.array([a for a, _ in pairs]),
+                       np.array([b for _, b in pairs]), PrimePower(p, 2))
+    d, _ = d_values(ctx)
+    v0, theta, _ = solve_eigen_numeric(ctx, d)
+    args = (p, ctx.a % p, ctx.b % p, theta, ctx.delta_a() % p,
+            ctx.delta_b() % p, d)
+    vs = solve_truncated(*args, v0, (p + 7) // 2)
+    truncated = stabilization_check(*args, vs)
+    for i in range(3):
+        assert row_ints(truncated, i) == stabilization_check(
+            *row_ints(args[:6], i), row_ints(d, i), row_ints(vs, i))
+    bad = vs[:3] + [(vs[3] + np.array([0, 1, 0])) % p] + vs[4:]
+    with pytest.raises(NotStabilized, match=r"row fails .* \(2, 3\) mod 13"):
+        stabilization_check(*args, bad)

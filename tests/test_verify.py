@@ -1,11 +1,14 @@
+import functools
 import random
 
 import numpy as np
 import pytest
 
+import ellfrob.liftp2 as liftp2
 import ellfrob.verify as verify
-from ellfrob.errors import (DomainError, InvalidModulus, NotAUnit,
-                            NotOrdinary, SingularPair)
+from ellfrob.errors import (DegreeMismatch, DomainError, InternalMismatch,
+                            InvalidModulus, NotAUnit, NotOrdinary,
+                            SigmaSingular, SingularPair)
 from ellfrob.verify import exhaustive_verify, parallel_map, verify_pair
 
 
@@ -64,36 +67,49 @@ def test_parallel_map_keeps_item_order_across_chunks(monkeypatch, workers):
         assert parallel_map(repr, items, workers) == [repr(x) for x in items]
 
 
+def sweep_pairs(p, mod, samples=None, seed=2026):
+    """The pairs of exhaustive_verify(p, mod, samples, seed), in task
+    order."""
+    if samples is None:
+        return [(a, b) for a in range(p) for b in range(p)]
+    rng = random.Random(seed)
+    span = p ** (mod + 1)
+    return [(rng.randrange(span), rng.randrange(span))
+            for _ in range(samples)]
+
+
+def pairwise_outcomes(p, mod, pairs):
+    """(status, row) per pair, from verify_pair on each pair alone."""
+    out = []
+    for a, b in pairs:
+        try:
+            out.append(("ok", verify_pair(p, a, b, mod)))
+        except (SingularPair, NotOrdinary, SigmaSingular):
+            out.append(("ineligible", None))
+        except DomainError as e:
+            out.append(("failed", {"p": p, "a": a, "b": b, "mod": mod,
+                                   "error": type(e).__name__}))
+    return out
+
+
+def summarize(p, mod, outcomes):
+    """exhaustive_verify's summary of per-pair outcomes."""
+    failures = [row for status, row in outcomes if status == "failed"
+                or status == "ok" and not row["verified"]]
+    eligible = sum(status != "ineligible" for status, _ in outcomes)
+    constructed = sum(status == "ok" for status, _ in outcomes)
+    return {"p": p, "mod": mod, "pairs": len(outcomes), "eligible": eligible,
+            "constructed": constructed,
+            "verified": constructed - sum("verified" in row
+                                          for row in failures),
+            "failed": len(failures), "failures": failures}
+
+
 def pairwise_summary(p, samples=None, seed=2026):
     """exhaustive_verify's mod-p summary, built pair by pair from
     verify_pair over the same draw."""
-    if samples is None:
-        pairs = [(a, b) for a in range(p) for b in range(p)]
-    else:
-        rng = random.Random(seed)
-        pairs = [(rng.randrange(p * p), rng.randrange(p * p))
-                 for _ in range(samples)]
-    eligible = constructed = verified = 0
-    failures = []
-    for a, b in pairs:
-        try:
-            row = verify_pair(p, a, b, 1)
-        except (SingularPair, NotOrdinary):
-            continue
-        except DomainError as e:
-            eligible += 1
-            failures.append({"p": p, "a": a, "b": b, "mod": 1,
-                             "error": type(e).__name__})
-            continue
-        eligible += 1
-        constructed += 1
-        if row["verified"]:
-            verified += 1
-        else:
-            failures.append(row)
-    return {"p": p, "mod": 1, "pairs": len(pairs), "eligible": eligible,
-            "constructed": constructed, "verified": verified,
-            "failed": len(failures), "failures": failures}
+    return summarize(p, 1, pairwise_outcomes(p, 1, sweep_pairs(
+        p, 1, samples, seed)))
 
 
 @pytest.mark.parametrize("p, samples", [(13, None), (17, None), (37, 200)])
@@ -105,24 +121,26 @@ def test_stacked_sweep_matches_pair_by_pair(p, samples):
 ERROR_PAIR, FALSE_PAIRS = (2, 3), {(1, 5), (10, 4)}
 
 
+def ctx_pairs(ctx):
+    """The (a, b) of a context, one per row of a stack."""
+    return list(zip(np.atleast_1d(ctx.a).tolist(),
+                    np.atleast_1d(ctx.b).tolist()))
+
+
 def sabotage(monkeypatch):
     """mu_correct raises a DomainError on ERROR_PAIR, alone or in a stack,
     and eigen_forcing_check says False on FALSE_PAIRS, through the names
     the sweep calls."""
     real_mu, real_eigen = verify.mu_correct, verify.eigen_forcing_check
 
-    def pairs(ctx):
-        return list(zip(np.atleast_1d(ctx.a).tolist(),
-                        np.atleast_1d(ctx.b).tolist()))
-
     def mu_correct(ctx, lift):
-        if ERROR_PAIR in pairs(ctx):
+        if ERROR_PAIR in ctx_pairs(ctx):
             raise NotAUnit("sabotaged")
         return real_mu(ctx, lift)
 
     def eigen_forcing_check(lift):
         ok = real_eigen(lift)
-        bad = [pair in FALSE_PAIRS for pair in pairs(lift.ctx)]
+        bad = [pair in FALSE_PAIRS for pair in ctx_pairs(lift.ctx)]
         if isinstance(ok, np.ndarray):
             return ok & ~np.array(bad)
         return ok and not bad[0]
@@ -151,3 +169,267 @@ def test_sweep_failures_name_their_pairs_in_task_order(monkeypatch, workers):
          "extendable": True}]
     assert (summary["eligible"], summary["constructed"],
             summary["verified"]) == (144, 143, 141)
+
+
+@functools.lru_cache(maxsize=None)
+def cached_pairwise(p, mod, samples):
+    return pairwise_outcomes(p, mod, sweep_pairs(p, mod, samples))
+
+
+def stacked_outcomes(monkeypatch, p, mod, samples, workers):
+    """The sweep's (status, row) per task, in task order, read off the
+    stacks it maps on the in-process pool, with its summary, the number of
+    rows checked in stacks, the stacks that raised and the tasks run
+    alone."""
+    monkeypatch.setattr(verify, "_process_pool", FakePool)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 8)
+    parts, stacked, raised, alone = [], [], [], []
+    real_map, real_attempt = verify.parallel_map, verify._attempt
+    real_verify = verify.verify_pair
+
+    def spy_map(fn, items, workers=None):
+        out = real_map(fn, items, workers)
+        parts.extend(out)
+        return out
+
+    def spy_verify(p, a, b, mod):
+        if not isinstance(a, np.ndarray):
+            return real_verify(p, a, b, mod)
+        try:
+            rows = real_verify(p, a, b, mod)
+        except Exception:
+            raised.append(list(zip(a.tolist(), b.tolist())))
+            raise
+        stacked.append(len(rows))
+        return rows
+
+    def spy_attempt(task):
+        alone.append(task)
+        return real_attempt(task)
+
+    monkeypatch.setattr(verify, "parallel_map", spy_map)
+    monkeypatch.setattr(verify, "verify_pair", spy_verify)
+    monkeypatch.setattr(verify, "_attempt", spy_attempt)
+    FakePool.sizes = []
+    summary = exhaustive_verify(p, mod, samples=samples, workers=workers)
+    assert FakePool.sizes == ([] if workers == 1 else [2])
+    return ([outcome for part in parts for outcome in part], summary,
+            sum(stacked), raised, alone)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("p, mod, samples, branches", [
+    (13, 1, None, None),
+    (13, 2, None, {"general", "a0", "b0"}),
+    (17, 2, None, {"general", "b0"}),
+    (29, 2, 60, {"general", "b0"}),
+    (37, 2, 60, {"general", "a0"}),
+])
+def test_stacked_rows_match_pair_by_pair(monkeypatch, p, mod, samples,
+                                         branches, workers):
+    """Task by task, the stacked sweep gives the rows of verify_pair on
+    each pair alone: lambda, theta, branch and verdict. No stack raises,
+    and most rows are checked in stacks; the rest, in stacks of fewer than
+    _STACK_MIN rows, go alone."""
+    expected = cached_pairwise(p, mod, samples)
+    outcomes, summary, stacked, raised, alone = stacked_outcomes(
+        monkeypatch, p, mod, samples, workers)
+    assert raised == []
+    assert stacked + len(alone) == summary["eligible"]
+    assert stacked > len(alone)
+    assert outcomes == expected
+    assert summary == summarize(p, mod, expected)
+    if branches is not None:
+        assert {row["branch"] for status, row in outcomes
+                if status == "ok"} == branches
+
+
+SIGMA = {(2, 3), (5, 1), (7, 0)}  # (7, 0) has b = 0: it takes the b0 solve
+
+
+def test_sigma_singular_pairs_are_ineligible_in_a_sweep(monkeypatch):
+    """No ordinary pair at p = 13 has a vanishing pivot determinant, so
+    solve_eigen_numeric is made to refuse the pairs of SIGMA as it refuses
+    such a pair, with SigmaSingular. The stack that holds one is checked
+    again pair by pair, and the sweep gives the outcomes of verify_pair on
+    each pair alone: the b-unit pairs of SIGMA are ineligible, and the b0
+    solve never asks for the determinant."""
+    real = liftp2.solve_eigen_numeric
+
+    def solve_eigen_numeric(ctx, d=None):
+        if any((a % 13, b % 13) in SIGMA for a, b in ctx_pairs(ctx)):
+            raise SigmaSingular("forced")
+        return real(ctx, d)
+
+    monkeypatch.setattr(liftp2, "solve_eigen_numeric", solve_eigen_numeric)
+    pairs = sweep_pairs(13, 2)
+    expected = pairwise_outcomes(13, 2, pairs)
+    for workers in (1, 2):
+        outcomes, summary, _, raised, _ = stacked_outcomes(
+            monkeypatch, 13, 2, None, workers)
+        assert any((2, 3) in stack for stack in raised)
+        assert outcomes == expected
+        assert summary == summarize(13, 2, expected)
+    status = dict(zip(pairs, (s for s, _ in expected)))
+    assert [status[pair] for pair in sorted(SIGMA)] == [
+        "ineligible", "ineligible", "ok"]
+    assert (summary["eligible"], summary["constructed"], summary["verified"],
+            summary["failures"]) == (142, 142, 142, [])
+
+
+MOD2_ERROR_PAIR, MOD2_FALSE_PAIRS = (2, 3), {(1, 5), (6, 0)}
+
+
+def sabotage_mod2(monkeypatch):
+    """build_lift_mod_p2 raises a DomainError on MOD2_ERROR_PAIR, alone or
+    in a stack, and lie_verify_commutator says False on MOD2_FALSE_PAIRS
+    (one in the b-unit stack, one in the b0 stack), through the names the
+    sweep calls."""
+    real_build = verify.build_lift_mod_p2
+    real_lie = verify.lie_verify_commutator
+
+    def build_lift_mod_p2(ctx):
+        if MOD2_ERROR_PAIR in ctx_pairs(ctx):
+            raise NotAUnit("sabotaged")
+        return real_build(ctx)
+
+    def lie_verify_commutator(lift, m):
+        ok = real_lie(lift, m)
+        bad = [pair in MOD2_FALSE_PAIRS for pair in ctx_pairs(lift.ctx)]
+        if isinstance(ok, np.ndarray):
+            return ok & ~np.array(bad)
+        return ok and not bad[0]
+
+    monkeypatch.setattr(verify, "build_lift_mod_p2", build_lift_mod_p2)
+    monkeypatch.setattr(verify, "lie_verify_commutator",
+                        lie_verify_commutator)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_mod2_sweep_failures_name_their_pairs_in_task_order(monkeypatch,
+                                                            workers):
+    """As test_sweep_failures_name_their_pairs_in_task_order, mod p^2: the
+    b-unit stack holding the error pair is checked again pair by pair, the
+    other b-unit stack and the b0 stack of 12 rows at 1 worker are not
+    (at 2 workers each stack has 6 b0 rows, under _STACK_MIN, which go
+    alone), and the failure rows are those of a pair-by-pair sweep, in
+    task order."""
+    monkeypatch.setattr(verify, "_process_pool", FakePool)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 8)
+    FakePool.sizes = []
+    sabotage_mod2(monkeypatch)
+    rerun, real_attempt = [], verify._attempt
+
+    def spy_attempt(task):
+        rerun.append(task)
+        return real_attempt(task)
+
+    monkeypatch.setattr(verify, "_attempt", spy_attempt)
+    summary = exhaustive_verify(13, 2, workers=workers)
+    assert FakePool.sizes == ([] if workers == 1 else [2])
+    assert (13, 2, 3, 2) in rerun
+    assert sorted(a for _, a, b, _ in rerun if b == 0) == (
+        [] if workers == 1 else list(range(1, 13)))
+    assert all(a * 13 + b < (169 if workers == 1 else 85)
+               for _, a, b, _ in rerun if b)
+    assert summary == summarize(13, 2, pairwise_outcomes(
+        13, 2, sweep_pairs(13, 2)))
+    assert summary["failures"] == [
+        {"p": 13, "a": 1, "b": 5, "mod": 2, "verified": False, "lambda": 99,
+         "extendable": None, "branch": "general", "theta": 5},
+        {"p": 13, "a": 2, "b": 3, "mod": 2, "error": "NotAUnit"},
+        {"p": 13, "a": 6, "b": 0, "mod": 2, "verified": False, "lambda": 114,
+         "extendable": None, "branch": "b0", "theta": 1}]
+    assert (summary["eligible"], summary["constructed"],
+            summary["verified"]) == (144, 143, 141)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_internal_error_ends_a_stacked_sweep_as_pair_by_pair(monkeypatch,
+                                                             workers):
+    """build_lift_mod_p2 raises DegreeMismatch on (2, 3), and
+    lie_verify_commutator, a later step, InternalMismatch on (1, 5), an
+    earlier task. The stack stops at the first and is checked again pair
+    by pair, so the sweep ends as a pair-by-pair sweep does, at (1, 5)."""
+    monkeypatch.setattr(verify, "_process_pool", FakePool)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 8)
+    real_build = verify.build_lift_mod_p2
+    real_lie = verify.lie_verify_commutator
+
+    def build_lift_mod_p2(ctx):
+        if (2, 3) in ctx_pairs(ctx):
+            raise DegreeMismatch("sabotaged at (2, 3)")
+        return real_build(ctx)
+
+    def lie_verify_commutator(lift, m):
+        if (1, 5) in ctx_pairs(lift.ctx):
+            raise InternalMismatch("sabotaged at (1, 5)")
+        return real_lie(lift, m)
+
+    monkeypatch.setattr(verify, "build_lift_mod_p2", build_lift_mod_p2)
+    monkeypatch.setattr(verify, "lie_verify_commutator",
+                        lie_verify_commutator)
+    with pytest.raises(InternalMismatch, match=r"\(1, 5\)"):
+        exhaustive_verify(13, 2, workers=workers)
+
+
+@pytest.mark.parametrize("mod", [1, 2])
+@pytest.mark.parametrize("n", [verify._STACK_MIN - 1, verify._STACK_MIN])
+def test_stacks_under_the_minimum_go_pair_by_pair(monkeypatch, mod, n):
+    """_attempt_stack checks n eligible pairs of one branch in one stack
+    when n reaches _STACK_MIN, and each alone through _attempt below it;
+    the outcomes are those of verify_pair on each pair alone either
+    way."""
+    expected = [(pair, outcome) for pair, outcome in zip(
+        sweep_pairs(13, mod), cached_pairwise(13, mod, None))
+        if outcome[0] == "ok" and pair[1]][:n]
+    stacks, real_verify = [], verify.verify_pair
+
+    def spy_verify(p, a, b, mod):
+        if isinstance(a, np.ndarray):
+            stacks.append(len(a))
+        return real_verify(p, a, b, mod)
+
+    monkeypatch.setattr(verify, "verify_pair", spy_verify)
+    outcomes = verify._attempt_stack([(13, a, b, mod)
+                                      for (a, b), _ in expected])
+    assert outcomes == [outcome for _, outcome in expected]
+    assert stacks == ([n] if n >= verify._STACK_MIN else [])
+
+
+def test_sweep_refuses_other_moduli():
+    with pytest.raises(InvalidModulus):
+        exhaustive_verify(13, 3)
+
+
+@pytest.mark.parametrize("p, mod, samples, workers, sizes", [
+    (13, 2, None, 1, [169]),         # 2^15 // 13^2 = 193 pairs of room
+    (13, 2, None, 2, [85, 84]),      # an equal share per worker
+    (29, 2, 40, 1, [38, 2]),         # 2^15 // 29^2 = 38
+    (67, 2, 9, 1, [7, 2]),           # 2^15 // 67^2 = 7
+    (211, 2, 3, 1, [1, 1, 1]),       # no room: one pair per stack
+    (31, 1, None, 2, [264, 264, 264, 169]),  # 2^13 // 31 = 264
+    (4099, 1, 3, 1, None),           # past _STACK_P
+])
+def test_stack_sizes_follow_one_rule(monkeypatch, p, mod, samples, workers,
+                                     sizes):
+    """Stacks hold at most 2^13 // p pairs mod p, 2^15 // p^2 mod p^2, and
+    an equal share per worker; from _STACK_P on, the sweep goes pair by
+    pair."""
+    maps = []
+
+    def stacked(tasks):
+        return [("ineligible", None)] * len(tasks)
+
+    def alone(task):
+        return "ineligible", None
+
+    def spy_map(fn, items, workers=None):
+        maps.append([len(x) for x in items] if fn is stacked else None)
+        return [fn(x) for x in items]
+
+    monkeypatch.setattr(verify, "parallel_map", spy_map)
+    monkeypatch.setattr(verify, "_attempt_stack", stacked)
+    monkeypatch.setattr(verify, "_attempt", alone)
+    exhaustive_verify(p, mod, samples=samples, workers=workers)
+    assert maps == [sizes]

@@ -36,6 +36,9 @@ class NotIntegrable(DomainError):
         self.s = s
         super().__init__(msg or "coefficient of x^(%d*p-1) is not divisible by p" % s)
 
+    def __reduce__(self):  # a worker sends its error pickled
+        return type(self), (self.s, str(self))
+
 
 class DenominatorNotLocalizer(DomainError):
     pass
@@ -77,6 +80,9 @@ class PropertyViolation(InternalError):
     def __init__(self, clause, msg=None):
         self.clause = clause
         super().__init__(msg or "property violated: %s" % clause)
+
+    def __reduce__(self):  # a worker sends its error pickled
+        return type(self), (self.clause, str(self))
 
 
 class InternalMismatch(InternalError):
@@ -121,3 +127,7 @@ class NegativeExponent(DomainError, ValueError):
 
 class UsageError(DomainError):
     """A command line that argparse rejects."""
+
+
+class WorkerDied(InternalError):
+    """A forked worker of a parallel map ended without sending its results."""

@@ -70,8 +70,9 @@ class CurveContext:
         self.ordinary = self.h_val % pm.p != 0
         self.lambda0 = (_inverse(self.h_val, pm) if _holds(self.ordinary)
                         else None)
-        # f per precision (with its powers) and K per precision, each
-        # formed once per context; they go when the context does
+        # f per precision (with its powers), K per precision and delta(a),
+        # delta(b) mod p^m, each formed once per context; they go when the
+        # context does
         self.memo = {}
 
     def f_at(self, prec):
@@ -84,10 +85,18 @@ class CurveContext:
         return f
 
     def delta_a(self):
-        return delta_scalar(self.a, self.pm)
+        """delta(a) mod p^m, formed once per context."""
+        return self._delta("a")
 
     def delta_b(self):
-        return delta_scalar(self.b, self.pm)
+        """delta(b) mod p^m, formed once per context."""
+        return self._delta("b")
+
+    def _delta(self, name):
+        key = ("delta", name)
+        if key not in self.memo:
+            self.memo[key] = delta_scalar(getattr(self, name), self.pm)
+        return self.memo[key]
 
 
 class FrobLift:
@@ -115,11 +124,16 @@ def k_poly(ctx, prec):
 
 def k0_poly(ctx, prec):
     """K0: K with a^p, b^p in place of phi(a), phi(b). The two differ by
-    (a - a^p) x^p / p + (b - b^p) / p, so K0 = K - delta(a) x^p - delta(b)."""
+    (a - a^p) x^p / p + (b - b^p) / p, so K0 = K - delta(a) x^p - delta(b).
+    Up to the context's precision, the deltas are its memoized ones,
+    reduced."""
     pm = PrimePower(ctx.p, prec)
-    return (k_poly(ctx, prec)
-            - UPoly.monomial(delta_scalar(ctx.a, pm), ctx.p, pm)
-            - UPoly.const(delta_scalar(ctx.b, pm), pm))
+    if prec <= ctx.pm.m:
+        da, db = ctx.delta_a(), ctx.delta_b()
+    else:
+        da, db = delta_scalar(ctx.a, pm), delta_scalar(ctx.b, pm)
+    return (k_poly(ctx, prec) - UPoly.monomial(da, ctx.p, pm)
+            - UPoly.const(db, pm))
 
 
 def df_xp(ctx, prec):

@@ -277,18 +277,36 @@ def _multinomial_rows(n, p):
     return inv[i * ok] * inv[j * ok] % p * inv[k * ok] % p * ok
 
 
-def _row_product(a, b, r):
-    """sum_dg a[dg] b[r - dg] for row tables on the j-line, unreduced, entry
-    t at z4^(r mod 3 + 3t). Row offsets dg mod 3 and (r - dg) mod 3 add to r
-    mod 3 plus a carry of 0 or 3, fixed on each class of dg mod 3: one matrix
-    product per class, summed along anti-diagonals by a reshape."""
+def _row_product(a, b, r, p):
+    """sum_dg a[dg] b[r - dg] for row tables of residues below p on the
+    j-line, unreduced, entry t at z4^(r mod 3 + 3t). Row offsets dg mod 3
+    and (r - dg) mod 3 add to r mod 3 plus a carry of 0 or 3, fixed on each
+    class of dg mod 3: one matrix product per class, summed along
+    anti-diagonals by a reshape in int64.
+
+    The matrix products run in float64, on BLAS: numpy has no integer
+    matmul kernel, and at p = 1999 one int64 product took 7.4 s, the
+    float64 one 0.16 s. Exactness: a class holds at most (p + 1)/2 rows, so
+    an inner sum has at most that many terms below p^2, and every partial
+    sum is an integer below p^3/2 < 2^53 (for p < 2^18). Float64 adds,
+    multiplies and FMAs are exact on such integers in any order and any
+    blocking, so neither the BLAS kernel nor its thread count can change
+    the result. Past that bound PrecisionOutOfRange is raised; no table
+    that fits in memory reaches it."""
     wa, wb = a.shape[1], b.shape[1]
     acc = np.zeros((wa, wa + wb + 1), dtype=np.int64)
     lo, hi = max(0, r - len(b) + 1), min(r, len(a) - 1)
     for first in range(lo, min(lo + 3, hi + 1)):
         carry = (first % 3 + (r - first) % 3) // 3
         rows = a[first:hi + 1:3]
-        acc[:, carry:carry + wb] += rows.T @ b[r - first::-3][:len(rows)]
+        if len(rows) * (p - 1) ** 2 >= 2 ** 53:
+            raise PrecisionOutOfRange(
+                "a row product of %d terms below %d^2 passes 2^53"
+                % (len(rows), p))
+        cols = b[r - first::-3][:len(rows)]
+        acc[:, carry:carry + wb] += (rows.T.astype(np.float64)
+                                     @ cols.astype(np.float64)
+                                     ).astype(np.int64)
     return acc.ravel()[:wa * (wa + wb)].reshape(wa, wa + wb).sum(axis=0)
 
 
@@ -302,7 +320,8 @@ def sym_d_values(p, locs):
     = 1/(i! j! k!), 0 at the three corners. H is row p-1 of f^n, so H W0,
     the antiderivative of f^n - H x^(p-1), is row dg of f^n over dg + 1 at
     x^(dg+1), row p-1 dropped. A row product entry sums (3n+1)(n/3+1) < p^2
-    products below p^2, exact in int64 far past any p whose tables fit.
+    products below p^2, exact in int64 far past any p whose tables fit;
+    ``_row_product`` forms them in float64 under its own bound.
     """
     pm, n = locs.pm, (p - 1) // 2
     fh = _multinomial_rows(n, p)
@@ -312,10 +331,10 @@ def sym_d_values(p, locs):
                          for dg in range(3 * n + 1)])[:, None] % p
     # [f^n K0]_(sp-1) and [f^n H W0]_(sp-1) (s <= 0: zero), x of weight 2
     fk0 = {s: WPoly.from_coeffs(6 * n + 6 * p + 2 - 2 * s * p, (s * p - 1) % 3,
-                                _row_product(fh, k0, s * p - 1), pm)
+                                _row_product(fh, k0, s * p - 1, p), pm)
            for s in range(1, 6)}
     fhw0 = {s: WPoly.from_coeffs(12 * n + 4 - 2 * s * p, (s * p - 2) % 3,
-                                 _row_product(fh, hw0, s * p - 2), pm)
+                                 _row_product(fh, hw0, s * p - 2, p), pm)
             for s in range(-1, 6)}
     z4p = WPoly.monomial(1, p, 0, pm)
     ds = [None] + [LocFrac((locs.polys["H"] * fk0[s] + z4p * fhw0[s]

@@ -8,10 +8,10 @@ mod-p^2 solve. Everything else must construct and verify.
 Stacks. A sweep at p < ``_STACK_P`` checks its pairs in stacks (liftp
 module doc, Stacks), not one by one, at both precisions m: the tasks are
 cut into contiguous runs of at most ``_STACK_CELLS[m] // p^m`` pairs, and
-of at most an equal share per worker, and each run is one item of the
-pool. A stack's polynomials have degrees of the order of p^m (V(x^p) has
-degree about p^2/2 mod p^2), so pairs times p^m measures its arrays at
-either precision. Mod p^2, on two workers, 2^15 cells ran the sweeps at
+of at most an equal share per worker, and each run is one item of
+``parallel_map``. A stack's polynomials have degrees of the order of p^m
+(V(x^p) has degree about p^2/2 mod p^2), so pairs times p^m measures its
+arrays at either precision. Mod p^2, on two workers, 2^15 cells ran the sweeps at
 p = 13 and 29 1.2-1.8 times as fast as 2^13 cells, and no larger count
 was faster; mod p they stay at 2^13, since 2^15 ran the p = 31 sweep
 hardly faster and raised its peak RSS from 35 to 50 MB. A run first sets aside its singular and
@@ -39,15 +39,39 @@ way. Stacks hold int64 entries; the largest,
 7 p^5 in the reduction of x^p mod (f, p^2) in ``mu_correct`` mod p and p^4
 in lambda mod p^2 (liftp2 module doc, Stacks), stay under 2^63 for p <
 ``_STACK_P``, and larger primes go pair by pair.
+
+Workers. ``parallel_map`` is a fork-join: it forks one child per worker,
+and child i maps the strided part items[i::workers] in order, stops at its
+first exception and sends (results, error) back through a pipe with
+pickle, then leaves through ``os._exit``. The parent reads every pipe to
+EOF, reaps every child and puts the results back in item order, so stdout
+does not depend on HD_THREADS. Each child maps its part in order, so the
+earliest failing item of all is the first failure of its child, and the
+parent raises its exception: the one a serial map raises. A child that
+ends without a whole reply (killed by a signal, or exited nonzero, as when
+its results do not pickle) makes the map raise ``WorkerDied``, an
+InternalError (exit code 2), once every child is reaped; should the parent
+itself stop early (a fork that fails, or an interrupt while it reads), it
+kills the children it has started before it reaps them. The only other
+threads of the process are numpy's OpenBLAS ones, which OpenBLAS shuts
+down before a fork (a pthread_atfork handler) and starts again on its next
+call; the ProcessPoolExecutor this replaces forked too, its start method
+on Linux. On 8 no-op items with two workers (2-vCPU VM, Python 3.11), a
+ProcessPoolExecutor took 32-33 ms for the first map in a process, with the
+import of concurrent.futures, and 9-14 ms for each later one; the
+fork-join takes 5-8 and 4-5 ms. The parent maps no part of its own: with
+it mapping the first, the benchmark's verify_sweep read wall_cal 19.4-19.8
+against 13.2-13.4 cal and peak RSS 40.6 against 34.7 MB.
 """
 
 import os
 import random
+import signal
 
 import numpy as np
 
 from .errors import (DomainError, EllfrobError, InvalidModulus, NotOrdinary,
-                     SigmaSingular, SingularPair)
+                     SigmaSingular, SingularPair, WorkerDied)
 from .liftp import (CurveContext, build_lift_mod_p, curve_forms,
                     eigen_forcing_check, extendability_certificate,
                     lie_verify_commutator, mu_correct)
@@ -95,42 +119,102 @@ def verify_pair(p, a, b, mod):
 
 
 def parallel_map(fn, items, workers=None):
-    """[fn(x) for x in items], on a pool of processes when more than one is
-    asked for; results keep the order of items either way. The pool never
-    exceeds the item count or the CPU count: a forked pool starts all its
-    workers at the first submit.
+    """[fn(x) for x in items], on forked worker processes when more than one
+    is asked for; results keep the order of items either way. The worker
+    count never exceeds the item count or the CPU count, and the map is
+    serial where ``os.fork`` is missing.
 
-    The pool gets k = min(len(items), 4 * workers) tasks, not one per item:
-    task i maps the strided chunk items[i::k], and the results are
-    interleaved back in item order. Few tasks keep the per-task pickling and
-    queueing small next to a cheap fn; several per worker, each drawn across
-    the whole list, keep the load even when the cost of fn rises along it
-    (scan's per-prime cost grows with p), where contiguous chunks would
-    leave the costliest items to one worker at the end."""
+    Fork-join: worker i maps the strided part items[i::workers] in order
+    (module doc, Workers), so each part draws from the whole list and the
+    load stays even when the cost of fn rises along it (scan's per-prime
+    cost grows with p). When fn raises, the exception of the earliest
+    failing item is raised, the one a serial map raises; a worker that dies
+    before sending its results raises ``WorkerDied`` (exit code 2)."""
     workers = min(workers or 1, len(items), os.cpu_count() or 1)
-    if workers > 1:
-        k = min(len(items), 4 * workers)
-        with _process_pool(workers) as ex:
-            parts = list(ex.map(_map_chunk, [(fn, items[i::k])
-                                             for i in range(k)]))
+    if workers > 1 and hasattr(os, "fork"):
+        replies = _run_parts(fn, [items[i::workers] for i in range(workers)])
+        raised = [(i + workers * len(results), error)
+                  for i, (results, error) in enumerate(replies)
+                  if error is not None]
+        if raised:
+            raise min(raised, key=lambda r: r[0])[1]
         out = [None] * len(items)
-        for i, part in enumerate(parts):
-            out[i::k] = part
+        for i, (results, _) in enumerate(replies):
+            out[i::workers] = results
         return out
     return [fn(x) for x in items]
 
 
-def _process_pool(workers):
-    """A ProcessPoolExecutor of `workers` processes. concurrent.futures is
-    imported here, not with the module: it costs about 25 ms of start-up,
-    and serial runs never start a pool."""
-    from concurrent.futures import ProcessPoolExecutor
-    return ProcessPoolExecutor(max_workers=workers)
+def _map_part(fn, part):
+    """(results, error): fn over part in order, up to its first exception,
+    which is the error (None when there is none)."""
+    results = []
+    for x in part:
+        try:
+            results.append(fn(x))
+        except Exception as e:
+            return results, e
+    return results, None
 
 
-def _map_chunk(task):
-    fn, chunk = task
-    return [fn(x) for x in chunk]
+def _run_parts(fn, parts):
+    """[_map_part(fn, part) for part in parts], each part in a forked child
+    (module doc, Workers). pickle is imported only where a map forks."""
+    import pickle
+    kids, replies, statuses = [], [], []
+    try:
+        for part in parts:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                _child(fn, part, r, w)
+            os.close(w)
+            kids.append((pid, open(r, "rb")))
+        replies = [pipe.read() for _, pipe in kids]
+    finally:
+        for pid, pipe in kids:
+            pipe.close()
+            if len(replies) < len(kids):  # a fork failed, or an interrupt
+                os.kill(pid, signal.SIGKILL)
+            statuses.append(os.waitpid(pid, 0)[1])
+    out = []
+    for i, (raw, status) in enumerate(zip(replies, statuses)):
+        code = os.waitstatus_to_exitcode(status)
+        if code == 0:
+            try:
+                out.append(pickle.loads(raw))
+                continue
+            except Exception as e:
+                why = "sent a reply that does not unpickle (%s)" % e
+        else:
+            why = "%s before sending its results" % (
+                "was killed by signal %d" % -code if code < 0
+                else "exited with status %d" % code)
+        raise WorkerDied("worker %d of %d %s" % (i + 1, len(kids), why))
+    return out
+
+
+def _child(fn, part, r, w):
+    """The body of a forked worker: maps its part and writes the pickled
+    (results, error) to the pipe. It leaves through os._exit, so it never
+    returns into the caller's stack, runs no exit handler and flushes no
+    stdio buffer inherited from the parent; status 0 says the reply went
+    out whole."""
+    code = 1
+    try:
+        import pickle
+        os.close(r)
+        with open(w, "wb") as pipe:
+            pipe.write(pickle.dumps(_map_part(fn, part),
+                                    pickle.HIGHEST_PROTOCOL))
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _attempt(task):

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+import ellfrob.liftp as liftp
 from ellfrob import upoly
 from ellfrob.errors import (BNotUnit, NotStabilized, PrecisionOutOfRange,
                             TOutOfRange)
@@ -11,7 +12,7 @@ from ellfrob.forms import FormRing, f_power_coeff, form_evaluate, lambda_1
 from ellfrob.liftp import (CurveContext, k0_poly, lie_verify,
                            lie_verify_commutator)
 from ellfrob.liftp2 import (_laurent_to_locfrac, _multinomial_rows,
-                            _row_rhs, _source, eta_pivots,
+                            _row_product, _row_rhs, _source, eta_pivots,
                             build_lift_mod_p2, d_values,
                             lambda_properties, solve_eigen_numeric,
                             solve_eigen_symbolic, solve_truncated,
@@ -372,3 +373,60 @@ def test_pivot_reciprocal_at_stride_one(monkeypatch):
     monkeypatch.setattr(WPoly, "divide_exact", counting_divide_exact)
     solve_eigen_symbolic(61)
     assert len(calls) < 40
+
+
+def row_product_reference(a, b, r):
+    """_row_product term by term: one int64 convolution in z4 per row dg,
+    shifted by its carry."""
+    wa, wb = a.shape[1], b.shape[1]
+    out = np.zeros(wa + wb, dtype=np.int64)
+    for dg in range(max(0, r - len(b) + 1), min(r, len(a) - 1) + 1):
+        carry = (dg % 3 + (r - dg) % 3) // 3
+        out[carry:carry + wa + wb - 1] += np.convolve(a[dg], b[r - dg])
+    return out
+
+
+@pytest.mark.parametrize("p, ss", [(499, range(-1, 6)), (1999, [2])])
+def test_row_product_in_float64_is_exact_on_worst_case_tables(p, ss):
+    """Tables of sym_d_values' shapes with every entry p - 1, the largest
+    partial sums the float64 products can meet: at p = 499 at every r it
+    asks for, at p = 1999 at s = 2, where every row of f^n meets one of
+    K0, (p + 1)/2 to a class."""
+    n = (p - 1) // 2
+    fh = np.full((3 * n + 1, n // 3 + 1), p - 1, dtype=np.int64)
+    k0 = np.full((3 * p + 1, p // 3 + 1), p - 1, dtype=np.int64)
+    for s in ss:
+        r = s * p - 2
+        if r >= 0:
+            assert np.array_equal(_row_product(fh, fh, r, p),
+                                  row_product_reference(fh, fh, r))
+        if s >= 1:
+            assert np.array_equal(_row_product(fh, k0, r + 1, p),
+                                  row_product_reference(fh, k0, r + 1))
+
+
+def test_row_product_refuses_sums_past_2_53():
+    table = np.ones((12, 2), dtype=np.int64)
+    with pytest.raises(PrecisionOutOfRange):
+        _row_product(table, table, 11, 2 ** 26 + 1)
+    assert np.array_equal(_row_product(table, table, 11, 2 ** 25),
+                          row_product_reference(table, table, 11))
+
+
+def test_deltas_are_formed_once_per_context(monkeypatch):
+    """delta(a) and delta(b) are formed once per mod-p^2 context, one
+    call each, in a lift of every branch, alone and in a stack; k0_poly
+    reduces them."""
+    real, calls = liftp.delta_scalar, []
+
+    def delta_scalar(a, pm):
+        calls.append(pm)
+        return real(a, pm)
+
+    monkeypatch.setattr(liftp, "delta_scalar", delta_scalar)
+    pm2 = PrimePower(13, 2)
+    for a, b in [(1, 1), (0, 1), (1, 0),
+                 (np.array([1, 2, 4]), np.array([1, 1, 3]))]:
+        calls.clear()
+        build_lift_mod_p2(CurveContext(a, b, pm2))
+        assert calls == [pm2, pm2]

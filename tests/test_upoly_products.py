@@ -376,20 +376,48 @@ def test_storage_past_2_31_agrees_with_storage_below():
 def test_mulmod_matches_python_ints(pm):
     """_mulmod against Python ints at the digit edges of c: 0, 1, the
     largest one-digit 2^s - 1, the smallest two-digit 2^s and q - 1, each as
-    an int and as an array; and an array of random residues."""
+    an int and as an array; and an array of random residues. On 40 and on
+    _MOD_CUT random residues, for both forms of _mod."""
     q = pm.q
     s = 63 - (q - 1).bit_length()
     rng = random.Random(q)
-    xs = [0, 1, q - 1] + [rng.randrange(q) for _ in range(40)]
-    x = np.array(xs, dtype=np.int64)
-    for c in (0, 1, 2 ** s - 1, 2 ** s, q - 1):
-        want = [v * c % q for v in xs]
-        assert upoly._mulmod(x, c, q).tolist() == want
-        cs = np.full(len(xs), c, dtype=np.int64)
-        assert upoly._mulmod(x, cs, q).tolist() == want
-    cs = [rng.randrange(q) for _ in xs]
-    assert (upoly._mulmod(x, np.array(cs, dtype=np.int64), q).tolist()
-            == [v * c % q for v, c in zip(xs, cs)])
+    for size in (40, upoly._MOD_CUT):  # both sides of _mod's cut
+        xs = [0, 1, q - 1] + [rng.randrange(q) for _ in range(size)]
+        x = np.array(xs, dtype=np.int64)
+        for c in (0, 1, 2 ** s - 1, 2 ** s, q - 1):
+            want = [v * c % q for v in xs]
+            assert upoly._mulmod(x, c, q).tolist() == want
+            cs = np.full(len(xs), c, dtype=np.int64)
+            assert upoly._mulmod(x, cs, q).tolist() == want
+        cs = [rng.randrange(q) for _ in xs]
+        assert (upoly._mulmod(x, np.array(cs, dtype=np.int64), q).tolist()
+                == [v * c % q for v, c in zip(xs, cs)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.one_of(st.integers(2, 2 ** 62 - 1),
+                   st.sampled_from([2, 3, 2 ** 31 - 1, 2 ** 31 + 11,
+                                    2 ** 62 - 1])),
+       n=st.sampled_from([1, 7, upoly._MOD_CUT - 1, upoly._MOD_CUT, 3000]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_mod_matches_remainder(q, n, seed):
+    """_mod against np.remainder on both sides of _MOD_CUT: draws over the
+    whole admitted range -(2^63 - q) .. 2^63 - 1, near +-2^62, and within a
+    few q of zero, negatives included, with the range ends planted; in a
+    new array and in place."""
+    rng = np.random.default_rng(seed)
+    lo, hi = -(2 ** 63 - q), 2 ** 63 - 1
+    x = np.concatenate([
+        rng.integers(lo, hi, n, endpoint=True),
+        rng.choice([-1, 1], n) * (2 ** 62 + rng.integers(-2 ** 20, 2 ** 20, n)),
+        rng.integers(max(lo, -3 * q), min(hi, 3 * q), n, endpoint=True)])
+    x = rng.permutation(x)[:n]
+    edges = [lo, lo + 1, -q, -1, 0, 1, q - 1, q, hi]
+    x[rng.integers(0, n, len(edges))] = edges
+    want = np.remainder(x, q)
+    assert np.array_equal(upoly._mod(x, q), want)
+    upoly._mod(x, q, out=x)
+    assert np.array_equal(x, want)
 
 
 def test_coefficients_are_read_only():

@@ -1,14 +1,22 @@
+import contextlib
 import functools
+import os
+import pickle
 import random
+import signal
+import time
 
 import numpy as np
 import pytest
 
+import ellfrob.errors as errors
 import ellfrob.liftp2 as liftp2
 import ellfrob.verify as verify
+from ellfrob.cli import main
 from ellfrob.errors import (DegreeMismatch, DomainError, InternalMismatch,
                             InvalidModulus, NotAUnit, NotOrdinary,
-                            SigmaSingular, SingularPair)
+                            PropertyViolation, SigmaSingular, SingularPair,
+                            WorkerDied)
 from ellfrob.verify import exhaustive_verify, parallel_map, verify_pair
 
 
@@ -17,23 +25,19 @@ def test_verify_pair_refuses_other_moduli():
         verify_pair(13, 1, 1, 3)
 
 
-class FakePool:
-    """Stands in for ProcessPoolExecutor: records max_workers and maps in
-    this process, so no worker is ever started."""
+def fork_in_process(monkeypatch, cpus=8):
+    """Stands in for verify._run_parts, the seam that forks: the parts are
+    mapped in this process, so no worker is ever forked. Returns the part
+    count of each map that would have forked, in call order."""
+    counts = []
 
-    sizes = []
+    def run_parts(fn, parts):
+        counts.append(len(parts))
+        return [verify._map_part(fn, part) for part in parts]
 
-    def __init__(self, max_workers):
-        FakePool.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
+    monkeypatch.setattr(verify, "_run_parts", run_parts)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
+    return counts
 
 
 @pytest.mark.parametrize("workers, items, cpus, size", [
@@ -47,24 +51,192 @@ class FakePool:
 ])
 def test_parallel_map_clamps_pool_size(monkeypatch, workers, items, cpus,
                                        size):
-    FakePool.sizes = []
-    monkeypatch.setattr(verify, "_process_pool", FakePool)
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
+    counts = fork_in_process(monkeypatch, cpus)
     data = list(range(items))
     assert parallel_map(abs, data, workers) == data
-    assert FakePool.sizes == ([] if size is None else [size])
+    assert counts == ([] if size is None else [size])
+
+
+def test_parallel_map_is_serial_without_fork(monkeypatch):
+    counts = fork_in_process(monkeypatch)
+    monkeypatch.delattr(verify.os, "fork")
+    assert parallel_map(abs, [-1, 2, -3], 3) == [1, 2, 3]
+    assert counts == []
 
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_parallel_map_keeps_item_order_across_chunks(monkeypatch, workers):
-    """Up to 4 * workers strided chunks go to the pool; results come back in
-    item order for every item count, including counts that do not divide
-    evenly and counts beyond the chunk count."""
-    monkeypatch.setattr(verify, "_process_pool", FakePool)
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: 8)
+    """Each worker maps one strided part; results come back in item order
+    for every item count, including counts that do not divide evenly."""
+    fork_in_process(monkeypatch)
     for n in range(4 * workers + 4):
         items = [(7 * i) % 11 - 5 for i in range(n)]
         assert parallel_map(repr, items, workers) == [repr(x) for x in items]
+
+
+@pytest.fixture
+def forking(monkeypatch):
+    """Real forked workers, up to 8 whatever the CPU count, under a time
+    limit: SIGALRM raises TimeoutError in the parent after 60 s (interval
+    timers are not inherited by a forked child). After the test, no child
+    of this process may be left."""
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 8)
+    with time_limit(60):
+        yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """TimeoutError in this process after `seconds`; an enclosing limit
+    keeps what is left of its own."""
+    def expire(signum, frame):
+        raise TimeoutError("no answer within %g s" % seconds)
+
+    old = signal.signal(signal.SIGALRM, expire)
+    outer, _ = signal.setitimer(signal.ITIMER_REAL, seconds)
+    start = time.monotonic()
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+        if outer:
+            signal.setitimer(signal.ITIMER_REAL, max(
+                outer - (time.monotonic() - start), 1e-3))
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_forked_map_keeps_item_order(forking, workers):
+    """As above, on real forked workers."""
+    for n in range(4 * workers + 5):
+        items = [(7 * i) % 11 - 5 for i in range(n)]
+        assert parallel_map(repr, items, workers) == [repr(x) for x in items]
+
+
+def serial_error(fn, items):
+    try:
+        [fn(x) for x in items]
+    except Exception as e:
+        return e
+    return None
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_forked_map_raises_the_error_of_the_earliest_failing_item(
+        forking, workers):
+    """Workers stop at their first failure; the parent raises the error a
+    serial map raises, from whichever worker holds the earliest failing
+    item, with its class and message intact."""
+    rng = random.Random(workers)
+    items = list(range(17))
+    for bad in [{16}, {1, 0}, {5, 2, 9}, {3, 4}] + [
+            set(rng.sample(items, rng.randrange(1, 5))) for _ in range(8)]:
+        def fn(x):
+            if x in bad:
+                raise (PropertyViolation("item %d" % x) if x % 2
+                       else NotAUnit("item %d" % x))
+            return x
+
+        want = serial_error(fn, items)
+        with pytest.raises(type(want)) as got:
+            parallel_map(fn, items, workers)
+        assert str(got.value) == str(want)
+
+
+def die_by_exit(x):
+    if x == 5:
+        os._exit(3)
+    return x
+
+
+def die_by_kill(x):
+    if x == 5:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return x
+
+
+def hang(x):
+    """Outlasts every wait of the tests below, unless killed."""
+    time.sleep(20)
+    return x
+
+
+@pytest.mark.parametrize("die, why", [
+    (die_by_exit, "worker 2 of 2 exited with status 3"),
+    (die_by_kill, "worker 2 of 2 was killed by signal %d" % signal.SIGKILL),
+])
+def test_forked_map_raises_worker_died_when_a_worker_dies(forking, die, why):
+    with pytest.raises(WorkerDied, match=why):
+        parallel_map(die, list(range(12)), 2)
+
+
+def test_failed_fork_kills_and_reaps_the_workers_it_started(forking,
+                                                            monkeypatch):
+    """When a fork fails midway, the parent kills and reaps the worker it
+    has started, without waiting for it to finish, and raises the
+    error."""
+    real_fork, forks = os.fork, []
+
+    def fork():
+        forks.append(1)
+        if len(forks) == 2:
+            raise BlockingIOError("no more processes")
+        return real_fork()
+
+    monkeypatch.setattr(verify.os, "fork", fork)
+    start = time.monotonic()
+    with pytest.raises(BlockingIOError):
+        parallel_map(hang, [0, 1, 2], 3)
+    assert time.monotonic() - start < 10
+
+
+def test_interrupted_parent_kills_and_reaps_its_workers(forking):
+    """An exception in the parent while it waits on the pipes (here a
+    timer's) kills and reaps the workers, and propagates."""
+    start = time.monotonic()
+    with pytest.raises(TimeoutError):
+        with time_limit(0.5):
+            parallel_map(hang, [0, 1], 2)
+    assert time.monotonic() - start < 10
+
+
+def test_dead_worker_exits_2_with_one_stderr_line(forking, monkeypatch,
+                                                  capsys):
+    """A sweep whose worker dies fails as a broken invariant: exit 2 and
+    one line on stderr, no traceback."""
+    monkeypatch.setenv("HD_THREADS", "2")
+    real = verify._attempt_stack
+
+    def attempt_stack(tasks):
+        if tasks[0][1:3] != (0, 0):
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(tasks)
+
+    monkeypatch.setattr(verify, "_attempt_stack", attempt_stack)
+    assert main(["verify-all", "--p", "13", "--mod", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "WorkerDied: worker 2 of 2 was killed by signal %d before sending "
+        "its results" % signal.SIGKILL]
+
+
+@pytest.mark.parametrize("p, mod", [(13, 1), (13, 2)])
+def test_forked_sweep_matches_one_worker(forking, p, mod):
+    assert exhaustive_verify(p, mod, workers=3) == exhaustive_verify(p, mod)
+
+
+def test_every_error_survives_pickling():
+    """A worker sends its error pickled: each class must come back with
+    its message and attributes."""
+    for cls in vars(errors).values():
+        if isinstance(cls, type) and issubclass(cls, errors.EllfrobError):
+            e = cls(3) if cls is errors.NotIntegrable else cls("clause x")
+            back = pickle.loads(pickle.dumps(e))
+            assert type(back) is cls
+            assert (str(back), vars(back)) == (str(e), vars(e))
 
 
 def sweep_pairs(p, mod, samples=None, seed=2026):
@@ -151,15 +323,13 @@ def sabotage(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sweep_failures_name_their_pairs_in_task_order(monkeypatch, workers):
-    """One stack at 1 worker, two on the in-process pool (the error pair
+    """One stack at 1 worker, two on in-process workers (the error pair
     and one false pair share the first): the failure rows are those of a
     pair-by-pair sweep, in task order."""
-    monkeypatch.setattr(verify, "_process_pool", FakePool)
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: 8)
-    FakePool.sizes = []
+    counts = fork_in_process(monkeypatch)
     sabotage(monkeypatch)
     summary = exhaustive_verify(13, 1, workers=workers)
-    assert FakePool.sizes == ([] if workers == 1 else [2])
+    assert counts == ([] if workers == 1 else [2])
     assert summary == pairwise_summary(13)
     assert summary["failures"] == [
         {"p": 13, "a": 1, "b": 5, "mod": 1, "verified": False, "lambda": 8,
@@ -178,11 +348,10 @@ def cached_pairwise(p, mod, samples):
 
 def stacked_outcomes(monkeypatch, p, mod, samples, workers):
     """The sweep's (status, row) per task, in task order, read off the
-    stacks it maps on the in-process pool, with its summary, the number of
+    stacks it maps on in-process workers, with its summary, the number of
     rows checked in stacks, the stacks that raised and the tasks run
     alone."""
-    monkeypatch.setattr(verify, "_process_pool", FakePool)
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: 8)
+    counts = fork_in_process(monkeypatch)
     parts, stacked, raised, alone = [], [], [], []
     real_map, real_attempt = verify.parallel_map, verify._attempt
     real_verify = verify.verify_pair
@@ -210,9 +379,8 @@ def stacked_outcomes(monkeypatch, p, mod, samples, workers):
     monkeypatch.setattr(verify, "parallel_map", spy_map)
     monkeypatch.setattr(verify, "verify_pair", spy_verify)
     monkeypatch.setattr(verify, "_attempt", spy_attempt)
-    FakePool.sizes = []
     summary = exhaustive_verify(p, mod, samples=samples, workers=workers)
-    assert FakePool.sizes == ([] if workers == 1 else [2])
+    assert counts == ([] if workers == 1 else [2])
     return ([outcome for part in parts for outcome in part], summary,
             sum(stacked), raised, alone)
 
@@ -314,9 +482,7 @@ def test_mod2_sweep_failures_name_their_pairs_in_task_order(monkeypatch,
     (at 2 workers each stack has 6 b0 rows, under _STACK_MIN, which go
     alone), and the failure rows are those of a pair-by-pair sweep, in
     task order."""
-    monkeypatch.setattr(verify, "_process_pool", FakePool)
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: 8)
-    FakePool.sizes = []
+    counts = fork_in_process(monkeypatch)
     sabotage_mod2(monkeypatch)
     rerun, real_attempt = [], verify._attempt
 
@@ -326,7 +492,7 @@ def test_mod2_sweep_failures_name_their_pairs_in_task_order(monkeypatch,
 
     monkeypatch.setattr(verify, "_attempt", spy_attempt)
     summary = exhaustive_verify(13, 2, workers=workers)
-    assert FakePool.sizes == ([] if workers == 1 else [2])
+    assert counts == ([] if workers == 1 else [2])
     assert (13, 2, 3, 2) in rerun
     assert sorted(a for _, a, b, _ in rerun if b == 0) == (
         [] if workers == 1 else list(range(1, 13)))
@@ -351,8 +517,7 @@ def test_internal_error_ends_a_stacked_sweep_as_pair_by_pair(monkeypatch,
     lie_verify_commutator, a later step, InternalMismatch on (1, 5), an
     earlier task. The stack stops at the first and is checked again pair
     by pair, so the sweep ends as a pair-by-pair sweep does, at (1, 5)."""
-    monkeypatch.setattr(verify, "_process_pool", FakePool)
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: 8)
+    fork_in_process(monkeypatch)
     real_build = verify.build_lift_mod_p2
     real_lie = verify.lie_verify_commutator
 

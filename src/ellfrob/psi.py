@@ -19,16 +19,52 @@ at stride 3 in the U exponent. ``laurent_stream`` stacks five streams in one
 table T[s, n, k]: alpha (s = 0: v_0 = 1, no source) and the unit-source
 solutions G_1..G_4 (G_s: v_0 = 0, source 1 at step s). T[s, n, k] is the
 coefficient of U^(n-s-3k) in row n, so U v_{n-1} lands in column k of row
-n and v_{n-3} one column to the right: a step is a few array operations on
-all five streams at once. The recursion is linear with coefficients in U,
-V^-1 and scalars, which commute with everything in it, so a stream whose
-sources are sum_s c_s at step s, with c_s built from U, V^-1, scalars or
-anything else commuting with them, is sum_s c_s G_s. Hence beta (sources
-U/2 at n = 2 and 3/2 at n = 4) is (U/2) G_2 + (3/2) G_4, the z4' and z6'
-streams of the symbolic lane are G_2/2 and G_1/2, and its eta stream is
-sum_s d_s G_s. psi_n = alpha_n beta_{n+1} - alpha_{n+1} beta_n is row n of
-a second table, psi[n, k] at U^(2n-3k). Rows become WPoly only on demand.
+n and v_{n-3} one column to the right. The recursion is linear with
+coefficients in U, V^-1 and scalars, which commute with everything in it,
+so a stream whose sources are sum_s c_s at step s, with c_s built from U,
+V^-1, scalars or anything else commuting with them, is sum_s c_s G_s.
+Hence beta (sources U/2 at n = 2 and 3/2 at n = 4) is (U/2) G_2 +
+(3/2) G_4, the z4' and z6' streams of the symbolic lane are G_2/2 and
+G_1/2, and its eta stream is sum_s d_s G_s. psi_n = alpha_n beta_{n+1} -
+alpha_{n+1} beta_n is row n of a second table, psi[n, k] at U^(2n-3k).
+Rows become WPoly only on demand.
+
+Columns. Column k of T is, on all five streams at once, a first-order
+recurrence in n:
+    x_n = a_n x_{n-1} + y_n,  a_n = (3 - 2n)/2n,
+    y_n = c_n T[s, n-3, k-1],  c_n = (9 - 2n)/2n,
+plus, in column 0, the source 1/n of G_n (n <= 4) and alpha's v_0 = 1.
+Over Q a_n never vanishes. Mod p it vanishes where 2n = 3: in the pivot
+tables only at n0 = (p+3)/2, where 3/2 - n0 = -p/2, so x_n0 = y_n0
+restarts the column (a longer table restarts again every p rows). Let P_n
+be the product of the a_i from the start of n's segment, [0, n0) or
+[n0, ...), to n, with P = 1 at each start. Then
+    x_n / P_n = sum of y_m / P_m over m <= n in n's segment,
+a running sum that restarts at n0. ``laurent_stream`` keeps the table over
+P: its column k is the running sum of r_n T/P[s, n-3, k-1], r_n = c_n
+P_{n-3} / P_n, so one multiply, one running sum per segment and one
+reduction make a column, about N/3 steps where the rows took N. T/P has
+the same beta and the same linear combinations; ``_Rows`` hands out row n
+times P_n, and the determinants on T/P are psi_n / (P_n P_{n+1}).
+
+Bounds and blocks. Mod p every entry of T/P and every r_n is a residue,
+so a running sum of at most nmax + 1 terms stays below (nmax + 1)(p-1)^2,
+which ``laurent_stream`` checks against 2^63 (``PrecisionOutOfRange``).
+For the pivot tables, nmax = (p+7)/2, that holds for every p below
+2.6 * 10^6, far past any table that fits in memory. Mod p the
+determinants of 64 rows are one signed sum of two products in one
+spectrum, ``upoly._fft_sum`` on the rows cut to the block's widest
+support, exact by upoly's Percival bound for two products and checked by
+its rounding guard (upoly module doc, Signed sums); the exact lane, nmax
+<= 10 in use, keeps one np.convolve per product. The beta table and the
+recurrence check take 64 rows at a time too, and every reduction is in
+place, so beside the tables themselves no work array grows with more than
+64 rows or one column. At p = 4999 the stream table (a rectangle
+[k, n, s], half of it zeros) takes 84 MB, the beta table 17 MB and the
+psi table 33 MB.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -36,85 +72,147 @@ from .errors import (DegreeMismatch, InternalMismatch, PrecisionOutOfRange,
                      PrimeTooSmall, TheoremViolation)
 from .forms import hasse_poly
 from .residue import PrimePower, inv_mod, is_prime
+from .upoly import _fft_plan, _fft_sum, _mod, _spectra, unit_inverses
 from .wpoly import WPoly, _power, _reduce, discriminant
 
 
-def _canon(table, pm):
-    """Reduce an int64 table in place to residues mod p; exact: as it is."""
-    if pm is not None:
-        table %= pm.q
-    return table
+_BLOCK = 64     # rows per pass: beta, the determinants, the recurrence check
+
+
+def _canon(x, pm):
+    """Reduce an int64 array in place to residues mod p; exact: as it is."""
+    return x if pm is None else _mod(x, pm.q, out=x)
+
+
+def _column_scalars(nmax, pm):
+    """For 0 <= n <= nmax: the restarts (the n >= 1 with a_n = 0), P_n and
+    r_n = c_n P_{n-3} / P_n (r_0..r_2 unused) as arrays, and the column-0
+    sources over P: 1 at n = 0 and 1 / (s P_s) at n = s <= 4 (module doc)."""
+    n = np.arange(1, nmax + 1)
+    if pm is None:
+        inv = np.array([Fraction(1, 2 * k) for k in n.tolist()], object)
+    else:
+        inv = unit_inverses(2 * n, pm)
+    a = _reduce((3 - 2 * n) * inv, pm).tolist()
+    c = _reduce((9 - 2 * n) * inv, pm)
+    restarts, prods = [], [Fraction(1) if pm is None else 1]
+    for k, a_k in enumerate(a, 1):
+        if a_k == 0:
+            restarts.append(k)
+        prods.append(_reduce(prods[-1] * a_k, pm) if a_k else 1)
+    P = np.array(prods, inv.dtype)
+    Pinv = 1 / P if pm is None else unit_inverses(P, pm)
+    r = np.zeros_like(P)
+    r[3:] = _reduce(_reduce(c[2:] * P[:-3], pm) * Pinv[3:], pm)
+    src = [1] + [_reduce(2 * inv[s - 1] * Pinv[s], pm)
+                 for s in range(1, min(4, nmax) + 1)]
+    return restarts, P, r, src
+
+
+def _running_sums(col, cuts):
+    """Running sums of col along its first axis, in place, started again at
+    each index in cuts."""
+    lo = 0
+    for m in cuts:
+        if m > lo:
+            np.add.accumulate(col[lo:m], axis=0, out=col[lo:m])
+            lo = m
+    np.add.accumulate(col[lo:], axis=0, out=col[lo:])
 
 
 def laurent_stream(nmax, pm=None):
-    """The stacked table T[s, n, k], 0 <= n <= nmax, of alpha and G_1..G_4
-    (module doc). Row n is ((3 - 2n) U v_{n-1} + (9 - 2n) v_{n-3}
-    + 2 source_n) / 2n over V: a scale of row n-1, a scale of row n-3 one
-    column right, and 1/n at column 0 of G_n. Row n is cut to its support
-    k <= n/3."""
-    table = np.zeros((5, nmax + 1, nmax // 3 + 1),
-                     object if pm is None else np.int64)
-    table[0, 0, 0] = 1
-    for n in range(1, nmax + 1):
-        inv, w = _power(2 * n, -1, pm), n // 3 + 1
-        row = table[:, n, :w]
-        row[...] = _reduce((3 - 2 * n) * inv, pm) * table[:, n - 1, :w]
-        if n >= 3:
-            row[:, 1:] += _reduce((9 - 2 * n) * inv, pm) * table[:, n - 3, :w - 1]
-        if n <= 4:
-            row[n, 0] += 2 * inv
-        _canon(row, pm)
-    return table
+    """(T / P, P): the stacked table T[s, n, k], 0 <= n <= nmax, of alpha
+    and G_1..G_4 (module doc) with row n over P_n, and P. Built column by
+    column: column k is the running sum along n of r_n times column k-1
+    three rows up (column 0: of the sources), restarted at each n with
+    a_n = 0. The table is a view of one stored [k, n, s]."""
+    if pm is not None and (nmax + 1) * (pm.q - 1) ** 2 >= 2 ** 63:
+        raise PrecisionOutOfRange("stream sums to n = %d mod %d overflow int64"
+                                  % (nmax, pm.q))
+    restarts, P, r, src = _column_scalars(nmax, pm)
+    r = r[:, None]
+    table = np.zeros((nmax // 3 + 1, nmax + 1, 5), P.dtype)
+    for s, v in enumerate(src):
+        table[0, s, s] = v
+    _running_sums(table[0], restarts)
+    for k in range(1, len(table)):
+        col = table[k, 3 * k:]
+        np.multiply(table[k - 1, 3 * k - 3:-3], r[3 * k:], out=col)
+        _running_sums(col, [m - 3 * k for m in restarts])
+        _canon(col, pm)
+    return table.transpose(2, 1, 0), P
 
 
 def _beta_rows(table, pm):
-    """beta = (U/2) G_2 + (3/2) G_4 as a table: beta[n, k] at U^(n-1-3k)."""
+    """beta = (U/2) G_2 + (3/2) G_4 as a table: beta[n, k] at U^(n-1-3k).
+    Row by row linear, so it holds as well with every row over P_n."""
     half = _power(2, -1, pm)
-    betas = half * table[2]
-    betas[:, 1:] += _reduce(3 * half, pm) * table[4, :, :-1]
-    return _canon(betas, pm)
+    betas = np.zeros(table.shape[1:], table.dtype)
+    for n0 in range(0, len(betas), _BLOCK):
+        block, rows = betas[n0:n0 + _BLOCK], slice(n0, n0 + _BLOCK)
+        np.multiply(table[2, rows], half, out=block)
+        block[:, 1:] += _reduce(3 * half, pm) * table[4, rows, :-1]
+        _canon(block, pm)
+    return betas
 
 
-def psi_determinants(alphas, betas, nmax, pm=None):
+def psi_determinants(alphas, betas, P, nmax, pm=None):
     """psi_n = alpha_n beta_{n+1} - alpha_{n+1} beta_n for 1 <= n <= nmax as
-    the table psi[n, k] at U^(2n-3k): one np.convolve per product on the
-    raw rows cut to their support (alpha_n: k <= n/3, beta_n: k <= (n-1)/3)."""
-    if pm is not None and 2 * (pm.q - 1) ** 2 * (nmax // 3 + 2) >= 2 ** 63:
-        raise PrecisionOutOfRange("psi rows mod %d overflow int64" % pm.q)
+    the table psi[n, k] at U^(2n-3k), from the stream rows over P_n: the
+    determinant of the rows over P, times P_n P_{n+1}. Mod p, a block of
+    rows at a time in one spectrum, ``upoly._fft_sum`` of the signed sum on
+    the rows cut to the block's widest support. Exact: one np.convolve per
+    product on the rows cut to their support (alpha_n: k <= n/3, beta_n:
+    k <= (n-1)/3)."""
     psis = np.zeros((nmax + 1, 2 * nmax // 3 + 1), alphas.dtype)
-    for n in range(1, nmax + 1):
-        ab = np.convolve(alphas[n, :n // 3 + 1], betas[n + 1, :n // 3 + 1])
-        ba = np.convolve(alphas[n + 1, :(n + 1) // 3 + 1],
-                         betas[n, :(n - 1) // 3 + 1])
-        psis[n, :len(ab)] += ab
-        psis[n, :len(ba)] -= ba
-    return _canon(psis, pm)
+    pp = _reduce(P[:-1] * P[1:], pm)[:, None]
+    if pm is None:
+        for n in range(1, nmax + 1):
+            ab = np.convolve(alphas[n, :n // 3 + 1], betas[n + 1, :n // 3 + 1])
+            ba = np.convolve(alphas[n + 1, :(n + 1) // 3 + 1],
+                             betas[n, :(n - 1) // 3 + 1])
+            psis[n, :len(ab)] += ab
+            psis[n, :len(ba)] -= ba
+        psis *= pp[:nmax + 1]
+        return psis
+    for n0 in range(1, nmax + 1, _BLOCK):
+        n1 = min(n0 + _BLOCK, nmax + 1)
+        w = n1 // 3 + 1
+        plan = _fft_plan(w, w, pm.q, 2)
+        fa, fb = (_spectra(x[n0:n1 + 1, :w], pm.q, plan)
+                  for x in (alphas, betas))
+        block = _fft_sum([([f[:-1] for f in fa], [f[1:] for f in fb]),
+                          ([f[1:] for f in fa], [f[:-1] for f in fb])],
+                         pm.q, plan)
+        block *= pp[n0:n1]
+        width = min(block.shape[1], psis.shape[1])
+        psis[n0:n1, :width] = _canon(block, pm)[:, :width]
+    return psis
 
 
 def psi_recurrence_check(psis, nmax, pm=None):
     """Re-derive psi_n for 5 <= n <= nmax from the three-term recurrence
         psi_n = c2 U V^-2 psi_{n-2} + c3 V^-2 psi_{n-3},
         c2 = -(2n-7)(2n-3) / ((2n+2) 2n),  c3 = (2n-7)(2n-9) / ((2n+2) 2n),
-    and compare it with the determinant rows of the psi table, every n in
-    one array comparison with both sides times the unit (2n+2) 2n. On the
+    and compare it with the determinant rows of the psi table, a block of
+    rows at a time, with both sides times the unit (2n+2) 2n. On the
     table U V^-2 moves a row one column right and V^-2 two; the columns
     they push out lie past the support of psi_{n-2} and psi_{n-3}. A
     mismatch is a hard failure."""
-    if nmax < 5:
-        return True
-    n = np.arange(5, nmax + 1).astype(psis.dtype)[:, None]
-    # two buffers and no temporaries: the tables dominate the scan's memory
-    rhs, lhs = np.zeros_like(psis[5:nmax + 1]), np.zeros_like(psis[5:nmax + 1])
-    np.multiply(_reduce(-(2 * n - 7) * (2 * n - 3), pm), psis[3:nmax - 1, :-1],
-                out=rhs[:, 1:])
-    np.multiply(_reduce((2 * n - 7) * (2 * n - 9), pm), psis[2:nmax - 2, :-2],
-                out=lhs[:, 2:])
-    rhs += lhs
-    np.multiply(_reduce((2 * n + 2) * 2 * n, pm), psis[5:nmax + 1], out=lhs)
-    bad = np.flatnonzero((_canon(lhs, pm) != _canon(rhs, pm)).any(axis=1))
-    if len(bad):
-        raise InternalMismatch(
-            "psi_%d: determinant and recurrence disagree" % (bad[0] + 5))
+    for n0 in range(5, nmax + 1, _BLOCK):
+        n1 = min(n0 + _BLOCK, nmax + 1)
+        n = np.arange(n0, n1).astype(psis.dtype)[:, None]
+        rhs, lhs = np.zeros_like(psis[n0:n1]), np.zeros_like(psis[n0:n1])
+        np.multiply(_reduce(-(2 * n - 7) * (2 * n - 3), pm),
+                    psis[n0 - 2:n1 - 2, :-1], out=rhs[:, 1:])
+        np.multiply(_reduce((2 * n - 7) * (2 * n - 9), pm),
+                    psis[n0 - 3:n1 - 3, :-2], out=lhs[:, 2:])
+        rhs += lhs
+        np.multiply(_reduce((2 * n + 2) * 2 * n, pm), psis[n0:n1], out=lhs)
+        bad = np.flatnonzero((_canon(lhs, pm) != _canon(rhs, pm)).any(axis=1))
+        if len(bad):
+            raise InternalMismatch(
+                "psi_%d: determinant and recurrence disagree" % (bad[0] + n0))
     return True
 
 
@@ -131,14 +229,17 @@ class _Rows:
     """The rows of a table as WPoly on demand: row n has weight
     w0 - 2 d n, and its column k holds the coefficient of U^(t0 + d n - 3k)."""
 
-    def __init__(self, rows, pm, w0, t0, d):
+    def __init__(self, rows, pm, w0, t0, d, scale=None):
         self.rows, self.pm, self.w0, self.t0, self.d = rows, pm, w0, t0, d
+        self.scale = scale
 
     def __len__(self):
         return len(self.rows)
 
     def __getitem__(self, n):
         row = self.rows[n][::-1]
+        if self.scale is not None:
+            row = row * self.scale[n]
         return WPoly.from_coeffs(self.w0 - 2 * self.d * n,
                                  self.t0 + self.d * n - 3 * (len(row) - 1),
                                  row, self.pm)
@@ -151,15 +252,15 @@ class PsiTable:
     the cleared Psi_nmax, the pivot polynomial when nmax = (p+5)/2."""
 
     def __init__(self, nmax, pm=None):
-        streams = laurent_stream(nmax + 1, pm)
+        streams, P = laurent_stream(nmax + 1, pm)
         betas = _beta_rows(streams, pm)
-        psis = psi_determinants(streams[0], betas, nmax, pm)
+        psis = psi_determinants(streams[0], betas, P, nmax, pm)
         psi_recurrence_check(psis, nmax, pm)
         self.p = None if pm is None else pm.p
         self.psi_rows = psis
-        self.alphas = _Rows(streams[0], pm, 0, 0, 1)
-        self.betas = _Rows(betas, pm, 2, -1, 1)
-        self.gs = [None] + [_Rows(streams[s], pm, 2 * s - 6, -s, 1)
+        self.alphas = _Rows(streams[0], pm, 0, 0, 1, P)
+        self.betas = _Rows(betas, pm, 2, -1, 1, P)
+        self.gs = [None] + [_Rows(streams[s], pm, 2 * s - 6, -s, 1, P)
                             for s in range(1, 5)]
         self.psis = _Rows(psis, pm, 0, 0, 2)
         self.psi_big = clear_psi(self.psis[nmax], nmax)

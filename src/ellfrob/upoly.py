@@ -127,6 +127,19 @@ computed value lies within 1/4 of its rounded integer and raises
 A square (``x * x`` with the same object on both sides) reuses its forward
 transforms.
 
+Signed sums. ``_fft_mul`` is ``_spectra`` of each operand and ``_fft_sum``
+of one pair of spectra. ``_fft_sum`` takes t pairs of one plan and forms
+the first product minus the others, summing their limb products of each
+weight in the frequency domain as above; one inverse transform and one
+rounding per weight serve all t. An output then adds at most t k limb
+convolutions, each within the bound above, and its exact limb sum is at
+most t k min(la, lb) 2^(2L-2) in absolute value, so ``_limb_plan(la, lb,
+q, t)`` asks both conditions with t k in place of k; the guard is the
+same. The psi determinants alpha_n beta_{n+1} - alpha_{n+1} beta_n (psi
+module doc) take t = 2, on spectra sliced from one transform of each
+table block. Since the limbs are balanced, a difference is no harder than
+a sum.
+
 Division. ``divmod_monic`` divides P of length l by a monic g of degree d
 with two products. Reversing coefficients turns P = g Q + R into
 rev(P) = rev(g) rev(Q) mod x^n, n = l - d, so the quotient is the
@@ -277,48 +290,60 @@ def _fft_error_bound(la, lb, limb_bits, n_limbs, log2n):
 
 
 @functools.lru_cache(maxsize=1024)
-def _limb_plan(la, lb, q):
-    """(limb bits L, limb count k) for an exact FFT product mod q, widest first."""
+def _limb_plan(la, lb, q, terms=1):
+    """(limb bits L, limb count k) for an exact FFT sum of ``terms`` products
+    mod q, widest first."""
     bits = (q - 1).bit_length()
     log2n = max(1, (la + lb - 2).bit_length())
     for k in range(1, bits + 1):
         width = -(-bits // k)
-        exact_max = k * min(la, lb) << (2 * width - 2)
-        if (exact_max < 2 ** 52
-                and _fft_error_bound(la, lb, width, k, log2n) < 0.25):
+        exact_max = terms * k * min(la, lb) << (2 * width - 2)
+        if (exact_max < 2 ** 52 and terms
+                * _fft_error_bound(la, lb, width, k, log2n) < 0.25):
             return width, k
     raise FFTRoundingError("no exact limb split for lengths %d, %d mod %d"
                            % (la, lb, q))
 
 
-def _fft_mul(a, b, q):
-    """Exact product of two int64 residue arrays, or stacks of them, mod q,
-    along the last axis (see module doc)."""
-    la, lb = a.shape[-1], b.shape[-1]
-    width, k = _limb_plan(la, lb, q)
+def _fft_plan(la, lb, q, terms=1):
+    """(la, lb, limb bits L, limb count k, output length, transform size) of
+    an exact FFT sum of ``terms`` products of lengths la, lb mod q."""
+    width, k = _limb_plan(la, lb, q, terms)
     n = la + lb - 1
-    size = 1 << (n - 1).bit_length()
+    return la, lb, width, k, n, 1 << (n - 1).bit_length()
+
+
+def _spectra(x, q, plan):
+    """The k limb spectra of an int64 residue array, or stack, along the
+    last axis (module doc)."""
+    _, _, width, k, _, size = plan
     half, mask = 1 << (width - 1), (1 << width) - 1
-    rfft, irfft = np.fft.rfft, np.fft.irfft
+    c = np.where(x > q // 2, x - q, x)  # balanced residues
+    out = []
+    for _ in range(k - 1):
+        c = c + half
+        out.append(np.fft.rfft((c & mask) - half, size))
+        c >>= width
+    return out + [np.fft.rfft(c, size)]
 
-    def spectra(x):
-        c = np.where(x > q // 2, x - q, x)  # balanced residues
-        out = []
-        for _ in range(k - 1):
-            c = c + half
-            out.append(rfft((c & mask) - half, size))
-            c >>= width
-        return out + [rfft(c, size)]
 
-    fa = spectra(a)
-    fb = fa if b is a else spectra(b)
+def _fft_sum(pairs, q, plan):
+    """Exact signed sum mod q of the products of spectra pairs (fa, fb) of
+    one plan along the last axis: the first product minus the others."""
+    la, lb, width, k, n, size = plan
     out, weight = None, pow(2, width, q)
     for s in range(2 * k - 2, -1, -1):
         spec = None
-        for i in range(max(0, s - k + 1), min(s, k - 1) + 1):
-            term = fa[i] * fb[s - i]
-            spec = term if spec is None else spec + term
-        vals = irfft(spec, size)[..., :n]
+        for minus, (fa, fb) in enumerate(pairs):
+            for i in range(max(0, s - k + 1), min(s, k - 1) + 1):
+                term = fa[i] * fb[s - i]
+                if spec is None:
+                    spec = term
+                elif minus:
+                    spec -= term
+                else:
+                    spec += term
+        vals = np.fft.irfft(spec, size)[..., :n]
         del spec
         exact = np.rint(vals)
         worst = float(np.max(np.abs(vals - exact)))
@@ -332,6 +357,14 @@ def _fft_mul(a, b, q):
             limb += _mulmod(out, weight, q)
         out = _mod(limb, q, out=limb)
     return out
+
+
+def _fft_mul(a, b, q):
+    """Exact product of two int64 residue arrays, or stacks of them, mod q,
+    along the last axis (see module doc)."""
+    plan = _fft_plan(a.shape[-1], b.shape[-1], q)
+    fa = _spectra(a, q, plan)
+    return _fft_sum([(fa, fa if b is a else _spectra(b, q, plan))], q, plan)
 
 
 def _convolves(short, q):

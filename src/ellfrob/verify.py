@@ -259,7 +259,10 @@ def _attempt_stack(tasks):
 
 def exhaustive_verify(p, mod, samples=None, seed=2026, workers=None):
     """Summary over all F_p pairs (samples=None) or `samples` random pairs
-    drawn from [0, p^(m+1)) so the p-derivation sees nontrivial digits.
+    drawn from [0, p^(m+1)). ``CurveContext`` reduces a and b mod p^m
+    before anything reads them, so the top digit never reaches the
+    p-derivation and the draw is in effect one over pairs mod p^m; the
+    range stays because the printed a and b of a failure row depend on it.
     The pairs are checked in stacks (module doc, Stacks).
 
     Mod p^2 needs p >= 11: the general branch truncates at (p+7)/2, which

@@ -1,14 +1,19 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from ellfrob.errors import InternalMismatch
+from ellfrob.cli import main
+from ellfrob.errors import (FFTRoundingError, InternalMismatch,
+                            PrecisionOutOfRange)
 from ellfrob.forms import hasse_poly
 from ellfrob.liftp2 import eta_pivots, sym_d_values
-from ellfrob.psi import (PsiTable, clear_psi, conjecture_scan, degree_audit,
-                         exact_psi_table, golem_check, psi_mod_p,
-                         psi_recurrence_check, psi_table, scan_prime)
-from ellfrob.residue import PrimePower
+from ellfrob.psi import (PsiTable, _column_scalars, _Rows, clear_psi,
+                         conjecture_scan, degree_audit, exact_psi_table,
+                         golem_check, laurent_stream, psi_determinants,
+                         psi_mod_p, psi_recurrence_check, psi_table,
+                         scan_prime)
+from ellfrob.residue import PrimePower, is_prime
 from ellfrob.wpoly import LocalizerSet, LocFrac, WPoly, discriminant
 
 F = Fraction
@@ -56,16 +61,25 @@ def test_recurrence_consistency():
         psi_recurrence_check(table.psi_rows, 9, pm=None)
 
 
-# a middle row, and the last column of the pivot row M = 18
-@pytest.mark.parametrize("n, k", [(11, 2), (18, -1)])
-def test_recurrence_check_catches_one_mod_p_entry(n, k):
-    p = 31
+def _corrupt_and_check(p, n, k):
     pm, m_piv = PrimePower(p, 1), (p + 5) // 2
     rows = psi_table(p).psi_rows.copy()
     assert psi_recurrence_check(rows, m_piv, pm)
     rows[n, k] = (rows[n, k] + 1) % p
-    with pytest.raises(InternalMismatch, match="psi_%d" % n):
+    with pytest.raises(InternalMismatch, match="psi_%d:" % n):
         psi_recurrence_check(rows, m_piv, pm)
+
+
+# a middle row, and the last column of the pivot row M = 18
+@pytest.mark.parametrize("n, k", [(11, 2), (18, -1)])
+def test_recurrence_check_catches_one_mod_p_entry(n, k):
+    _corrupt_and_check(31, n, k)
+
+
+# p = 211 has pivot row M = 108: the check compares rows 5..68, then 69..108
+@pytest.mark.parametrize("n", [69, 100, 108])
+def test_recurrence_check_catches_an_entry_past_the_first_block(n):
+    _corrupt_and_check(211, n, 3)
 
 
 def stream_oracle(nmax, v0, sources, u, v_inv, fr):
@@ -91,11 +105,15 @@ def _lane(pm):
             lambda c: WPoly.const(c, pm))
 
 
-@pytest.mark.parametrize("p", [None, 11, 13, 61])
+# every prime 11..61, 101 and 211: the restart at (p+3)/2, where the U v_{n-1}
+# coefficient vanishes mod p, falls at every offset in the columns' ranges
+@pytest.mark.parametrize(
+    "p", [None] + [p for p in range(11, 62) if is_prime(p)] + [101, 211])
 def test_streams_match_one_step_oracle(p):
     pm = None if p is None else PrimePower(p, 1)
     table = PsiTable(9) if p is None else psi_table(p)
     nmax = len(table.alphas) - 1
+    assert _column_scalars(nmax, pm)[0] == ([] if p is None else [(p + 3) // 2])
     fr, u, v_inv, const = _lane(pm)
     zero = WPoly.zero(pm)
     oracles = {
@@ -103,7 +121,7 @@ def test_streams_match_one_step_oracle(p):
         "beta": (table.betas, stream_oracle(
             nmax, zero, {2: u.scale(fr(1, 2)), 4: const(fr(3, 2))}, u, v_inv, fr)),
     }
-    for s in (1, 2):  # nu = G_1/2 and mu = G_2/2
+    for s in (1, 2, 3, 4):  # G_s/2; nu = G_1/2 and mu = G_2/2
         seq = stream_oracle(nmax, zero, {s: const(fr(1, 2))}, u, v_inv, fr)
         oracles["G_%d/2" % s] = ([table.gs[s][n].scale(fr(1, 2))
                                   for n in range(nmax + 1)], seq)
@@ -217,3 +235,70 @@ def test_mod_p_lane_matches_exact_lane():
                    for k, c in psis[n].terms.items()}
         reduced = {k: v for k, v in reduced.items() if v}
         assert table.psis[n].terms == reduced
+
+
+def _support_table(rows, width, lag, fill):
+    """A table whose row n holds ``fill`` on its support k <= (n - lag)/3."""
+    table = np.zeros((rows, width), np.int64)
+    for n in range(lag, rows):
+        table[n, :(n - lag) // 3 + 1] = fill
+    return table
+
+
+# the largest residues, p - 1, and the largest balanced ones, (p - 1)/2: at
+# p = 1999 the pivot table of scan_prime(1999), one limb; near 2^31 a short
+# table on two limbs
+@pytest.mark.parametrize("p, nmax", [(1999, 1002), (2 ** 31 - 1, 40)])
+@pytest.mark.parametrize("half", [False, True])
+def test_one_spectrum_determinants_match_per_row_convolve(p, nmax, half):
+    pm = PrimePower(p, 1)
+    fill = (p - 1) // 2 if half else p - 1
+    width = (nmax + 1) // 3 + 1
+    alphas = _support_table(nmax + 2, width, 0, fill)
+    betas = _support_table(nmax + 2, width, 1, fill)
+    P = np.ones(nmax + 2, np.int64)
+    got = psi_determinants(alphas, betas, P, nmax, pm)
+    exact = p ** 2 * width >= 2 ** 62
+    for n in range(1, nmax + 1):
+        a0, a1 = alphas[n, :n // 3 + 1], alphas[n + 1, :(n + 1) // 3 + 1]
+        b0, b1 = betas[n, :(n - 1) // 3 + 1], betas[n + 1, :n // 3 + 1]
+        if exact:  # Python ints where int64 products would overflow
+            a0, a1, b0, b1 = (x.astype(object) for x in (a0, a1, b0, b1))
+        ab, ba = np.convolve(a0, b1), np.convolve(a1, b0)
+        want = np.zeros(got.shape[1], object)
+        want[:len(ab)] += ab
+        want[:len(ba)] -= ba
+        assert got[n].tolist() == (want % p).tolist(), n
+
+
+def test_perturbed_spectrum_raises_and_exits_2(monkeypatch, capsys):
+    real = np.fft.irfft
+
+    def noisy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        out[..., 0] += 0.3
+        return out
+
+    monkeypatch.setattr(np.fft, "irfft", noisy)
+    with pytest.raises(FFTRoundingError):
+        psi_table(31)
+    assert main(["scan", "--pmin", "31", "--pmax", "31"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("FFTRoundingError: ")
+
+
+def test_stream_sums_refused_past_the_int64_bound():
+    """(nmax + 1)(p - 1)^2 < 2^63 bounds the running sums of a column: at a
+    prime below 2^30 it admits nmax = 7 and no more."""
+    p = next(p for p in range(2 ** 30 - 1, 0, -2) if is_prime(p))
+    pm = PrimePower(p, 1)
+    nmax = 2 ** 63 // (p - 1) ** 2 - 1
+    assert nmax == 7
+    table, P = laurent_stream(nmax, pm)
+    fr, u, v_inv, const = _lane(pm)
+    seq = stream_oracle(nmax, const(1), {}, u, v_inv, fr)
+    alphas = _Rows(table[0], pm, 0, 0, 1, P)
+    assert all(alphas[n] == seq[n] for n in range(nmax + 1))
+    with pytest.raises(PrecisionOutOfRange):
+        laurent_stream(nmax + 1, pm)

@@ -319,6 +319,30 @@ def test_balanced_limbs_on_both_sides_of_the_one_limb_boundary():
         assert got == kronecker(a, b, q)
 
 
+def test_signed_sum_at_the_largest_length_the_bound_admits():
+    """Two products in one spectrum double the Percival bound and the exact
+    limb sums: at q = 211^2 one balanced 16-bit limb then reaches 5820
+    coefficients a side, against 10874 for one product. a b - c d through
+    ``_fft_sum`` on both sides of that boundary, with the largest balanced
+    residues, of opposite signs in the two products, against Kronecker."""
+    pm = PrimePower(211, 2)
+    q = pm.q
+    assert upoly._limb_plan(5820, 5820, q, 2) == (16, 1)
+    assert upoly._limb_plan(5821, 5821, q, 2)[1] == 2
+    rng = random.Random(5820)
+    for n in (5820, 5821):
+        high = [[(q - 1) // 2 - rng.randrange(8) for _ in range(n)]
+                for _ in range(3)]
+        low = [(q + 1) // 2 + rng.randrange(8) for _ in range(n)]
+        a, c, d = high
+        plan = upoly._fft_plan(n, n, q, 2)
+        fa, fb, fc, fd = (upoly._spectra(np.array(x, np.int64), q, plan)
+                          for x in (a, low, c, d))
+        got = upoly._fft_sum([(fa, fb), (fc, fd)], q, plan).tolist()
+        ab, cd = kronecker(a, low, q), kronecker(c, d, q)
+        assert got == [(x - y) % q for x, y in zip(ab, cd)]
+
+
 def test_rounding_guard_raises(monkeypatch):
     pm = PrimePower(211, 3)
     x = UPoly(list(range(1, 200)), pm)

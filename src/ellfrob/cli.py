@@ -1,6 +1,7 @@
 """Command-line surface: hasse, classify, lift, eigen, scan, verify-all,
-constants. Exit codes: 0 success, 1 domain error (a usage error included),
-2 internal invariant failure. HD_THREADS sets parallelism.
+constants. Exit codes: 0 success, 1 domain error (a usage error and an
+input past a size bound included) or a MemoryError, 2 internal invariant
+failure; each failure is one stderr line. HD_THREADS sets parallelism.
 
 JSON output is canonical: keys str(key), sorted, indent 2, every int a
 decimal string, bools, nulls and floats as json writes them, strings with
@@ -286,6 +287,9 @@ def main(argv=None):
     except InternalError as e:
         print("%s: %s" % (type(e).__name__, e), file=sys.stderr)
         return 2
+    except MemoryError as e:  # a table past free memory, as numpy reports it
+        print("MemoryError: %s" % (str(e) or "out of memory"), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -129,5 +129,10 @@ class UsageError(DomainError):
     """A command line that argparse rejects."""
 
 
+class InputTooLarge(DomainError):
+    """An input whose table would pass a fixed, documented size bound,
+    refused before the table is allocated."""
+
+
 class WorkerDied(InternalError):
     """A forked worker of a parallel map ended without sending its results."""

@@ -4,33 +4,83 @@ calculus with its mod-p / mod-p^2 weight criteria.
 A quasi-linear form of weak weight k is Gamma_k + Gamma_{k-4p} z4' +
 Gamma_{k-6p} z6'. Tangential means the derivative coefficients carry a
 factor p; the starred coefficients are those divided by p.
+
+Multinomials. The x^(3i+j) z4^j z6^k coefficient of f^n = (x^3 + z4 x +
+z6)^n, i + j + k = n, is n!/(i! j! k!). On the j-line, row dg = 3i + j has
+weight 6n - 2dg and entry t at z4^(dg mod 3 + 3t). ``multinomial_rows``
+is the one modular source of these numbers: H = ``hasse_poly``, f^n under
+a modulus (``f_power_coeff``) and the symbolic f^((p-1)/2) and K0
+(liftp2.sym_d_values) all read it. For n < p no factorial up to n! has the
+factor p, so each is a unit mod p^m, and the inverses 1/k! mod p^m come
+from one running factorial, one inverse and a downward sweep 1/(k-1)! =
+k/k!. At n = p, 1/p! is taken as 0. Residue products go through
+upoly._mulmod, so they stay exact past q = 2^31. The table holds n + 1
+inverse factorials, and an n past ``MAX_MULTINOMIAL_N`` = 2^20 is refused
+with InputTooLarge (exit code 1) before it is built: ``hasse_poly`` runs
+for every p <= 2^21 + 1 (p = 1000003 in about 0.3 s), and refuses
+p = 2^31 - 1 at once instead of building some 2^30 ints. The exact lane
+(pm=None) keeps ``math.comb``, the oracle the tests compare the table
+against; f_power_coeff also takes it for n >= p under a modulus, where the
+factorials are not units.
 """
 
+import functools
+import itertools
 import math
 
-from .errors import (DegreeMismatch, InternalMismatch, NotTangential,
-                     SingularPair)
+import numpy as np
+
+from .errors import (DegreeMismatch, InputTooLarge, InternalMismatch,
+                     NotTangential, SingularPair)
 from .residue import PrimePower, delta_scalar, inv_mod
+from .upoly import _mulmod, _zeros
 from .wpoly import LocFrac, LocalizerSet, WPoly, discriminant
+
+MAX_MULTINOMIAL_N = 2 ** 20  # the largest n of a multinomial table
+
+
+def multinomial_rows(n, pm, dgs):
+    """(rows, n! mod p^m) for n <= p: row r of the array holds 1/(i! j! k!)
+    mod p^m, i + j + k = n, on the j-line row dg = dgs[r], entry t at
+    z4^(dg mod 3 + 3t), zero where no (i, j, k) fits; 1/p! is taken as 0,
+    and so is n! at n = p (module doc, Multinomials)."""
+    if n > MAX_MULTINOMIAL_N:
+        raise InputTooLarge("a multinomial table of n = %d (%d inverse "
+                            "factorials) is past the bound n <= %d"
+                            % (n, n + 1, MAX_MULTINOMIAL_N))
+    q, top = pm.q, min(n, pm.p - 1)
+    inv = _zeros(n + 3, q)  # 0, 1/0!, ..., 1/n!, 0; InvalidModulus past 2^62
+    fact = functools.reduce(lambda f, k: f * k % q, range(2, top + 1), 1)
+    inv[top + 1:0:-1] = list(itertools.accumulate(  # 1/(k-1)! = k/k!
+        range(top, 0, -1), lambda f, k: f * k % q, initial=pow(fact, -1, q)))
+    dg, t = np.asarray(dgs)[:, None], np.arange(n // 3 + 1)
+    i, j = dg // 3 - t, dg % 3 + 3 * t
+    # an index off [0, n] is clipped onto a zero end: no such (i, j, k)
+    x, y, z = (inv.take(v + 1, mode="clip") for v in (i, j, n - i - j))
+    return _mulmod(_mulmod(x, y, q), z, q), fact if n < pm.p else 0
 
 
 def f_power_coeff(n, deg, pm=None):
-    """Coefficient of x^deg in (x^3 + z4 x + z6)^n.
+    """Coefficient of x^deg in (x^3 + z4 x + z6)^n, of weight 6n - 2 deg,
+    on the j-line layout of ``multinomial_rows``.
 
-    Multinomial expansion: the x^(3i+j) z4^j z6^k term with i+j+k = n
-    contributes n!/(i! j! k!) when 3i+j = deg: weight 6n - 2 deg, z4^j
-    rising by 3 as i falls. pm=None gives the exact integer polynomial.
+    Under a modulus with n < p, row deg of that table times n!; otherwise
+    the exact multinomials n!/(i! j! k!) = C(n, i) C(n - i, j), reduced mod
+    p^m when pm is given (module doc, Multinomials).
     """
-    top = min(n, deg // 3)
-    bottom = max(0, -((n - deg) // 2))  # k = n - deg + 2i >= 0
-    return WPoly.from_coeffs(
-        6 * n - 2 * deg, deg - 3 * top,
-        [math.comb(n, i) * math.comb(n - i, deg - 3 * i)
-         for i in range(top, bottom - 1, -1)], pm)
+    if pm is not None and n < pm.p:  # (rows, n!) -> the row times n!
+        values = _mulmod(*multinomial_rows(n, pm, [deg]), pm.q)[0]
+    else:
+        values = [math.comb(n, i) * math.comb(n - i, deg - 3 * i) if 0 <= i <= n
+                  else 0 for i in range(deg // 3, deg // 3 - n // 3 - 1, -1)]
+    return WPoly.from_coeffs(6 * n - 2 * deg, deg % 3, values, pm)
 
 
 def hasse_poly(p, pm=None):
-    """Coefficient of x^(p-1) in (x^3 + z4 x + z6)^((p-1)/2)."""
+    """Coefficient of x^(p-1) in (x^3 + z4 x + z6)^((p-1)/2): mod p^m from
+    the multinomial table (n = (p-1)/2 < p, so every factorial is a unit),
+    exact when pm is None; InputTooLarge past p = 2^21 + 1 (module doc,
+    Multinomials)."""
     return f_power_coeff((p - 1) // 2, p - 1, pm)
 
 
@@ -56,9 +106,7 @@ def classify_pair(a, b, p, sigmas=()):
         label = "singular"
     elif not h_unit:
         label = "non-singular"
-    elif sigma_units and not all(sigma_units.values()):
-        label = "ordinary"
-    elif sigma_units:
+    elif sigma_units and all(sigma_units.values()):
         label = "sigma-non-singular"
     else:
         label = "ordinary"
@@ -160,13 +208,12 @@ def form_evaluate(form, a, b):
 
 
 def c_power_w(c, w, pm):
-    """c^w for w = a0 + a1*phi; phi(c) = c^p + p*delta(c)."""
+    """c^w for w = a0 + a1*phi; phi(c) = c^p + p*delta(c). A negative
+    exponent powers the inverse mod q, as pow does."""
     a0, a1 = w
     q = pm.q
     phi_c = (pow(c, pm.p, q) + pm.p * delta_scalar(c, pm)) % q
-    v = pow(c, a0, q) if a0 >= 0 else pow(inv_mod(c, q), -a0, q)
-    v = v * (pow(phi_c, a1, q) if a1 >= 0 else pow(inv_mod(phi_c, q), -a1, q))
-    return v % q
+    return pow(c, a0, q) * pow(phi_c, a1, q) % q
 
 
 def weight_definition_probe(form, a, b, c, w, precision=None):

@@ -30,12 +30,12 @@ from .errors import (BNotUnit, DegreeMismatch, InternalMismatch,
                      NotOrdinary, NotStabilized,
                      PrecisionOutOfRange, PropertyViolation, SigmaSingular,
                      TOutOfRange)
-from .forms import hasse_poly
+from .forms import hasse_poly, multinomial_rows
 from .liftp import (CurveContext, FrobLift, _holds, _inverse, _refuse,
                     _y_poly, df_xp, k0_poly, w_poly)
 from .psi import psi_table
 from .residue import PrimePower, delta_scalar, inv_mod
-from .upoly import FracPoly, UPoly
+from .upoly import FracPoly, UPoly, _mulmod, unit_inverses
 from .wpoly import LocFrac, LocalizerSet, WPoly
 
 
@@ -263,20 +263,6 @@ def build_lift_mod_p2(ctx):
 
 # --------------------------------------------------------------- symbolic lane
 
-def _multinomial_rows(n, p):
-    """1/(i! j! k!) mod p at x^(3i+j) z4^j z6^k, i + j + k = n: row dg on
-    the j-line of weight 6n - 2dg, entry t at z4^(dg mod 3 + 3t). 1/k! runs
-    down from 1/(p-1)! = -1 (Wilson's theorem), and 1/p! is taken as 0."""
-    inv = [0] * (p - 1) + [p - 1, 0]
-    for k in range(p - 1, 0, -1):
-        inv[k - 1] = inv[k] * k % p
-    inv = np.array(inv, dtype=np.int64)
-    dg, t = np.arange(3 * n + 1)[:, None], np.arange(n // 3 + 1)
-    i, j, k = dg // 3 - t, dg % 3 + 3 * t, n - dg // 3 - dg % 3 - 2 * t
-    ok = (i >= 0) & (k >= 0)
-    return inv[i * ok] * inv[j * ok] % p * inv[k * ok] % p * ok
-
-
 def _row_product(a, b, r, p):
     """sum_dg a[dg] b[r - dg] for row tables of residues below p on the
     j-line, unreduced, entry t at z4^(r mod 3 + 3t). Row offsets dg mod 3
@@ -315,20 +301,20 @@ def sym_d_values(p, locs):
     homogeneous of degree (8-2s)p, with d_5 checked to vanish.
 
     With lambda0 = 1/H and n = (p-1)/2, 2 H^2 d_s = [f^n (H K0 + (3x^(2p)
-    + z4^p) H W0)]_(sp-1). The rows of f^n hold n!/(i! j! k!) (n < p) and
-    those of K0 = (x^(3p) + z4^p x^p + z6^p - f^p)/p hold -(p-1)!/(i! j! k!)
-    = 1/(i! j! k!), 0 at the three corners. H is row p-1 of f^n, so H W0,
-    the antiderivative of f^n - H x^(p-1), is row dg of f^n over dg + 1 at
-    x^(dg+1), row p-1 dropped. A row product entry sums (3n+1)(n/3+1) < p^2
-    products below p^2, exact in int64 far past any p whose tables fit;
+    + z4^p) H W0)]_(sp-1). Both tables are forms.multinomial_rows mod p, on
+    every row: f^n holds n!/(i! j! k!) (n < p), the rows times n!, and
+    K0 = (x^(3p) + z4^p x^p + z6^p - f^p)/p holds -(p-1)!/(i! j! k!) =
+    1/(i! j! k!) (Wilson), the rows at n = p, 0 at the three corners. H is
+    row p-1 of f^n, so H W0, the antiderivative of f^n - H x^(p-1), is row
+    dg of f^n over dg + 1 at x^(dg+1); row p-1 is dropped, as the inverse
+    of dg + 1 = p is 0^(p-2) = 0. A row product entry sums (3n+1)(n/3+1) <
+    p^2 products below p^2, exact in int64 far past any p whose tables fit;
     ``_row_product`` forms them in float64 under its own bound.
     """
     pm, n = locs.pm, (p - 1) // 2
-    fh = _multinomial_rows(n, p)
-    fh = fh * inv_mod(int(fh[0, 0]), p) % p  # row 0 is z6^n / n!
-    k0 = _multinomial_rows(p, p)
-    hw0 = fh * np.array([0 if dg == p - 1 else inv_mod(dg + 1, p)
-                         for dg in range(3 * n + 1)])[:, None] % p
+    fh = _mulmod(*multinomial_rows(n, pm, range(3 * n + 1)), p)  # times n!
+    k0 = multinomial_rows(p, pm, range(3 * p + 1))[0]
+    hw0 = fh * unit_inverses(np.arange(1, 3 * n + 2) % p, pm)[:, None] % p
     # [f^n K0]_(sp-1) and [f^n H W0]_(sp-1) (s <= 0: zero), x of weight 2
     fk0 = {s: WPoly.from_coeffs(6 * n + 6 * p + 2 - 2 * s * p, (s * p - 1) % 3,
                                 _row_product(fh, k0, s * p - 1, p), pm)

@@ -117,10 +117,13 @@ with |.| the Euclidean norm, eps = 2^-53 and here beta = eps. For balanced
 limb vectors |x| |y| <= sqrt(la lb) 2^(2L-2), a quarter of the
 (2^L - 1)^2 of unsigned limbs. ``_limb_plan`` takes the smallest k (the
 widest limbs) for which k times that bound stays below 1/4, so rounding to
-the nearest integer is exact with a factor two of slack; it also keeps
-every exact limb sum, at most k min(la, lb) 2^(2L-2) in absolute value,
-below 2^52. At q = 211^2 one 16-bit limb reaches 10874 coefficients a
-side, and at q = 499^3 two 14-bit limbs 72633. numpy's pocketfft is not
+the nearest integer is exact with a factor two of slack. The same test
+keeps every exact limb sum, at most k min(la, lb) 2^(2L-2) in absolute
+value, below the 2^52 that the recombination needs: the growth factor in
+parentheses is at least 6 eps + 4 sqrt5 eps > 14.9 eps (n >= 1), and
+min(la, lb) <= sqrt(la lb), so that sum is below 1/(4 * 14.9 eps) <
+2^47.1. At q = 211^2 one 16-bit limb reaches 10874 coefficients a side,
+and at q = 499^3 two 14-bit limbs 72633. numpy's pocketfft is not
 the radix-2 FFT of the analysis, so a runtime guard checks that every
 computed value lies within 1/4 of its rounded integer and raises
 ``FFTRoundingError`` (an InternalError, exit code 2) if one ever does not.
@@ -134,11 +137,11 @@ weight in the frequency domain as above; one inverse transform and one
 rounding per weight serve all t. An output then adds at most t k limb
 convolutions, each within the bound above, and its exact limb sum is at
 most t k min(la, lb) 2^(2L-2) in absolute value, so ``_limb_plan(la, lb,
-q, t)`` asks both conditions with t k in place of k; the guard is the
-same. The psi determinants alpha_n beta_{n+1} - alpha_{n+1} beta_n (psi
-module doc) take t = 2, on spectra sliced from one transform of each
-table block. Since the limbs are balanced, a difference is no harder than
-a sum.
+q, t)`` asks the Percival test with t k in place of k, which as above
+keeps that sum below 2^47.1; the guard is the same. The psi determinants
+alpha_n beta_{n+1} - alpha_{n+1} beta_n (psi module doc) take t = 2, on
+spectra sliced from one transform of each table block. Since the limbs
+are balanced, a difference is no harder than a sum.
 
 Division. ``divmod_monic`` divides P of length l by a monic g of degree d
 with two products. Reversing coefficients turns P = g Q + R into
@@ -292,14 +295,13 @@ def _fft_error_bound(la, lb, limb_bits, n_limbs, log2n):
 @functools.lru_cache(maxsize=1024)
 def _limb_plan(la, lb, q, terms=1):
     """(limb bits L, limb count k) for an exact FFT sum of ``terms`` products
-    mod q, widest first."""
+    mod q, widest first: the Percival test, which also bounds the exact limb
+    sums (module doc, Products)."""
     bits = (q - 1).bit_length()
     log2n = max(1, (la + lb - 2).bit_length())
     for k in range(1, bits + 1):
         width = -(-bits // k)
-        exact_max = terms * k * min(la, lb) << (2 * width - 2)
-        if (exact_max < 2 ** 52 and terms
-                * _fft_error_bound(la, lb, width, k, log2n) < 0.25):
+        if terms * _fft_error_bound(la, lb, width, k, log2n) < 0.25:
             return width, k
     raise FFTRoundingError("no exact limb split for lengths %d, %d mod %d"
                            % (la, lb, q))

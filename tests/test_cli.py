@@ -5,13 +5,16 @@ import json
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ellfrob import cli
 from ellfrob.cli import _dumps, main
+from ellfrob.forms import MAX_MULTINOMIAL_N
 
 
 def run_cli(capsys, *argv):
@@ -158,6 +161,40 @@ def test_domain_edges_exit_1_with_one_typed_line(capsys, argv, error):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(error + ": ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("hasse", "--p", "2147483647"),
+    ("classify", "--p", "2147483647", "--a", "1", "--b", "1"),
+])
+def test_huge_prime_is_refused_before_the_table(argv):
+    """At p = 2^31 - 1 the multinomial table of H would hold some 2^30
+    ints; the command is refused with one line naming the size and the
+    bound, at once."""
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "ellfrob.cli", *argv],
+                          capture_output=True, text=True)
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 1 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("InputTooLarge: ")
+    assert "1073741823" in lines[0] and str(MAX_MULTINOMIAL_N) in lines[0]
+
+
+def test_memory_error_is_one_typed_line(capsys, monkeypatch):
+    """A MemoryError (numpy's, for a table past free memory) ends the run
+    with exit 1 and one stderr line. The real allocation is not made: under
+    overcommit a large table can be killed instead of raising."""
+    def constants(p):
+        raise MemoryError("Unable to allocate 3.03 TiB for an array with "
+                          "shape (333335, 1000002, 5) and data type int64")
+
+    monkeypatch.setattr(cli, "branch_constants", constants)
+    code = main(["constants", "--p", "13"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("MemoryError: ")
 
 
 def test_console_script_entry_point():

@@ -391,9 +391,13 @@ def _f_power_by_products(n, q):
     return poly
 
 
-@pytest.mark.parametrize("q", [None, 13])
-def test_f_power_coeff_matches_repeated_products(q):
-    pm = PrimePower(q, 1) if q else None
+@pytest.mark.parametrize("pm", [None, PrimePower(13, 1), PrimePower(5, 2),
+                                PrimePower(13, 2)],
+                         ids=lambda pm: str(pm and pm.q))
+def test_f_power_coeff_matches_repeated_products(pm):
+    """Both lanes against n products: below p the multinomial table, from
+    n = p on (at q = 25) the exact multinomials reduced."""
+    q = pm and pm.q
     for n in range(13):
         want = _f_power_by_products(n, q)
         for dg in range(3 * n + 4):

@@ -8,12 +8,12 @@ import ellfrob.liftp as liftp
 from ellfrob import upoly
 from ellfrob.errors import (BNotUnit, NotStabilized, PrecisionOutOfRange,
                             TOutOfRange)
-from ellfrob.forms import FormRing, f_power_coeff, form_evaluate, lambda_1
+from ellfrob.forms import (FormRing, f_power_coeff, form_evaluate, lambda_1,
+                           multinomial_rows)
 from ellfrob.liftp import (CurveContext, k0_poly, lie_verify,
                            lie_verify_commutator)
-from ellfrob.liftp2 import (_laurent_to_locfrac, _multinomial_rows,
-                            _row_product, _row_rhs, _source, eta_pivots,
-                            build_lift_mod_p2, d_values,
+from ellfrob.liftp2 import (_laurent_to_locfrac, _row_product, _row_rhs,
+                            _source, eta_pivots, build_lift_mod_p2, d_values,
                             lambda_properties, solve_eigen_numeric,
                             solve_eigen_symbolic, solve_truncated,
                             stabilization_check, sym_d_values, theta_evaluate)
@@ -289,7 +289,7 @@ def test_symbolic_d_values(p):
 def _k0_rows(p):
     """The rows of the K0 table as WPolys, x^dg of weight 6p - 2dg."""
     pm1 = PrimePower(p, 1)
-    rows = _multinomial_rows(p, p)
+    rows, _ = multinomial_rows(p, pm1, range(3 * p + 1))
     return [WPoly.from_coeffs(6 * p - 2 * dg, dg % 3, row, pm1)
             for dg, row in enumerate(rows)]
 
@@ -306,20 +306,24 @@ def test_sym_k0_specializes_to_k0_poly(p):
             [k0.coeff(dg) for dg in range(len(sym))]
 
 
-@pytest.mark.parametrize("p", [13, 31, 61])
+@pytest.mark.parametrize("p", [5, 7, 13, 31, 61, 101])
 def test_factorial_tables_match_multinomials(p):
-    """The tables behind sym_d_values against the exact multinomials of
-    f_power_coeff: f^((p-1)/2) is the table times n!, and every coefficient
-    of f^p but the three corners 1 is divisible by p, with K0 its quotient
+    """The multinomial table against the exact multinomials of the
+    math.comb lane, at every row: mod p and mod p^2, f^((p-1)/2) is the
+    table times n!; and every coefficient of f^p but the three corners 1 is
+    divisible by p, with K0 (the table at n = p, mod p) its quotient
     negated."""
-    pm1 = PrimePower(p, 1)
     n = (p - 1) // 2
-    rows = _multinomial_rows(n, p)
-    assert len(rows) == 3 * n + 1
-    for dg, row in enumerate(rows):
-        got = WPoly.from_coeffs(6 * n - 2 * dg, dg % 3,
-                                row * (math.factorial(n) % p), pm1)
-        assert got == f_power_coeff(n, dg, pm1), dg
+    for m in (1, 2):
+        pm = PrimePower(p, m)
+        rows, fact = multinomial_rows(n, pm, range(3 * n + 1))
+        assert len(rows) == 3 * n + 1 and fact == math.factorial(n) % pm.q
+        for dg, row in enumerate(rows):
+            got = WPoly.from_coeffs(6 * n - 2 * dg, dg % 3,
+                                    row * fact % pm.q, pm)
+            exact = f_power_coeff(n, dg)
+            assert got == WPoly.from_coeffs(exact.w, exact.lo, exact.c, pm), dg
+    pm1 = PrimePower(p, 1)
     corners = 0
     for dg, row in enumerate(_k0_rows(p)):
         exact = f_power_coeff(p, dg)

@@ -343,6 +343,30 @@ def test_signed_sum_at_the_largest_length_the_bound_admits():
         assert got == [(x - y) % q for x, y in zip(ab, cd)]
 
 
+def test_percival_test_bounds_the_exact_limb_sums():
+    """Every (L, k) that the Percival test admits for t products keeps the
+    exact limb sum t k min(la, lb) 2^(2L-2) below 2^47.1, far inside the
+    2^52 the recombination needs (upoly module doc, Products), so
+    ``_limb_plan`` asks that test alone."""
+    lengths = (1, 2, 3, 7, 64, 631, 5820, 10874, 72633, 2 ** 20, 2 ** 24)
+    moduli = (5, 211 ** 2, 499 ** 3, 2 ** 31 - 1, 1291 ** 3, 13 ** 16)
+    admitted = 0
+    for q in moduli:
+        bits = (q - 1).bit_length()
+        for la in lengths:
+            for lb in lengths:
+                log2n = max(1, (la + lb - 2).bit_length())
+                for terms in (1, 2, 3, 8):
+                    for k in range(1, bits + 1):
+                        width = -(-bits // k)
+                        bound = upoly._fft_error_bound(la, lb, width, k, log2n)
+                        if terms * bound < 0.25:
+                            exact = terms * k * min(la, lb) << 2 * width - 2
+                            assert exact < 2 ** 47.1, (q, la, lb, terms, k)
+                            admitted += 1
+    assert admitted > 1000
+
+
 def test_rounding_guard_raises(monkeypatch):
     pm = PrimePower(211, 3)
     x = UPoly(list(range(1, 200)), pm)

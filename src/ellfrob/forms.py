@@ -16,9 +16,11 @@ from one running factorial, one inverse and a downward sweep 1/(k-1)! =
 k/k!. At n = p, 1/p! is taken as 0. Residue products go through
 upoly._mulmod, so they stay exact past q = 2^31. The table holds n + 1
 inverse factorials, and an n past ``MAX_MULTINOMIAL_N`` = 2^20 is refused
-with InputTooLarge (exit code 1) before it is built: ``hasse_poly`` runs
-for every p <= 2^21 + 1 (p = 1000003 in about 0.3 s), and refuses
-p = 2^31 - 1 at once instead of building some 2^30 ints. The exact lane
+with InputTooLarge (exit code 1) before it is built
+(``require_multinomial_room``, which ``verify-all`` also runs before its
+task list): ``hasse_poly`` runs for every p <= 2^21 + 1 (p = 1000003 in
+about 0.3 s), and refuses p = 2^31 - 1 at once instead of building some
+2^30 ints. The exact lane
 (pm=None) keeps ``math.comb``, the oracle the tests compare the table
 against; f_power_coeff also takes it for n >= p under a modulus, where the
 factorials are not units.
@@ -39,15 +41,21 @@ from .wpoly import LocFrac, LocalizerSet, WPoly, discriminant
 MAX_MULTINOMIAL_N = 2 ** 20  # the largest n of a multinomial table
 
 
+def require_multinomial_room(n):
+    """Refuse a multinomial table of n past MAX_MULTINOMIAL_N with
+    InputTooLarge, before it is built."""
+    if n > MAX_MULTINOMIAL_N:
+        raise InputTooLarge("a multinomial table of n = %d (%d inverse "
+                            "factorials) is past the bound n <= %d"
+                            % (n, n + 1, MAX_MULTINOMIAL_N))
+
+
 def multinomial_rows(n, pm, dgs):
     """(rows, n! mod p^m) for n <= p: row r of the array holds 1/(i! j! k!)
     mod p^m, i + j + k = n, on the j-line row dg = dgs[r], entry t at
     z4^(dg mod 3 + 3t), zero where no (i, j, k) fits; 1/p! is taken as 0,
     and so is n! at n = p (module doc, Multinomials)."""
-    if n > MAX_MULTINOMIAL_N:
-        raise InputTooLarge("a multinomial table of n = %d (%d inverse "
-                            "factorials) is past the bound n <= %d"
-                            % (n, n + 1, MAX_MULTINOMIAL_N))
+    require_multinomial_room(n)
     q, top = pm.q, min(n, pm.p - 1)
     inv = _zeros(n + 3, q)  # 0, 1/0!, ..., 1/n!, 0; InvalidModulus past 2^62
     fact = functools.reduce(lambda f, k: f * k % q, range(2, top + 1), 1)

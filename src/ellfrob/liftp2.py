@@ -33,7 +33,8 @@ from .errors import (BNotUnit, DegreeMismatch, InternalMismatch,
 from .forms import hasse_poly, multinomial_rows
 from .liftp import (CurveContext, FrobLift, _holds, _inverse, _refuse,
                     _y_poly, df_xp, k0_poly, w_poly)
-from .psi import psi_table
+from .psi import (G_SOURCES, _Rows, laurent_stream, psi_table,
+                  require_stream_room)
 from .residue import PrimePower, delta_scalar, inv_mod
 from .upoly import FracPoly, UPoly, _mulmod, unit_inverses
 from .wpoly import LocFrac, LocalizerSet, WPoly
@@ -354,17 +355,31 @@ class SymbolicEigen:
         self.det = det
 
 
-def eta_pivots(table, ds, locs):
+def g_pivots(p):
+    """G_1..G_4 mod p (psi module doc) at the pivot rows M and M+1,
+    M = (p+5)/2, from their own sources: gs[s][n] is row n of G_s as a
+    Laurent WPoly (gs[0] is None). Only this lane reads them."""
+    pm, m_piv = PrimePower(p, 1), (p + 5) // 2
+    streams, P = laurent_stream(m_piv + 1, G_SOURCES, pm)
+    gs = [None]
+    for s in range(1, 5):
+        rows = _Rows(lambda n: streams[s - 1, n] * P[n], pm, 2 * s - 6, -s, 1)
+        gs.append({n: rows[n] for n in (m_piv, m_piv + 1)})
+    return gs
+
+
+def eta_pivots(gs, ds, locs):
     """Rows m = M, M+1 (M = (p+5)/2) of the eta stream (v_0 = 0, sources
-    d_1..d_4) as sum_s d_s G_s(z4^p, z6^p) (see the psi module doc), each
-    over z6^((m-2)p) H^2. Row n of a stream reaches at most one V deeper
-    than rows n-1 and n-3, so V^-n from the source at step 1; but at
-    n = (p+3)/2 the U v_{n-1} term has coefficient 3/2 - n = -p/2 = 0 mod p,
-    and from there on the depth lags two behind n."""
-    p, pm = table.p, locs.pm
+    d_1..d_4) as sum_s d_s G_s(z4^p, z6^p) (see the psi module doc), from
+    the rows gs of ``g_pivots``, each over z6^((m-2)p) H^2. Row n of a
+    stream reaches at most one V deeper than rows n-1 and n-3, so V^-n from
+    the source at step 1; but at n = (p+3)/2 the U v_{n-1} term has
+    coefficient 3/2 - n = -p/2 = 0 mod p, and from there on the depth lags
+    two behind n."""
+    p, pm = locs.pm.p, locs.pm
     etas = []
     for m in ((p + 5) // 2, (p + 7) // 2):
-        num = sum((table.gs[s][m].compose_powers(p) * d.num
+        num = sum((gs[s][m].compose_powers(p) * d.num
                    for s, d in enumerate(ds, 1)), WPoly.zero(pm))
         shift = (m - 2) * p
         etas.append(LocFrac(num * WPoly.monomial(1, 0, shift, pm),
@@ -379,6 +394,7 @@ def solve_eigen_symbolic(p):
     composed once by LocFrac.frobenius, a ring map mod p: each localizer L
     has F_p coefficients, so L(z4^p, z6^p) = L^p. Only the eta pivots,
     dense in z4 and z6 through the d_s, meet composed alpha rows."""
+    require_stream_room(p, 6)  # alpha and beta, then G_1..G_4
     pm1 = PrimePower(p, 1)
     table = psi_table(p)
     locs = LocalizerSet(pm1, hasse_poly(p, pm1), table.psi_big)
@@ -395,10 +411,11 @@ def solve_eigen_symbolic(p):
     det_inv = det.reciprocal()
 
     # right-hand sides: minus the z4', z6' streams G_2/2, G_1/2 and eta
+    gs = g_pivots(p)
     theta_da, theta_db = [(det_inv * (a_m1 * r_m - a_m * r_m1)).frobenius()
-                          for r_m, r_m1 in (pivots(table.gs[2], half),
-                                            pivots(table.gs[1], half))]
-    e_m, e_m1 = eta_pivots(table, sym_d_values(p, locs), locs)
+                          for r_m, r_m1 in (pivots(gs[2], half),
+                                            pivots(gs[1], half))]
+    e_m, e_m1 = eta_pivots(gs, sym_d_values(p, locs), locs)
     theta_const = det_inv.frobenius() * (a_m1.frobenius() * e_m
                                          - a_m.frobenius() * e_m1)
     return SymbolicEigen(p, locs, (theta_const, theta_da, theta_db),

@@ -15,68 +15,92 @@ and ``conjecture_scan`` refuse those primes with ``PrimeTooSmall``.
 Table layout. A stream of the row recursion
     n V v_n = (3/2 - n) U v_{n-1} + (9/2 - n) v_{n-3} + source_n
 is weighted homogeneous row by row, so each row is one array on the j-line,
-at stride 3 in the U exponent. ``laurent_stream`` stacks five streams in one
-table T[s, n, k]: alpha (s = 0: v_0 = 1, no source) and the unit-source
-solutions G_1..G_4 (G_s: v_0 = 0, source 1 at step s). T[s, n, k] is the
-coefficient of U^(n-s-3k) in row n, so U v_{n-1} lands in column k of row
-n and v_{n-3} one column to the right. The recursion is linear with
+at stride 3 in the U exponent. ``laurent_stream`` builds the streams it is
+given, each by its sources (n, k, c): the scalar c at step n in column k of
+the stream's layout, and at n = 0 the start v_0 = c. It stacks them in one
+table T[s, n, k], whose column k holds the coefficient of U^(n-t-3k) in
+row n of a stream with t fixed, so U v_{n-1} lands in column k of row n
+and v_{n-3} one column to the right. ``PsiTable`` stores two streams:
+alpha (t = 0, v_0 = 1, no source) and beta (t = 1, v_0 = 0, sources U/2 at
+n = 2 in column 0 and 3/2 at n = 4 in column 1, the U^1 and U^0 of rows 2
+and 4 in beta's layout U^(n-1-3k)). The recursion is linear with
 coefficients in U, V^-1 and scalars, which commute with everything in it,
 so a stream whose sources are sum_s c_s at step s, with c_s built from U,
-V^-1, scalars or anything else commuting with them, is sum_s c_s G_s.
-Hence beta (sources U/2 at n = 2 and 3/2 at n = 4) is (U/2) G_2 +
-(3/2) G_4, the z4' and z6' streams of the symbolic lane are G_2/2 and
-G_1/2, and its eta stream is sum_s d_s G_s. psi_n = alpha_n beta_{n+1} -
-alpha_{n+1} beta_n is row n of a second table, psi[n, k] at U^(2n-3k).
-Rows become WPoly only on demand.
+V^-1, scalars or anything else commuting with them, is sum_s c_s G_s, G_s
+(t = s) the unit-source solution: v_0 = 0, source 1 at step s. So beta is
+(U/2) G_2 + (3/2) G_4 as well, the z4' and z6' streams of the symbolic lane
+are G_2/2 and G_1/2, and its eta stream is sum_s d_s G_s. Only that lane
+reads G_1..G_4, at rows M = (p+5)/2 and M+1: ``liftp2.g_pivots`` builds
+them from their own sources, and the scan never forms them. psi_n =
+alpha_n beta_{n+1} - alpha_{n+1} beta_n is row n of psi[n, k] at
+U^(2n-3k). Rows become WPoly only on demand.
 
-Columns. Column k of T is, on all five streams at once, a first-order
+Columns. Column k of T is, on every stream at once, a first-order
 recurrence in n:
     x_n = a_n x_{n-1} + y_n,  a_n = (3 - 2n)/2n,
     y_n = c_n T[s, n-3, k-1],  c_n = (9 - 2n)/2n,
-plus, in column 0, the source 1/n of G_n (n <= 4) and alpha's v_0 = 1.
-Over Q a_n never vanishes. Mod p it vanishes where 2n = 3: in the pivot
-tables only at n0 = (p+3)/2, where 3/2 - n0 = -p/2, so x_n0 = y_n0
+plus the sources in column k: c at step n adds c/n to y_n, and v_0 = c
+is x_0. Over Q a_n never vanishes. Mod p it vanishes where 2n = 3: in the
+pivot tables only at n0 = (p+3)/2, where 3/2 - n0 = -p/2, so x_n0 = y_n0
 restarts the column (a longer table restarts again every p rows). Let P_n
 be the product of the a_i from the start of n's segment, [0, n0) or
 [n0, ...), to n, with P = 1 at each start. Then
     x_n / P_n = sum of y_m / P_m over m <= n in n's segment,
 a running sum that restarts at n0. ``laurent_stream`` keeps the table over
 P: its column k is the running sum of r_n T/P[s, n-3, k-1], r_n = c_n
-P_{n-3} / P_n, so one multiply, one running sum per segment and one
-reduction make a column, about N/3 steps where the rows took N. T/P has
-the same beta and the same linear combinations; ``_Rows`` hands out row n
-times P_n, and the determinants on T/P are psi_n / (P_n P_{n+1}).
+P_{n-3} / P_n, plus the sources over P, c / (n P_n), so one multiply, one
+running sum per segment and one reduction make a column, about N/3 steps
+where the rows took N. Every stream is over the same P; ``_Rows`` hands
+out row n times P_n, and the determinants on T/P are psi_n / (P_n P_{n+1}).
 
-Bounds and blocks. Mod p every entry of T/P and every r_n is a residue,
-so a running sum of at most nmax + 1 terms stays below (nmax + 1)(p-1)^2,
-which ``laurent_stream`` checks against 2^63 (``PrecisionOutOfRange``).
-For the pivot tables, nmax = (p+7)/2, that holds for every p below
-2.6 * 10^6, far past any table that fits in memory. Mod p the
-determinants of 64 rows are one signed sum of two products in one
-spectrum, ``upoly._fft_sum`` on the rows cut to the block's widest
-support, exact by upoly's Percival bound for two products and checked by
-its rounding guard (upoly module doc, Signed sums); the exact lane, nmax
-<= 10 in use, keeps one np.convolve per product. The beta table and the
-recurrence check take 64 rows at a time too, and every reduction is in
-place, so beside the tables themselves no work array grows with more than
-64 rows or one column. At p = 4999 the stream table (a rectangle
-[k, n, s], half of it zeros) takes 84 MB, the beta table 17 MB and the
-psi table 33 MB.
+Bounds. Mod p every entry of T/P and every r_n is a residue, so a running
+sum of at most nmax + 1 terms stays below (nmax + 1)(p-1)^2, which
+``laurent_stream`` checks against 2^63 (``PrecisionOutOfRange``). For the
+pivot tables, nmax = (p+7)/2, that holds for every p below 2.6 * 10^6, and
+no user input gets that far: s streams to nmax hold s (nmax + 1)(nmax/3 +
+1) int64 entries, and ``require_stream_room`` refuses a prime whose tables
+would pass MAX_STREAM_ENTRIES = 2^27 (1 GiB) with InputTooLarge (exit code
+1), from p alone and before anything is allocated. ``psi_table`` checks
+its two streams, ``conjecture_scan`` the largest prime of its range before
+any row, and ``liftp2.solve_eigen_symbolic`` six (alpha, beta and
+G_1..G_4). The scan is admitted to p = 28351, 2.8 times 10007, the largest
+prime it is known to finish, and the symbolic eigen to p = 16369.
+
+Blocks. ``PsiTable`` makes one pass over blocks of 64 rows: the block's
+determinants, then its recurrence check against the three psi rows before
+it. Only those three rows go on to the next block, and only the pivot row
+stays. Mod p the determinants of a block are one signed sum of two
+products in one spectrum, ``upoly._fft_sum`` on the rows cut to the
+block's widest support, exact by upoly's Percival bound for two products
+and checked by its rounding guard (upoly module doc, Signed sums); the
+exact lane, nmax <= 10 in use, keeps one np.convolve per product. Every
+reduction is in place, so beside the two streams no work array grows with
+more than 64 rows or one column. The stream table (a rectangle [k, n, s],
+half of it zeros) takes 34 MB at p = 4999 and 133 MB at 9973, and
+``scan_prime`` peaks at 72 and 174 MB of RSS there, against 164 and 550 MB
+with five streams, the beta table and the psi table stored whole (2-vCPU
+VM, Python 3.11, numpy 2.4).
 """
 
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import (DegreeMismatch, InternalMismatch, PrecisionOutOfRange,
-                     PrimeTooSmall, TheoremViolation)
+from .errors import (DegreeMismatch, InputTooLarge, InternalMismatch,
+                     PrecisionOutOfRange, PrimeTooSmall, TheoremViolation)
 from .forms import hasse_poly
 from .residue import PrimePower, inv_mod, is_prime
 from .upoly import _fft_plan, _fft_sum, _mod, _spectra, unit_inverses
 from .wpoly import WPoly, _power, _reduce, discriminant
 
 
-_BLOCK = 64     # rows per pass: beta, the determinants, the recurrence check
+_BLOCK = 64     # rows per pass: the determinants and the recurrence check
+MAX_STREAM_ENTRIES = 2 ** 27    # int64 entries of one prime's stream tables
+
+# streams by their sources (n, k, c): c at step n in column k, v_0 at n = 0
+ALPHA_SOURCES = ((0, 0, 1),)
+BETA_SOURCES = ((2, 0, Fraction(1, 2)), (4, 1, Fraction(3, 2)))
+G_SOURCES = tuple(((s, 0, 1),) for s in range(1, 5))    # G_1..G_4
 
 
 def _canon(x, pm):
@@ -85,9 +109,9 @@ def _canon(x, pm):
 
 
 def _column_scalars(nmax, pm):
-    """For 0 <= n <= nmax: the restarts (the n >= 1 with a_n = 0), P_n and
-    r_n = c_n P_{n-3} / P_n (r_0..r_2 unused) as arrays, and the column-0
-    sources over P: 1 at n = 0 and 1 / (s P_s) at n = s <= 4 (module doc)."""
+    """For 0 <= n <= nmax: the restarts (the n >= 1 with a_n = 0), P_n,
+    r_n = c_n P_{n-3} / P_n (r_0..r_2 unused) and the source scales w_n,
+    1 at n = 0 and 1 / (n P_n) after (module doc), as arrays."""
     n = np.arange(1, nmax + 1)
     if pm is None:
         inv = np.array([Fraction(1, 2 * k) for k in n.tolist()], object)
@@ -101,12 +125,11 @@ def _column_scalars(nmax, pm):
             restarts.append(k)
         prods.append(_reduce(prods[-1] * a_k, pm) if a_k else 1)
     P = np.array(prods, inv.dtype)
-    Pinv = 1 / P if pm is None else unit_inverses(P, pm)
+    w = 1 / P if pm is None else unit_inverses(P, pm)
     r = np.zeros_like(P)
-    r[3:] = _reduce(_reduce(c[2:] * P[:-3], pm) * Pinv[3:], pm)
-    src = [1] + [_reduce(2 * inv[s - 1] * Pinv[s], pm)
-                 for s in range(1, min(4, nmax) + 1)]
-    return restarts, P, r, src
+    r[3:] = _reduce(_reduce(c[2:] * P[:-3], pm) * w[3:], pm)
+    w[1:] = _reduce(2 * inv * w[1:], pm)
+    return restarts, P, r, w
 
 
 def _running_sums(col, cuts):
@@ -120,100 +143,89 @@ def _running_sums(col, cuts):
     np.add.accumulate(col[lo:], axis=0, out=col[lo:])
 
 
-def laurent_stream(nmax, pm=None):
-    """(T / P, P): the stacked table T[s, n, k], 0 <= n <= nmax, of alpha
-    and G_1..G_4 (module doc) with row n over P_n, and P. Built column by
-    column: column k is the running sum along n of r_n times column k-1
-    three rows up (column 0: of the sources), restarted at each n with
-    a_n = 0. The table is a view of one stored [k, n, s]."""
+def laurent_stream(nmax, streams, pm=None):
+    """(T / P, P): the table T[s, n, k], 0 <= n <= nmax, of the streams,
+    each given by its sources (n, k, c), c at step n in column k (module
+    doc), with row n over P_n, and P. Built column by column: column k is
+    the running sum along n of r_n times column k-1 three rows up, plus
+    its sources over P, restarted at each n with a_n = 0. The table is a
+    view of one stored [k, n, s]."""
     if pm is not None and (nmax + 1) * (pm.q - 1) ** 2 >= 2 ** 63:
         raise PrecisionOutOfRange("stream sums to n = %d mod %d overflow int64"
                                   % (nmax, pm.q))
-    restarts, P, r, src = _column_scalars(nmax, pm)
+    restarts, P, r, w = _column_scalars(nmax, pm)
     r = r[:, None]
-    table = np.zeros((nmax // 3 + 1, nmax + 1, 5), P.dtype)
-    for s, v in enumerate(src):
-        table[0, s, s] = v
-    _running_sums(table[0], restarts)
-    for k in range(1, len(table)):
+    table = np.zeros((nmax // 3 + 1, nmax + 1, len(streams)), P.dtype)
+    for k in range(len(table)):
         col = table[k, 3 * k:]
-        np.multiply(table[k - 1, 3 * k - 3:-3], r[3 * k:], out=col)
+        if k:
+            np.multiply(table[k - 1, 3 * k - 3:-3], r[3 * k:], out=col)
+        for s, sources in enumerate(streams):
+            for n, j, c in sources:
+                if j == k and n <= nmax:
+                    c = c.numerator * _power(c.denominator, -1, pm)
+                    col[n - 3 * k, s] += _reduce(_reduce(c, pm) * w[n], pm)
         _running_sums(col, [m - 3 * k for m in restarts])
         _canon(col, pm)
     return table.transpose(2, 1, 0), P
 
 
-def _beta_rows(table, pm):
-    """beta = (U/2) G_2 + (3/2) G_4 as a table: beta[n, k] at U^(n-1-3k).
-    Row by row linear, so it holds as well with every row over P_n."""
-    half = _power(2, -1, pm)
-    betas = np.zeros(table.shape[1:], table.dtype)
-    for n0 in range(0, len(betas), _BLOCK):
-        block, rows = betas[n0:n0 + _BLOCK], slice(n0, n0 + _BLOCK)
-        np.multiply(table[2, rows], half, out=block)
-        block[:, 1:] += _reduce(3 * half, pm) * table[4, rows, :-1]
-        _canon(block, pm)
-    return betas
-
-
-def psi_determinants(alphas, betas, P, nmax, pm=None):
-    """psi_n = alpha_n beta_{n+1} - alpha_{n+1} beta_n for 1 <= n <= nmax as
-    the table psi[n, k] at U^(2n-3k), from the stream rows over P_n: the
-    determinant of the rows over P, times P_n P_{n+1}. Mod p, a block of
-    rows at a time in one spectrum, ``upoly._fft_sum`` of the signed sum on
-    the rows cut to the block's widest support. Exact: one np.convolve per
-    product on the rows cut to their support (alpha_n: k <= n/3, beta_n:
-    k <= (n-1)/3)."""
-    psis = np.zeros((nmax + 1, 2 * nmax // 3 + 1), alphas.dtype)
-    pp = _reduce(P[:-1] * P[1:], pm)[:, None]
+def psi_determinants(alphas, betas, P, n0, n1, pm=None):
+    """psi_n = alpha_n beta_{n+1} - alpha_{n+1} beta_n for n0 <= n < n1,
+    row n - n0 holding psi[n, k] at U^(2n-3k), k <= 2 (n1 // 3), from the
+    stream rows over P_n: the determinant of the rows over P, times
+    P_n P_{n+1}. Mod p, the signed sum in one spectrum, ``upoly._fft_sum``
+    on the rows cut to the block's widest support. Exact: one np.convolve
+    per product on the rows cut to their support (alpha_n: k <= n/3,
+    beta_n: k <= (n-1)/3)."""
+    w = n1 // 3 + 1
+    pp = _reduce(P[n0:n1] * P[n0 + 1:n1 + 1], pm)[:, None]
     if pm is None:
-        for n in range(1, nmax + 1):
+        block = np.zeros((n1 - n0, 2 * w - 1), object)
+        for n, row in enumerate(block, n0):
             ab = np.convolve(alphas[n, :n // 3 + 1], betas[n + 1, :n // 3 + 1])
             ba = np.convolve(alphas[n + 1, :(n + 1) // 3 + 1],
                              betas[n, :(n - 1) // 3 + 1])
-            psis[n, :len(ab)] += ab
-            psis[n, :len(ba)] -= ba
-        psis *= pp[:nmax + 1]
-        return psis
-    for n0 in range(1, nmax + 1, _BLOCK):
-        n1 = min(n0 + _BLOCK, nmax + 1)
-        w = n1 // 3 + 1
-        plan = _fft_plan(w, w, pm.q, 2)
-        fa, fb = (_spectra(x[n0:n1 + 1, :w], pm.q, plan)
-                  for x in (alphas, betas))
-        block = _fft_sum([([f[:-1] for f in fa], [f[1:] for f in fb]),
-                          ([f[1:] for f in fa], [f[:-1] for f in fb])],
-                         pm.q, plan)
-        block *= pp[n0:n1]
-        width = min(block.shape[1], psis.shape[1])
-        psis[n0:n1, :width] = _canon(block, pm)[:, :width]
-    return psis
+            row[:len(ab)] += ab
+            row[:len(ba)] -= ba
+        return block * pp
+    plan = _fft_plan(w, w, pm.q, 2)
+    fa, fb = (_spectra(x[n0:n1 + 1, :w], pm.q, plan) for x in (alphas, betas))
+    block = _fft_sum([([f[:-1] for f in fa], [f[1:] for f in fb]),
+                      ([f[1:] for f in fa], [f[:-1] for f in fb])],
+                     pm.q, plan)
+    block *= pp
+    return _canon(block, pm)
 
 
-def psi_recurrence_check(psis, nmax, pm=None):
-    """Re-derive psi_n for 5 <= n <= nmax from the three-term recurrence
+def psi_recurrence_check(prev, block, n0, pm=None):
+    """Re-derive psi_n for n >= 5 in the block of rows n0 <= n < n0 +
+    len(block) from the three-term recurrence
         psi_n = c2 U V^-2 psi_{n-2} + c3 V^-2 psi_{n-3},
         c2 = -(2n-7)(2n-3) / ((2n+2) 2n),  c3 = (2n-7)(2n-9) / ((2n+2) 2n),
-    and compare it with the determinant rows of the psi table, a block of
-    rows at a time, with both sides times the unit (2n+2) 2n. On the
-    table U V^-2 moves a row one column right and V^-2 two; the columns
-    they push out lie past the support of psi_{n-2} and psi_{n-3}. A
-    mismatch is a hard failure."""
-    for n0 in range(5, nmax + 1, _BLOCK):
-        n1 = min(n0 + _BLOCK, nmax + 1)
-        n = np.arange(n0, n1).astype(psis.dtype)[:, None]
-        rhs, lhs = np.zeros_like(psis[n0:n1]), np.zeros_like(psis[n0:n1])
-        np.multiply(_reduce(-(2 * n - 7) * (2 * n - 3), pm),
-                    psis[n0 - 2:n1 - 2, :-1], out=rhs[:, 1:])
-        np.multiply(_reduce((2 * n - 7) * (2 * n - 9), pm),
-                    psis[n0 - 3:n1 - 3, :-2], out=lhs[:, 2:])
-        rhs += lhs
-        np.multiply(_reduce((2 * n + 2) * 2 * n, pm), psis[n0:n1], out=lhs)
-        bad = np.flatnonzero((_canon(lhs, pm) != _canon(rhs, pm)).any(axis=1))
-        if len(bad):
-            raise InternalMismatch(
-                "psi_%d: determinant and recurrence disagree" % (bad[0] + n0))
-    return True
+    with prev the rows psi_{n0-3}..psi_{n0-1} (zero before psi_1), and
+    compare it with the determinant rows, both sides times the unit
+    (2n+2) 2n. On the rows U V^-2 moves a row one column right and V^-2
+    two; the columns they push out lie past the support of psi_{n-2} and
+    psi_{n-3}. A mismatch is a hard failure. Returns the last three rows,
+    the prev of the next block."""
+    rows = np.zeros((len(block) + 3, block.shape[1]), block.dtype)
+    rows[:3, :prev.shape[1]], rows[3:] = prev, block
+    lo = max(n0, 5)
+    i = lo - n0 + 3
+    n = np.arange(lo, n0 + len(block)).astype(rows.dtype)[:, None]
+    rhs, lhs = np.zeros_like(rows[i:]), np.zeros_like(rows[i:])
+    np.multiply(_reduce(-(2 * n - 7) * (2 * n - 3), pm), rows[i - 2:-2, :-1],
+                out=rhs[:, 1:])
+    np.multiply(_reduce((2 * n - 7) * (2 * n - 9), pm), rows[i - 3:-3, :-2],
+                out=lhs[:, 2:])
+    rhs += lhs
+    np.multiply(_reduce((2 * n + 2) * 2 * n, pm), rows[i:], out=lhs)
+    bad = np.flatnonzero((_canon(lhs, pm) != _canon(rhs, pm)).any(axis=1))
+    if len(bad):
+        raise InternalMismatch(
+            "psi_%d: determinant and recurrence disagree" % (bad[0] + lo))
+    return rows[-3:]
 
 
 def clear_psi(psi_n, n):
@@ -226,44 +238,43 @@ def clear_psi(psi_n, n):
 
 
 class _Rows:
-    """The rows of a table as WPoly on demand: row n has weight
-    w0 - 2 d n, and its column k holds the coefficient of U^(t0 + d n - 3k)."""
+    """The rows of a table as WPoly on demand, from row(n), the coefficient
+    array of row n (a stream row: its row over P_n times P_n): row n has
+    weight w0 - 2 d n, and its column k holds the coefficient of
+    U^(t0 + d n - 3k)."""
 
-    def __init__(self, rows, pm, w0, t0, d, scale=None):
-        self.rows, self.pm, self.w0, self.t0, self.d = rows, pm, w0, t0, d
-        self.scale = scale
-
-    def __len__(self):
-        return len(self.rows)
+    def __init__(self, row, pm, w0, t0, d):
+        self.row, self.pm, self.w0, self.t0, self.d = row, pm, w0, t0, d
 
     def __getitem__(self, n):
-        row = self.rows[n][::-1]
-        if self.scale is not None:
-            row = row * self.scale[n]
+        row = self.row(n)[::-1]
         return WPoly.from_coeffs(self.w0 - 2 * self.d * n,
                                  self.t0 + self.d * n - 3 * (len(row) - 1),
                                  row, self.pm)
 
 
 class PsiTable:
-    """The tower up to nmax over pm (exact Fractions when None): the stream
-    and psi tables, checked by the recurrence, with their rows as WPoly on
-    demand in alphas, betas, psis and gs[s] (G_s, 1 <= s <= 4). psi_big is
-    the cleared Psi_nmax, the pivot polynomial when nmax = (p+5)/2."""
+    """The tower up to nmax over pm (exact Fractions when None): the alpha
+    and beta streams, their determinants checked block by block by the
+    recurrence (module doc, Blocks), and the rows of alpha, beta and psi
+    as WPoly on demand in alphas, betas and psis (psi_n a one-row
+    ``psi_determinants``). psi_big is the cleared Psi_nmax, the pivot
+    polynomial when nmax = (p+5)/2, and the one psi row kept."""
 
     def __init__(self, nmax, pm=None):
-        streams, P = laurent_stream(nmax + 1, pm)
-        betas = _beta_rows(streams, pm)
-        psis = psi_determinants(streams[0], betas, P, nmax, pm)
-        psi_recurrence_check(psis, nmax, pm)
+        streams, P = laurent_stream(nmax + 1, (ALPHA_SOURCES, BETA_SOURCES), pm)
         self.p = None if pm is None else pm.p
-        self.psi_rows = psis
-        self.alphas = _Rows(streams[0], pm, 0, 0, 1, P)
-        self.betas = _Rows(betas, pm, 2, -1, 1, P)
-        self.gs = [None] + [_Rows(streams[s], pm, 2 * s - 6, -s, 1, P)
-                            for s in range(1, 5)]
-        self.psis = _Rows(psis, pm, 0, 0, 2)
-        self.psi_big = clear_psi(self.psis[nmax], nmax)
+        self.alphas = _Rows(lambda n: streams[0, n] * P[n], pm, 0, 0, 1)
+        self.betas = _Rows(lambda n: streams[1, n] * P[n], pm, 2, -1, 1)
+        self.psis = _Rows(lambda n: psi_determinants(*streams, P, n, n + 1,
+                                                     pm)[0], pm, 0, 0, 2)
+        prev = np.zeros((3, 1), P.dtype)
+        for n0 in range(1, nmax + 1, _BLOCK):
+            block = psi_determinants(*streams, P, n0,
+                                     min(n0 + _BLOCK, nmax + 1), pm)
+            prev = psi_recurrence_check(prev, block, n0, pm)
+        pivot = _Rows({nmax: prev[-1]}.get, pm, 0, 0, 2)[nmax]
+        self.psi_big = clear_psi(pivot, nmax)
         self.degree = self.psi_big.weighted_degree()  # None when Psi vanishes
 
 
@@ -272,10 +283,23 @@ def _require_pivot_prime(p):
         raise PrimeTooSmall("the pivot system needs p >= 11, got p = %d" % p)
 
 
+def require_stream_room(p, streams=2):
+    """Refuse p with InputTooLarge, from p alone and before any allocation,
+    when ``streams`` pivot streams to n = (p+7)/2 would hold more than
+    MAX_STREAM_ENTRIES int64 entries (module doc, Bounds)."""
+    nmax = (p + 7) // 2
+    size = streams * (nmax + 1) * (nmax // 3 + 1)
+    if size > MAX_STREAM_ENTRIES:
+        raise InputTooLarge("%d stream tables to n = %d at p = %d hold %d "
+                            "entries, past the bound of %d"
+                            % (streams, nmax, p, size, MAX_STREAM_ENTRIES))
+
+
 def psi_table(p):
     """Mod-p table up to the pivot index M = (p+5)/2, with the determinant
     vs recurrence cross-check and the cleared pivot polynomial."""
     _require_pivot_prime(p)
+    require_stream_room(p)
     return PsiTable((p + 5) // 2, PrimePower(p, 1))
 
 
@@ -336,7 +360,6 @@ def scan_prime(p):
     """One scanner row: degree audit, the (0,1)/(1,0) values, and the
     proportionality test of Psi (or z6*Psi for even pivot index) vs Delta*H."""
     table = psi_table(p)
-    m_piv = (p + 5) // 2
     degree_ok = True
     try:
         degree_audit(p, table)
@@ -346,7 +369,7 @@ def scan_prime(p):
     pm1 = PrimePower(p, 1)
     target = discriminant(pm1) * hasse_poly(p, pm1)
     lhs = table.psi_big
-    if m_piv % 2 == 0:
+    if p % 4 == 3:  # the pivot index (p+5)/2 is even
         lhs = lhs * WPoly.z6(pm1)
     prop, c, witness = _proportional(lhs, target, p)
     return {
@@ -365,7 +388,10 @@ def scan_prime(p):
 def conjecture_scan(pmin, pmax, workers=None):
     """Rows for all primes in [pmin, pmax], in prime order."""
     from .verify import parallel_map  # verify imports liftp2, which imports psi
-    primes = [p for p in range(max(pmin, 5), pmax + 1) if is_prime(p)]
+    top = next((p for p in range(pmax, max(pmin, 5) - 1, -1) if is_prime(p)),
+               0)
+    require_stream_room(top)  # before any row, by the largest prime
+    primes = [p for p in range(max(pmin, 5), top + 1) if is_prime(p)]
     if primes:
         _require_pivot_prime(primes[0])
     return parallel_map(scan_prime, primes, workers)

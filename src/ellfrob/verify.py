@@ -62,6 +62,16 @@ import of concurrent.futures, and 9-14 ms for each later one; the
 fork-join takes 5-8 and 4-5 ms. The parent maps no part of its own: with
 it mapping the first, the benchmark's verify_sweep read wall_cal 19.4-19.8
 against 13.2-13.4 cal and peak RSS 40.6 against 34.7 MB.
+
+Bounds. ``exhaustive_verify`` refuses, from p and the sample count alone
+and before its task list is built, a sweep of more than
+``MAX_SWEEP_PAIRS`` = 2^20 pairs (p^2 of them when exhaustive: p <= 1021;
+such a list holds about 0.1 GB of tuples) and a prime whose H is past the
+multinomial bound (forms module doc, Multinomials), both with
+InputTooLarge (exit code 1). Every pair builds H, so without the second a
+sampled sweep at p = 2^31 - 1 would end in one failure row per pair. The
+largest sweep of the README, the CI, the benchmark and the tests has 101^2
+pairs.
 """
 
 import os
@@ -70,8 +80,9 @@ import signal
 
 import numpy as np
 
-from .errors import (DomainError, EllfrobError, InvalidModulus, NotOrdinary,
-                     SigmaSingular, SingularPair, WorkerDied)
+from .errors import (DomainError, EllfrobError, InputTooLarge, InvalidModulus,
+                     NotOrdinary, SigmaSingular, SingularPair, WorkerDied)
+from .forms import require_multinomial_room
 from .liftp import (CurveContext, build_lift_mod_p, curve_forms,
                     eigen_forcing_check, extendability_certificate,
                     lie_verify_commutator, mu_correct)
@@ -81,6 +92,7 @@ from .residue import PrimePower
 _STACK_P = 2 ** 12       # sweeps below this p run in stacks
 _STACK_CELLS = {1: 2 ** 13, 2: 2 ** 15}  # mod -> pairs times p^mod per stack
 _STACK_MIN = 8           # a stack of fewer rows goes pair by pair
+MAX_SWEEP_PAIRS = 2 ** 20  # the longest task list of a sweep (module doc)
 
 
 def _report(p, a, b, mod, lam, verified, extendable, branch, theta):
@@ -266,11 +278,17 @@ def exhaustive_verify(p, mod, samples=None, seed=2026, workers=None):
     The pairs are checked in stacks (module doc, Stacks).
 
     Mod p^2 needs p >= 11: the general branch truncates at (p+7)/2, which
-    must not pass p-1, so smaller primes are refused before any pair runs."""
+    must not pass p-1, so smaller primes are refused before any pair runs;
+    so is a sweep past the bounds (module doc, Bounds)."""
     if mod not in (1, 2):
         raise InvalidModulus("mod must be 1 or 2, got %r" % (mod,))
     if mod == 2 and p < 11:
         raise DomainError("mod-p^2 verification needs p >= 11, got p = %d" % p)
+    pairs = p * p if samples is None else samples
+    if pairs > MAX_SWEEP_PAIRS:
+        raise InputTooLarge("a sweep of %d pairs is past the bound of %d pairs"
+                            % (pairs, MAX_SWEEP_PAIRS))
+    require_multinomial_room((p - 1) // 2)  # every pair builds H
     if samples is None:
         tasks = [(p, a, b, mod) for a in range(p) for b in range(p)]
     else:

@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from ellfrob import cli
 from ellfrob.cli import _dumps, main
 from ellfrob.forms import MAX_MULTINOMIAL_N
+from ellfrob.psi import MAX_STREAM_ENTRIES
+from ellfrob.verify import MAX_SWEEP_PAIRS
 
 
 def run_cli(capsys, *argv):
@@ -163,6 +165,19 @@ def test_domain_edges_exit_1_with_one_typed_line(capsys, argv, error):
     assert len(lines) == 1 and lines[0].startswith(error + ": ")
 
 
+def _refused_at_once(argv):
+    """Run the CLI in a fresh process: exit 1 within a second, with one
+    InputTooLarge line on stderr; returns the stderr lines."""
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "ellfrob.cli", *argv],
+                          capture_output=True, text=True)
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 1 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("InputTooLarge: ")
+    return lines
+
+
 @pytest.mark.parametrize("argv", [
     ("hasse", "--p", "2147483647"),
     ("classify", "--p", "2147483647", "--a", "1", "--b", "1"),
@@ -171,14 +186,38 @@ def test_huge_prime_is_refused_before_the_table(argv):
     """At p = 2^31 - 1 the multinomial table of H would hold some 2^30
     ints; the command is refused with one line naming the size and the
     bound, at once."""
-    start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "ellfrob.cli", *argv],
-                          capture_output=True, text=True)
-    assert time.perf_counter() - start < 1
-    assert proc.returncode == 1 and proc.stdout == ""
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("InputTooLarge: ")
+    lines = _refused_at_once(argv)
     assert "1073741823" in lines[0] and str(MAX_MULTINOMIAL_N) in lines[0]
+
+
+# the stream tables of the largest prime, past MAX_STREAM_ENTRIES: scan
+# builds alpha and beta, eigen these and G_1..G_4; a range is refused by its
+# largest prime, 100003 here
+@pytest.mark.parametrize("argv, streams, p", [
+    (("eigen", "--p", "2147483647"), 6, 2 ** 31 - 1),
+    (("scan", "--pmin", "2147483647", "--pmax", "2147483647"), 2, 2 ** 31 - 1),
+    (("eigen", "--p", "1000003"), 6, 1000003),
+    (("scan", "--pmin", "100000", "--pmax", "100010"), 2, 100003),
+])
+def test_stream_tables_past_the_bound_are_refused_at_once(argv, streams, p):
+    nmax = (p + 7) // 2
+    size = streams * (nmax + 1) * (nmax // 3 + 1)
+    lines = _refused_at_once(argv)
+    assert "%d stream tables" % streams in lines[0]
+    assert str(size) in lines[0] and str(MAX_STREAM_ENTRIES) in lines[0]
+
+
+# without --samples the p^2 tasks are past MAX_SWEEP_PAIRS; with one sample
+# the pair's H is past the multinomial bound
+@pytest.mark.parametrize("argv, size, bound", [
+    (("verify-all", "--p", "2147483647"), (2 ** 31 - 1) ** 2, MAX_SWEEP_PAIRS),
+    (("verify-all", "--p", "2147483647", "--samples", "1"), 2 ** 30 - 1,
+     MAX_MULTINOMIAL_N),
+])
+def test_sweep_past_its_bounds_is_refused_before_the_task_list(argv, size,
+                                                               bound):
+    lines = _refused_at_once(argv)
+    assert str(size) in lines[0] and str(bound) in lines[0]
 
 
 def test_memory_error_is_one_typed_line(capsys, monkeypatch):

@@ -14,6 +14,7 @@ from ellfrob.liftp import (CurveContext, k0_poly, lie_verify,
                            lie_verify_commutator)
 from ellfrob.liftp2 import (_laurent_to_locfrac, _row_product, _row_rhs,
                             _source, eta_pivots, build_lift_mod_p2, d_values,
+                            g_pivots,
                             lambda_properties, solve_eigen_numeric,
                             solve_eigen_symbolic, solve_truncated,
                             stabilization_check, sym_d_values, theta_evaluate)
@@ -344,7 +345,7 @@ def test_stride_p_times_dense_matches_convolve(monkeypatch):
     table = psi_table(p)
     locs = LocalizerSet(pm1, hasse_poly(p, pm1), table.psi_big)
     alpha = _laurent_to_locfrac(table.alphas[(p + 7) // 2], locs).frobenius().num
-    eta = eta_pivots(table, sym_d_values(p, locs), locs)[0].num
+    eta = eta_pivots(g_pivots(p), sym_d_values(p, locs), locs)[0].num
     assert min(len(alpha.c), len(eta.c)) > upoly._SHORT_LEN
     (head, tail, stride), = upoly._splits(alpha.c)
     assert (len(head), stride) == (0, p) and len(tail) > 8

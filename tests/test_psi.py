@@ -1,18 +1,21 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from ellfrob import psi
 from ellfrob.cli import main
-from ellfrob.errors import (FFTRoundingError, InternalMismatch,
-                            PrecisionOutOfRange)
+from ellfrob.errors import (FFTRoundingError, InputTooLarge,
+                            InternalMismatch, PrecisionOutOfRange)
 from ellfrob.forms import hasse_poly
-from ellfrob.liftp2 import eta_pivots, sym_d_values
-from ellfrob.psi import (PsiTable, _column_scalars, _Rows, clear_psi,
+from ellfrob.liftp2 import eta_pivots, g_pivots, sym_d_values
+from ellfrob.psi import (_BLOCK, ALPHA_SOURCES, BETA_SOURCES, G_SOURCES,
+                         MAX_STREAM_ENTRIES, _column_scalars, _Rows, clear_psi,
                          conjecture_scan, degree_audit, exact_psi_table,
                          golem_check, laurent_stream, psi_determinants,
                          psi_mod_p, psi_recurrence_check, psi_table,
-                         scan_prime)
+                         require_stream_room, scan_prime)
 from ellfrob.residue import PrimePower, is_prime
 from ellfrob.wpoly import LocalizerSet, LocFrac, WPoly, discriminant
 
@@ -50,36 +53,77 @@ def test_psi_closed_forms(exact):
                        (0, -6): F(33, 7168)}
 
 
+def _psi_blocks(streams, P, nmax, pm):
+    """The determinant blocks of rows 1..nmax, as ``PsiTable`` forms them."""
+    return [(n0, psi_determinants(*streams, P, n0, min(n0 + _BLOCK, nmax + 1),
+                                  pm)) for n0 in range(1, nmax + 1, _BLOCK)]
+
+
+def _psi_rows(streams, P, nmax, pm):
+    """psi_1..psi_nmax as WPoly, from the determinant blocks."""
+    rows = {n0 + i: row for n0, block in _psi_blocks(streams, P, nmax, pm)
+            for i, row in enumerate(block)}
+    return _Rows(rows.get, pm, 0, 0, 2)
+
+
 def test_recurrence_consistency():
-    table = PsiTable(9)
-    assert psi_recurrence_check(table.psi_rows, 9, pm=None)
-    # a corrupted table is caught: psi_9 := z6^-6 (column 6 of row 9 is U^0)
-    table.psi_rows[9] = 0
-    table.psi_rows[9, 6] = F(1)
-    assert table.psis[9] == WPoly({(0, -6): F(1)})
-    with pytest.raises(InternalMismatch):
-        psi_recurrence_check(table.psi_rows, 9, pm=None)
+    streams, P = laurent_stream(10, (ALPHA_SOURCES, BETA_SOURCES))
+    prev = np.zeros((3, 1), object)
+    [(n0, block)] = _psi_blocks(streams, P, 9, None)
+    assert psi_recurrence_check(prev, block, n0).tolist() == block[-3:].tolist()
+    # a corrupted row is caught: psi_9 := z6^-6 (column 6 of row 9 is U^0)
+    block[8] = 0
+    block[8, 6] = F(1)
+    assert _Rows({9: block[8]}.get, None, 0, 0, 2)[9] == WPoly({(0, -6): F(1)})
+    with pytest.raises(InternalMismatch, match="psi_9:"):
+        psi_recurrence_check(prev, block, n0)
 
 
-def _corrupt_and_check(p, n, k):
-    pm, m_piv = PrimePower(p, 1), (p + 5) // 2
-    rows = psi_table(p).psi_rows.copy()
-    assert psi_recurrence_check(rows, m_piv, pm)
-    rows[n, k] = (rows[n, k] + 1) % p
+def _corrupt_and_check(monkeypatch, p, n, k):
+    """One entry of psi_n, as the block pass of ``psi_table`` forms it, off
+    by one: the per-block check names psi_n."""
+    psi_table(p)
+    real = psi.psi_determinants
+
+    def corrupt(alphas, betas, P, n0, n1, pm=None):
+        block = real(alphas, betas, P, n0, n1, pm)
+        if n0 <= n < n1:
+            block[n - n0, k] = (block[n - n0, k] + 1) % p
+        return block
+
+    monkeypatch.setattr(psi, "psi_determinants", corrupt)
     with pytest.raises(InternalMismatch, match="psi_%d:" % n):
-        psi_recurrence_check(rows, m_piv, pm)
+        psi_table(p)
 
 
 # a middle row, and the last column of the pivot row M = 18
 @pytest.mark.parametrize("n, k", [(11, 2), (18, -1)])
-def test_recurrence_check_catches_one_mod_p_entry(n, k):
-    _corrupt_and_check(31, n, k)
+def test_recurrence_check_catches_one_mod_p_entry(monkeypatch, n, k):
+    _corrupt_and_check(monkeypatch, 31, n, k)
 
 
-# p = 211 has pivot row M = 108: the check compares rows 5..68, then 69..108
+# p = 211 has pivot row M = 108: the blocks are rows 1..64 and 65..108, so
+# the second block's check reads the last three rows of the first
 @pytest.mark.parametrize("n", [69, 100, 108])
-def test_recurrence_check_catches_an_entry_past_the_first_block(n):
-    _corrupt_and_check(211, n, 3)
+def test_recurrence_check_catches_an_entry_past_the_first_block(monkeypatch, n):
+    _corrupt_and_check(monkeypatch, 211, n, 3)
+
+
+# beta as a stream of its own sources against the former combination of
+# the unit-source streams, on the tables over P
+@pytest.mark.parametrize("p", [None, 11, 101, 499])
+def test_beta_stream_is_the_g2_g4_combination(p):
+    pm = None if p is None else PrimePower(p, 1)
+    nmax = 10 if p is None else (p + 7) // 2
+    (beta,), P = laurent_stream(nmax, (BETA_SOURCES,), pm)
+    gs, P_g = laurent_stream(nmax, G_SOURCES, pm)
+    assert P.tolist() == P_g.tolist()
+    half = _lane(pm)[0](1, 2)
+    want = gs[1] * half  # U/2 G_2: U^(n-2-3k) to U^(n-1-3k), same column
+    want[:, 1:] += 3 * half * gs[3][:, :-1]  # 3/2 G_4, one column right
+    if pm is not None:
+        want %= p
+    assert beta.dtype == want.dtype and beta.tolist() == want.tolist()
 
 
 def stream_oracle(nmax, v0, sources, u, v_inv, fr):
@@ -111,8 +155,9 @@ def _lane(pm):
     "p", [None] + [p for p in range(11, 62) if is_prime(p)] + [101, 211])
 def test_streams_match_one_step_oracle(p):
     pm = None if p is None else PrimePower(p, 1)
-    table = PsiTable(9) if p is None else psi_table(p)
-    nmax = len(table.alphas) - 1
+    m_piv = 9 if p is None else (p + 5) // 2
+    table = psi.PsiTable(m_piv, pm)
+    nmax = m_piv + 1
     assert _column_scalars(nmax, pm)[0] == ([] if p is None else [(p + 3) // 2])
     fr, u, v_inv, const = _lane(pm)
     zero = WPoly.zero(pm)
@@ -121,17 +166,23 @@ def test_streams_match_one_step_oracle(p):
         "beta": (table.betas, stream_oracle(
             nmax, zero, {2: u.scale(fr(1, 2)), 4: const(fr(3, 2))}, u, v_inv, fr)),
     }
+    gs, P = laurent_stream(nmax, G_SOURCES, pm)
     for s in (1, 2, 3, 4):  # G_s/2; nu = G_1/2 and mu = G_2/2
         seq = stream_oracle(nmax, zero, {s: const(fr(1, 2))}, u, v_inv, fr)
-        oracles["G_%d/2" % s] = ([table.gs[s][n].scale(fr(1, 2))
+        rows = _Rows(lambda n: gs[s - 1, n] * P[n], pm, 2 * s - 6, -s, 1)
+        oracles["G_%d/2" % s] = ([rows[n].scale(fr(1, 2))
                                   for n in range(nmax + 1)], seq)
     for name, (rows, seq) in oracles.items():
         for n in range(nmax + 1):
             assert rows[n] == seq[n], (name, n)
-    for n in range(1, len(table.psis)):
+    psis = _psi_rows(*laurent_stream(nmax, (ALPHA_SOURCES, BETA_SOURCES), pm),
+                     m_piv, pm)
+    for n in range(1, m_piv + 1):
         det = (table.alphas[n] * table.betas[n + 1]
                - table.alphas[n + 1] * table.betas[n])
+        assert psis[n] == det, n
         assert table.psis[n] == det, n
+    assert table.psi_big == clear_psi(psis[m_piv], m_piv)
 
 
 @pytest.mark.parametrize("p", [13, 17, 37])
@@ -146,7 +197,7 @@ def test_eta_pivots_match_locfrac_stream(p):
         m_piv + 1, LocFrac.zero(locs), dict(enumerate(ds, 1)),
         LocFrac(WPoly.monomial(1, p, 0, pm), {}, locs),
         LocFrac(WPoly.const(1, pm), {"z6": p}, locs), fr)
-    for got, want in zip(eta_pivots(table, ds, locs), seq[m_piv:]):
+    for got, want in zip(eta_pivots(g_pivots(p), ds, locs), seq[m_piv:]):
         assert got.num == want.num
         assert got.den == want.den
 
@@ -257,7 +308,9 @@ def test_one_spectrum_determinants_match_per_row_convolve(p, nmax, half):
     alphas = _support_table(nmax + 2, width, 0, fill)
     betas = _support_table(nmax + 2, width, 1, fill)
     P = np.ones(nmax + 2, np.int64)
-    got = psi_determinants(alphas, betas, P, nmax, pm)
+    blocks = _psi_blocks((alphas, betas), P, nmax, pm)
+    got = {n0 + i: row for n0, block in blocks for i, row in enumerate(block)}
+    assert sorted(got) == list(range(1, nmax + 1))
     exact = p ** 2 * width >= 2 ** 62
     for n in range(1, nmax + 1):
         a0, a1 = alphas[n, :n // 3 + 1], alphas[n + 1, :(n + 1) // 3 + 1]
@@ -265,7 +318,7 @@ def test_one_spectrum_determinants_match_per_row_convolve(p, nmax, half):
         if exact:  # Python ints where int64 products would overflow
             a0, a1, b0, b1 = (x.astype(object) for x in (a0, a1, b0, b1))
         ab, ba = np.convolve(a0, b1), np.convolve(a1, b0)
-        want = np.zeros(got.shape[1], object)
+        want = np.zeros(len(got[n]), object)
         want[:len(ab)] += ab
         want[:len(ba)] -= ba
         assert got[n].tolist() == (want % p).tolist(), n
@@ -288,6 +341,31 @@ def test_perturbed_spectrum_raises_and_exits_2(monkeypatch, capsys):
     assert captured.err.startswith("FFTRoundingError: ")
 
 
+def test_scan_prime_997_peaks_under_5_mb():
+    """Two streams and one block of psi rows at a time: 3.2-3.6 MB traced,
+    against 6.7-7.1 MB with five streams and the whole beta and psi tables
+    stored."""
+    scan_prime(997)  # numpy's lazy imports and caches, outside the trace
+    tracemalloc.start()
+    try:
+        scan_prime(997)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 10 ** 6
+
+
+def test_stream_room_bound_admits_the_measured_primes():
+    """MAX_STREAM_ENTRIES admits the scan to p = 28351 (two streams) and the
+    symbolic eigen to p = 16369 (six), and refuses the next primes."""
+    for p, streams, nxt in ((28351, 2, 28387), (16369, 6, 16381)):
+        require_stream_room(p, streams)
+        with pytest.raises(InputTooLarge, match="past the bound of %d"
+                           % MAX_STREAM_ENTRIES):
+            require_stream_room(nxt, streams)
+        assert [q for q in range(p + 1, nxt) if is_prime(q)] == []
+
+
 def test_stream_sums_refused_past_the_int64_bound():
     """(nmax + 1)(p - 1)^2 < 2^63 bounds the running sums of a column: at a
     prime below 2^30 it admits nmax = 7 and no more."""
@@ -295,10 +373,10 @@ def test_stream_sums_refused_past_the_int64_bound():
     pm = PrimePower(p, 1)
     nmax = 2 ** 63 // (p - 1) ** 2 - 1
     assert nmax == 7
-    table, P = laurent_stream(nmax, pm)
+    table, P = laurent_stream(nmax, (ALPHA_SOURCES,), pm)
     fr, u, v_inv, const = _lane(pm)
     seq = stream_oracle(nmax, const(1), {}, u, v_inv, fr)
-    alphas = _Rows(table[0], pm, 0, 0, 1, P)
+    alphas = _Rows(lambda n: table[0, n] * P[n], pm, 0, 0, 1)
     assert all(alphas[n] == seq[n] for n in range(nmax + 1))
     with pytest.raises(PrecisionOutOfRange):
-        laurent_stream(nmax + 1, pm)
+        laurent_stream(nmax + 1, (ALPHA_SOURCES,), pm)

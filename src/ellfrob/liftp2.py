@@ -19,7 +19,8 @@ which see no more of it). A stack holds one branch: build_lift_mod_p2
 takes the b0 solve when every row has b = 0 mod p, and the pivot solve
 otherwise, where a row with b = 0 stops at BNotUnit. The row solves form
 every product of two residues below p, reducing a row constant times a^p
-before it meets v, so a row sum stays below 4 p^2. The largest int64 value
+before it meets v, so a row sum stays below 4 p^2, and the pivot solution
+v_0 alpha + theta beta + rho below 3 p^2. The largest int64 value
 of the lane is lambda0 (1 + p theta) before its reduction mod p^2, below
 p^4; both are below 2^63 for every p whose p^2 a stack admits (<= 2^31).
 """
@@ -120,18 +121,28 @@ def stabilization_check(p, u, v_unit, theta, da, db, d, vs):
 
 
 def solve_eigen_numeric(ctx, d=None):
-    """theta and v_0 forcing the two pivot coefficients to vanish.
-
-    v_n is affine in (v_0, theta): run the indicator streams alpha (v_0=1),
-    beta (theta=1) and the inhomogeneous stream, then solve the 2x2 system
-    at rows (p+5)/2, (p+7)/2. A vanishing determinant means the pair is
-    sigma-singular for this construction. d is the d_values list, computed
-    here when not given.
-    """
-    p = ctx.p
-    u, v_unit = ctx.a % p, ctx.b % p  # a^p = a mod p
+    """theta and v_0 forcing the two pivot coefficients to vanish, and the
+    pivot determinant (``_pivot_solve``). d is the d_values list, computed
+    here when not given."""
     if d is None:
         d, _ = d_values(ctx)
+    return _pivot_solve(ctx, d)[:3]
+
+
+def _pivot_solve(ctx, d):
+    """(v0, theta, det, vs): the pivot solve and its solution v_0..v_T,
+    T = (p+7)/2, formed once per context (kept in ctx.memo).
+
+    v_n is affine in (v_0, theta): run the indicator streams alpha (v_0=1),
+    beta (theta=1) and the inhomogeneous stream rho to row T, then solve the
+    2x2 system at rows (p+5)/2, (p+7)/2. A vanishing determinant means the
+    pair is sigma-singular for this construction. The solution is then
+    v_0 alpha + theta beta + rho, row by row, with no fourth stream.
+    """
+    if "pivot" in ctx.memo:
+        return ctx.memo["pivot"]
+    p = ctx.p
+    u, v_unit = ctx.a % p, ctx.b % p  # a^p = a mod p
     da, db = ctx.delta_a() % p, ctx.delta_b() % p
     m_piv = (p + 5) // 2
     t_max = m_piv + 1
@@ -147,7 +158,9 @@ def solve_eigen_numeric(ctx, d=None):
           * det_inv % p)
     theta = ((rho[m_piv] * alpha[m_piv + 1] - rho[m_piv + 1] * alpha[m_piv])
              % p * det_inv % p)
-    return v0, theta, det
+    vs = [(v0 * x + theta * y + z) % p for x, y, z in zip(alpha, beta, rho)]
+    ctx.memo["pivot"] = v0, theta, det, vs
+    return ctx.memo["pivot"]
 
 
 def _solve_b0(ctx, d):
@@ -255,7 +268,7 @@ def build_lift_mod_p2(ctx):
         branch = (np.where(u != 0, "general", "a0")
                   if isinstance(u, np.ndarray) else "general" if u else "a0")
         v0, theta, _ = solve_eigen_numeric(ctx, d)
-        vs = solve_truncated(p, u, v_unit, theta, da, db, d, v0, (p + 7) // 2)
+        vs = _pivot_solve(ctx, d)[3]  # kept on ctx by that solve
     vs = stabilization_check(p, u, v_unit, theta, da, db, d, vs)
     lift = assemble_lift(ctx, theta, vs, w0)
     info = {"branch": branch, "theta": theta, "v0": v0, "vs": vs}

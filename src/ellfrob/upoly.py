@@ -19,71 +19,58 @@ in every row, so ``degree`` is the largest over the rows and ``is_zero``
 says that every row is zero. ``scale`` takes an int or a per-row array;
 ``equal_rows`` and FracPoly's ``==`` give one verdict per row, while
 UPoly's ``==`` stays one bool. A product with a 2-D operand runs row by
-row in one of two lanes. It takes the copies lane (below) when
-``_convolves`` holds for the shorter length and one operand has at most
-``_STACK_COPIES`` live columns, as f, f', a monomial or f'(x^p) have;
-otherwise it takes the FFT lane along the last axis, whose limb plan rests
-on per-row bounds (the lengths, hence the Percival bound, are those of one
-row) and whose rounding guard checks every row. A copy costs one pass over
-all rows, about what the FFT costs in all, so between dense operands the
-FFT wins: at p = 61 it made the mod-p checks of a stack 1.4-1.6 times
-faster. The structured lane stays 1-D.
+row in one of two lanes. It takes the copies lane (below) when one operand
+has at most ``_COPIES`` live columns, as f, f', a monomial or f'(x^p)
+have; otherwise it takes the FFT lane along the last axis, whose limb plan
+rests on per-row bounds (the lengths, hence the Percival bound, are those
+of one row) and whose rounding guard checks every row. A copy costs one
+pass over all rows, about what the FFT costs in all, so between dense
+operands the FFT wins: at p = 61 it made the mod-p checks of a stack
+1.4-1.6 times faster. The structured lane stays 1-D.
 
 Products. Degrees reach a few times p^2 in the mod-p^2 pipeline, so
 ``_mul``, the array product behind ``__mul__``, the division and the WPoly
-product, picks one of four exact lanes by operand length, nonzero pattern
-and q:
+product, picks one of four exact lanes by operand shape and q, the first
+that applies:
 
-- int64 ``np.convolve`` when the shorter operand has at most
-  ``_SHORT_LEN`` coefficients and (q-1)^2 min(la, lb) < 2^62, otherwise a
-  limb-split float FFT (below): together, the dense lanes;
-- for q < 2^31, the structured lane (below), where its estimated cost is
-  below that of the dense lane it replaces;
-- past the convolution's bound (q > 2^31), the copies lane with reduced
-  copies, for a shorter operand of at most ``_SHORT_LEN`` coefficients,
-  min(la, lb) q < 2^63 and an estimate (``_copies_cost``) below the FFT's:
-  a long operand times f or f' at q = p^3, say, which would otherwise cost
-  a transform of the full length.
+- int64 ``np.convolve``, for 1-D operands whose shorter one has at most
+  ``_SHORT_LEN`` coefficients, with (q-1)^2 min(la, lb) < 2^62;
+- the copies lane (below), when an operand has at most ``_COPIES`` live
+  columns: a long operand times f, f', a monomial or f'(x^p);
+- for 1-D operands and q < 2^31, the structured lane (below), where its
+  estimate beats the FFT's;
+- a limb-split float FFT (below).
 
-The copies lane adds, for each live column of one operand (nonzero in some
-row), the other operand times that column, shifted; it loops over the
-operand with fewer live columns, so each output coefficient of a row sums
-at most min(la, lb) terms. Summed as they are, the terms are products of
-residues below (q-1)^2, and (q-1)^2 min(la, lb) < 2^62 keeps the int64 sum
-exact: the bound of ``np.convolve``. Otherwise each copy is reduced below q
-through ``_mulmod`` first, and the sum stays below min(la, lb) q < 2^63.
+The copies lane adds, for each live column of one operand (nonzero in
+some row), the other operand times that column, shifted. The shorter
+operand is counted first, and the longer one only when the shorter has
+too many live columns, so no long product pays a pass over its longer
+operand for nothing. Each output coefficient of a row sums one term per
+live column. With l live columns, the raw terms, products of residues
+below (q-1)^2, sum exactly in int64 when l (q-1)^2 < 2^63; otherwise each
+copy is reduced below q through ``_mulmod`` first, and the sum stays below
+l q, which the lane asks to be below 2^63 (l <= 8 does for q < 2^60).
 
 The structured lane. The lift phi(x) = x^p + pZ has Z = W + V(x^p) +
 pU/f^p, so mod p the numerators the checks multiply are a short dense
-polynomial plus a tail in x^p, such as N1 = W f(x^p) + (V f)(x^p); other
-operands are monomials, binomials like f'(x^p) = 3x^(2p) + a, or rows
-composed at stride p. An operand x splits into a head x[:h] and a tail,
-the nonzeros past h. Counting a nonempty head as W = ``_TAIL_WEIGHT`` plus
-h coefficients and each tail nonzero as W, h minimizes the sum; a head of
-at most ``_SHORT_LEN`` coefficients is also tried empty, since a short
-product can cost more than its nonzeros as tail entries. Then
-ab = Ha Hb + Ha Tb + Ta Hb + Ta Tb, and a square is Ha^2 + 2 Ha Ta + Ta^2:
+polynomial plus a tail in x^p, such as N1 = W f(x^p) + (V f)(x^p), or rows
+composed at stride p. An operand x splits when its back half is sparse,
+under 1/W of it nonzero with W = ``_TAIL_WEIGHT``: into a head x[:h] and a
+tail, the nonzeros past h. Counting a nonempty head as W plus h
+coefficients and each tail nonzero as W, h minimizes the sum; the head is
+empty where no cut costs less than every nonzero as tail. An operand that
+does not split is all head. Each operand of the lane is searched, at the
+cost of one count over its back half. Then ab = Ha Hb + Ha Tb + Ta Hb +
+Ta Tb, and a square is Ha^2 + 2 Ha Ta + Ta^2:
 
 - Ha Hb is a product of its own, dense as a rule;
-- Ha Tb is one shifted copy of Ha per tail nonzero, scaled by it; or, with
-  the tail on a stride g (its indices equal mod g) and packed into T, so
-  Tb = x^s T(x^g), a loop over the rows of Ha of width g, each adding its
-  outer product with T into a grid of width g that, read row by row, is
-  Ha T(x^g);
-- Ta Tb on a common stride g is one product of the packed tails, spread
-  at stride g; otherwise one scaled copy of the longer tail per nonzero of
-  the shorter.
+- Ha Tb is one shifted copy of Ha per tail nonzero, scaled by it;
+- Ta Tb is one scaled copy of the longer tail per nonzero of the shorter.
 
-Each piece takes whichever of its two forms costs less, and the lane is
-taken only where its estimate beats the dense lane's. The estimates are in
-ns on a 2-vCPU x86 VM (module constants): a numpy call, an element of a
-copy or an outer product, and T N log2 N for an FFT product of T real
-transforms of size N. They choose a lane only; every lane is exact. The
-lane is planned only past ``_PLAN_NS`` of estimated dense work. An operand
-is split when under 1/W of its coefficients are nonzero, or when its back
-half is that sparse and the dense lane is an FFT past ``_SEARCH_NS``, where
-the search costs little beside it. An operand with at most 8 nonzeros is
-the case of an empty or short head.
+The lane is taken only where its estimate beats the FFT's. The estimates
+are in ns on a 2-vCPU x86 VM (module constants): a numpy call, an element
+of a copy, and T N log2 N for an FFT product of T real transforms of size
+N. They choose a lane only; every lane is exact.
 
 Overflow of the structured lane. Each raw term, a residue times a residue,
 is below (q-1)^2 < 2^62. An output coefficient sums one reduced head
@@ -170,15 +157,13 @@ from .errors import (DenominatorMismatch, FFTRoundingError, InvalidModulus,
 _MAX_Q = 2 ** 62     # q below this: int64 storage (module doc, Storage)
 _WORD_Q = 2 ** 31    # up to this q, a product of two residues fits int64
 _SHORT_LEN = 128     # np.convolve beats the FFT up to this shorter length
-_STACK_COPIES = 8    # a stack product takes copies up to this many live columns
+_COPIES = 8          # the copies lane takes up to this many live columns
 _TAIL_WEIGHT = 16    # a tail nonzero costs about this many head coefficients
 # The lane cost model, in ns on a 2-vCPU x86 VM (module doc, Products): one
-# numpy call, and one element of a shifted copy or an outer product; a
-# reduction mod q costs two elements.
+# numpy call, and one element of a shifted copy; a reduction mod q costs two
+# elements.
 _CALL_NS = 3000
 _ELEM_NS = 3
-_PLAN_NS = 10 * _CALL_NS    # planning the structured lane costs about this
-_SEARCH_NS = 500000         # dense work that pays for a dense-looking split
 _NO_TAIL = np.zeros(0, dtype=np.intp)
 _EPS = 2.0 ** -53
 _MOD_CUT = 1024     # from this many entries, _mod divides by multiplication
@@ -370,215 +355,135 @@ def _fft_mul(a, b, q):
 
 
 def _convolves(short, q):
-    """Does a product with a shorter length ``short`` take np.convolve?"""
+    """Does a product of 1-D operands with a shorter length ``short`` take
+    np.convolve?"""
     return short <= _SHORT_LEN and (q - 1) ** 2 * short < 2 ** 62
 
 
-def _dense_cost(la, lb, q, square):
-    """Estimated ns of the dense lane on lengths la, lb (module doc)."""
-    if _convolves(min(la, lb), q):
-        return _CALL_NS + la * lb + 4 * _ELEM_NS * (la + lb)
+def _fft_cost(la, lb, q, square):
+    """Estimated ns of the FFT lane on lengths la, lb (module doc)."""
     k = _limb_plan(la, lb, q)[1]
     size = 1 << (la + lb - 2).bit_length()
     transforms = (3 if square else 4) * k - 1
     return transforms * (size * size.bit_length() + 4 * _CALL_NS)
 
 
-def _splits(x):
-    """Candidate splits (head, tail indices, tail stride) of x: the head
-    x[:h], the indices of the nonzeros past it, and the largest g with all
-    of them equal mod g (0 for one). A nonempty head costs _TAIL_WEIGHT (one
-    more product) plus h, each tail nonzero _TAIL_WEIGHT, and the first
-    candidate's h minimizes the sum. A head of at most _SHORT_LEN
-    coefficients may cost more as a product than as tail entries (a short
-    FFT, or a convolution with few nonzeros), so no head is a second
-    candidate then."""
-    nz = x.nonzero()[0]
-    cuts = [(x[:0], nz)]
-    if len(nz):
-        # a cut after nz[i] costs W + nz[i] + 1 + W (n - 1 - i), no head W n
-        lead = nz - np.arange(0, _TAIL_WEIGHT * len(nz), _TAIL_WEIGHT)
-        i = lead.argmin()
-        if lead[i] < -1:
-            h = int(nz[i]) + 1
-            cuts = [(x[:h], nz[i + 1:])] + (cuts if h <= _SHORT_LEN else [])
-    return [(head, idx, math.gcd(*(idx[1:] - idx[:-1]).tolist()))
-            for head, idx in cuts]
+def _sparse_side(a, b, q):
+    """(x, y, live): the operands, y one with at most ``_COPIES`` live
+    columns (nonzero in some row), at live, and len(live) q < 2^63; the
+    shorter one when both are. None when neither is. The longer operand is
+    counted only when the shorter has too many live columns."""
+    most = min(_COPIES, (2 ** 63 - 1) // q)
+    if a.shape[-1] > b.shape[-1]:
+        a, b = b, a
+    for x, y in ((b, a), (a, b)):
+        cols = y if y.ndim == 1 else y.any(axis=0)
+        if np.count_nonzero(cols) <= most:
+            return x, y, np.flatnonzero(cols)
+    return None
 
 
-def _head_tail(head, x, idx, g, q):
-    """(cost, add): add(out, reduce) adds head times the tail of x at idx,
-    on stride g, to out, reducing each term mod q first when asked. One
-    shifted copy of the head per tail entry, or the head's rows of width g
-    against the packed tail, whichever costs less."""
-    h, t = len(head), len(idx)
-    copies = t * (_CALL_NS + _ELEM_NS * h)
-    if g:
-        rows, start = -(-h // g), int(idx[0])
-        s = x[start:int(idx[-1]) + 1:g]
-        m = len(s)
-        by_rows = (rows + 3) * _CALL_NS + _ELEM_NS * rows * m * g
-    if g and by_rows < copies:
-        def add(out, reduce):
-            grid = np.zeros(rows * g, dtype=np.int64)
-            grid[:h] = head
-            acc = np.zeros((rows + m - 1, g), dtype=np.int64)
-            for k, row in enumerate(grid.reshape(rows, g)):
-                term = np.outer(s, row)
-                if reduce:
-                    _mod(term, q, out=term)
-                acc[k:k + m] += term
-            n = h + g * (m - 1)
-            out[start:start + n] += acc.ravel()[:n]
-        return by_rows, add
-
-    def add(out, reduce):
-        for i, c in zip(idx.tolist(), x[idx].tolist()):
-            term = head * c
-            if reduce:
-                _mod(term, q, out=term)
-            out[i:i + h] += term
-    return copies, add
-
-
-def _tail_tail(xa, ia, ga, xb, ib, gb, q):
-    """(cost, add) for the product of two tails, as ``_head_tail``: one
-    scaled copy of the longer tail per entry of the shorter, or, on a common
-    stride g, one short product of the packed tails spread at stride g,
-    whichever costs less."""
-    if len(ia) > len(ib):
-        xa, ia, xb, ib = xb, ib, xa, ia
-    copies = len(ia) * (_CALL_NS + _ELEM_NS * len(ib))
-    g = math.gcd(ga, gb) if len(ia) > 1 else 0
-    if g:
-        sa = xa[ia[0]:ia[-1] + 1:g]
-        sb = sa if ib is ia else xb[ib[0]:ib[-1] + 1:g]
-        packed = _CALL_NS + _dense_cost(len(sa), len(sb), q, sb is sa)
-        if packed < copies:
-            def add(out, reduce):
-                prod = _mul(sa, sb, q)
-                start = int(ia[0] + ib[0])
-                out[start:start + g * len(prod):g] += prod
-            return packed, add
-
-    def add(out, reduce):
-        vb = xb[ib]
-        for i, c in zip(ia.tolist(), xa[ia].tolist()):
-            term = vb * c
-            if reduce:
-                _mod(term, q, out=term)
-            out[i + ib] += term
-    return copies, add
-
-
-def _structured(a, b, q, dense):
-    """(cost, run) of the cheapest head/tail product of a and b mod q < 2^31:
-    the estimated ns, and a function computing the product. An operand is
-    split when it is sparse, or when its back half is and the dense lane,
-    of estimated cost ``dense``, is an FFT that pays for the search (module
-    doc, Products)."""
-    square = a is b
-    search = dense > _SEARCH_NS and not _convolves(min(len(a), len(b)), q)
-    splits = []
-    for x in (a,) if square else (a, b):
-        n, half = len(x), len(x) // 2
-        if (np.count_nonzero(x) * _TAIL_WEIGHT < n
-                or search and np.count_nonzero(x[half:]) * _TAIL_WEIGHT
-                < n - half):
-            splits.append(_splits(x))
-        else:
-            splits.append([(x, _NO_TAIL, 0)])
-    plans = ([_plan(a, b, q, s, s) for s in splits[0]] if square
-             else [_plan(a, b, q, s, t) for s in splits[0] for t in splits[1]])
-    return min(plans, key=lambda plan: plan[0])
-
-
-def _plan(a, b, q, split_a, split_b):
-    """(cost, run) of the product of a and b from one split of each."""
-    la, lb = len(a), len(b)
-    square = a is b
-    (ha, ia, ga), (hb, ib, gb) = split_a, split_b
-    ta, tb = len(ia), len(ib)
-    if not ta and not tb:
-        return math.inf, None
-    heads = len(ha) and len(hb)
-    pieces = []
-    if square and heads:
-        pieces.append(_head_tail(2 * ha % q, a, ia, ga, q))
-    if not square and tb and len(ha):
-        pieces.append(_head_tail(ha, b, ib, gb, q))
-    if not square and ta and len(hb):
-        pieces.append(_head_tail(hb, a, ia, ga, q))
-    if ta and tb:
-        pieces.append(_tail_tail(a, ia, ga, b, ib, gb, q))
-    cost = (3 * _CALL_NS + 2 * _ELEM_NS * (la + lb) + sum(c for c, _ in pieces)
-            + (_dense_cost(len(ha), len(hb), q, square) if heads else 0))
-    reduce = (2 + ta + tb + min(ta, tb)) * (q - 1) ** 2 >= 2 ** 63
-
-    def run():
-        out = np.zeros(la + lb - 1, dtype=np.int64)
-        if heads:
-            out[:len(ha) + len(hb) - 1] = _mul(ha, ha if square else hb, q)
-        for _, add in pieces:
-            add(out, reduce)
-        return _mod(out, q, out=out)
-    return cost, run
-
-
-def _fewer_live(a, b):
-    """(x, y, live): the operands with y the one of fewer live columns
-    (nonzero in some row), and the indices of those columns."""
-    ia, ib = _live(a), _live(b)
-    return (a, b, ib) if len(ib) <= len(ia) else (b, a, ia)
-
-
-def _copies(a, b, live, q):
-    """a b mod q as one shifted copy of a per live column of b (module doc,
-    Stacks): each copy is summed as it is when ``_convolves`` holds for the
-    shorter length, and reduced through ``_mulmod`` first otherwise."""
-    la, lb = a.shape[-1], b.shape[-1]
-    reduce = not _convolves(min(la, lb), q)
-    out = np.zeros((a.shape[:-1] or b.shape[:-1]) + (la + lb - 1,),
-                   dtype=np.int64)
+def _add_copies(out, a, b, live, q, reduce):
+    """Add to out one copy of a per live column j of b, times that column
+    and shifted by j, each reduced below q through ``_mulmod`` first when
+    asked."""
+    la = a.shape[-1]
     term = np.empty(out.shape[:-1] + (la,), dtype=np.int64)
     for j in live.tolist():
         c = b[..., j:j + 1]
         out[..., j:j + la] += (_mulmod(a, c, q) if reduce
                                else np.multiply(a, c, out=term))
+
+
+def _copies(a, b, live, q):
+    """a b mod q as one shifted copy of a per live column of b (module doc,
+    Products): summed as they are when len(live) (q-1)^2 < 2^63, each
+    reduced first otherwise."""
+    la, lb = a.shape[-1], b.shape[-1]
+    out = np.zeros((a.shape[:-1] or b.shape[:-1]) + (la + lb - 1,),
+                   dtype=np.int64)
+    _add_copies(out, a, b, live, q, len(live) * (q - 1) ** 2 >= 2 ** 63)
     return _mod(out, q, out=out)
 
 
-def _copies_cost(la, lb, q):
-    """Estimated ns of ``_copies`` with each copy reduced: about four numpy
-    passes over the longer operand per base-2^s digit of ``_mulmod``."""
-    digits = -(-(q - 1).bit_length() // (63 - (q - 1).bit_length()))
-    return min(la, lb) * digits * 4 * (_CALL_NS + _ELEM_NS * max(la, lb))
+def _split(x):
+    """(head, tail indices) of a 1-D x with nonzeros: x[:h] and the indices
+    of the nonzeros past it when the back half of x is sparse, else (x, no
+    tail). A nonempty head costs _TAIL_WEIGHT (one more product) plus h,
+    each tail nonzero _TAIL_WEIGHT, and h minimizes the sum; the head is
+    empty where no cut costs less than every nonzero as tail."""
+    n, half = len(x), len(x) // 2
+    if np.count_nonzero(x[half:]) * _TAIL_WEIGHT >= n - half:
+        return x, _NO_TAIL
+    nz = np.flatnonzero(x)
+    # a cut after nz[i] costs W + nz[i] + 1 + W (n - 1 - i), no head W n
+    lead = nz - np.arange(0, _TAIL_WEIGHT * len(nz), _TAIL_WEIGHT)
+    i = int(lead.argmin())
+    if lead[i] < -1:
+        return x[:nz[i] + 1], nz[i + 1:]
+    return x[:0], nz
+
+
+def _structured(a, b, q, limit):
+    """a b mod q < 2^31 for 1-D a and b from one split of each (module doc,
+    Products); None where neither splits or the lane's estimate is not
+    below ``limit``, the FFT's."""
+    square = a is b
+    ha, ia = _split(a)
+    hb, ib = (ha, ia) if square else _split(b)
+    ta, tb = len(ia), len(ib)
+    if not ta and not tb:
+        return None
+    la, lb = len(a), len(b)
+    # (head, operand, tail indices): one shifted copy of the head per entry
+    pieces = ([(2 * ha % q, a, ia)] if square else [(ha, b, ib), (hb, a, ia)])
+    pieces = [(h, x, idx) for h, x, idx in pieces if len(h) and len(idx)]
+    heads = len(ha) and len(hb)
+    cost = (3 * _CALL_NS + 2 * _ELEM_NS * (la + lb)
+            + min(ta, tb) * (_CALL_NS + _ELEM_NS * max(ta, tb))
+            + sum(len(idx) * (_CALL_NS + _ELEM_NS * len(h))
+                  for h, _, idx in pieces))
+    if heads:
+        cost += (_CALL_NS + len(ha) * len(hb)
+                 if _convolves(min(len(ha), len(hb)), q)
+                 else _fft_cost(len(ha), len(hb), q, square))
+    if cost >= limit:
+        return None
+    reduce = (2 + ta + tb + min(ta, tb)) * (q - 1) ** 2 >= 2 ** 63
+    out = np.zeros(la + lb - 1, dtype=np.int64)
+    if heads:
+        out[:len(ha) + len(hb) - 1] = _mul(ha, hb, q)
+    for h, x, idx in pieces:
+        _add_copies(out, h, x, idx, q, reduce)
+    if ta and tb:  # one copy of the longer tail per entry of the shorter
+        if ta > tb:
+            a, ia, b, ib = b, ib, a, ia
+        tail = b[ib]
+        for i, c in zip(ia.tolist(), a[ia].tolist()):
+            term = tail * c
+            if reduce:
+                _mod(term, q, out=term)
+            out[i + ib] += term
+    return _mod(out, q, out=out)
 
 
 def _mul(a, b, q):
     """Exact product mod q of two canonical residue arrays, canonical and
-    untrimmed; empty when a factor is (module doc, Products). On a stack
-    (either operand 2-D) the product runs row by row (module doc, Stacks)."""
+    untrimmed; empty when a factor is. On a stack (either operand 2-D) the
+    product runs row by row (module doc, Products and Stacks)."""
     la, lb = a.shape[-1], b.shape[-1]
     if not la or not lb:
         return a[..., :0]
-    short = min(la, lb)
-    if a.ndim > 1 or b.ndim > 1:
-        x, y, live = _fewer_live(a, b)
-        if _convolves(short, q) and len(live) <= _STACK_COPIES:
-            return _copies(x, y, live, q)
-        return _fft_mul(a, b, q)
-    if q < _WORD_Q and max(la, lb) > _SHORT_LEN:
-        dense = _dense_cost(la, lb, q, a is b)
-        if dense > _PLAN_NS:
-            cost, run = _structured(a, b, q, dense)
-            if cost < dense:
-                return run()
-    if _convolves(short, q):
+    flat = a.ndim == b.ndim == 1
+    if flat and _convolves(min(la, lb), q):
         return _mod(np.convolve(a, b), q)
-    if (short <= _SHORT_LEN and short * q < 2 ** 63
-            and _copies_cost(la, lb, q) < _dense_cost(la, lb, q, a is b)):
-        return _copies(*_fewer_live(a, b), q)
+    sparse = _sparse_side(a, b, q)
+    if sparse:
+        return _copies(*sparse, q)
+    if flat and q < _WORD_Q:
+        out = _structured(a, b, q, _fft_cost(la, lb, q, a is b))
+        if out is not None:
+            return out
     return _fft_mul(a, b, q)
 
 

@@ -12,7 +12,8 @@ from ellfrob.forms import (FormRing, f_power_coeff, form_evaluate, lambda_1,
                            multinomial_rows)
 from ellfrob.liftp import (CurveContext, k0_poly, lie_verify,
                            lie_verify_commutator)
-from ellfrob.liftp2 import (_laurent_to_locfrac, _row_product, _row_rhs,
+from ellfrob.liftp2 import (_laurent_to_locfrac, _pivot_solve, _row_product,
+                            _row_rhs,
                             _source, eta_pivots, build_lift_mod_p2, d_values,
                             g_pivots,
                             lambda_properties, solve_eigen_numeric,
@@ -94,6 +95,30 @@ def test_eigen_pivots_vanish():
     vs = solve_truncated(p, 1, 1, theta, da, db, d, v0, (p + 7) // 2)
     m_piv = (p + 5) // 2
     assert vs[m_piv] == 0 and vs[m_piv + 1] == 0
+
+
+@pytest.mark.parametrize("p, pairs", [
+    (13, [(5, 5), (11, 11), (3, 11)]),
+    (61, [(32, 12), (52, 59), (21, 19)]),
+    (211, [(145, 92), (190, 62), (6, 81)]),
+])
+def test_pivot_solution_is_the_combination_of_its_streams(p, pairs):
+    """The pivot solve forms v_0..v_((p+7)/2) as v_0 alpha + theta beta +
+    rho from the three streams it ran; that equals the direct solve from
+    (v_0, theta), on each pair alone and on the stack of the three, and
+    solve_eigen_numeric gives the same (v_0, theta, det)."""
+    stack = CurveContext(np.array([a for a, _ in pairs]),
+                         np.array([b for _, b in pairs]), PrimePower(p, 2))
+    for ctx in [ctx2(p, a, b) for a, b in pairs] + [stack]:
+        d, _ = d_values(ctx)
+        v0, theta, det, vs = _pivot_solve(ctx, d)
+        direct = solve_truncated(p, ctx.a % p, ctx.b % p, theta,
+                                 ctx.delta_a() % p, ctx.delta_b() % p, d, v0,
+                                 (p + 7) // 2)
+        assert len(vs) == len(direct) == (p + 9) // 2
+        assert all(np.array_equal(x, y) for x, y in zip(vs, direct))
+        assert all(np.array_equal(x, y) for x, y in
+                   zip(solve_eigen_numeric(ctx, d), (v0, theta, det)))
 
 
 def test_eigen_determinant_is_psi():
@@ -347,18 +372,20 @@ def test_stride_p_times_dense_matches_convolve(monkeypatch):
     alpha = _laurent_to_locfrac(table.alphas[(p + 7) // 2], locs).frobenius().num
     eta = eta_pivots(g_pivots(p), sym_d_values(p, locs), locs)[0].num
     assert min(len(alpha.c), len(eta.c)) > upoly._SHORT_LEN
-    (head, tail, stride), = upoly._splits(alpha.c)
-    assert (len(head), stride) == (0, p) and len(tail) > 8
+    head, tail = upoly._split(alpha.c)
+    assert len(head) == 0 and len(tail) > upoly._COPIES
+    assert set(np.diff(tail).tolist()) == {p}
     runs = []
     real = upoly._structured
 
-    def recording(a, b, q, dense):
-        cost, run = real(a, b, q, dense)
-        return cost, lambda: runs.append(1) or run()
+    def recording(*args):
+        out = real(*args)
+        runs.append(out is not None)
+        return out
 
     monkeypatch.setattr(upoly, "_structured", recording)
     prod = alpha * eta
-    assert runs == [1]
+    assert runs == [True]
     assert (prod.w, prod.lo) == (alpha.w + eta.w, alpha.lo + eta.lo)
     assert np.array_equal(prod.c, np.convolve(alpha.c, eta.c) % p)
 

@@ -128,24 +128,30 @@ def test_stack_ops_match_rows(pm, count, la, lb, flat, extreme, seed):
 
 
 @pytest.mark.parametrize("pm, la, lb, lane", [
-    (PrimePower(29, 2), 90, upoly._STACK_COPIES, "_copies"),
-    (PrimePower(29, 2), 90, upoly._STACK_COPIES + 1, "_fft_mul"),
+    (PrimePower(29, 2), 90, upoly._COPIES, "_copies"),
+    (PrimePower(29, 2), 90, upoly._COPIES + 1, "_fft_mul"),
     (PrimePower(29, 2), 300, upoly._SHORT_LEN + 1, "_fft_mul"),
-    (PrimePower(1291, 3), 20, 4, "_fft_mul"),
+    (PrimePower(1291, 3), 20, 4, "_copies"),
 ])
 def test_stack_product_lane(monkeypatch, pm, la, lb, lane):
-    """Copies when _convolves holds for the shorter length and an operand
-    has at most _STACK_COPIES live columns, the FFT along the last axis
-    otherwise; never np.convolve or the structured lane."""
+    """Copies when an operand has at most _COPIES live columns, at any
+    modulus (at 1291^3 each copy is reduced first), the FFT along the last
+    axis otherwise; never np.convolve or the structured lane. Either way
+    the stack equals each row's product."""
     runs = []
     real = getattr(upoly, lane)
     monkeypatch.setattr(upoly, lane,
                         lambda a, *rest: runs.append(a.ndim) or real(a, *rest))
     rng = random.Random(la)
-    x = stack([draw(rng, pm.q, la, True) for _ in range(3)], pm)
-    y = stack([draw(rng, pm.q, lb, True) for _ in range(3)], pm)
-    assert (x * y).coeffs.shape[0] == 3
+    xs = [draw(rng, pm.q, la, True) for _ in range(3)]
+    ys = [draw(rng, pm.q, lb, True) for _ in range(3)]
+    got = stack(xs, pm) * stack(ys, pm)
+    assert got.coeffs.shape[0] == 3
     assert runs == [2]
+    for row, u, v in zip(rows_of(got, 3), xs, ys):
+        want = (np.convolve(np.array(u, dtype=object),
+                            np.array(v, dtype=object)) % pm.q).tolist()
+        assert row == want[:len(row)] and not any(want[len(row):])
 
 
 def test_equal_rows_gives_one_verdict_per_row():

@@ -1,10 +1,12 @@
-"""The UPoly product paths (int64 convolution, limb-split FFT, structured
-lane) and the residue multiply ``_mulmod`` against references that share no
-code with them, plus the Python-int surface of the array storage."""
+"""The UPoly product paths (int64 convolution, copies, structured lane,
+limb-split FFT) and the residue multiply ``_mulmod`` against references
+that share no code with them, plus the Python-int surface of the array
+storage."""
 
 import decimal
 import hashlib
 import json
+import math
 import random
 
 import numpy as np
@@ -132,17 +134,13 @@ def test_long_times_short_past_the_word(monkeypatch, kind):
 SPARSE_MODULI = [PrimePower(13, 2), PrimePower(211, 3), PrimePower(1289, 3)]
 
 
-def lane_runs(mp):
-    """Record, in the returned list, each product the structured lane
-    computes while the monkeypatch ``mp`` is active."""
+def copies_runs(mp):
+    """Record, in the returned list, each product that ``_mul`` sends to
+    the copies lane while the monkeypatch ``mp`` is active."""
     runs = []
-    real = upoly._structured
-
-    def recording(a, b, q, dense):
-        cost, run = real(a, b, q, dense)
-        return cost, lambda: runs.append(1) or run()
-
-    mp.setattr(upoly, "_structured", recording)
+    real = upoly._copies
+    mp.setattr(upoly, "_copies",
+               lambda *args: runs.append(1) or real(*args))
     return runs
 
 
@@ -164,11 +162,12 @@ def lane_runs(mp):
 def test_sparse_lane_matches_schoolbook(pm, nnz, ls, ld, ends, sparse_left,
                                         top, seed):
     """An operand with at most 8 nonzeros, short (down to 9 coefficients)
-    or long, times a dense one past the convolution lane's length. Past that
-    length on both sides the product takes the structured lane. The sparse
-    operand's last index is always nonzero, so it keeps its length; ``ends``
-    adds index 0. ``top`` draws every coefficient from the largest residues,
-    where the int64 sums are largest."""
+    or long, times a dense one past the convolution lane's length. Past
+    the convolution lane (at 1289^3 even for 9 coefficients) the product
+    takes the copies lane. The sparse operand's last index is always
+    nonzero, so it keeps its length; ``ends`` adds index 0. ``top`` draws
+    every coefficient from the largest residues, where the int64 sums are
+    largest."""
     q = pm.q
     rng = random.Random(seed)
 
@@ -183,11 +182,62 @@ def test_sparse_lane_matches_schoolbook(pm, nnz, ls, ld, ends, sparse_left,
     dense = [residue() for _ in range(ld)]
     a, b = (sparse, dense) if sparse_left else (dense, sparse)
     with pytest.MonkeyPatch.context() as mp:
-        runs = lane_runs(mp)
+        runs = copies_runs(mp)
         prod = UPoly(a, pm) * UPoly(b, pm)
-    if ls > upoly._SHORT_LEN:
-        assert runs == [1]
+    assert runs == ([] if upoly._convolves(min(ls, ld), q) else [1])
     assert prod.coeffs.tolist() == schoolbook(a, b, q)
+
+
+def test_copies_sum_raw_terms_exactly_while_the_live_count_allows():
+    """``_copies`` sums the raw terms of l live columns when l (q-1)^2 <
+    2^63 and reduces each copy first otherwise: each output sums one term
+    per live column. At a prime q near 2^30.4, 4 (q-1)^2 < 2^63 <= 5 (q-1)^2,
+    so 4 live columns sum raw and 5 reduce; with every residue q - 1 the
+    middle outputs sum every term, so a raw sum of 5 would overflow. Both
+    equal schoolbook, called directly and through UPoly."""
+    q = 1400000023
+    assert 4 * (q - 1) ** 2 < 2 ** 63 <= 5 * (q - 1) ** 2
+    pm = PrimePower(q, 1)
+    reduced = []
+    real = upoly._add_copies
+
+    def recording(out, a, b, live, q, reduce):
+        reduced.append(reduce)
+        return real(out, a, b, live, q, reduce)
+
+    dense = [q - 1] * 300
+    for k in (4, 5):
+        sparse = [q - 1 if i % 40 == 0 else 0 for i in range(40 * k - 39)]
+        want = schoolbook(dense, sparse, q)
+        x = np.array(dense, dtype=np.int64)
+        y = np.array(sparse, dtype=np.int64)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(upoly, "_add_copies", recording)
+            got = upoly._copies(x, y, np.flatnonzero(y), q)
+            runs = copies_runs(mp)
+            prod = UPoly(dense, pm) * UPoly(sparse, pm)
+        assert runs == [1]
+        assert schoolbook(got.tolist(), [1], q) == want
+        assert prod.coeffs.tolist() == want
+    assert reduced == [False, False, True, True]
+
+
+def test_copies_keep_the_reduced_sum_below_2_63():
+    """Reduced copies of l live columns sum to at most l (q-1), so the
+    copies lane asks l q < 2^63: at q = (2^31 - 1)^2, just below 2^62, it
+    takes 2 live columns and leaves 3 to the FFT, where 3 reduced copies of
+    q - 1 would overflow. Both equal schoolbook."""
+    pm = PrimePower(2 ** 31 - 1, 2)
+    q = pm.q
+    assert 2 * q < 2 ** 63 <= 3 * q
+    dense = [q - 1] * 200
+    for k, lane in ((2, [1]), (3, [])):
+        sparse = [q - 1 if i % 40 == 0 else 0 for i in range(40 * k - 39)]
+        with pytest.MonkeyPatch.context() as mp:
+            runs = copies_runs(mp)
+            prod = UPoly(dense, pm) * UPoly(sparse, pm)
+        assert runs == lane
+        assert prod.coeffs.tolist() == schoolbook(dense, sparse, q)
 
 
 # q = 997^3 sums up to 9 raw products of residues in an int64; q = 1289^3
@@ -230,9 +280,8 @@ def shaped(kind, g, q, rng, top):
        gb=st.integers(16, 64), same_stride=st.booleans(),
        square=st.booleans(), top=st.booleans(),
        seed=st.integers(0, 2 ** 32 - 1))
-# short heads against long stride tails (the rows of a head), a long head
-# against a few tail entries (shifted copies), two tails on strides 16 and
-# 17 (no common stride) and on 32 and 48 (packed at 16), squares, and
+# short heads against long stride tails, a long head against a few tail
+# entries, two tails on strides 16 and 17 and on 32 and 48, squares, and
 # per-term reduction at 1289^3 next to raw sums at 997^3
 @example(pm=PrimePower(211, 1), kind_a="head+stride", kind_b="short+stride",
          ga=40, gb=40, same_stride=True, square=False, top=False, seed=1)
@@ -246,11 +295,14 @@ def shaped(kind, g, q, rng, top):
          ga=50, gb=50, same_stride=True, square=True, top=True, seed=5)
 @example(pm=PrimePower(211, 3), kind_a="random8", kind_b="head+stride",
          ga=20, gb=30, same_stride=False, square=False, top=True, seed=6)
+@example(pm=PrimePower(997, 3), kind_a="short+stride", kind_b="short+stride",
+         ga=16, gb=16, same_stride=True, square=False, top=True, seed=7)
 def test_structured_lane_matches_schoolbook(pm, kind_a, kind_b, ga, gb,
                                             same_stride, square, top, seed):
-    """Every plan of the structured lane, one per pair of candidate splits
-    (the whole operand as a head included), and the product as UPoly takes
-    it, equal the schoolbook product."""
+    """The structured lane on the one split of each operand, taken whatever
+    its estimate (an infinite FFT estimate), and the product as UPoly takes
+    it, equal the schoolbook product. The lane declines only where neither
+    operand splits."""
     q = pm.q
     rng = random.Random(seed)
     a = shaped(kind_a, ga, q, rng, top)
@@ -260,16 +312,12 @@ def test_structured_lane_matches_schoolbook(pm, kind_a, kind_b, ga, gb,
     x = np.array(a, dtype=np.int64)
     y = x if square else np.array(b, dtype=np.int64)
     x.flags.writeable = y.flags.writeable = False
-
-    def splits(v):
-        return upoly._splits(v) + [(v, upoly._NO_TAIL, 0)]
-
-    pairs = ([(s, s) for s in splits(x)] if square
-             else [(s, t) for s in splits(x) for t in splits(y)])
-    for sa, sb in pairs:
-        _, run = upoly._plan(x, y, q, sa, sb)
-        if run is not None:
-            assert schoolbook(run().tolist(), [1], q) == want
+    if np.count_nonzero(x) and np.count_nonzero(y):
+        got = upoly._structured(x, y, q, math.inf)
+        splits = [len(upoly._split(v)[1]) for v in (x, y)]
+        assert (got is None) == (splits == [0, 0])
+        if got is not None:
+            assert schoolbook(got.tolist(), [1], q) == want
     ux = UPoly(a, pm)
     prod = ux * ux if square else ux * UPoly(b, pm)
     assert prod.coeffs.tolist() == want

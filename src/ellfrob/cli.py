@@ -154,17 +154,17 @@ def cmd_eigen(args):
     _require_prime(args.p)
     if args.a is not None:
         ctx = CurveContext(args.a, args.b, PrimePower(args.p, 2))
-        v0, theta, det = solve_eigen_numeric(ctx)
+        v0, theta, det, _ = solve_eigen_numeric(ctx)
         _emit({"p": args.p, "a": args.a, "b": args.b,
                "v0": v0, "theta": theta, "det": det}, args.out)
         return 0
-    sym = solve_eigen_symbolic(args.p)
-    slots = {}
-    for name, frac in (("const", sym.theta_const), ("z4prime", sym.theta_da),
-                       ("z6prime", sym.theta_db)):
-        slots[name] = {"num": frac.num.to_json(), "den": dict(frac.den)}
+    theta, det = solve_eigen_symbolic(args.p)
+    slots = {name: {"num": frac.num.to_json(), "den": dict(frac.den)}
+             for name, frac in (("const", theta.gamma_k),
+                                ("z4prime", theta.gamma_4),
+                                ("z6prime", theta.gamma_6))}
     _emit({"p": args.p, "theta": slots,
-           "det": {"num": sym.det.num.to_json(), "den": dict(sym.det.den)}},
+           "det": {"num": det.num.to_json(), "den": dict(det.den)}},
           args.out)
     return 0
 

@@ -2,8 +2,12 @@
 calculus with its mod-p / mod-p^2 weight criteria.
 
 A quasi-linear form of weak weight k is Gamma_k + Gamma_{k-4p} z4' +
-Gamma_{k-6p} z6'. Tangential means the derivative coefficients carry a
-factor p; the starred coefficients are those divided by p.
+Gamma_{k-6p} z6', its coefficients fractions over a LocalizerSet
+(``form_localizers``: z4, z6, Delta, H and, for the pivot system, Psi).
+Tangential means the derivative coefficients carry a factor p; the starred
+coefficients are those divided by p. The mod-p^2 eigenvalue lambda =
+lambda0 (1 + p Theta) gives one such form: Theta, of weight 0 over the
+Psi-localized set mod p (liftp2.solve_eigen_symbolic).
 
 Multinomials. The x^(3i+j) z4^j z6^k coefficient of f^n = (x^3 + z4 x +
 z6)^n, i + j + k = n, is n!/(i! j! k!). On the j-line, row dg = 3i + j has
@@ -122,52 +126,44 @@ def classify_pair(a, b, p, sigmas=()):
             "sigma_units": sigma_units}
 
 
-class FormRing:
-    """The localized fraction ring at working precision m."""
-
-    def __init__(self, p, m=2):
-        self.p = p
-        self.pm = PrimePower(p, m)
-        self.locs = LocalizerSet(self.pm, hasse_poly(p, self.pm))
-
-    def frac(self, terms, den=None):
-        return LocFrac(WPoly(terms, self.pm), den or {}, self.locs)
-
-    def const(self, c):
-        return LocFrac.from_int(c, self.locs)
-
-    def zero(self):
-        return LocFrac.zero(self.locs)
+def form_localizers(p, m=2, psi=None):
+    """The LocalizerSet the forms are taken over: z4, z6, Delta and H mod
+    p^m, and the pivot polynomial Psi when given."""
+    pm = PrimePower(p, m)
+    return LocalizerSet(pm, hasse_poly(p, pm), psi)
 
 
 class QuasiLinearForm:
-    """Gamma_k + Gamma_4 z4' + Gamma_6 z6' of weak weight k.
+    """Gamma_k + Gamma_4 z4' + Gamma_6 z6' of weak weight k, its slots
+    fractions over locs (a LocalizerSet), of weighted degrees k, k - 4p and
+    k - 6p, checked here (DegreeMismatch).
 
     For tangential forms Gamma_4 = p * star_4 and Gamma_6 = p * star_6 with
     the starred parts stored explicitly (they are what the mod-p^2 criterion
     sees; the p factor is not recoverable from a mod-p^m residue).
     """
 
-    def __init__(self, ring, k, gamma_k, gamma_4=None, gamma_6=None,
+    def __init__(self, locs, k, gamma_k, gamma_4=None, gamma_6=None,
                  star_4=None, star_6=None):
-        self.ring = ring
+        p, zero = locs.pm.p, LocFrac.zero(locs)
+        self.locs = locs
         self.k = k
         self.gamma_k = gamma_k
         self.tangential = star_4 is not None or star_6 is not None
         if self.tangential:
-            star_4 = star_4 if star_4 is not None else ring.zero()
-            star_6 = star_6 if star_6 is not None else ring.zero()
+            star_4 = star_4 if star_4 is not None else zero
+            star_6 = star_6 if star_6 is not None else zero
             if gamma_4 is not None or gamma_6 is not None:
                 raise InternalMismatch("tangential form takes star parts, "
                                        "not gamma_4/gamma_6")
-            gamma_4 = star_4.scale(ring.p)
-            gamma_6 = star_6.scale(ring.p)
-        self.gamma_4 = gamma_4 if gamma_4 is not None else ring.zero()
-        self.gamma_6 = gamma_6 if gamma_6 is not None else ring.zero()
+            gamma_4 = star_4.scale(p)
+            gamma_6 = star_6.scale(p)
+        self.gamma_4 = gamma_4 if gamma_4 is not None else zero
+        self.gamma_6 = gamma_6 if gamma_6 is not None else zero
         self.star_4 = star_4
         self.star_6 = star_6
-        for frac, d in ((self.gamma_k, k), (self.gamma_4, k - 4 * ring.p),
-                        (self.gamma_6, k - 6 * ring.p)):
+        for frac, d in ((self.gamma_k, k), (self.gamma_4, k - 4 * p),
+                        (self.gamma_6, k - 6 * p)):
             wd = frac.weighted_degree()
             if wd is not None and wd != d:
                 raise DegreeMismatch("coefficient degree %r != %r" % (wd, d))
@@ -182,21 +178,19 @@ def _vanishes_mod_p(frac):
 
 def weight_check_mod_p(form):
     """4 z4^p Gamma_{k-4p} + 6 z6^p Gamma_{k-6p} = 0 mod p."""
-    ring = form.ring
-    p = ring.p
-    return _vanishes_mod_p(form.gamma_4 * WPoly.monomial(4, p, 0, ring.pm)
-                           + form.gamma_6 * WPoly.monomial(6, 0, p, ring.pm))
+    pm = form.locs.pm
+    return _vanishes_mod_p(form.gamma_4 * WPoly.monomial(4, pm.p, 0, pm)
+                           + form.gamma_6 * WPoly.monomial(6, 0, pm.p, pm))
 
 
 def weight_check_mod_p2(form):
     """Gamma_k + 4 z4^p star_4 + 6 z6^p star_6 = 0 mod p."""
-    ring = form.ring
     if not form.tangential:
         raise NotTangential("mod-p^2 criterion needs a tangential form")
-    p = ring.p
+    pm = form.locs.pm
     return _vanishes_mod_p(form.gamma_k
-                           + form.star_4 * WPoly.monomial(4, p, 0, ring.pm)
-                           + form.star_6 * WPoly.monomial(6, 0, p, ring.pm))
+                           + form.star_4 * WPoly.monomial(4, pm.p, 0, pm)
+                           + form.star_6 * WPoly.monomial(6, 0, pm.p, pm))
 
 
 def form_evaluate(form, a, b):
@@ -205,7 +199,7 @@ def form_evaluate(form, a, b):
     a, b are exact integer representatives (the p-derivation needs the value
     mod p^(m+1), so the canonical lift convention is: the integer itself).
     """
-    pm = form.ring.pm
+    pm = form.locs.pm
     q = pm.q
     da = delta_scalar(a, pm)
     db = delta_scalar(b, pm)
@@ -226,65 +220,68 @@ def c_power_w(c, w, pm):
 
 def weight_definition_probe(form, a, b, c, w, precision=None):
     """Does F(c^4 a, c^6 b) = c^w F(a, b) hold mod p^precision at this
-    sample? precision defaults to the ring's working precision."""
-    ring = form.ring
-    pm = ring.pm
-    q = pm.q
+    sample? precision defaults to the working precision of the form's
+    localizers."""
+    pm = form.locs.pm
     lhs = form_evaluate(form, c ** 4 * a, c ** 6 * b)
-    rhs = c_power_w(c, w, pm) * form_evaluate(form, a, b) % q
+    rhs = c_power_w(c, w, pm) * form_evaluate(form, a, b) % pm.q
     if precision is None:
         precision = pm.m
-    return (lhs - rhs) % ring.p ** precision == 0
+    return (lhs - rhs) % pm.p ** precision == 0
 
 
-def lambda_1(ring):
+def lambda_1(locs):
     """(1/H) times unit_form_delta.
 
     Weak weight 1-p; reduces to 1/H mod p.
     """
-    inv_h = LocFrac(WPoly.const(1, ring.pm), {"H": 1}, ring.locs)
-    unit = unit_form_delta(ring)
-    return QuasiLinearForm(ring, 1 - ring.p, inv_h, star_4=unit.star_4 * inv_h,
+    inv_h = LocFrac(WPoly.const(1, locs.pm), {"H": 1}, locs)
+    unit = unit_form_delta(locs)
+    return QuasiLinearForm(locs, 1 - locs.pm.p, inv_h,
+                           star_4=unit.star_4 * inv_h,
                            star_6=unit.star_6 * inv_h)
 
 
-def unit_form_z4(ring):
+def unit_form_z4(locs):
     """1 - p z4' / (4 z4^p)."""
-    p = ring.p
-    s4 = LocFrac(WPoly.const(-inv_mod(4, ring.pm.q), ring.pm), {"z4": p}, ring.locs)
-    return QuasiLinearForm(ring, 0, ring.const(1), star_4=s4)
+    pm = locs.pm
+    s4 = LocFrac(WPoly.const(-inv_mod(4, pm.q), pm), {"z4": pm.p}, locs)
+    return QuasiLinearForm(locs, 0, LocFrac.from_int(1, locs), star_4=s4)
 
 
-def unit_form_z6(ring):
+def unit_form_z6(locs):
     """1 - p z6' / (6 z6^p)."""
-    p = ring.p
-    s6 = LocFrac(WPoly.const(-inv_mod(6, ring.pm.q), ring.pm), {"z6": p}, ring.locs)
-    return QuasiLinearForm(ring, 0, ring.const(1), star_6=s6)
+    pm = locs.pm
+    s6 = LocFrac(WPoly.const(-inv_mod(6, pm.q), pm), {"z6": pm.p}, locs)
+    return QuasiLinearForm(locs, 0, LocFrac.from_int(1, locs), star_6=s6)
 
 
-def unit_form_delta(ring):
+def unit_form_delta(locs):
     """1 - p (2 z4^(2p) z4' + 9 z6^p z6') / (2 Delta^p)."""
-    p = ring.p
-    den = {"delta": p}
-    s4 = LocFrac(WPoly.monomial(-1, 2 * p, 0, ring.pm), den, ring.locs)
-    s6 = LocFrac(WPoly.monomial(-9 * inv_mod(2, ring.pm.q), 0, p, ring.pm),
-                 den, ring.locs)
-    return QuasiLinearForm(ring, 0, ring.const(1), star_4=s4, star_6=s6)
+    pm = locs.pm
+    den = {"delta": pm.p}
+    s4 = LocFrac(WPoly.monomial(-1, 2 * pm.p, 0, pm), den, locs)
+    s6 = LocFrac(WPoly.monomial(-9 * inv_mod(2, pm.q), 0, pm.p, pm), den,
+                 locs)
+    return QuasiLinearForm(locs, 0, LocFrac.from_int(1, locs), star_4=s4,
+                           star_6=s6)
 
 
-def slope_form_printed(ring):
+def slope_form_printed(locs):
     """(2 z4^p z6' - 3 z6^p z6') / Delta^p, as printed in the source it was
     taken from; both derivative slots land on z6'. The numerator adds
     weights 4p and 6p, so building it raises DegreeMismatch."""
-    p = ring.p
-    g6 = LocFrac(WPoly({(p, 0): 2, (0, p): -3}, ring.pm), {"delta": p}, ring.locs)
-    return QuasiLinearForm(ring, -2 * p, ring.zero(), gamma_6=g6)
+    pm = locs.pm
+    g6 = LocFrac(WPoly({(pm.p, 0): 2, (0, pm.p): -3}, pm), {"delta": pm.p},
+                 locs)
+    return QuasiLinearForm(locs, -2 * pm.p, LocFrac.zero(locs), gamma_6=g6)
 
 
-def slope_form_variant(ring):
+def slope_form_variant(locs):
     """(2 z4^p z6' - 3 z6^p z4') / Delta^p, the balanced variant."""
-    p = ring.p
-    den = {"delta": p}
-    g4 = LocFrac(WPoly.monomial(-3, 0, p, ring.pm), den, ring.locs)
-    g6 = LocFrac(WPoly.monomial(2, p, 0, ring.pm), den, ring.locs)
-    return QuasiLinearForm(ring, -2 * p, ring.zero(), gamma_4=g4, gamma_6=g6)
+    pm = locs.pm
+    den = {"delta": pm.p}
+    g4 = LocFrac(WPoly.monomial(-3, 0, pm.p, pm), den, locs)
+    g6 = LocFrac(WPoly.monomial(2, pm.p, 0, pm), den, locs)
+    return QuasiLinearForm(locs, -2 * pm.p, LocFrac.zero(locs), gamma_4=g4,
+                           gamma_6=g6)

@@ -70,9 +70,9 @@ class CurveContext:
         self.ordinary = self.h_val % pm.p != 0
         self.lambda0 = (_inverse(self.h_val, pm) if _holds(self.ordinary)
                         else None)
-        # f per precision (with its powers), K per precision, delta(a) and
-        # delta(b) mod p^m, and the mod-p^2 pivot solve, each formed once per
-        # context; they go when the context does
+        # f per precision (with its powers), K per precision, and delta(a)
+        # and delta(b) mod p^m, each formed once per context; they go when
+        # the context does
         self.memo = {}
 
     def f_at(self, prec):

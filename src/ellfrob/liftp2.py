@@ -1,6 +1,8 @@
 """Mod-p^2 Lie invariant lifts: the linear system in the V-coefficients,
 its truncation and stabilization, the 2x2 eigenvalue solve (numeric and
 symbolic), and the b = 0 branch, where the rows are solved for v_(s-1).
+The symbolic lane gives Theta as a quasi-linear form of weight 0 mod p
+(forms.QuasiLinearForm), evaluated at a pair by forms.form_evaluate.
 
 The lift is assembled as Z = W + V(x^p) + p U(x)/f(x)^p with eigenvalue
 lambda = lambda0 (1 + p theta). The v_j and U only matter mod p: they enter
@@ -9,7 +11,7 @@ turns x^(jp) terms into p-multiples.
 
 Stacks. The numeric lane also runs on a stack of pairs (liftp module doc,
 Stacks), a context whose a and b are int64 arrays: d_values, the row
-solves (_source, _row_rhs, solve_truncated, _solve_b0),
+solves (sources, _row_rhs, solve_truncated, _solve_b0),
 stabilization_check, solve_eigen_numeric, assemble_lift and
 build_lift_mod_p2 then take and give per-row arrays where one pair has
 ints, and an int among arrays stands for every row. Each check gives each
@@ -31,14 +33,14 @@ from .errors import (BNotUnit, DegreeMismatch, InternalMismatch,
                      NotOrdinary, NotStabilized,
                      PrecisionOutOfRange, PropertyViolation, SigmaSingular,
                      TOutOfRange)
-from .forms import hasse_poly, multinomial_rows
+from .forms import QuasiLinearForm, form_localizers, multinomial_rows
 from .liftp import (CurveContext, FrobLift, _holds, _inverse, _refuse,
                     _y_poly, df_xp, k0_poly, w_poly)
 from .psi import (G_SOURCES, _Rows, laurent_stream, psi_table,
                   require_stream_room)
-from .residue import PrimePower, delta_scalar, inv_mod
+from .residue import PrimePower, inv_mod
 from .upoly import FracPoly, UPoly, _mulmod, unit_inverses
-from .wpoly import LocFrac, LocalizerSet, WPoly
+from .wpoly import LocFrac, WPoly
 
 
 # ---------------------------------------------------------------- numeric lane
@@ -60,21 +62,19 @@ def d_values(ctx):
     return [0] + [dpoly.coeff(s * p - 1) for s in range(1, 5)], w0
 
 
-def _source(s, p, u, theta, da, db, d):
+def sources(p, u, theta, da, db, d):
+    """The inhomogeneous terms c_s + d_s + e_s + f_s of rows s = 0..4 mod p
+    (row 0 has none, nor has any row past 4): delta(b)/2 at row 1,
+    (a^p theta + delta(a))/2 at row 2 and 3 theta/2 at row 4, plus d_s
+    from the list d (d_values), taken as 0 past its end."""
     inv2 = inv_mod(2, p)
-    src = d[s] if s < len(d) else 0
-    if s == 1:
-        src = src + db * inv2
-    elif s == 2:
-        src = src + (u * theta + da) % p * inv2
-    elif s == 4:
-        src = src + 3 * theta * inv2
-    return src % p
+    extra = [0, db * inv2, (u * theta + da) % p * inv2, 0, 3 * theta * inv2]
+    return [((d[s] if s < len(d) else 0) + extra[s]) % p for s in range(5)]
 
 
-def _row_rhs(s, p, u, theta, da, db, d, vs):
-    """(3/2-s) a^p v_(s-1) + (9/2-s) v_(s-3) + sources, with v beyond the
-    list taken to be 0."""
+def _row_rhs(s, p, u, src, vs):
+    """(3/2-s) a^p v_(s-1) + (9/2-s) v_(s-3) + src[s], with v beyond the
+    list and src beyond its end taken to be 0."""
     inv2 = inv_mod(2, p)
 
     def v(i):
@@ -82,13 +82,13 @@ def _row_rhs(s, p, u, theta, da, db, d, vs):
 
     t = ((3 - 2 * s) * inv2 % p * u % p * v(s - 1)
          + (9 - 2 * s) * inv2 % p * v(s - 3))
-    return (t + _source(s, p, u, theta, da, db, d)) % p
+    return (t + (src[s] if s < len(src) else 0)) % p
 
 
-def solve_truncated(p, u, v_unit, theta, da, db, d, v0, t_max):
+def solve_truncated(p, u, v_unit, src, v0, t_max):
     """The unique mod-p solution v_0..v_T of the first T rows
-    s b^p v_s = (3/2-s) a^p v_(s-1) + (9/2-s) v_(s-3) + c_s+d_s+e_s+f_s,
-    for b a unit and 1 <= T <= p-1."""
+    s b^p v_s = (3/2-s) a^p v_(s-1) + (9/2-s) v_(s-3) + src[s], for b a
+    unit, 1 <= T <= p-1 and src a ``sources`` list."""
     _refuse(v_unit % p != 0, u, v_unit, BNotUnit,
             "b = 0 at (a, b) = (%d, %d) mod %d: rows cannot be solved for v_s",
             p)
@@ -97,12 +97,12 @@ def solve_truncated(p, u, v_unit, theta, da, db, d, v0, t_max):
     inv_v = _inverse(v_unit % p, PrimePower(p, 1))
     vs = [v0 % p]
     for s in range(1, t_max + 1):
-        rhs = _row_rhs(s, p, u, theta, da, db, d, vs)
+        rhs = _row_rhs(s, p, u, src, vs)
         vs.append(rhs * inv_mod(s, p) % p * inv_v % p)
     return vs
 
 
-def stabilization_check(p, u, v_unit, theta, da, db, d, vs):
+def stabilization_check(p, u, v_unit, src, vs):
     """Require the two pivots v_((p+5)/2), v_((p+7)/2) to vanish, truncate
     at (p+3)/2, and re-verify every row up to s = (p+13)/2 against the
     truncated solution (rows beyond that have all terms identically 0)."""
@@ -114,24 +114,17 @@ def stabilization_check(p, u, v_unit, theta, da, db, d, vs):
     ok = True
     for s in range(1, (p + 13) // 2 + 1):
         lhs = s * v_unit % p * (truncated[s] if s < len(truncated) else 0) % p
-        ok = ok & (lhs == _row_rhs(s, p, u, theta, da, db, d, truncated))
+        ok = ok & (lhs == _row_rhs(s, p, u, src, truncated))
     _refuse(ok, u, v_unit, NotStabilized,
             "a row fails after truncation at (a, b) = (%d, %d) mod %d", p)
     return truncated
 
 
 def solve_eigen_numeric(ctx, d=None):
-    """theta and v_0 forcing the two pivot coefficients to vanish, and the
-    pivot determinant (``_pivot_solve``). d is the d_values list, computed
-    here when not given."""
-    if d is None:
-        d, _ = d_values(ctx)
-    return _pivot_solve(ctx, d)[:3]
-
-
-def _pivot_solve(ctx, d):
-    """(v0, theta, det, vs): the pivot solve and its solution v_0..v_T,
-    T = (p+7)/2, formed once per context (kept in ctx.memo).
+    """(v0, theta, det, vs): theta and v_0 forcing the two pivot
+    coefficients to vanish, the pivot determinant, and the solution
+    v_0..v_T, T = (p+7)/2. d is the d_values list, computed here when not
+    given.
 
     v_n is affine in (v_0, theta): run the indicator streams alpha (v_0=1),
     beta (theta=1) and the inhomogeneous stream rho to row T, then solve the
@@ -139,16 +132,16 @@ def _pivot_solve(ctx, d):
     pair is sigma-singular for this construction. The solution is then
     v_0 alpha + theta beta + rho, row by row, with no fourth stream.
     """
-    if "pivot" in ctx.memo:
-        return ctx.memo["pivot"]
+    if d is None:
+        d, _ = d_values(ctx)
     p = ctx.p
     u, v_unit = ctx.a % p, ctx.b % p  # a^p = a mod p
-    da, db = ctx.delta_a() % p, ctx.delta_b() % p
     m_piv = (p + 5) // 2
     t_max = m_piv + 1
-    alpha = solve_truncated(p, u, v_unit, 0, 0, 0, [0], 1, t_max)
-    beta = solve_truncated(p, u, v_unit, 1, 0, 0, [0], 0, t_max)
-    rho = solve_truncated(p, u, v_unit, 0, da, db, d, 0, t_max)
+    alpha = solve_truncated(p, u, v_unit, [], 1, t_max)
+    beta = solve_truncated(p, u, v_unit, sources(p, u, 1, 0, 0, []), 0, t_max)
+    rho = solve_truncated(p, u, v_unit, sources(
+        p, u, 0, ctx.delta_a() % p, ctx.delta_b() % p, d), 0, t_max)
     det = (alpha[m_piv] * beta[m_piv + 1]
            - alpha[m_piv + 1] * beta[m_piv]) % p
     _refuse(det != 0, ctx.a, ctx.b, SigmaSingular,
@@ -159,8 +152,7 @@ def _pivot_solve(ctx, d):
     theta = ((rho[m_piv] * alpha[m_piv + 1] - rho[m_piv + 1] * alpha[m_piv])
              % p * det_inv % p)
     vs = [(v0 * x + theta * y + z) % p for x, y, z in zip(alpha, beta, rho)]
-    ctx.memo["pivot"] = v0, theta, det, vs
-    return ctx.memo["pivot"]
+    return v0, theta, det, vs
 
 
 def _solve_b0(ctx, d):
@@ -179,12 +171,13 @@ def _solve_b0(ctx, d):
     alpha = (alpha2 + alpha4) * inv2 % p
     da, db = ctx.delta_a() % p, ctx.delta_b() % p
     theta = (-da * inv_u % p * inv_mod(4, p) - alpha) % p
+    src = sources(p, u, theta, da, db, d)
 
     s_special = (p + 3) // 2
     vs = []
     for s in range(1, (p + 9) // 2 + 1):
         # v_(s-1) is not in vs yet, so _row_rhs drops its term
-        rhs = _row_rhs(s, p, u, theta, da, db, d, vs)
+        rhs = _row_rhs(s, p, u, src, vs)
         if s == s_special:
             _refuse(rhs == 0, ctx.a, ctx.b, InternalMismatch,
                     "degenerate row %d fails at (%%d, %%d) mod %%d" % s, p)
@@ -255,11 +248,8 @@ def build_lift_mod_p2(ctx):
     if ctx.pm.m < 2:
         raise PrecisionOutOfRange("mod-p^2 construction needs a precision-2 "
                                   "context, got p^%d" % ctx.pm.m)
-    _refuse(ctx.ordinary, ctx.a, ctx.b, NotOrdinary, "H(%d, %d) = 0 mod %d",
-            p)
+    d, w0 = d_values(ctx)  # refuses a pair that is not ordinary
     u, v_unit = ctx.a % p, ctx.b % p  # a^p = a and b^p = b mod p
-    da, db = ctx.delta_a() % p, ctx.delta_b() % p
-    d, w0 = d_values(ctx)
     if _holds(v_unit == 0):
         branch = "b0"
         v0, theta, vs = _solve_b0(ctx, d)
@@ -267,9 +257,9 @@ def build_lift_mod_p2(ctx):
         # a stack with some b = 0 rows stops at BNotUnit in solve_truncated
         branch = (np.where(u != 0, "general", "a0")
                   if isinstance(u, np.ndarray) else "general" if u else "a0")
-        v0, theta, _ = solve_eigen_numeric(ctx, d)
-        vs = _pivot_solve(ctx, d)[3]  # kept on ctx by that solve
-    vs = stabilization_check(p, u, v_unit, theta, da, db, d, vs)
+        v0, theta, _, vs = solve_eigen_numeric(ctx, d)
+    src = sources(p, u, theta, ctx.delta_a() % p, ctx.delta_b() % p, d)
+    vs = stabilization_check(p, u, v_unit, src, vs)
     lift = assemble_lift(ctx, theta, vs, w0)
     info = {"branch": branch, "theta": theta, "v0": v0, "vs": vs}
     return lift, info
@@ -357,17 +347,6 @@ def _laurent_to_locfrac(lau, locs):
                    {"z6": shift}, locs)
 
 
-class SymbolicEigen:
-    """Theta = t_const + t_da z4' + t_db z6' as localized fractions mod p,
-    together with the pivot determinant."""
-
-    def __init__(self, p, locs, theta_slots, det):
-        self.p = p
-        self.locs = locs
-        self.theta_const, self.theta_da, self.theta_db = theta_slots
-        self.det = det
-
-
 def g_pivots(p):
     """G_1..G_4 mod p (psi module doc) at the pivot rows M and M+1,
     M = (p+5)/2, from their own sources: gs[s][n] is row n of G_s as a
@@ -401,16 +380,18 @@ def eta_pivots(gs, ds, locs):
 
 
 def solve_eigen_symbolic(p):
-    """Cramer solve of the pivot system over the fraction ring localized at
-    z4, z6, Delta, H and the pivot polynomial Psi. det, Theta_z4' and
+    """(Theta, det): the Cramer solve of the pivot system over the fraction
+    ring localized at z4, z6, Delta, H and the pivot polynomial Psi, Theta
+    the quasi-linear form Theta_const + Theta_z4' z4' + Theta_z6' z6' of
+    weight 0 mod p (forms.QuasiLinearForm, which checks the slot degrees 0,
+    -4p and -6p) and det the pivot determinant. det, Theta_z4' and
     Theta_z6' are solved on the (U, V) = (z4^p, z6^p) rows at stride 1 and
     composed once by LocFrac.frobenius, a ring map mod p: each localizer L
     has F_p coefficients, so L(z4^p, z6^p) = L^p. Only the eta pivots,
     dense in z4 and z6 through the d_s, meet composed alpha rows."""
     require_stream_room(p, 6)  # alpha and beta, then G_1..G_4
-    pm1 = PrimePower(p, 1)
     table = psi_table(p)
-    locs = LocalizerSet(pm1, hasse_poly(p, pm1), table.psi_big)
+    locs = form_localizers(p, 1, table.psi_big)
     m_piv = (p + 5) // 2
     half = inv_mod(2, p)
 
@@ -431,8 +412,8 @@ def solve_eigen_symbolic(p):
     e_m, e_m1 = eta_pivots(gs, sym_d_values(p, locs), locs)
     theta_const = det_inv.frobenius() * (a_m1.frobenius() * e_m
                                          - a_m.frobenius() * e_m1)
-    return SymbolicEigen(p, locs, (theta_const, theta_da, theta_db),
-                         det.frobenius())
+    return (QuasiLinearForm(locs, 0, theta_const, gamma_4=theta_da,
+                            gamma_6=theta_db), det.frobenius())
 
 
 def _eq_at_z4_zero(x, y):
@@ -445,40 +426,23 @@ def _eq_at_z4_zero(x, y):
     return a.restrict_z4_zero() == b.restrict_z4_zero()
 
 
-def lambda_properties(sym):
-    """Checks on Theta from the symbolic solve: quasi-linearity is built in,
-    so verify the slot degrees (0, -4p, -6p) and, for p = 1 mod 3, the a -> 0
-    specialization Theta = -z6'/(6 z6^p) - beta."""
-    p = sym.p
-    locs = sym.locs
-    for name, frac, want in (("const", sym.theta_const, 0),
-                             ("z4'", sym.theta_da, -4 * p),
-                             ("z6'", sym.theta_db, -6 * p)):
-        wd = frac.weighted_degree()
-        if wd is not None and wd != want:
-            raise PropertyViolation("Theta %s slot has degree %r, want %d"
-                                    % (name, wd, want))
+def lambda_properties(theta):
+    """Checks on the Theta of the symbolic solve: quasi-linearity and the
+    slot degrees (0, -4p, -6p) are the QuasiLinearForm's own; for p = 1
+    mod 3, the a -> 0 specialization Theta = -z6'/(6 z6^p) - beta."""
+    locs = theta.locs
+    p = locs.pm.p
     result = {"degrees_ok": True, "a0_checked": False}
     if p % 3 == 1:
         beta = branch_constants(p)["beta"]
         tgt_db = LocFrac(WPoly.const(-inv_mod(6, p), locs.pm), {"z6": p}, locs)
         tgt_const = LocFrac(WPoly.const(-beta, locs.pm), {}, locs)
-        if not sym.theta_da.num.restrict_z4_zero().is_zero():
+        if not theta.gamma_4.num.restrict_z4_zero().is_zero():
             raise PropertyViolation("Theta z4' slot nonzero at z4 = 0")
-        if not _eq_at_z4_zero(sym.theta_db, tgt_db):
+        if not _eq_at_z4_zero(theta.gamma_6, tgt_db):
             raise PropertyViolation("Theta z6' slot wrong at z4 = 0")
-        if not _eq_at_z4_zero(sym.theta_const, tgt_const):
+        if not _eq_at_z4_zero(theta.gamma_k, tgt_const):
             raise PropertyViolation("Theta constant slot wrong at z4 = 0")
         result["a0_checked"] = True
         result["beta"] = beta
     return result
-
-
-def theta_evaluate(sym, a, b):
-    """Value of Theta at an eligible pair (a, b are exact integers)."""
-    pm2 = PrimePower(sym.p, 2)
-    da = delta_scalar(a, pm2) % sym.p
-    db = delta_scalar(b, pm2) % sym.p
-    return (sym.theta_const.evaluate(a, b)
-            + sym.theta_da.evaluate(a, b) * da
-            + sym.theta_db.evaluate(a, b) * db) % sym.p

@@ -386,11 +386,12 @@ def _sparse_side(a, b, q):
 def _add_copies(out, a, b, live, q, reduce):
     """Add to out one copy of a per live column j of b, times that column
     and shifted by j, each reduced below q through ``_mulmod`` first when
-    asked."""
+    asked. A column of a 1-D b is an int, whose digits ``_mulmod`` runs
+    only from its leading one; on a stack it is the column of rows."""
     la = a.shape[-1]
     term = np.empty(out.shape[:-1] + (la,), dtype=np.int64)
     for j in live.tolist():
-        c = b[..., j:j + 1]
+        c = b[..., j:j + 1] if b.ndim > 1 else int(b[j])
         out[..., j:j + la] += (_mulmod(a, c, q) if reduce
                                else np.multiply(a, c, out=term))
 

@@ -8,7 +8,8 @@ import pytest
 
 from ellfrob.errors import (DegreeMismatch, NotOrdinary, NotStabilized,
                             SingularPair)
-from ellfrob.forms import (FormRing, QuasiLinearForm, hasse_poly, lambda_1,
+from ellfrob.forms import (QuasiLinearForm, form_evaluate, form_localizers,
+                           hasse_poly, lambda_1,
                            slope_form_printed, slope_form_variant,
                            unit_form_delta, unit_form_z4, unit_form_z6,
                            weight_check_mod_p, weight_check_mod_p2,
@@ -17,8 +18,7 @@ from ellfrob.liftp import CurveContext, build_lift_mod_p, lie_verify, \
     lie_verify_commutator
 from ellfrob.liftp2 import (build_lift_mod_p2, d_values, lambda_properties,
                             solve_eigen_numeric, solve_eigen_symbolic,
-                            solve_truncated, stabilization_check,
-                            theta_evaluate)
+                            solve_truncated, sources, stabilization_check)
 from ellfrob.psi import clear_psi, conjecture_scan, exact_psi_table, psi_mod_p
 from ellfrob.residue import PrimePower, delta_scalar, inv_mod
 from ellfrob.verify import exhaustive_verify
@@ -159,7 +159,10 @@ def test_criterion_4_mod_p2_existence():
 
 def test_criterion_5_eigenvalue_structure():
     for p in (13, 17):
-        sym = solve_eigen_symbolic(p)
+        # Theta: a quasi-linear form of weight 0, its slot degrees checked
+        # as it is built
+        sym, _ = solve_eigen_symbolic(p)
+        assert sym.k == 0 and not sym.tangential
         out = lambda_properties(sym)
         assert out["degrees_ok"]
         assert out["a0_checked"] == (p % 3 == 1)
@@ -174,16 +177,15 @@ def test_criterion_5_eigenvalue_structure():
                 continue
             if not ctx.ordinary or ctx.a % p == 0 or ctx.b % p == 0:
                 continue
-            _, theta, _ = solve_eigen_numeric(ctx)
-            assert theta_evaluate(sym, a, b) == theta
+            _, theta, _, _ = solve_eigen_numeric(ctx)
+            assert form_evaluate(sym, a, b) == theta
             # Lambda = H^{-1}(1 + p Theta) reduces to H^{-1} mod p
             lift, _ = build_lift_mod_p2(ctx)
             assert lift.lam % p == inv_mod(ctx.h_val, p)
             assert lift.lam == ctx.lambda0 * (1 + p * theta) % p ** 2
             done += 1
         # Lambda_1 itself: tangential of weak weight 1-p
-        ring = FormRing(p)
-        form = lambda_1(ring)
+        form = lambda_1(form_localizers(p))
         assert form.k == 1 - p and form.tangential
         assert weight_check_mod_p2(form)
     report(5, "eigenvalue structure")
@@ -191,18 +193,18 @@ def test_criterion_5_eigenvalue_structure():
 
 # --------------------------------------------------------------- criterion 6
 
-def _rand_monomial_frac(ring, rng):
+def _rand_monomial_frac(locs, rng):
     """A random monomial z4^i z6^j / delta^d with a unit coefficient."""
     i, j = rng.randrange(4), rng.randrange(4)
     d = rng.randrange(2)
-    c = rng.randrange(1, ring.p)
-    num = WPoly.monomial(c, i, j, ring.pm)
-    return LocFrac(num, {"delta": d} if d else {}, ring.locs), 4 * i + 6 * j - 12 * d
+    c = rng.randrange(1, locs.pm.p)
+    num = WPoly.monomial(c, i, j, locs.pm)
+    return LocFrac(num, {"delta": d} if d else {}, locs), 4 * i + 6 * j - 12 * d
 
 
-def _rand_samples(ring, rng, n=20):
+def _rand_samples(locs, rng, n=20):
     """(a, b, c) with a, b, delta(a,b) units and delta(c) a unit mod p."""
-    p = ring.p
+    p = locs.pm.p
     pm1 = PrimePower(p, 1)
     out = []
     while len(out) < n:
@@ -217,27 +219,27 @@ def _rand_samples(ring, rng, n=20):
     return out
 
 
-def _drop_frac(ring, p):
+def _drop_frac(locs, p):
     """-(4/6) z4^p / z6^p: multiplying by it lowers the weak weight by 2p."""
-    return LocFrac(WPoly.monomial(-4 * inv_mod(6, ring.pm.q), p, 0, ring.pm),
-                   {"z6": p}, ring.locs)
+    return LocFrac(WPoly.monomial(-4 * inv_mod(6, locs.pm.q), p, 0, locs.pm),
+                   {"z6": p}, locs)
 
 
 def test_criterion_6_weight_criterion_equivalence():
     for p in (13, 17):
-        ring = FormRing(p)
+        locs = form_localizers(p)
         rng = random.Random(60 + p)
         n_weak = n_tang = 0
         while n_weak + n_tang < 50:
-            samples = _rand_samples(ring, rng)
+            samples = _rand_samples(locs, rng)
             if (n_weak + n_tang) % 2 == 0:
                 # weak-weight pair: balanced true form vs scaled false form
-                g4, t4 = _rand_monomial_frac(ring, rng)
-                g6 = g4 * _drop_frac(ring, p)
+                g4, t4 = _rand_monomial_frac(locs, rng)
+                g6 = g4 * _drop_frac(locs, p)
                 k = t4 + 4 * p
-                good = QuasiLinearForm(ring, k, ring.zero(),
+                good = QuasiLinearForm(locs, k, LocFrac.zero(locs),
                                        gamma_4=g4, gamma_6=g6)
-                bad = QuasiLinearForm(ring, k, ring.zero(),
+                bad = QuasiLinearForm(locs, k, LocFrac.zero(locs),
                                       gamma_4=g4, gamma_6=g6.scale(2))
                 assert weight_check_mod_p(good)
                 assert not weight_check_mod_p(bad)
@@ -249,18 +251,18 @@ def test_criterion_6_weight_criterion_equivalence():
                 n_weak += 2
             else:
                 # tangential pair: balanced Gamma_k vs doubled Gamma_k
-                s4, t = _rand_monomial_frac(ring, rng)
+                s4, t = _rand_monomial_frac(locs, rng)
                 cprime = rng.randrange(1, p)
                 if (4 + 6 * cprime) % p == 0:
                     cprime += 1
-                s6 = s4 * LocFrac(WPoly.monomial(cprime, p, 0, ring.pm),
-                                  {"z6": p}, ring.locs)
-                z4p = WPoly.monomial(1, p, 0, ring.pm)
-                z6p = WPoly.monomial(1, 0, p, ring.pm)
+                s6 = s4 * LocFrac(WPoly.monomial(cprime, p, 0, locs.pm),
+                                  {"z6": p}, locs)
+                z4p = WPoly.monomial(1, p, 0, locs.pm)
+                z6p = WPoly.monomial(1, 0, p, locs.pm)
                 gk = -((s4 * z4p).scale(4) + (s6 * z6p).scale(6))
                 k = t + 4 * p
-                good = QuasiLinearForm(ring, k, gk, star_4=s4, star_6=s6)
-                bad = QuasiLinearForm(ring, k, gk.scale(2),
+                good = QuasiLinearForm(locs, k, gk, star_4=s4, star_6=s6)
+                bad = QuasiLinearForm(locs, k, gk.scale(2),
                                       star_4=s4, star_6=s6)
                 assert weight_check_mod_p2(good)
                 assert not weight_check_mod_p2(bad)
@@ -273,12 +275,12 @@ def test_criterion_6_weight_criterion_equivalence():
 
         # the named forms produce the stated verdicts
         for mk in (unit_form_z4, unit_form_z6, unit_form_delta):
-            assert weight_check_mod_p(mk(ring))
-            assert weight_check_mod_p2(mk(ring))
-        assert weight_check_mod_p2(lambda_1(ring))
+            assert weight_check_mod_p(mk(locs))
+            assert weight_check_mod_p2(mk(locs))
+        assert weight_check_mod_p2(lambda_1(locs))
         with pytest.raises(DegreeMismatch):
-            slope_form_printed(ring)
-        assert weight_check_mod_p(slope_form_variant(ring))
+            slope_form_printed(locs)
+        assert weight_check_mod_p(slope_form_variant(locs))
     report(6, "weight-criterion equivalence")
 
 
@@ -297,14 +299,14 @@ def test_criterion_7_internal_consistency(scan_rows):
         ctx = CurveContext(a, b, PrimePower(p, 2))
         _, info = build_lift_mod_p2(ctx)
         assert len(info["vs"]) == (p + 3) // 2 + 1
-        v0, theta, _ = solve_eigen_numeric(ctx)
+        v0, theta, _, _ = solve_eigen_numeric(ctx)
         d, _ = d_values(ctx)
         da, db = ctx.delta_a() % p, ctx.delta_b() % p
         u, v_unit = pow(ctx.a, p, p), pow(ctx.b, p, p)
-        bad = solve_truncated(p, u, v_unit, (theta + 1) % p, da, db, d,
-                              v0, (p + 7) // 2)
+        src = sources(p, u, (theta + 1) % p, da, db, d)
+        bad = solve_truncated(p, u, v_unit, src, v0, (p + 7) // 2)
         with pytest.raises(NotStabilized):
-            stabilization_check(p, u, v_unit, (theta + 1) % p, da, db, d, bad)
+            stabilization_check(p, u, v_unit, src, bad)
     report(7, "internal consistency")
 
 

@@ -5,8 +5,8 @@ import pytest
 from ellfrob.errors import (DegreeMismatch, DenominatorMismatch,
                             DenominatorNotLocalizer, NotAUnit, NotTangential,
                             PrecisionOutOfRange, SingularPair)
-from ellfrob.forms import (FormRing, QuasiLinearForm, c_power_w,
-                           classify_pair, f_power_coeff, form_evaluate,
+from ellfrob.forms import (QuasiLinearForm, c_power_w, classify_pair,
+                           f_power_coeff, form_evaluate, form_localizers,
                            hasse_poly, j_invariant, lambda_1,
                            slope_form_printed, slope_form_variant,
                            unit_form_delta, unit_form_z4, unit_form_z6,
@@ -261,34 +261,34 @@ def test_classify_pair_with_sigma():
 # ---------------------------------------------------------- weight criteria
 
 @pytest.fixture(scope="module")
-def ring13():
-    return FormRing(13)
+def locs13():
+    return form_localizers(13)
 
 
 @pytest.fixture(scope="module")
-def ring17():
-    return FormRing(17)
+def locs17():
+    return form_localizers(17)
 
 
-def test_unit_forms_pass_both_criteria(ring13, ring17):
-    for ring in (ring13, ring17):
+def test_unit_forms_pass_both_criteria(locs13, locs17):
+    for locs in (locs13, locs17):
         for mk in (unit_form_z4, unit_form_z6, unit_form_delta):
-            form = mk(ring)
+            form = mk(locs)
             assert weight_check_mod_p(form)
             assert weight_check_mod_p2(form)
 
 
-def test_lambda_1_passes(ring13, ring17):
-    for ring in (ring13, ring17):
-        form = lambda_1(ring)
-        assert form.k == 1 - ring.p
+def test_lambda_1_passes(locs13, locs17):
+    for locs in (locs13, locs17):
+        form = lambda_1(locs)
+        assert form.k == 1 - locs.pm.p
         assert weight_check_mod_p(form)
         assert weight_check_mod_p2(form)
 
 
-def test_lambda_1_reduces_to_inverse_hasse(ring13):
-    p = ring13.p
-    form = lambda_1(ring13)
+def test_lambda_1_reduces_to_inverse_hasse(locs13):
+    p = locs13.pm.p
+    form = lambda_1(locs13)
     for a, b in ((1, 1), (2, 3), (5, 1)):
         h = hasse_poly(p, PrimePower(p, 1)).specialize(a, b)
         assert int(form_evaluate(form, a, b)) % p == inv_mod(h, p)
@@ -302,20 +302,20 @@ def _printed_slope_value(a, b, pm):
     return num * pow(inv_mod((4 * a ** 3 + 27 * b ** 2) % q, q), p, q) % q
 
 
-def test_slope_form_printed_fails_criterion(ring13):
+def test_slope_form_printed_fails_criterion(locs13):
     # the printed z6' coefficient is not weighted homogeneous: refused
     with pytest.raises(DegreeMismatch):
-        slope_form_printed(ring13)
+        slope_form_printed(locs13)
     # with scalars, 4 z4^p Gamma_4 + 6 z6^p Gamma_6 = 6 b^p (2 a^p - 3 b^p)
     # / Delta^p is not 0 mod p
-    p = ring13.p
+    p = locs13.pm.p
     for a, b in ((1, 1), (2, 3), (5, 1), (1, 7)):
         assert 6 * pow(b, p, p) * (2 * pow(a, p, p) - 3 * pow(b, p, p)) % p
 
 
-def test_slope_form_variant_passes_criterion(ring13, ring17):
-    for ring in (ring13, ring17):
-        form = slope_form_variant(ring)
+def test_slope_form_variant_passes_criterion(locs13, locs17):
+    for locs in (locs13, locs17):
+        form = slope_form_variant(locs)
         assert weight_check_mod_p(form)
         with pytest.raises(NotTangential):
             weight_check_mod_p2(form)
@@ -331,42 +331,43 @@ def test_c_power_w():
     assert c_power_w(c, (-1, 0), pm) == inv_mod(2, q)
 
 
-def test_probe_matches_criterion_on_named_forms(ring13):
-    p = ring13.p
+def test_probe_matches_criterion_on_named_forms(locs13):
+    p = locs13.pm.p
     samples = [(1, 1, 2), (2, 3, 15), (5, 1, 28), (1, 7, 2)]
     for mk, k in ((unit_form_z4, 0), (unit_form_z6, 0),
                   (unit_form_delta, 0), (lambda_1, 1 - p)):
-        form = mk(ring13)
+        form = mk(locs13)
         for a, b, c in samples:
             assert weight_definition_probe(form, a, b, c, (k + p, -1),
                                            precision=2)
     # the variant slope form has weak weight -2p, i.e. exponent -p - phi
-    form = slope_form_variant(ring13)
+    form = slope_form_variant(locs13)
     for a, b, c in samples:
         assert weight_definition_probe(form, a, b, c, (-p, -1), precision=1)
     # the printed slope form is refused; taken with scalars, its value
     # fails the weight identity at a generic sample
     with pytest.raises(DegreeMismatch):
-        slope_form_printed(ring13)
+        slope_form_printed(locs13)
     a, b, c = 1, 1, 2
-    lhs = _printed_slope_value(c ** 4 * a, c ** 6 * b, ring13.pm)
-    rhs = c_power_w(c, (-p, -1), ring13.pm) * _printed_slope_value(a, b, ring13.pm)
+    lhs = _printed_slope_value(c ** 4 * a, c ** 6 * b, locs13.pm)
+    rhs = c_power_w(c, (-p, -1), locs13.pm) * _printed_slope_value(a, b, locs13.pm)
     assert (lhs - rhs) % p
 
 
-def test_form_evaluate_uses_exact_deltas(ring13):
+def test_form_evaluate_uses_exact_deltas(locs13):
     # delta(1) = 0 but delta(14) != 0 mod 13, so the values differ mod 13^2
-    form = unit_form_z4(ring13)
+    form = unit_form_z4(locs13)
     v1 = int(form_evaluate(form, 1, 1))
     v2 = int(form_evaluate(form, 14, 1))
     assert v1 != v2
 
 
-def test_quasi_linear_form_degree_guard(ring13):
+def test_quasi_linear_form_degree_guard(locs13):
     # a coefficient of the wrong homogeneous degree is refused
-    bad = ring13.frac({(1, 0): 1})  # degree 4, but slot expects k = 0
+    # degree 4, but the slot expects k = 0
+    bad = LocFrac(WPoly({(1, 0): 1}, locs13.pm), {}, locs13)
     with pytest.raises(DegreeMismatch):
-        QuasiLinearForm(ring13, 0, bad)
+        QuasiLinearForm(locs13, 0, bad)
 
 
 # ------------------------------------------- multinomial coefficients of f^n

@@ -6,19 +6,19 @@ import pytest
 
 import ellfrob.liftp as liftp
 from ellfrob import upoly
-from ellfrob.errors import (BNotUnit, NotStabilized, PrecisionOutOfRange,
+from ellfrob.errors import (BNotUnit, DegreeMismatch, NotStabilized,
+                            PrecisionOutOfRange, PropertyViolation,
                             TOutOfRange)
-from ellfrob.forms import (FormRing, f_power_coeff, form_evaluate, lambda_1,
-                           multinomial_rows)
+from ellfrob.forms import (QuasiLinearForm, f_power_coeff, form_evaluate,
+                           form_localizers, lambda_1, multinomial_rows)
 from ellfrob.liftp import (CurveContext, k0_poly, lie_verify,
                            lie_verify_commutator)
-from ellfrob.liftp2 import (_laurent_to_locfrac, _pivot_solve, _row_product,
-                            _row_rhs,
-                            _source, eta_pivots, build_lift_mod_p2, d_values,
+from ellfrob.liftp2 import (_laurent_to_locfrac, _row_product, _row_rhs,
+                            eta_pivots, build_lift_mod_p2, d_values,
                             g_pivots,
                             lambda_properties, solve_eigen_numeric,
-                            solve_eigen_symbolic, solve_truncated,
-                            stabilization_check, sym_d_values, theta_evaluate)
+                            solve_eigen_symbolic, solve_truncated, sources,
+                            stabilization_check, sym_d_values)
 from ellfrob.psi import psi_table
 from ellfrob.residue import PrimePower, inv_mod
 from ellfrob.wpoly import LocalizerSet, WPoly
@@ -55,11 +55,11 @@ def test_d_values_shape():
 
 def test_solve_truncated_guards():
     with pytest.raises(BNotUnit):
-        solve_truncated(13, 1, 13, 0, 0, 0, [0], 0, 5)
+        solve_truncated(13, 1, 13, [], 0, 5)
     with pytest.raises(TOutOfRange):
-        solve_truncated(13, 1, 1, 0, 0, 0, [0], 0, 13)
+        solve_truncated(13, 1, 1, [], 0, 13)
     with pytest.raises(TOutOfRange):
-        solve_truncated(13, 1, 1, 0, 0, 0, [0], 0, 0)
+        solve_truncated(13, 1, 1, [], 0, 0)
 
 
 def test_general_branch_13():
@@ -81,18 +81,20 @@ def test_rows_resubstitute():
     d, _ = d_values(ctx)
     da, db = ctx.delta_a() % p, ctx.delta_b() % p
     vs = info["vs"]
+    src = sources(p, u, info["theta"], da, db, d)
     for s in range(1, len(vs)):
         lhs = s * v_unit * vs[s] % p
-        assert lhs == _row_rhs(s, p, u, info["theta"], da, db, d, vs)
+        assert lhs == _row_rhs(s, p, u, src, vs)
 
 
 def test_eigen_pivots_vanish():
     p = 13
     ctx = ctx2(p, 1, 1)
-    v0, theta, det = solve_eigen_numeric(ctx)
+    v0, theta, det, _ = solve_eigen_numeric(ctx)
     d, _ = d_values(ctx)
     da, db = ctx.delta_a() % p, ctx.delta_b() % p
-    vs = solve_truncated(p, 1, 1, theta, da, db, d, v0, (p + 7) // 2)
+    vs = solve_truncated(p, 1, 1, sources(p, 1, theta, da, db, d), v0,
+                         (p + 7) // 2)
     m_piv = (p + 5) // 2
     assert vs[m_piv] == 0 and vs[m_piv + 1] == 0
 
@@ -103,28 +105,29 @@ def test_eigen_pivots_vanish():
     (211, [(145, 92), (190, 62), (6, 81)]),
 ])
 def test_pivot_solution_is_the_combination_of_its_streams(p, pairs):
-    """The pivot solve forms v_0..v_((p+7)/2) as v_0 alpha + theta beta +
-    rho from the three streams it ran; that equals the direct solve from
-    (v_0, theta), on each pair alone and on the stack of the three, and
-    solve_eigen_numeric gives the same (v_0, theta, det)."""
+    """solve_eigen_numeric forms v_0..v_((p+7)/2) as v_0 alpha + theta beta
+    + rho from the three streams it ran; that equals the direct solve from
+    (v_0, theta), on each pair alone and on the stack of the three, and the
+    solve gives the same four values with d formed inside it."""
     stack = CurveContext(np.array([a for a, _ in pairs]),
                          np.array([b for _, b in pairs]), PrimePower(p, 2))
     for ctx in [ctx2(p, a, b) for a, b in pairs] + [stack]:
         d, _ = d_values(ctx)
-        v0, theta, det, vs = _pivot_solve(ctx, d)
-        direct = solve_truncated(p, ctx.a % p, ctx.b % p, theta,
-                                 ctx.delta_a() % p, ctx.delta_b() % p, d, v0,
-                                 (p + 7) // 2)
+        v0, theta, det, vs = solve_eigen_numeric(ctx, d)
+        u = ctx.a % p
+        src = sources(p, u, theta, ctx.delta_a() % p, ctx.delta_b() % p, d)
+        direct = solve_truncated(p, u, ctx.b % p, src, v0, (p + 7) // 2)
         assert len(vs) == len(direct) == (p + 9) // 2
         assert all(np.array_equal(x, y) for x, y in zip(vs, direct))
+        alone = solve_eigen_numeric(ctx)  # d formed inside
         assert all(np.array_equal(x, y) for x, y in
-                   zip(solve_eigen_numeric(ctx, d), (v0, theta, det)))
+                   zip([*alone[:3], *alone[3]], [v0, theta, det, *vs]))
 
 
 def test_eigen_determinant_is_psi():
     for p, a, b in ((13, 1, 1), (13, 2, 3), (17, 1, 2)):
         ctx = ctx2(p, a, b)
-        _, _, det = solve_eigen_numeric(ctx)
+        _, _, det, _ = solve_eigen_numeric(ctx)
         psi = psi_table(p).psis[(p + 5) // 2]
         assert det == laurent_eval(psi.terms, p, ctx.a, ctx.b)
 
@@ -132,12 +135,13 @@ def test_eigen_determinant_is_psi():
 def test_generic_guess_not_stabilized():
     p = 13
     ctx = ctx2(p, 1, 1)
-    v0, theta, _ = solve_eigen_numeric(ctx)
+    v0, theta, _, _ = solve_eigen_numeric(ctx)
     d, _ = d_values(ctx)
     da, db = ctx.delta_a() % p, ctx.delta_b() % p
-    bad = solve_truncated(p, 1, 1, (theta + 1) % p, da, db, d, v0, (p + 7) // 2)
+    src = sources(p, 1, (theta + 1) % p, da, db, d)
+    bad = solve_truncated(p, 1, 1, src, v0, (p + 7) // 2)
     with pytest.raises(NotStabilized):
-        stabilization_check(p, 1, 1, (theta + 1) % p, da, db, d, bad)
+        stabilization_check(p, 1, 1, src, bad)
 
 
 def test_a0_branch():
@@ -159,13 +163,13 @@ def test_a0_branch():
 def test_a0_lambda_formula():
     # lambda = (1 - p*beta) * Lambda_1(a, b) mod p^2
     p = 13
-    ring = FormRing(p)
+    locs = form_localizers(p)
     for a, b in ((0, 1), (13, 14)):
         ctx = ctx2(p, a, b)
         lift, _ = build_lift_mod_p2(ctx)
         d, _ = d_values(ctx)
         beta = (d[1] * inv_mod(pow(ctx.b, p, p), p) + 2 * d[4]) * inv_mod(3, p) % p
-        lam1 = int(form_evaluate(lambda_1(ring), a, b))
+        lam1 = int(form_evaluate(lambda_1(locs), a, b))
         assert lift.lam == (1 - p * beta) * lam1 % p ** 2
 
 
@@ -186,14 +190,14 @@ def test_b0_branch_closed_form():
 
 def test_b0_lambda_formula():
     p = 13
-    ring = FormRing(p)
+    locs = form_localizers(p)
     for a, b in ((1, 13), (5, 26)):
         ctx = ctx2(p, a, b)
         lift, _ = build_lift_mod_p2(ctx)
         d, _ = d_values(ctx)
         u = pow(ctx.a, p, p)
         alpha = (d[2] * inv_mod(u, p) + d[4]) * inv_mod(2, p) % p
-        lam1 = int(form_evaluate(lambda_1(ring), a, b))
+        lam1 = int(form_evaluate(lambda_1(locs), a, b))
         assert lift.lam == (1 - p * alpha) * lam1 % p ** 2
 
 
@@ -239,7 +243,11 @@ def test_p17_random_pairs():
 
 @pytest.mark.parametrize("p", [13, 37, 61])
 def test_symbolic_matches_numeric_theta(p):
-    sym = solve_eigen_symbolic(p)
+    """Theta of the symbolic solve is a quasi-linear form of weight 0, not
+    tangential; its form_evaluate at sampled pairs is the numeric theta,
+    and det there is the numeric pivot determinant."""
+    theta_form, det_form = solve_eigen_symbolic(p)
+    assert theta_form.k == 0 and not theta_form.tangential
     rng = random.Random(3)
     done = 0
     while done < 6:
@@ -250,36 +258,55 @@ def test_symbolic_matches_numeric_theta(p):
             continue
         if not ctx.ordinary or ctx.a % p == 0 or ctx.b % p == 0:
             continue
-        v0, theta, det = solve_eigen_numeric(ctx)
-        assert theta_evaluate(sym, a, b) == theta
-        assert sym.det.evaluate(ctx.a, ctx.b) % p == det
+        v0, theta, det, _ = solve_eigen_numeric(ctx)
+        assert form_evaluate(theta_form, a, b) == theta
+        assert det_form.evaluate(ctx.a, ctx.b) % p == det
         done += 1
 
 
 def test_symbolic_properties_13(sym13):
-    out = lambda_properties(sym13)
+    """Theta at p = 13 passes; with the slot degrees checked by the form
+    itself, the a -> 0 check still bites: Theta with its z6' slot doubled
+    keeps its degrees but fails there, and with its slots swapped it fails
+    the form's own degree check."""
+    theta, _ = sym13
+    assert theta.k == 0 and not theta.tangential
+    out = lambda_properties(theta)
     assert out["degrees_ok"]
     assert out["a0_checked"]  # 13 = 1 mod 3
+    bad = QuasiLinearForm(theta.locs, 0, theta.gamma_k, gamma_4=theta.gamma_4,
+                          gamma_6=theta.gamma_6.scale(2))
+    with pytest.raises(PropertyViolation, match="z6' slot wrong"):
+        lambda_properties(bad)
+    with pytest.raises(DegreeMismatch):
+        QuasiLinearForm(theta.locs, 0, theta.gamma_k, gamma_4=theta.gamma_6,
+                        gamma_6=theta.gamma_4)
 
 
 def test_symbolic_properties_17(sym17):
-    out = lambda_properties(sym17)
+    theta, _ = sym17
+    assert theta.k == 0 and not theta.tangential
+    out = lambda_properties(theta)
     assert out["degrees_ok"]
     assert not out["a0_checked"]  # 17 = 2 mod 3: z4 divides H, no restriction
 
 
 def test_source_terms_only_at_expected_rows():
     # theta feeds rows 2 and 4, delta(b) row 1, delta(a) row 2; rows without
-    # a d-contribution are otherwise empty
+    # a d-contribution are otherwise empty, and no row past 4 has a source
     p, u, theta, da, db = 13, 3, 5, 7, 11
     d = [0, 1, 2, 3, 4]
     inv2 = inv_mod(2, p)
-    assert _source(3, p, u, theta, da, db, d) == d[3]
-    assert _source(5, p, u, theta, da, db, d) == 0
-    assert _source(1, p, u, theta, da, db, d) == (d[1] + db * inv2) % p
-    assert _source(2, p, u, theta, da, db, d) == \
-        (d[2] + (u * theta + da) * inv2) % p
-    assert _source(4, p, u, theta, da, db, d) == (d[4] + 3 * theta * inv2) % p
+    assert sources(p, u, theta, da, db, d) == [
+        0, (d[1] + db * inv2) % p, (d[2] + (u * theta + da) * inv2) % p,
+        d[3], (d[4] + 3 * theta * inv2) % p]
+    assert sources(p, u, theta, da, db, [0]) == [
+        0, db * inv2 % p, (u * theta + da) * inv2 % p, 0, 3 * theta * inv2 % p]
+    # a row adds its entry of the list, and rows past its end add nothing
+    src, vs = sources(p, u, theta, da, db, d), [1, 2, 3, 4, 5, 6]
+    for s in range(1, 8):
+        assert _row_rhs(s, p, u, src, vs) == \
+            (_row_rhs(s, p, u, [], vs) + (src[s] if s < 5 else 0)) % p
 
 
 def test_psi1_as_localized_fraction():

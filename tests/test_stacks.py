@@ -18,7 +18,7 @@ from ellfrob.liftp import (CurveContext, _solve3, build_lift_mod_p,
                            eigen_forcing_check, extendability_certificate,
                            lie_verify_commutator, mu_correct)
 from ellfrob.liftp2 import (_solve_b0, d_values, solve_eigen_numeric,
-                            solve_truncated, stabilization_check)
+                            solve_truncated, sources, stabilization_check)
 from ellfrob.residue import PrimePower, delta_scalar, is_prime
 from ellfrob.upoly import FracPoly, UPoly
 from ellfrob.verify import _STACK_P, verify_pair
@@ -259,9 +259,9 @@ def row_ints(values, i):
 
 
 def test_row_solve_on_a_stack_at_the_largest_stacked_prime():
-    """The mod-p row solve on rows of residues p - 1 (and one row of
-    others), through its longest truncation p - 1, equals the solve on each
-    row's Python ints: no int64 step overflows."""
+    """The source list and the mod-p row solve on rows of residues p - 1
+    (and one row of others), through its longest truncation p - 1, equal
+    the same on each row's Python ints: no int64 step overflows."""
     p, rng = TOP_P, random.Random(11)
 
     def col():
@@ -269,11 +269,13 @@ def test_row_solve_on_a_stack_at_the_largest_stacked_prime():
 
     u, v_unit, theta, da, db, v0 = (col() for _ in range(6))
     d = [0] + [col() for _ in range(4)]
-    vs = solve_truncated(p, u, v_unit, theta, da, db, d, v0, p - 1)
+    src = sources(p, u, theta, da, db, d)
+    vs = solve_truncated(p, u, v_unit, src, v0, p - 1)
     for i in range(3):
-        one = solve_truncated(p, *row_ints((u, v_unit, theta, da, db), i),
-                              row_ints(d, i), int(v0[i]), p - 1)
-        assert row_ints(vs, i) == one
+        one = sources(p, *row_ints((u, theta, da, db), i), row_ints(d, i))
+        assert row_ints(src, i) == one
+        assert row_ints(vs, i) == solve_truncated(
+            p, *row_ints((u, v_unit), i), one, int(v0[i]), p - 1)
 
 
 def test_b0_solve_on_a_stack_at_the_largest_stacked_prime():
@@ -328,14 +330,15 @@ def test_stabilization_check_on_a_stack_names_the_failing_row():
     ctx = CurveContext(np.array([a for a, _ in pairs]),
                        np.array([b for _, b in pairs]), PrimePower(p, 2))
     d, _ = d_values(ctx)
-    v0, theta, _ = solve_eigen_numeric(ctx, d)
-    args = (p, ctx.a % p, ctx.b % p, theta, ctx.delta_a() % p,
-            ctx.delta_b() % p, d)
+    v0, theta, _, _ = solve_eigen_numeric(ctx, d)
+    src = sources(p, ctx.a % p, theta, ctx.delta_a() % p, ctx.delta_b() % p,
+                  d)
+    args = (p, ctx.a % p, ctx.b % p, src)
     vs = solve_truncated(*args, v0, (p + 7) // 2)
     truncated = stabilization_check(*args, vs)
     for i in range(3):
         assert row_ints(truncated, i) == stabilization_check(
-            *row_ints(args[:6], i), row_ints(d, i), row_ints(vs, i))
+            *row_ints(args[:3], i), row_ints(src, i), row_ints(vs, i))
     bad = vs[:3] + [(vs[3] + np.array([0, 1, 0])) % p] + vs[4:]
     with pytest.raises(NotStabilized, match=r"row fails .* \(2, 3\) mod 13"):
         stabilization_check(*args, bad)

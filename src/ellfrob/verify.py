@@ -61,7 +61,11 @@ ProcessPoolExecutor took 32-33 ms for the first map in a process, with the
 import of concurrent.futures, and 9-14 ms for each later one; the
 fork-join takes 5-8 and 4-5 ms. The parent maps no part of its own: with
 it mapping the first, the benchmark's verify_sweep read wall_cal 19.4-19.8
-against 13.2-13.4 cal and peak RSS 40.6 against 34.7 MB.
+against 13.2-13.4 cal and peak RSS 40.6 against 34.7 MB. A child inherits
+the parent's malloc thresholds through the fork, so under the CLI, which
+sets them (cli module doc, Allocator), a worker's products reuse the heap
+memory it freed as the parent's do; a library caller's workers keep its
+host's policy.
 
 Bounds. ``exhaustive_verify`` refuses, from p and the sample count alone
 and before its task list is built, a sweep of more than

@@ -2,6 +2,8 @@ import csv
 import hashlib
 import io
 import json
+import os
+import platform
 import re
 import subprocess
 import sys
@@ -518,3 +520,43 @@ def test_parser_built_once_keeps_no_state_between_calls(capsys):
         fresh.append(run_cli(capsys, *argv))
     assert shared == fresh
     assert [code for code, _ in shared] == [0] * len(calls)
+
+
+_FAULTS_PER_CALL = """
+import contextlib, io, resource
+from ellfrob.cli import main
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["verify-all", "--p", "31", "--mod", "1"])
+    print(code, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the allocator thresholds are glibc's")
+def test_repeated_sweeps_reuse_freed_memory():
+    """main keeps freed blocks in the heap (cli module doc, Allocator): a
+    second and a third sweep in one process fault in under a tenth of the
+    pages of the first. Under glibc's defaults each call faults about as
+    many as the first, since every product's temporaries are handed back
+    to the kernel and faulted in again."""
+    env = dict(os.environ, HD_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _FAULTS_PER_CALL], env=env,
+                          capture_output=True, text=True, check=True)
+    rows = [tuple(map(int, line.split())) for line in proc.stdout.splitlines()]
+    assert [code for code, _ in rows] == [0, 0, 0]
+    first, second, third = [faults for _, faults in rows]
+    assert second * 10 < first and third * 10 < first, (first, second, third)
+
+
+def test_no_mallopt_is_a_no_op(capsys, monkeypatch):
+    """Where the C library has no mallopt, main runs as it does with one."""
+    _, expected = run_cli(capsys, "constants", "--p", "13")
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+    cli._recycle_freed_memory.cache_clear()
+    try:
+        code, out = run_cli(capsys, "constants", "--p", "13")
+    finally:
+        cli._recycle_freed_memory.cache_clear()
+    assert code == 0 and out == expected

@@ -39,7 +39,8 @@ that applies:
   columns: a long operand times f, f', a monomial or f'(x^p);
 - for 1-D operands and q < 2^31, the structured lane (below), where its
   estimate beats the FFT's;
-- a limb-split float FFT (below).
+- a limb-split float FFT (below), block by block for a short operand
+  times a long one (below, Blocks).
 
 The copies lane adds, for each live column of one operand (nonzero in
 some row), the other operand times that column, shifted. The shorter
@@ -117,6 +118,48 @@ computed value lies within 1/4 of its rounded integer and raises
 A square (``x * x`` with the same object on both sides) reuses its forward
 transforms.
 
+Blocks. Most long products of the mod-p^2 check are short by long: an
+f-power a few p long times a numerator of about p^2/2. ``_fft_mul`` forms
+such a 1-D product, a square aside, block by block (overlap-add: Stockham,
+AFIPS 1966). Let la <= lb be the lengths, N the power of two from
+``_BLOCK_SCALE`` la = 4 la (so 4 la <= N < 8 la), and B = N - la + 1 the
+block length. When the longer operand spans at least ``_BLOCK_COUNT`` = 3
+blocks of B coefficients (the last padded with zeros), each block times
+the shorter operand is one product of lengths la and B at transform length
+la + B - 1 = N, so no output wraps around. Its limb plan is
+``_limb_plan(la, B, q)``: Percival's bound as above, with B and log2 N in
+place of lb and the whole product's log2 length, and the same rounding
+guard on every block; since the bound grows with both, a block never needs
+more limbs than the whole product would. Block j's product lands at jB and
+is N <= 2B long, as B >= 3 la + 1 > la - 1, so it overlaps only block
+j+1's, in la - 1 places: an output coefficient sums at most two canonical
+residues, below 2q, and one reduction mod q ends it. The shorter operand's
+k limb spectra are formed once. The blocks go through ``_fft_sum`` in
+chunks, as many per chunk as keep the chunk's limb spectra, k rows (N/2+1)
+complex128, within ``_CHUNK_BYTES`` = 1 MiB (one block when one block's
+are larger). Besides the operands and the output, a chunk then holds its
+limb spectra, and per limb weight one product spectrum and two float64
+arrays of rows N (the inverse transform and its rounding), each at most
+``_CHUNK_BYTES`` / k, and the int64 limb sum: a few MiB whatever lb, where
+one whole transform holds 2k spectra of N'/2+1 complex values, N' >=
+la+lb-1. At p = 1999 the largest such product, 14992 x 2011994 mod p^2,
+held 158 MB of the 297 MB traced peak (tracemalloc) of ``verify_pair(1999,
+5, 7, 2)`` as one transform, and holds 21 MB blocked, its 16 MB output
+included; the run's traced peak fell to 233 MB. On a 2-vCPU VM (numpy 2.4,
+best of 5 on random operands) the three short-by-long products of
+``verify_pair(997, 5, 7, 2)``, 7477 x 503984 and 2989 x 501992 mod p^2 and
+1495 x 509966 mod p, took 45, 37-39 and 16 ms, against 73, 75 and 28 ms as
+one transform; scales 2, 8 and 16 and chunk budgets of 2^17 to 2^22 bytes
+were at best level with these. At q = 211, 211^2 and 211^3 and la = 129 to
+1500 (best of 30), three blocks took 0.65-0.84 and eight 0.66-0.76 of the
+time of one transform, while two took 0.89-1.15, hence the count. Stacks
+keep one transform along the last axis, since their rows are short, and so
+do squares, which reuse theirs. ``_fft_cost`` prices the form that
+``_fft_mul`` takes: blocked, a's k transforms and per block k forward and
+2k - 1 inverse ones of size N, and the calls per chunk. Transform lengths
+stay powers of two, where Percival's bound is proved; pocketfft's
+mixed-radix lengths such as 3 2^k are not used.
+
 Signed sums. ``_fft_mul`` is ``_spectra`` of each operand and ``_fft_sum``
 of one pair of spectra. ``_fft_sum`` takes t pairs of one plan and forms
 the first product minus the others, summing their limb products of each
@@ -127,8 +170,13 @@ most t k min(la, lb) 2^(2L-2) in absolute value, so ``_limb_plan(la, lb,
 q, t)`` asks the Percival test with t k in place of k, which as above
 keeps that sum below 2^47.1; the guard is the same. The psi determinants
 alpha_n beta_{n+1} - alpha_{n+1} beta_n (psi module doc) take t = 2, on
-spectra sliced from one transform of each table block. Since the limbs
-are balanced, a difference is no harder than a sum.
+spectra sliced from one transform of each table block, and a blocked
+product t = 1, on the shorter operand's 1-D spectra against a chunk's
+rows. Since the limbs are balanced, a difference is no harder than a
+sum. The guard works in place: it subtracts the rounded values from the
+inverse transform and takes the absolute value in that array, so each
+limb weight holds two float64 arrays at a time, not four; a NaN fails
+the test as any error past 1/4 does, since ``max`` propagates it.
 
 Division. ``divmod_monic`` divides P of length l by a monic g of degree d
 with two products. Reversing coefficients turns P = g Q + R into
@@ -167,6 +215,13 @@ _ELEM_NS = 3
 _NO_TAIL = np.zeros(0, dtype=np.intp)
 _EPS = 2.0 ** -53
 _MOD_CUT = 1024     # from this many entries, _mod divides by multiplication
+# Blocked FFT products (module doc, Blocks): transforms of the power of two
+# from _BLOCK_SCALE times the shorter length, for products that span at
+# least _BLOCK_COUNT blocks, with the limb spectra of a chunk of blocks
+# within _CHUNK_BYTES
+_BLOCK_SCALE = 4
+_BLOCK_COUNT = 3
+_CHUNK_BYTES = 2 ** 20
 
 
 def _zeros(shape, q):
@@ -333,22 +388,69 @@ def _fft_sum(pairs, q, plan):
         vals = np.fft.irfft(spec, size)[..., :n]
         del spec
         exact = np.rint(vals)
-        worst = float(np.max(np.abs(vals - exact)))
-        if not worst < 0.25:
+        vals -= exact  # the guard works in place: two arrays, not four
+        worst = float(np.abs(vals, out=vals).max())
+        del vals
+        if not worst < 0.25:  # NaN fails it too
             raise FFTRoundingError(
                 "FFT product off an integer by %.3g (lengths %d, %d mod %d)"
                 % (worst, la, lb, q))
         limb = exact.astype(np.int64)
-        del vals, exact
+        del exact
         if out is not None:
             limb += _mulmod(out, weight, q)
         out = _mod(limb, q, out=limb)
     return out
 
 
+def _blocking(la, lb, q):
+    """(plan, B, blocks, rows) of the blocked product of 1-D operands of
+    lengths la <= lb mod q: the limb plan of one block, whose transform
+    size N is the power of two from ``_BLOCK_SCALE`` la, the block length
+    B = N - la + 1, the block count and the blocks per chunk; None where
+    the product keeps one whole transform (module doc, Blocks)."""
+    size = 1 << (_BLOCK_SCALE * la - 1).bit_length()
+    block = size - la + 1
+    count = -(-lb // block)
+    if count < _BLOCK_COUNT:
+        return None
+    plan = _fft_plan(la, block, q)
+    return plan, block, count, max(1, _CHUNK_BYTES
+                                   // (16 * plan[3] * (size // 2 + 1)))
+
+
+def _blocked_mul(a, b, q, plan, block, count, rows):
+    """a b mod q for 1-D a not longer than b, from ``_blocking``: b in
+    blocks, rows blocks a chunk, each block times a in one transform,
+    overlap-added (module doc, Blocks)."""
+    la, lb = len(a), len(b)
+    fa = _spectra(a, q, plan)
+    out = np.zeros((count + 1) * block, dtype=np.int64)
+    for j in range(0, count, rows):
+        part = b[j * block:(j + rows) * block]
+        n = -(-len(part) // block)
+        if len(part) < n * block:
+            part = np.concatenate([part, np.zeros(n * block - len(part),
+                                                  dtype=np.int64)])
+        prods = _fft_sum([(fa, _spectra(part.reshape(n, block), q, plan))],
+                         q, plan)
+        view = out[j * block:(j + n + 1) * block].reshape(n + 1, block)
+        view[:n] += prods[:, :block]
+        view[1:, :la - 1] += prods[:, block:]
+        _mod(view[:n], q, out=view[:n])  # complete, each below 2q
+    return out[:la + lb - 1]
+
+
 def _fft_mul(a, b, q):
     """Exact product of two int64 residue arrays, or stacks of them, mod q,
-    along the last axis (see module doc)."""
+    along the last axis (see module doc): block by block for 1-D operands,
+    a square aside, where ``_blocking`` says so (module doc, Blocks)."""
+    if a.ndim == b.ndim == 1 and a is not b:
+        if len(a) > len(b):
+            a, b = b, a
+        blocking = _blocking(len(a), len(b), q)
+        if blocking:
+            return _blocked_mul(a, b, q, *blocking)
     plan = _fft_plan(a.shape[-1], b.shape[-1], q)
     fa = _spectra(a, q, plan)
     return _fft_sum([(fa, fa if b is a else _spectra(b, q, plan))], q, plan)
@@ -361,7 +463,16 @@ def _convolves(short, q):
 
 
 def _fft_cost(la, lb, q, square):
-    """Estimated ns of the FFT lane on lengths la, lb (module doc)."""
+    """Estimated ns of the FFT lane on lengths la, lb (module doc), blocked
+    where ``_fft_mul`` blocks: a's k transforms, then per block k forward
+    and 2k - 1 inverse ones, with the calls counted per chunk."""
+    blocking = None if square else _blocking(min(la, lb), max(la, lb), q)
+    if blocking:
+        plan, _, count, rows = blocking
+        k, size = plan[3], plan[5]
+        per = 3 * k - 1
+        return ((k + count * per) * size * size.bit_length()
+                + (k + -(-count // rows) * per) * 4 * _CALL_NS)
     k = _limb_plan(la, lb, q)[1]
     size = 1 << (la + lb - 2).bit_length()
     transforms = (3 if square else 4) * k - 1

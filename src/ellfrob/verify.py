@@ -65,7 +65,13 @@ against 13.2-13.4 cal and peak RSS 40.6 against 34.7 MB. A child inherits
 the parent's malloc thresholds through the fork, so under the CLI, which
 sets them (cli module doc, Allocator), a worker's products reuse the heap
 memory it freed as the parent's do; a library caller's workers keep its
-host's policy.
+host's policy. The parent imports ``numpy.fft`` before it forks, so the
+children share its pages and none imports it again (1.4 ms each under
+``python -X importtime``): numpy loads it on first use, and the parent of
+``verify-all`` runs no transform itself. Over the three sweeps of the
+benchmark's verify_sweep at HD_THREADS=2 through ``cli.main`` (2-vCPU VM,
+numpy 2.4), the largest child peak RSS fell from 31.2-31.5 to 29.8-30.0
+MB, and the parent's rose from 30.2-30.6 to 30.6-30.9 MB.
 
 Bounds. ``exhaustive_verify`` refuses, from p and the sample count alone
 and before its task list is built, a sweep of more than
@@ -78,6 +84,7 @@ largest sweep of the README, the CI, the benchmark and the tests has 101^2
 pairs.
 """
 
+import importlib
 import os
 import random
 import signal
@@ -175,8 +182,10 @@ def _map_part(fn, part):
 
 def _run_parts(fn, parts):
     """[_map_part(fn, part) for part in parts], each part in a forked child
-    (module doc, Workers). pickle is imported only where a map forks."""
+    (module doc, Workers). pickle is imported only where a map forks, and
+    numpy.fft, which numpy loads on first use, before the children fork."""
     import pickle
+    importlib.import_module("numpy.fft")
     kids, replies, statuses = [], [], []
     try:
         for part in parts:

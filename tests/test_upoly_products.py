@@ -416,18 +416,74 @@ def test_percival_test_bounds_the_exact_limb_sums():
 
 
 def test_rounding_guard_raises(monkeypatch):
+    """An inverse transform off an integer by 0.3, or NaN, fails the guard:
+    on a square's one transform and on a blocked product's chunks."""
     pm = PrimePower(211, 3)
     x = UPoly(list(range(1, 200)), pm)
+    long = UPoly(list(range(1, 5000)), pm)
+    assert upoly._blocking(199, 4999, pm.q)
     real = np.fft.irfft
+    for error in (0.3, np.nan):
+        def noisy(*args, **kwargs):
+            out = real(*args, **kwargs)
+            out[0] += error
+            return out
 
-    def noisy(*args, **kwargs):
-        out = real(*args, **kwargs)
-        out[0] += 0.3
-        return out
+        monkeypatch.setattr(np.fft, "irfft", noisy)
+        with pytest.raises(FFTRoundingError):
+            x * x
+        with pytest.raises(FFTRoundingError):
+            x * long
 
-    monkeypatch.setattr(np.fft, "irfft", noisy)
-    with pytest.raises(FFTRoundingError):
-        x * x
+
+BLOCK_MODULI = [211, 211 ** 2, 211 ** 3, 1291 ** 3]  # the last >= 2^31
+
+
+@settings(max_examples=24, deadline=None)
+@given(q=st.sampled_from(BLOCK_MODULI), la=st.sampled_from([1, 2]),
+       edge=st.sampled_from(["blocks", "chunks"]), k=st.integers(1, 3),
+       offset=st.sampled_from([-1, 0, 1]), swap=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(q=1291 ** 3, la=2, edge="chunks", k=2, offset=1, swap=False, seed=1)
+@example(q=211, la=1, edge="chunks", k=1, offset=-1, swap=True, seed=2)
+def test_blocked_product_at_block_and_chunk_edges(q, la, edge, k, offset,
+                                                  swap, seed):
+    """The blocked FFT product (upoly module doc, Blocks) against the
+    schoolbook product, with the long operand k B - 1, k B or k B + 1
+    long: k counts blocks of B coefficients from the fewest the form takes,
+    or whole chunks of blocks. la = 1 and 2 give the smallest transforms,
+    N = 4 and 8, and so the most blocks a chunk. Either operand may come
+    first."""
+    _, block, _, rows = upoly._blocking(la, 1 << 40, q)
+    count = (upoly._BLOCK_COUNT - 1 + k) if edge == "blocks" else k * rows
+    lb = count * block + offset
+    assert upoly._blocking(la, lb, q) is not None
+    rng = np.random.default_rng(seed)
+    a, b = rng.integers(0, q, la), rng.integers(0, q, lb)
+    a[-1] = b[-1] = (q + 1) // 2  # the largest balanced residue, -(q-1)/2
+    got = upoly._fft_mul(*((b, a) if swap else (a, b)), q).tolist()
+    want = schoolbook(a.tolist(), b.tolist(), q)
+    assert got == want + [0] * (la + lb - 1 - len(want))
+
+
+def test_blocked_transforms_stay_short(monkeypatch):
+    """f^((p-1)/2) times a mod-p numerator of the p = 211 lift, 316 x 47265
+    mod 211, runs every transform at a length of at most 8 la: one whole
+    transform would take 65536 points."""
+    pm = PrimePower(211, 1)
+    rng = random.Random(316)
+    a = [rng.randrange(pm.q) for _ in range(316)]
+    b = [rng.randrange(pm.q) for _ in range(47265)]
+    lengths = []
+    for name in ("rfft", "irfft"):
+        def spy(x, n=None, *args, real=getattr(np.fft, name), **kwargs):
+            lengths.append(x.shape[-1] if n is None else n)
+            return real(x, n, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, spy)
+    got = (UPoly(a, pm) * UPoly(b, pm)).coeffs.tolist()
+    assert lengths and max(lengths) <= 8 * 316, sorted(set(lengths))
+    assert got == kronecker(a, b, pm.q)
 
 
 @pytest.mark.parametrize("pm", [PrimePower(13, 2), BIG])

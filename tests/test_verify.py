@@ -4,6 +4,8 @@ import os
 import pickle
 import random
 import signal
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -113,6 +115,23 @@ def test_forked_map_keeps_item_order(forking, workers):
     for n in range(4 * workers + 5):
         items = [(7 * i) % 11 - 5 for i in range(n)]
         assert parallel_map(repr, items, workers) == [repr(x) for x in items]
+
+
+_FFT_BEFORE_FORK = """
+import sys
+from ellfrob.verify import _run_parts
+print(_run_parts(lambda x: "numpy.fft" in sys.modules, [[0]]))
+"""
+
+
+def test_workers_share_numpy_fft():
+    """_run_parts imports numpy.fft before it forks (verify module doc,
+    Workers): in a fresh interpreter that has run no transform, a forked
+    child finds it loaded. numpy 2 loads it on first use, numpy 1 with
+    numpy itself."""
+    proc = subprocess.run([sys.executable, "-c", _FFT_BEFORE_FORK],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[([True], None)]"
 
 
 def serial_error(fn, items):

@@ -36,8 +36,7 @@ from .errors import (BNotUnit, DegreeMismatch, InternalMismatch,
 from .forms import QuasiLinearForm, form_localizers, multinomial_rows
 from .liftp import (CurveContext, FrobLift, _holds, _inverse, _refuse,
                     _y_poly, df_xp, k0_poly, w_poly)
-from .psi import (G_SOURCES, _Rows, laurent_stream, psi_table,
-                  require_stream_room)
+from .psi import G_SOURCES, _require_pivot_prime, psi_table
 from .residue import PrimePower, inv_mod
 from .upoly import FracPoly, UPoly, _mulmod, unit_inverses
 from .wpoly import LocFrac, WPoly
@@ -130,8 +129,11 @@ def solve_eigen_numeric(ctx, d=None):
     beta (theta=1) and the inhomogeneous stream rho to row T, then solve the
     2x2 system at rows (p+5)/2, (p+7)/2. A vanishing determinant means the
     pair is sigma-singular for this construction. The solution is then
-    v_0 alpha + theta beta + rho, row by row, with no fourth stream.
+    v_0 alpha + theta beta + rho, row by row, with no fourth stream. The
+    rows past p - 1 do not exist, so p < 11 is refused (PrimeTooSmall), as
+    the symbolic pivot system refuses it.
     """
+    _require_pivot_prime(ctx.p)
     if d is None:
         d, _ = d_values(ctx)
     p = ctx.p
@@ -347,31 +349,18 @@ def _laurent_to_locfrac(lau, locs):
                    {"z6": shift}, locs)
 
 
-def g_pivots(p):
-    """G_1..G_4 mod p (psi module doc) at the pivot rows M and M+1,
-    M = (p+5)/2, from their own sources: gs[s][n] is row n of G_s as a
-    Laurent WPoly (gs[0] is None). Only this lane reads them."""
-    pm, m_piv = PrimePower(p, 1), (p + 5) // 2
-    streams, P = laurent_stream(m_piv + 1, G_SOURCES, pm)
-    gs = [None]
-    for s in range(1, 5):
-        rows = _Rows(lambda n: streams[s - 1, n] * P[n], pm, 2 * s - 6, -s, 1)
-        gs.append({n: rows[n] for n in (m_piv, m_piv + 1)})
-    return gs
-
-
-def eta_pivots(gs, ds, locs):
+def eta_pivots(table, ds, locs):
     """Rows m = M, M+1 (M = (p+5)/2) of the eta stream (v_0 = 0, sources
     d_1..d_4) as sum_s d_s G_s(z4^p, z6^p) (see the psi module doc), from
-    the rows gs of ``g_pivots``, each over z6^((m-2)p) H^2. Row n of a
-    stream reaches at most one V deeper than rows n-1 and n-3, so V^-n from
-    the source at step 1; but at n = (p+3)/2 the U v_{n-1} term has
-    coefficient 3/2 - n = -p/2 = 0 mod p, and from there on the depth lags
-    two behind n."""
+    the G rows of a ``psi_table(p, G_SOURCES)``, each over z6^((m-2)p) H^2.
+    Row n of a stream reaches at most one V deeper than rows n-1 and n-3,
+    so V^-n from the source at step 1; but at n = (p+3)/2 the U v_{n-1}
+    term has coefficient 3/2 - n = -p/2 = 0 mod p, and from there on the
+    depth lags two behind n."""
     p, pm = locs.pm.p, locs.pm
     etas = []
     for m in ((p + 5) // 2, (p + 7) // 2):
-        num = sum((gs[s][m].compose_powers(p) * d.num
+        num = sum((table.row(s + 1, m).compose_powers(p) * d.num
                    for s, d in enumerate(ds, 1)), WPoly.zero(pm))
         shift = (m - 2) * p
         etas.append(LocFrac(num * WPoly.monomial(1, 0, shift, pm),
@@ -388,28 +377,27 @@ def solve_eigen_symbolic(p):
     Theta_z6' are solved on the (U, V) = (z4^p, z6^p) rows at stride 1 and
     composed once by LocFrac.frobenius, a ring map mod p: each localizer L
     has F_p coefficients, so L(z4^p, z6^p) = L^p. Only the eta pivots,
-    dense in z4 and z6 through the d_s, meet composed alpha rows."""
-    require_stream_room(p, 6)  # alpha and beta, then G_1..G_4
-    table = psi_table(p)
+    dense in z4 and z6 through the d_s, meet composed alpha rows. Every
+    pivot row, of alpha, beta and G_1..G_4, comes from one
+    ``psi_table(p, G_SOURCES)``: one stream table, built in one pass."""
+    table = psi_table(p, G_SOURCES)  # alpha, beta, then G_1..G_4
     locs = form_localizers(p, 1, table.psi_big)
     m_piv = (p + 5) // 2
     half = inv_mod(2, p)
 
-    def pivots(rows, c=1):
-        return [_laurent_to_locfrac(rows[n].scale(c), locs)
+    def pivots(s, c=1):
+        return [_laurent_to_locfrac(table.row(s, n).scale(c), locs)
                 for n in (m_piv, m_piv + 1)]
 
-    a_m, a_m1 = pivots(table.alphas)
-    b_m, b_m1 = pivots(table.betas)
+    a_m, a_m1 = pivots(0)
+    b_m, b_m1 = pivots(1)
     det = a_m * b_m1 - a_m1 * b_m
     det_inv = det.reciprocal()
 
     # right-hand sides: minus the z4', z6' streams G_2/2, G_1/2 and eta
-    gs = g_pivots(p)
     theta_da, theta_db = [(det_inv * (a_m1 * r_m - a_m * r_m1)).frobenius()
-                          for r_m, r_m1 in (pivots(gs[2], half),
-                                            pivots(gs[1], half))]
-    e_m, e_m1 = eta_pivots(gs, sym_d_values(p, locs), locs)
+                          for r_m, r_m1 in (pivots(3, half), pivots(2, half))]
+    e_m, e_m1 = eta_pivots(table, sym_d_values(p, locs), locs)
     theta_const = det_inv.frobenius() * (a_m1.frobenius() * e_m
                                          - a_m.frobenius() * e_m1)
     return (QuasiLinearForm(locs, 0, theta_const, gamma_4=theta_da,

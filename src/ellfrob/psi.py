@@ -9,8 +9,9 @@ the code: exact Fractions in object arrays (pm=None) and int64 residues mod
 p (pm = PrimePower(p, 1)). The mod-p lane runs the streams up to
 n = (p+7)/2 and inverts 2n and 2n+2 there. Those are units mod p exactly
 when p >= 11: then 2n <= p+7 < 2p, and 2n+2 <= p+9 < 2p is even, so
-neither equals p. At p = 5 and 7 the index n = p occurs, so ``psi_table``
-and ``conjecture_scan`` refuse those primes with ``PrimeTooSmall``.
+neither equals p. At p = 5 and 7 the index n = p occurs, so ``psi_table``,
+``conjecture_scan`` and the numeric pivot solve of liftp2 refuse those
+primes with ``PrimeTooSmall``.
 
 Table layout. A stream of the row recursion
     n V v_n = (3/2 - n) U v_{n-1} + (9/2 - n) v_{n-3} + source_n
@@ -20,20 +21,22 @@ given, each by its sources (n, k, c): the scalar c at step n in column k of
 the stream's layout, and at n = 0 the start v_0 = c. It stacks them in one
 table T[s, n, k], whose column k holds the coefficient of U^(n-t-3k) in
 row n of a stream with t fixed, so U v_{n-1} lands in column k of row n
-and v_{n-3} one column to the right. ``PsiTable`` stores two streams:
-alpha (t = 0, v_0 = 1, no source) and beta (t = 1, v_0 = 0, sources U/2 at
-n = 2 in column 0 and 3/2 at n = 4 in column 1, the U^1 and U^0 of rows 2
-and 4 in beta's layout U^(n-1-3k)). The recursion is linear with
+and v_{n-3} one column to the right. The recursion is linear with
 coefficients in U, V^-1 and scalars, which commute with everything in it,
 so a stream whose sources are sum_s c_s at step s, with c_s built from U,
 V^-1, scalars or anything else commuting with them, is sum_s c_s G_s, G_s
-(t = s) the unit-source solution: v_0 = 0, source 1 at step s. So beta is
-(U/2) G_2 + (3/2) G_4 as well, the z4' and z6' streams of the symbolic lane
-are G_2/2 and G_1/2, and its eta stream is sum_s d_s G_s. Only that lane
-reads G_1..G_4, at rows M = (p+5)/2 and M+1: ``liftp2.g_pivots`` builds
-them from their own sources, and the scan never forms them. psi_n =
-alpha_n beta_{n+1} - alpha_{n+1} beta_n is row n of psi[n, k] at
-U^(2n-3k). Rows become WPoly only on demand.
+(t = s) the unit-source solution: v_0 = 0, source 1 at step s.
+``PsiTable`` makes one table in one ``laurent_stream`` pass: alpha (t = 0,
+v_0 = 1, no source) and beta (t = 1, v_0 = 0, sources U/2 at n = 2 in
+column 0 and 3/2 at n = 4 in column 1, the U^1 and U^0 of rows 2 and 4 in
+beta's layout U^(n-1-3k); so beta is (U/2) G_2 + (3/2) G_4 as well), then
+the extra streams it is given, the sources of G_1, G_2, ... in that order.
+The scan gives none. The symbolic lane gives G_SOURCES to ``psi_table``
+and reads G_1..G_4 at rows M = (p+5)/2 and M+1: its z4' and z6' streams
+are G_2/2 and G_1/2, and its eta stream is sum_s d_s G_s. ``row(s, n)``
+hands out row n of stream s as WPoly, and ``psi(n)`` psi_n = alpha_n
+beta_{n+1} - alpha_{n+1} beta_n, row n of psi[n, k] at U^(2n-3k), both
+through ``stream_row`` and only on demand.
 
 Columns. Column k of T is, on every stream at once, a first-order
 recurrence in n:
@@ -50,8 +53,8 @@ a running sum that restarts at n0. ``laurent_stream`` keeps the table over
 P: its column k is the running sum of r_n T/P[s, n-3, k-1], r_n = c_n
 P_{n-3} / P_n, plus the sources over P, c / (n P_n), so one multiply, one
 running sum per segment and one reduction make a column, about N/3 steps
-where the rows took N. Every stream is over the same P; ``_Rows`` hands
-out row n times P_n, and the determinants on T/P are psi_n / (P_n P_{n+1}).
+where the rows took N. Every stream is over the same P; ``stream_row`` is
+given row n times P_n, and the determinants on T/P are psi_n / (P_n P_{n+1}).
 
 Bounds. Mod p every entry of T/P and every r_n is a residue, so a running
 sum of at most nmax + 1 terms stays below (nmax + 1)(p-1)^2, which
@@ -61,10 +64,11 @@ no user input gets that far: s streams to nmax hold s (nmax + 1)(nmax/3 +
 1) int64 entries, and ``require_stream_room`` refuses a prime whose tables
 would pass MAX_STREAM_ENTRIES = 2^27 (1 GiB) with InputTooLarge (exit code
 1), from p alone and before anything is allocated. ``psi_table`` checks
-its two streams, ``conjecture_scan`` the largest prime of its range before
-any row, and ``liftp2.solve_eigen_symbolic`` six (alpha, beta and
-G_1..G_4). The scan is admitted to p = 28351, 2.8 times 10007, the largest
-prime it is known to finish, and the symbolic eigen to p = 16369.
+its 2 + len(extra) streams: two for the scan, whose ``conjecture_scan``
+checks the largest prime of its range before any row, and six (alpha, beta
+and G_1..G_4) for the symbolic eigen. The scan is admitted to p = 28351,
+2.8 times 10007, the largest prime it is known to finish, and the symbolic
+eigen to p = 16369.
 
 Blocks. ``PsiTable`` makes one pass over blocks of 64 rows: the block's
 determinants, then its recurrence check against the three psi rows before
@@ -74,12 +78,11 @@ products in one spectrum, ``upoly._fft_sum`` on the rows cut to the
 block's widest support, exact by upoly's Percival bound for two products
 and checked by its rounding guard (upoly module doc, Signed sums); the
 exact lane, nmax <= 10 in use, keeps one np.convolve per product. Every
-reduction is in place, so beside the two streams no work array grows with
-more than 64 rows or one column. The stream table (a rectangle [k, n, s],
-half of it zeros) takes 34 MB at p = 4999 and 133 MB at 9973, and
-``scan_prime`` peaks at 72 and 174 MB of RSS there, against 164 and 550 MB
-with five streams, the beta table and the psi table stored whole (2-vCPU
-VM, Python 3.11, numpy 2.4).
+reduction is in place, so beside the stream table no work array grows with
+more than 64 rows or one column. The scan's stream table (a rectangle [k,
+n, s], half of it zeros) takes 34 MB at p = 4999 and 133 MB at 9973, and
+``scan_prime`` peaks at 72 and 174 MB of RSS there (2-vCPU VM, Python 3.11,
+numpy 2.4).
 """
 
 from fractions import Fraction
@@ -237,45 +240,48 @@ def clear_psi(psi_n, n):
     return cleared
 
 
-class _Rows:
-    """The rows of a table as WPoly on demand, from row(n), the coefficient
-    array of row n (a stream row: its row over P_n times P_n): row n has
-    weight w0 - 2 d n, and its column k holds the coefficient of
-    U^(t0 + d n - 3k)."""
-
-    def __init__(self, row, pm, w0, t0, d):
-        self.row, self.pm, self.w0, self.t0, self.d = row, pm, w0, t0, d
-
-    def __getitem__(self, n):
-        row = self.row(n)[::-1]
-        return WPoly.from_coeffs(self.w0 - 2 * self.d * n,
-                                 self.t0 + self.d * n - 3 * (len(row) - 1),
-                                 row, self.pm)
+def stream_row(row, n, w0, t0, d, pm):
+    """Row n of a table as WPoly, from its coefficient array row (a stream
+    row: its row over P_n times P_n): row n has weight w0 - 2 d n, and its
+    column k holds the coefficient of U^(t0 + d n - 3k)."""
+    row = row[::-1]
+    return WPoly.from_coeffs(w0 - 2 * d * n, t0 + d * n - 3 * (len(row) - 1),
+                             row, pm)
 
 
 class PsiTable:
-    """The tower up to nmax over pm (exact Fractions when None): the alpha
-    and beta streams, their determinants checked block by block by the
-    recurrence (module doc, Blocks), and the rows of alpha, beta and psi
-    as WPoly on demand in alphas, betas and psis (psi_n a one-row
-    ``psi_determinants``). psi_big is the cleared Psi_nmax, the pivot
-    polynomial when nmax = (p+5)/2, and the one psi row kept."""
+    """The tower up to nmax over pm (exact Fractions when None): one stream
+    table of alpha, beta and the extra streams (module doc, Table layout),
+    their determinants checked block by block by the recurrence (module
+    doc, Blocks), and rows as WPoly on demand: row(s, n) of stream s and
+    psi(n), a one-row ``psi_determinants``. psi_big is the cleared
+    Psi_nmax, the pivot polynomial when nmax = (p+5)/2, and the one psi row
+    kept."""
 
-    def __init__(self, nmax, pm=None):
-        streams, P = laurent_stream(nmax + 1, (ALPHA_SOURCES, BETA_SOURCES), pm)
-        self.p = None if pm is None else pm.p
-        self.alphas = _Rows(lambda n: streams[0, n] * P[n], pm, 0, 0, 1)
-        self.betas = _Rows(lambda n: streams[1, n] * P[n], pm, 2, -1, 1)
-        self.psis = _Rows(lambda n: psi_determinants(*streams, P, n, n + 1,
-                                                     pm)[0], pm, 0, 0, 2)
-        prev = np.zeros((3, 1), P.dtype)
+    def __init__(self, nmax, pm=None, extra=()):
+        self.pm = pm
+        self.streams, self.P = laurent_stream(
+            nmax + 1, (ALPHA_SOURCES, BETA_SOURCES, *extra), pm)
+        prev = np.zeros((3, 1), self.P.dtype)
         for n0 in range(1, nmax + 1, _BLOCK):
-            block = psi_determinants(*streams, P, n0,
-                                     min(n0 + _BLOCK, nmax + 1), pm)
+            block = self._determinants(n0, min(n0 + _BLOCK, nmax + 1))
             prev = psi_recurrence_check(prev, block, n0, pm)
-        pivot = _Rows({nmax: prev[-1]}.get, pm, 0, 0, 2)[nmax]
-        self.psi_big = clear_psi(pivot, nmax)
+        self.psi_big = clear_psi(stream_row(prev[-1], nmax, 0, 0, 2, pm), nmax)
         self.degree = self.psi_big.weighted_degree()  # None when Psi vanishes
+
+    def _determinants(self, n0, n1):
+        return psi_determinants(self.streams[0], self.streams[1], self.P, n0,
+                                n1, self.pm)
+
+    def row(self, s, n):
+        """Row n of stream s: alpha (s = 0), beta (1), then the extra
+        streams, G_(s-1) at s >= 2."""
+        w0, t0 = ((0, 0), (2, -1))[s] if s < 2 else (2 * s - 8, 1 - s)
+        return stream_row(self.streams[s, n] * self.P[n], n, w0, t0, 1,
+                          self.pm)
+
+    def psi(self, n):
+        return stream_row(self._determinants(n, n + 1)[0], n, 0, 0, 2, self.pm)
 
 
 def _require_pivot_prime(p):
@@ -295,19 +301,19 @@ def require_stream_room(p, streams=2):
                             % (streams, nmax, p, size, MAX_STREAM_ENTRIES))
 
 
-def psi_table(p):
+def psi_table(p, extra=()):
     """Mod-p table up to the pivot index M = (p+5)/2, with the determinant
-    vs recurrence cross-check and the cleared pivot polynomial."""
+    vs recurrence cross-check and the cleared pivot polynomial; extra holds
+    the sources of G_1, G_2, ... (module doc, Table layout)."""
     _require_pivot_prime(p)
-    require_stream_room(p)
-    return PsiTable((p + 5) // 2, PrimePower(p, 1))
+    require_stream_room(p, 2 + len(extra))
+    return PsiTable((p + 5) // 2, PrimePower(p, 1), extra)
 
 
 def exact_psi_table(nmax=9):
-    """Exact-rational lane: the universal alpha, beta and psi_1..psi_nmax
-    (p plays no role in the coefficients), rows as WPoly on demand."""
-    table = PsiTable(nmax)
-    return table.alphas, table.betas, table.psis
+    """Exact-rational lane: the PsiTable of the universal alpha, beta and
+    psi_1..psi_nmax (p plays no role in the coefficients)."""
+    return PsiTable(nmax)
 
 
 def psi_mod_p(p):

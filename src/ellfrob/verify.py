@@ -5,73 +5,67 @@ A pair is ineligible (skipped, not failed) when it is singular, has
 vanishing Hasse invariant, or hits a vanishing pivot determinant in the
 mod-p^2 solve. Everything else must construct and verify.
 
-Stacks. A sweep at p < ``_STACK_P`` checks its pairs in stacks (liftp
-module doc, Stacks), not one by one, at both precisions m: the tasks are
-cut into contiguous runs of at most ``_STACK_CELLS[m] // p^m`` pairs, and
-of at most an equal share per worker, and each run is one item of
-``parallel_map``. A stack's polynomials have degrees of the order of p^m
-(V(x^p) has degree about p^2/2 mod p^2), so pairs times p^m measures its
-arrays at either precision. Mod p^2, on two workers, 2^15 cells ran the sweeps at
-p = 13 and 29 1.2-1.8 times as fast as 2^13 cells, and no larger count
-was faster; mod p they stay at 2^13, since 2^15 ran the p = 31 sweep
-hardly faster and raised its peak RSS from 35 to 50 MB. A run first sets aside its singular and
+Stacks. A sweep checks its pairs in stacks (liftp module doc, Stacks) at
+both precisions m, by one size rule: the tasks are cut into contiguous runs
+of min(``_STACK_CELLS[m] // p^m``, an equal share per worker) pairs, and of
+at least one, and each run is one item of ``parallel_map``. A stack's
+polynomials have degrees of the order of p^m (V(x^p) has degree about p^2/2
+mod p^2), so pairs times p^m measures its arrays at either precision. Mod
+p^2, on two workers, 2^15 cells ran the sweeps at p = 13 and 29 1.2-1.8
+times as fast as 2^13 cells, and no larger count was faster; mod p they
+stay at 2^13, since 2^15 ran the p = 31 sweep hardly faster and raised its
+peak RSS from 35 to 50 MB. A run first sets aside its singular and
 supersingular pairs, from Delta(a, b) and H(a, b) mod p. The rest go
-through ``verify_pair`` as rows of one CurveContext: mod p all of them,
-and mod p^2 one stack per branch of ``build_lift_mod_p2``, the pairs with
-b a unit (general and a0) and those with b = 0 mod p (b0). A stack of
-fewer than ``_STACK_MIN`` rows goes pair by pair through ``_attempt``
-instead: one pair alone takes the structured product lane (upoly module
-doc), which a stack does not, and has no stack overhead. In-process, per
-pair, 4 sampled pairs in a stack took 2.4 ms against 2.1 ms alone at p =
-13 mod p^2 and 1.2 against 1.0 ms at p = 31 mod p, and 8 took 1.3 against
-1.8 ms and 0.6 against 0.9 ms; the cut follows the room too, so mod-p^2
-sweeps past p = 64 (room for 7 pairs or fewer) go pair by pair, where
-stacks of 5 or 4 at p = 79 and 89 ran slower. Of the benchmark's
-sweeps, only the b0 rows at p = 13 mod p^2 on two workers (6 a stack) go
-alone, and none runs past p = 64, so the cut is not checked end to end
-there. Should any step raise on a stack (a DomainError, or an
-InternalError for a broken invariant), that stack is checked again pair
-by pair through ``_attempt``, so each failure row names its pair and error
-class, in task order, and an InternalError that ends the sweep names its
-pair, as in a pair-by-pair sweep. A sigma-singular pair, whose pivot
-determinant vanishes, makes its stack raise SigmaSingular in the same
-way. Stacks hold int64 entries; the largest,
-7 p^5 in the reduction of x^p mod (f, p^2) in ``mu_correct`` mod p and p^4
-in lambda mod p^2 (liftp2 module doc, Stacks), stay under 2^63 for p <
-``_STACK_P``, and larger primes go pair by pair.
+through ``verify_pair`` as rows of one CurveContext: mod p all of them, and
+mod p^2 one stack per branch of ``build_lift_mod_p2``, the pairs with b a
+unit (general and a0) and those with b = 0 mod p (b0). A stack of fewer
+than ``_STACK_MIN`` rows goes pair by pair through ``_attempt`` instead:
+one pair alone takes the structured product lane (upoly module doc), which
+a stack does not, and has no stack overhead. In-process, per pair, 4
+sampled pairs in a stack took 2.4 ms against 2.1 ms alone at p = 13 mod p^2
+and 1.2 against 1.0 ms at p = 31 mod p, and 8 took 1.3 against 1.8 ms and
+0.6 against 0.9 ms. The size rule leaves room for fewer than ``_STACK_MIN``
+rows past p = 1024 mod p and past p = 64 mod p^2, so those sweeps go pair
+by pair, inside ``_attempt_stack``; stacks of 5 or 4 at p = 79 and 89 mod
+p^2 ran slower. Of the benchmark's sweeps, only the b0 rows at p = 13 mod
+p^2 on two workers (6 a stack) go alone, and none runs past p = 64, so the
+cut is not checked end to end there. Should any step raise on a stack (a
+DomainError, or an InternalError for a broken invariant), that stack is
+checked again pair by pair through ``_attempt``, so each failure row names
+its pair and error class, in task order, and an InternalError that ends the
+sweep names its pair, as in a pair-by-pair sweep. A sigma-singular pair,
+whose pivot determinant vanishes, makes its stack raise SigmaSingular in
+the same way. Stacks hold int64 entries; the largest are 7 p^5, in the
+reduction of x^p mod (f, p^2) in ``mu_correct`` mod p, and p^4, in lambda
+mod p^2 (liftp2 module doc, Stacks). The size rule stacks pairs only at p
+<= 1024 mod p and p <= 64 mod p^2, where these stay below 7 * 2^50 and
+2^24, far under 2^63.
 
 Workers. ``parallel_map`` is a fork-join: it forks one child per worker,
 and child i maps the strided part items[i::workers] in order, stops at its
-first exception and sends (results, error) back through a pipe with
-pickle, then leaves through ``os._exit``. The parent reads every pipe to
-EOF, reaps every child and puts the results back in item order, so stdout
-does not depend on HD_THREADS. Each child maps its part in order, so the
-earliest failing item of all is the first failure of its child, and the
-parent raises its exception: the one a serial map raises. A child that
-ends without a whole reply (killed by a signal, or exited nonzero, as when
-its results do not pickle) makes the map raise ``WorkerDied``, an
-InternalError (exit code 2), once every child is reaped; should the parent
-itself stop early (a fork that fails, or an interrupt while it reads), it
-kills the children it has started before it reaps them. The only other
-threads of the process are numpy's OpenBLAS ones, which OpenBLAS shuts
-down before a fork (a pthread_atfork handler) and starts again on its next
-call; the ProcessPoolExecutor this replaces forked too, its start method
-on Linux. On 8 no-op items with two workers (2-vCPU VM, Python 3.11), a
-ProcessPoolExecutor took 32-33 ms for the first map in a process, with the
-import of concurrent.futures, and 9-14 ms for each later one; the
-fork-join takes 5-8 and 4-5 ms. The parent maps no part of its own: with
-it mapping the first, the benchmark's verify_sweep read wall_cal 19.4-19.8
-against 13.2-13.4 cal and peak RSS 40.6 against 34.7 MB. A child inherits
-the parent's malloc thresholds through the fork, so under the CLI, which
-sets them (cli module doc, Allocator), a worker's products reuse the heap
-memory it freed as the parent's do; a library caller's workers keep its
-host's policy. The parent imports ``numpy.fft`` before it forks, so the
-children share its pages and none imports it again (1.4 ms each under
-``python -X importtime``): numpy loads it on first use, and the parent of
-``verify-all`` runs no transform itself. Over the three sweeps of the
-benchmark's verify_sweep at HD_THREADS=2 through ``cli.main`` (2-vCPU VM,
-numpy 2.4), the largest child peak RSS fell from 31.2-31.5 to 29.8-30.0
-MB, and the parent's rose from 30.2-30.6 to 30.6-30.9 MB.
+first exception and sends (results, error) back through a pipe with pickle,
+then leaves through ``os._exit``. The parent reads every pipe to EOF, reaps
+every child and puts the results back in item order, so stdout does not
+depend on HD_THREADS. Each child maps its part in order, so the earliest
+failing item of all is the first failure of its child, and the parent
+raises its exception: the one a serial map raises. A child that ends
+without a whole reply (killed by a signal, or exited nonzero, as when its
+results do not pickle) makes the map raise ``WorkerDied``, an InternalError
+(exit code 2), once every child is reaped; should the parent itself stop
+early (a fork that fails, or an interrupt while it reads), it kills the
+children it has started before it reaps them. The only other threads of the
+process are numpy's OpenBLAS ones, which OpenBLAS shuts down before a fork
+(a pthread_atfork handler) and starts again on its next call. The parent
+maps no part of its own: with it mapping the first, the benchmark's
+verify_sweep read wall_cal 19.4-19.8 against 13.2-13.4 cal and peak RSS
+40.6 against 34.7 MB. A child inherits the parent's malloc thresholds
+through the fork, so under the CLI, which sets them (cli module doc,
+Allocator), a worker's products reuse the heap memory it freed as the
+parent's do; a library caller's workers keep its host's policy. The parent
+imports ``numpy.fft`` before it forks, so the children share its pages and
+none imports it again (1.4 ms each under ``python -X importtime``): numpy
+loads it on first use, and the parent of ``verify-all`` runs no transform
+itself.
 
 Bounds. ``exhaustive_verify`` refuses, from p and the sample count alone
 and before its task list is built, a sweep of more than
@@ -100,7 +94,6 @@ from .liftp import (CurveContext, build_lift_mod_p, curve_forms,
 from .liftp2 import build_lift_mod_p2
 from .residue import PrimePower
 
-_STACK_P = 2 ** 12       # sweeps below this p run in stacks
 _STACK_CELLS = {1: 2 ** 13, 2: 2 ** 15}  # mod -> pairs times p^mod per stack
 _STACK_MIN = 8           # a stack of fewer rows goes pair by pair
 MAX_SWEEP_PAIRS = 2 ** 20  # the longest task list of a sweep (module doc)
@@ -309,15 +302,12 @@ def exhaustive_verify(p, mod, samples=None, seed=2026, workers=None):
         span = p ** (mod + 1)
         tasks = [(p, rng.randrange(span), rng.randrange(span), mod)
                  for _ in range(samples)]
-    if p < _STACK_P:
-        size = max(1, min(_STACK_CELLS[mod] // p ** mod,
-                          -(-len(tasks) // (workers or 1))))
-        stacks = [tasks[i:i + size] for i in range(0, len(tasks), size)]
-        outcomes = [outcome for part in
-                    parallel_map(_attempt_stack, stacks, workers)
-                    for outcome in part]
-    else:
-        outcomes = parallel_map(_attempt, tasks, workers)
+    size = max(1, min(_STACK_CELLS[mod] // p ** mod,
+                      -(-len(tasks) // (workers or 1))))
+    stacks = [tasks[i:i + size] for i in range(0, len(tasks), size)]
+    outcomes = [outcome for part in
+                parallel_map(_attempt_stack, stacks, workers)
+                for outcome in part]
     eligible = constructed = verified = failed = 0
     failures = []
     for status, row in outcomes:

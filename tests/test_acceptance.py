@@ -49,7 +49,9 @@ def test_criterion_1_value_regression():
     assert discriminant(PrimePower(17, 1)).terms == {(3, 0): 4, (0, 2): 10}
 
     # alpha/beta table and the psi closed forms (exact lane)
-    alphas, betas, psis = exact_psi_table(9)
+    table = exact_psi_table(9)
+    alphas, betas = ({n: table.row(s, n) for n in range(1, 5)} for s in (0, 1))
+    psis = {n: table.psi(n) for n in range(1, 10)}
     assert alphas[1].terms == {(1, -1): F(1, 2)}
     assert alphas[2].terms == {(2, -2): F(-1, 8)}
     assert alphas[3].terms == {(3, -3): F(1, 16), (0, -1): F(1, 2)}

@@ -157,6 +157,13 @@ def test_hasse_out_file(tmp_path, capsys):
     (("verify-all", "--p", "7", "--mod", "2"), "DomainError"),
     # 13^17 >= 2^62, past int64 coefficient storage
     (("hasse", "--p", "13", "--mod", "17"), "InvalidModulus"),
+    # pivot-branch pairs: the pivot rows (p+5)/2, (p+7)/2 pass p - 1
+    (("lift", "--p", "5", "--a", "1", "--b", "1", "--mod", "2"),
+     "PrimeTooSmall"),
+    (("lift", "--p", "7", "--a", "0", "--b", "1", "--mod", "2"),
+     "PrimeTooSmall"),
+    (("eigen", "--p", "5", "--a", "1", "--b", "2"), "PrimeTooSmall"),
+    (("eigen", "--p", "7", "--a", "1", "--b", "1"), "PrimeTooSmall"),
 ])
 def test_domain_edges_exit_1_with_one_typed_line(capsys, argv, error):
     code = main(list(argv))
@@ -165,6 +172,16 @@ def test_domain_edges_exit_1_with_one_typed_line(capsys, argv, error):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(error + ": ")
+
+
+def test_b0_lift_at_p_5(capsys):
+    """A b = 0 pair takes the b0 solve, which has no pivot rows, so it
+    still constructs and verifies at p = 5."""
+    code, out = run_cli(capsys, "lift", "--p", "5", "--a", "1", "--b", "0",
+                        "--mod", "2")
+    doc = json.loads(out)
+    assert code == 0
+    assert (doc["branch"], doc["verified"]) == ("b0", True)
 
 
 def _refused_at_once(argv):

@@ -222,9 +222,8 @@ def test_pivot_det_reciprocal_commutes_with_frobenius():
     table = psi_table(p)
     locs = LocalizerSet(pm, hasse_poly(p, pm), table.psi_big)
     m = (p + 5) // 2
-    a_m, a_m1, b_m, b_m1 = (_laurent_to_locfrac(rows[n], locs)
-                            for rows in (table.alphas, table.betas)
-                            for n in (m, m + 1))
+    a_m, a_m1, b_m, b_m1 = (_laurent_to_locfrac(table.row(s, n), locs)
+                            for s in (0, 1) for n in (m, m + 1))
     det = a_m * b_m1 - a_m1 * b_m
     slow, fast = det.frobenius().reciprocal(), det.reciprocal().frobenius()
     assert slow == fast

@@ -6,6 +6,7 @@ import pytest
 
 import ellfrob.liftp as liftp
 from ellfrob import upoly
+from ellfrob import psi as psi_module
 from ellfrob.errors import (BNotUnit, DegreeMismatch, NotStabilized,
                             PrecisionOutOfRange, PropertyViolation,
                             TOutOfRange)
@@ -15,11 +16,10 @@ from ellfrob.liftp import (CurveContext, k0_poly, lie_verify,
                            lie_verify_commutator)
 from ellfrob.liftp2 import (_laurent_to_locfrac, _row_product, _row_rhs,
                             eta_pivots, build_lift_mod_p2, d_values,
-                            g_pivots,
                             lambda_properties, solve_eigen_numeric,
                             solve_eigen_symbolic, solve_truncated, sources,
                             stabilization_check, sym_d_values)
-from ellfrob.psi import psi_table
+from ellfrob.psi import G_SOURCES, psi_table
 from ellfrob.residue import PrimePower, inv_mod
 from ellfrob.wpoly import LocalizerSet, WPoly
 from ellfrob.forms import hasse_poly
@@ -60,6 +60,21 @@ def test_solve_truncated_guards():
         solve_truncated(13, 1, 1, [], 0, 13)
     with pytest.raises(TOutOfRange):
         solve_truncated(13, 1, 1, [], 0, 0)
+
+
+def test_symbolic_solve_builds_one_stream_table(monkeypatch):
+    """solve_eigen_symbolic reads alpha, beta and G_1..G_4 from one
+    laurent_stream pass."""
+    calls = []
+    real = psi_module.laurent_stream
+
+    def counting(nmax, streams, pm=None):
+        calls.append(len(streams))
+        return real(nmax, streams, pm)
+
+    monkeypatch.setattr(psi_module, "laurent_stream", counting)
+    solve_eigen_symbolic(61)
+    assert calls == [6]
 
 
 def test_general_branch_13():
@@ -128,7 +143,7 @@ def test_eigen_determinant_is_psi():
     for p, a, b in ((13, 1, 1), (13, 2, 3), (17, 1, 2)):
         ctx = ctx2(p, a, b)
         _, _, det, _ = solve_eigen_numeric(ctx)
-        psi = psi_table(p).psis[(p + 5) // 2]
+        psi = psi_table(p).psi((p + 5) // 2)
         assert det == laurent_eval(psi.terms, p, ctx.a, ctx.b)
 
 
@@ -314,7 +329,7 @@ def test_psi1_as_localized_fraction():
     p = 13
     pm1 = PrimePower(p, 1)
     locs = LocalizerSet(pm1, hasse_poly(p, pm1))
-    got = _laurent_to_locfrac(psi_table(p).psis[1], locs).frobenius()
+    got = _laurent_to_locfrac(psi_table(p).psi(1), locs).frobenius()
     from ellfrob.wpoly import LocFrac, WPoly
     want = LocFrac(WPoly.monomial(inv_mod(8, p), 2 * p, 0, pm1),
                    {"z6": 2 * p}, locs)
@@ -394,10 +409,10 @@ def test_stride_p_times_dense_matches_convolve(monkeypatch):
     arrays mod p."""
     p = 127
     pm1 = PrimePower(p, 1)
-    table = psi_table(p)
+    table = psi_table(p, G_SOURCES)
     locs = LocalizerSet(pm1, hasse_poly(p, pm1), table.psi_big)
-    alpha = _laurent_to_locfrac(table.alphas[(p + 7) // 2], locs).frobenius().num
-    eta = eta_pivots(g_pivots(p), sym_d_values(p, locs), locs)[0].num
+    alpha = _laurent_to_locfrac(table.row(0, (p + 7) // 2), locs).frobenius().num
+    eta = eta_pivots(table, sym_d_values(p, locs), locs)[0].num
     assert min(len(alpha.c), len(eta.c)) > upoly._SHORT_LEN
     head, tail = upoly._split(alpha.c)
     assert len(head) == 0 and len(tail) > upoly._COPIES

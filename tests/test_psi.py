@@ -1,5 +1,6 @@
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,13 +10,13 @@ from ellfrob.cli import main
 from ellfrob.errors import (FFTRoundingError, InputTooLarge,
                             InternalMismatch, PrecisionOutOfRange)
 from ellfrob.forms import hasse_poly
-from ellfrob.liftp2 import eta_pivots, g_pivots, sym_d_values
+from ellfrob.liftp2 import eta_pivots, sym_d_values
 from ellfrob.psi import (_BLOCK, ALPHA_SOURCES, BETA_SOURCES, G_SOURCES,
-                         MAX_STREAM_ENTRIES, _column_scalars, _Rows, clear_psi,
+                         MAX_STREAM_ENTRIES, _column_scalars, clear_psi,
                          conjecture_scan, degree_audit, exact_psi_table,
                          golem_check, laurent_stream, psi_determinants,
                          psi_mod_p, psi_recurrence_check, psi_table,
-                         require_stream_room, scan_prime)
+                         require_stream_room, scan_prime, stream_row)
 from ellfrob.residue import PrimePower, is_prime
 from ellfrob.wpoly import LocalizerSet, LocFrac, WPoly, discriminant
 
@@ -28,29 +29,29 @@ def exact():
 
 
 def test_alpha_beta_closed_forms(exact):
-    alphas, betas, _ = exact
-    assert alphas[1].terms == {(1, -1): F(1, 2)}
-    assert alphas[2].terms == {(2, -2): F(-1, 8)}
-    assert alphas[3].terms == {(3, -3): F(1, 16), (0, -1): F(1, 2)}
-    assert alphas[4].terms == {(4, -4): F(-5, 128), (1, -2): F(-1, 4)}
-    assert betas[1].terms == {}
-    assert betas[2].terms == {(1, -1): F(1, 4)}
-    assert betas[3].terms == {(2, -2): F(-1, 8)}
-    assert betas[4].terms == {(3, -3): F(5, 64), (0, -1): F(3, 8)}
+    alpha, beta = partial(exact.row, 0), partial(exact.row, 1)
+    assert alpha(1).terms == {(1, -1): F(1, 2)}
+    assert alpha(2).terms == {(2, -2): F(-1, 8)}
+    assert alpha(3).terms == {(3, -3): F(1, 16), (0, -1): F(1, 2)}
+    assert alpha(4).terms == {(4, -4): F(-5, 128), (1, -2): F(-1, 4)}
+    assert beta(1).terms == {}
+    assert beta(2).terms == {(1, -1): F(1, 4)}
+    assert beta(3).terms == {(2, -2): F(-1, 8)}
+    assert beta(4).terms == {(3, -3): F(5, 64), (0, -1): F(3, 8)}
 
 
 def test_psi_closed_forms(exact):
-    _, _, psis = exact
-    assert psis[1].terms == {(2, -2): F(1, 8)}
-    assert psis[2].terms == {(1, -2): F(-1, 8)}
-    assert psis[3].terms == {(3, -4): F(1, 32), (0, -2): F(3, 16)}
-    assert psis[4].terms == {(2, -4): F(1, 640)}
-    assert psis[5].terms == {(4, -6): F(-7, 1280), (1, -4): F(-23, 640)}
-    assert psis[6].terms == {(3, -6): F(17, 7168), (0, -4): F(15, 896)}
-    assert psis[7].terms == {(5, -8): F(77, 40960), (2, -6): F(129, 10240)}
-    assert psis[8].terms == {(4, -8): F(-2477, 1146880), (1, -6): F(-1051, 71680)}
-    assert psis[9].terms == {(6, -10): F(-847, 983040), (3, -8): F(-2937, 573440),
-                       (0, -6): F(33, 7168)}
+    psi = exact.psi
+    assert psi(1).terms == {(2, -2): F(1, 8)}
+    assert psi(2).terms == {(1, -2): F(-1, 8)}
+    assert psi(3).terms == {(3, -4): F(1, 32), (0, -2): F(3, 16)}
+    assert psi(4).terms == {(2, -4): F(1, 640)}
+    assert psi(5).terms == {(4, -6): F(-7, 1280), (1, -4): F(-23, 640)}
+    assert psi(6).terms == {(3, -6): F(17, 7168), (0, -4): F(15, 896)}
+    assert psi(7).terms == {(5, -8): F(77, 40960), (2, -6): F(129, 10240)}
+    assert psi(8).terms == {(4, -8): F(-2477, 1146880), (1, -6): F(-1051, 71680)}
+    assert psi(9).terms == {(6, -10): F(-847, 983040), (3, -8): F(-2937, 573440),
+                            (0, -6): F(33, 7168)}
 
 
 def _psi_blocks(streams, P, nmax, pm):
@@ -61,9 +62,9 @@ def _psi_blocks(streams, P, nmax, pm):
 
 def _psi_rows(streams, P, nmax, pm):
     """psi_1..psi_nmax as WPoly, from the determinant blocks."""
-    rows = {n0 + i: row for n0, block in _psi_blocks(streams, P, nmax, pm)
+    return {n0 + i: stream_row(row, n0 + i, 0, 0, 2, pm)
+            for n0, block in _psi_blocks(streams, P, nmax, pm)
             for i, row in enumerate(block)}
-    return _Rows(rows.get, pm, 0, 0, 2)
 
 
 def test_recurrence_consistency():
@@ -74,7 +75,7 @@ def test_recurrence_consistency():
     # a corrupted row is caught: psi_9 := z6^-6 (column 6 of row 9 is U^0)
     block[8] = 0
     block[8, 6] = F(1)
-    assert _Rows({9: block[8]}.get, None, 0, 0, 2)[9] == WPoly({(0, -6): F(1)})
+    assert stream_row(block[8], 9, 0, 0, 2, None) == WPoly({(0, -6): F(1)})
     with pytest.raises(InternalMismatch, match="psi_9:"):
         psi_recurrence_check(prev, block, n0)
 
@@ -156,32 +157,30 @@ def _lane(pm):
 def test_streams_match_one_step_oracle(p):
     pm = None if p is None else PrimePower(p, 1)
     m_piv = 9 if p is None else (p + 5) // 2
-    table = psi.PsiTable(m_piv, pm)
+    table = psi.PsiTable(m_piv, pm, G_SOURCES)
     nmax = m_piv + 1
     assert _column_scalars(nmax, pm)[0] == ([] if p is None else [(p + 3) // 2])
     fr, u, v_inv, const = _lane(pm)
     zero = WPoly.zero(pm)
+    alpha, beta = partial(table.row, 0), partial(table.row, 1)
     oracles = {
-        "alpha": (table.alphas, stream_oracle(nmax, const(1), {}, u, v_inv, fr)),
-        "beta": (table.betas, stream_oracle(
+        "alpha": (alpha, stream_oracle(nmax, const(1), {}, u, v_inv, fr)),
+        "beta": (beta, stream_oracle(
             nmax, zero, {2: u.scale(fr(1, 2)), 4: const(fr(3, 2))}, u, v_inv, fr)),
     }
-    gs, P = laurent_stream(nmax, G_SOURCES, pm)
     for s in (1, 2, 3, 4):  # G_s/2; nu = G_1/2 and mu = G_2/2
         seq = stream_oracle(nmax, zero, {s: const(fr(1, 2))}, u, v_inv, fr)
-        rows = _Rows(lambda n: gs[s - 1, n] * P[n], pm, 2 * s - 6, -s, 1)
-        oracles["G_%d/2" % s] = ([rows[n].scale(fr(1, 2))
-                                  for n in range(nmax + 1)], seq)
-    for name, (rows, seq) in oracles.items():
+        oracles["G_%d/2" % s] = (
+            lambda n, s=s: table.row(s + 1, n).scale(fr(1, 2)), seq)
+    for name, (row, seq) in oracles.items():
         for n in range(nmax + 1):
-            assert rows[n] == seq[n], (name, n)
+            assert row(n) == seq[n], (name, n)
     psis = _psi_rows(*laurent_stream(nmax, (ALPHA_SOURCES, BETA_SOURCES), pm),
                      m_piv, pm)
     for n in range(1, m_piv + 1):
-        det = (table.alphas[n] * table.betas[n + 1]
-               - table.alphas[n + 1] * table.betas[n])
+        det = alpha(n) * beta(n + 1) - alpha(n + 1) * beta(n)
         assert psis[n] == det, n
-        assert table.psis[n] == det, n
+        assert table.psi(n) == det, n
     assert table.psi_big == clear_psi(psis[m_piv], m_piv)
 
 
@@ -197,26 +196,25 @@ def test_eta_pivots_match_locfrac_stream(p):
         m_piv + 1, LocFrac.zero(locs), dict(enumerate(ds, 1)),
         LocFrac(WPoly.monomial(1, p, 0, pm), {}, locs),
         LocFrac(WPoly.const(1, pm), {"z6": p}, locs), fr)
-    for got, want in zip(eta_pivots(g_pivots(p), ds, locs), seq[m_piv:]):
+    for got, want in zip(eta_pivots(psi_table(p, G_SOURCES), ds, locs),
+                         seq[m_piv:]):
         assert got.num == want.num
         assert got.den == want.den
 
 
 def test_clear_psi_exact(exact):
-    _, _, psis = exact
-    big9 = clear_psi(psis[9], 9)
+    big9 = clear_psi(exact.psi(9), 9)
     assert big9.terms == {(6, 0): F(-847, 983040), (3, 2): F(-2937, 573440),
                     (0, 4): F(33, 7168)}
     # degree datum at p = 7: pivot index 6, cleared degree 12 = p + 5
-    big6 = clear_psi(psis[6], 6)
+    big6 = clear_psi(exact.psi(6), 6)
     assert {4 * i + 6 * j for (i, j) in big6.terms} == {12}
 
 
 def test_golem_seed_values(exact):
-    _, _, psis = exact
-    big6 = clear_psi(psis[6], 6)
+    big6 = clear_psi(exact.psi(6), 6)
     assert sum(c for (i, j), c in big6.terms.items() if i == 0) == F(15, 896)
-    big5 = clear_psi(psis[5], 5)
+    big5 = clear_psi(exact.psi(5), 5)
     assert sum(c for (i, j), c in big5.terms.items() if j == 0) == F(-7, 1280)
 
 
@@ -269,8 +267,7 @@ def test_conjecture_scan_range():
 def test_rational_independence_of_psi9_and_delta_h():
     # over Q the relation Psi_9 = c * Delta * H_13 has no solution: the
     # coefficient ratios at (6,0) and (0,4) disagree
-    _, _, psis = exact_psi_table(9)
-    big9 = clear_psi(psis[9], 9)
+    big9 = clear_psi(exact_psi_table(9).psi(9), 9)
     dh = (discriminant(None) * hasse_poly(13)).terms
     r1 = F(big9.terms[(6, 0)]) / dh[(6, 0)]
     r2 = F(big9.terms[(0, 4)]) / dh[(0, 4)]
@@ -280,12 +277,12 @@ def test_rational_independence_of_psi9_and_delta_h():
 def test_mod_p_lane_matches_exact_lane():
     p = 31
     table = psi_table(p)
-    _, _, psis = exact_psi_table(9)
+    exact = exact_psi_table(9)
     for n in range(1, 10):
         reduced = {k: (c.numerator * pow(c.denominator, -1, p)) % p
-                   for k, c in psis[n].terms.items()}
+                   for k, c in exact.psi(n).terms.items()}
         reduced = {k: v for k, v in reduced.items() if v}
-        assert table.psis[n].terms == reduced
+        assert table.psi(n).terms == reduced
 
 
 def _support_table(rows, width, lag, fill):
@@ -376,7 +373,7 @@ def test_stream_sums_refused_past_the_int64_bound():
     table, P = laurent_stream(nmax, (ALPHA_SOURCES,), pm)
     fr, u, v_inv, const = _lane(pm)
     seq = stream_oracle(nmax, const(1), {}, u, v_inv, fr)
-    alphas = _Rows(lambda n: table[0, n] * P[n], pm, 0, 0, 1)
-    assert all(alphas[n] == seq[n] for n in range(nmax + 1))
+    assert all(stream_row(table[0, n] * P[n], n, 0, 0, 1, pm) == seq[n]
+               for n in range(nmax + 1))
     with pytest.raises(PrecisionOutOfRange):
         laurent_stream(nmax + 1, (ALPHA_SOURCES,), pm)

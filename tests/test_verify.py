@@ -365,7 +365,7 @@ def cached_pairwise(p, mod, samples):
     return pairwise_outcomes(p, mod, sweep_pairs(p, mod, samples))
 
 
-def stacked_outcomes(monkeypatch, p, mod, samples, workers):
+def stacked_outcomes(monkeypatch, p, mod, samples, workers, seed=2026):
     """The sweep's (status, row) per task, in task order, read off the
     stacks it maps on in-process workers, with its summary, the number of
     rows checked in stacks, the stacks that raised and the tasks run
@@ -398,7 +398,8 @@ def stacked_outcomes(monkeypatch, p, mod, samples, workers):
     monkeypatch.setattr(verify, "parallel_map", spy_map)
     monkeypatch.setattr(verify, "verify_pair", spy_verify)
     monkeypatch.setattr(verify, "_attempt", spy_attempt)
-    summary = exhaustive_verify(p, mod, samples=samples, workers=workers)
+    summary = exhaustive_verify(p, mod, samples=samples, seed=seed,
+                                workers=workers)
     assert counts == ([] if workers == 1 else [2])
     return ([outcome for part in parts for outcome in part], summary,
             sum(stacked), raised, alone)
@@ -429,6 +430,22 @@ def test_stacked_rows_match_pair_by_pair(monkeypatch, p, mod, samples,
     if branches is not None:
         assert {row["branch"] for status, row in outcomes
                 if status == "ok"} == branches
+
+
+# past 2^12 the size rule leaves room for one pair a stack, mod p and mod p^2
+@pytest.mark.parametrize("mod, samples, seed", [(1, 4, 3), (2, 2, 5)])
+def test_sweeps_past_4096_tally_each_pair_alone(monkeypatch, mod, samples,
+                                                seed):
+    """At p = 4099 every task of a sampled sweep goes alone through
+    _attempt, inside _attempt_stack, in task order, and the summary is the
+    tally of those outcomes: every drawn pair verifies."""
+    p = 4099
+    outcomes, summary, stacked, raised, alone = stacked_outcomes(
+        monkeypatch, p, mod, samples, 1, seed)
+    tasks = [(p, a, b, mod) for a, b in sweep_pairs(p, mod, samples, seed)]
+    assert (stacked, raised, alone) == (0, [], tasks)
+    assert summary == summarize(p, mod, outcomes)
+    assert summary["verified"] == samples
 
 
 SIGMA = {(2, 3), (5, 1), (7, 0)}  # (7, 0) has b = 0: it takes the b0 solve
@@ -593,20 +610,16 @@ def test_sweep_refuses_other_moduli():
     (67, 2, 9, 1, [7, 2]),           # 2^15 // 67^2 = 7
     (211, 2, 3, 1, [1, 1, 1]),       # no room: one pair per stack
     (31, 1, None, 2, [264, 264, 264, 169]),  # 2^13 // 31 = 264
-    (4099, 1, 3, 1, None),           # past _STACK_P
+    (4099, 1, 3, 1, [1, 1, 1]),      # 2^13 // 4099 = 1
 ])
 def test_stack_sizes_follow_one_rule(monkeypatch, p, mod, samples, workers,
                                      sizes):
     """Stacks hold at most 2^13 // p pairs mod p, 2^15 // p^2 mod p^2, and
-    an equal share per worker; from _STACK_P on, the sweep goes pair by
-    pair."""
+    an equal share per worker, and at least one pair."""
     maps = []
 
     def stacked(tasks):
         return [("ineligible", None)] * len(tasks)
-
-    def alone(task):
-        return "ineligible", None
 
     def spy_map(fn, items, workers=None):
         maps.append([len(x) for x in items] if fn is stacked else None)
@@ -614,6 +627,5 @@ def test_stack_sizes_follow_one_rule(monkeypatch, p, mod, samples, workers,
 
     monkeypatch.setattr(verify, "parallel_map", spy_map)
     monkeypatch.setattr(verify, "_attempt_stack", stacked)
-    monkeypatch.setattr(verify, "_attempt", alone)
     exhaustive_verify(p, mod, samples=samples, workers=workers)
     assert maps == [sizes]

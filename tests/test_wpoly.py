@@ -177,11 +177,11 @@ def test_proportional_matches_dict_oracle(data, same_weight, scale):
 
 
 def test_specialize_is_exact_on_laurent_input():
-    psi_1 = exact_psi_table(9)[2][1]
+    psi_1 = exact_psi_table(9).psi(1)
     value = psi_1.specialize(1, 2)
     assert type(value) is Fraction and value == Fraction(1, 32)
     with pytest.raises(NotAUnit):
-        psi_table(11).psis[1].specialize(1, 0)
+        psi_table(11).psi(1).specialize(1, 0)
 
 
 @pytest.mark.parametrize("p", [13, 17, 61])

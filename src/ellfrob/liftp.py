@@ -5,15 +5,25 @@ mu-correction and extendability certificate.
 Pairs (a, b) are exact integers (canonical representatives); they are what
 the p-derivation and the guard-digit divisions by p act on.
 
+One CurveContext per lift holds every scalar of its pair: H(a, b),
+lambda0 = 1/H mod p^m, which raises NotOrdinary when H = 0 mod p (the one
+place that refusal is made), and delta(a), delta(b) mod p^m as ctx.da and
+ctx.db, each formed on first use, with f, its powers and K per precision.
+A lift keeps its context, and every check reads it from the lift. The
+mod-p steps read f and K mod p at any precision of the context, so a
+mod-p lift is built over the context it is given.
+
 Stacks. A context may hold equal-length int64 arrays a and b of residues
 mod p^m <= 2^31: a stack of pairs, one per row of every UPoly it forms
-(upoly module doc, Stacks). Its scalars (h_val, lambda0) are then arrays,
-and the mod-p steps (build_lift_mod_p, mu_correct,
+(upoly module doc, Stacks). Its scalars (h_val, lambda0, da, db) are then
+arrays, and the mod-p steps (build_lift_mod_p, mu_correct,
 extendability_certificate, lie_verify_commutator at m = 1 and
 eigen_forcing_check) give one verdict per row where one pair gives a bool.
 A check that cannot proceed on some row raises, as it does for that pair
 alone, naming the first such pair.
 """
+
+from functools import cached_property
 
 import numpy as np
 
@@ -68,35 +78,36 @@ class CurveContext:
                 SingularPair, "Delta(%d, %d) = 0 mod %d", pm.p)
         self.h_val = hasse.specialize(self.a, self.b)
         self.ordinary = self.h_val % pm.p != 0
-        self.lambda0 = (_inverse(self.h_val, pm) if _holds(self.ordinary)
-                        else None)
-        # f per precision (with its powers), K per precision, and delta(a)
-        # and delta(b) mod p^m, each formed once per context; they go when
-        # the context does
+        # f (with its powers) and K per precision, each formed once per
+        # context; they go when the context does
         self.memo = {}
 
+    @cached_property
+    def lambda0(self):
+        """1/H(a, b) mod p^m; NotOrdinary, naming the first pair with
+        H = 0 mod p, when there is one."""
+        _refuse(self.ordinary, self.a, self.b, NotOrdinary,
+                "H(%d, %d) = 0 mod %d", self.p)
+        return _inverse(self.h_val, self.pm)
+
+    @cached_property
+    def da(self):
+        """delta(a) mod p^m."""
+        return delta_scalar(self.a, self.pm)
+
+    @cached_property
+    def db(self):
+        """delta(b) mod p^m."""
+        return delta_scalar(self.b, self.pm)
+
     def f_at(self, prec):
-        """f over Z/p^prec: one object per precision, whose powers are
-        memoized, so each f**n is formed once per context."""
+        """f over Z/p^prec: one object per precision, so each f**n is
+        formed once per context."""
         f = self.memo.get(("f", prec))
         if f is None:
-            f = UPoly.x_cubic(self.a, self.b, PrimePower(self.p, prec))
-            self.memo[("f", prec)] = f.memoize_powers()
+            f = self.memo[("f", prec)] = UPoly.x_cubic(
+                self.a, self.b, PrimePower(self.p, prec))
         return f
-
-    def delta_a(self):
-        """delta(a) mod p^m, formed once per context."""
-        return self._delta("a")
-
-    def delta_b(self):
-        """delta(b) mod p^m, formed once per context."""
-        return self._delta("b")
-
-    def _delta(self, name):
-        key = ("delta", name)
-        if key not in self.memo:
-            self.memo[key] = delta_scalar(getattr(self, name), self.pm)
-        return self.memo[key]
 
 
 class FrobLift:
@@ -125,11 +136,10 @@ def k_poly(ctx, prec):
 def k0_poly(ctx, prec):
     """K0: K with a^p, b^p in place of phi(a), phi(b). The two differ by
     (a - a^p) x^p / p + (b - b^p) / p, so K0 = K - delta(a) x^p - delta(b).
-    Up to the context's precision, the deltas are its memoized ones,
-    reduced."""
+    Up to the context's precision, the deltas are its own, reduced."""
     pm = PrimePower(ctx.p, prec)
     if prec <= ctx.pm.m:
-        da, db = ctx.delta_a(), ctx.delta_b()
+        da, db = ctx.da, ctx.db
     else:
         da, db = delta_scalar(ctx.a, pm), delta_scalar(ctx.b, pm)
     return (k_poly(ctx, prec) - UPoly.monomial(da, ctx.p, pm)
@@ -267,19 +277,15 @@ def _df_phi(ctx, z, m, fexp):
 
 
 def build_lift_mod_p(ctx):
-    """Z with dZ/dx = lambda0 f^((p-1)/2) - x^(p-1) mod p.
+    """Z with dZ/dx = lambda0 f^((p-1)/2) - x^(p-1) mod p, over ctx at any
+    precision: every step of a mod-p lift reads f and K mod p from it.
 
     The x^(p-1) coefficient of the integrand is lambda*H(a,b) - 1; it can be
-    made to vanish exactly when H(a,b) is a unit.
+    made to vanish exactly when H(a,b) is a unit (ctx.lambda0 refuses
+    otherwise).
     """
-    p = ctx.p
-    _refuse(ctx.ordinary, ctx.a, ctx.b, NotOrdinary, "H(%d, %d) = 0 mod %d",
-            p)
-    lam = ctx.lambda0 % p
-    z = w_poly(ctx, 1, lam)
-    lift_ctx = (ctx if ctx.pm.m == 1
-                else CurveContext(ctx.a, ctx.b, PrimePower(p, 1)))
-    return FrobLift(lift_ctx, FracPoly(z, 0, ctx.f_at(1)), lam)
+    lam = ctx.lambda0 % ctx.p
+    return FrobLift(ctx, FracPoly(w_poly(ctx, 1, lam), 0, ctx.f_at(1)), lam)
 
 
 def _y_poly(ctx, z):
@@ -311,7 +317,7 @@ def _xp_mod_f(ctx, q):
     return out
 
 
-def mu_correct(ctx, lift):
+def mu_correct(lift):
     """Solve Y + (3x^2+a)^p (mu0 + mu1 x^p + mu2 x^(2p)) = 0 mod (f, p).
 
     3x3 linear solve over Z/p in the basis 1, x, x^2 of S[x]/(f). Every
@@ -320,6 +326,7 @@ def mu_correct(ctx, lift):
     K mod f = ((r^3 + a r + b) mod f)/p, since pK = x^(3p) + a x^p + b - f^p
     and f^p = 0 mod f. Only Z is divided by f.
     """
+    ctx = lift.ctx
     p, a, b = ctx.p, ctx.a, ctx.b
     q2 = p * p
     r2 = _xp_mod_f(ctx, q2)
@@ -362,8 +369,9 @@ def _solve3(cols, rhs, p):
             for j in range(3)]
 
 
-def extendability_certificate(ctx, lift):
+def extendability_certificate(lift):
     """Is Y divisible by f^((p+1)/2) mod p? Returns (verdict, cofactor)."""
+    ctx = lift.ctx
     p = ctx.p
     y = _y_poly(ctx, lift.z.num)
     quo, rem = y.divmod_monic(ctx.f_at(1) ** ((p + 1) // 2))

@@ -30,9 +30,8 @@ p^4; both are below 2^63 for every p whose p^2 a stack admits (<= 2^31).
 import numpy as np
 
 from .errors import (BNotUnit, DegreeMismatch, InternalMismatch,
-                     NotOrdinary, NotStabilized,
-                     PrecisionOutOfRange, PropertyViolation, SigmaSingular,
-                     TOutOfRange)
+                     NotStabilized, PrecisionOutOfRange, PropertyViolation,
+                     SigmaSingular, TOutOfRange)
 from .forms import QuasiLinearForm, form_localizers, multinomial_rows
 from .liftp import (CurveContext, FrobLift, _holds, _inverse, _refuse,
                     _y_poly, df_xp, k0_poly, w_poly)
@@ -47,10 +46,9 @@ from .wpoly import LocFrac, WPoly
 def d_values(ctx):
     """The x^(sp-1) coefficients d_1..d_4 of
     D = (lambda0/2) f^((p-1)/2) (K0 + (3x^(2p)+a^p) W0), all mod p,
-    together with W0. deg D <= 5p-2 forces d_s = 0 for s >= 5."""
+    together with W0. deg D <= 5p-2 forces d_s = 0 for s >= 5.
+    ctx.lambda0 refuses a pair that is not ordinary."""
     p = ctx.p
-    _refuse(ctx.ordinary, ctx.a, ctx.b, NotOrdinary, "H(%d, %d) = 0 mod %d",
-            p)
     lam0 = ctx.lambda0 % p
     fh = ctx.f_at(1) ** ((p - 1) // 2)
     w0 = w_poly(ctx, 1, lam0)
@@ -143,7 +141,7 @@ def solve_eigen_numeric(ctx, d=None):
     alpha = solve_truncated(p, u, v_unit, [], 1, t_max)
     beta = solve_truncated(p, u, v_unit, sources(p, u, 1, 0, 0, []), 0, t_max)
     rho = solve_truncated(p, u, v_unit, sources(
-        p, u, 0, ctx.delta_a() % p, ctx.delta_b() % p, d), 0, t_max)
+        p, u, 0, ctx.da % p, ctx.db % p, d), 0, t_max)
     det = (alpha[m_piv] * beta[m_piv + 1]
            - alpha[m_piv + 1] * beta[m_piv]) % p
     _refuse(det != 0, ctx.a, ctx.b, SigmaSingular,
@@ -171,7 +169,7 @@ def _solve_b0(ctx, d):
     alpha2 = d[2] * inv_u % p
     alpha4 = d[4] % p
     alpha = (alpha2 + alpha4) * inv2 % p
-    da, db = ctx.delta_a() % p, ctx.delta_b() % p
+    da, db = ctx.da % p, ctx.db % p
     theta = (-da * inv_u % p * inv_mod(4, p) - alpha) % p
     src = sources(p, u, theta, da, db, d)
 
@@ -260,7 +258,7 @@ def build_lift_mod_p2(ctx):
         branch = (np.where(u != 0, "general", "a0")
                   if isinstance(u, np.ndarray) else "general" if u else "a0")
         v0, theta, _, vs = solve_eigen_numeric(ctx, d)
-    src = sources(p, u, theta, ctx.delta_a() % p, ctx.delta_b() % p, d)
+    src = sources(p, u, theta, ctx.da % p, ctx.db % p, d)
     vs = stabilization_check(p, u, v_unit, src, vs)
     lift = assemble_lift(ctx, theta, vs, w0)
     info = {"branch": branch, "theta": theta, "v0": v0, "vs": vs}

@@ -660,17 +660,6 @@ class UPoly:
         out[..., 0], out[..., 1], out[..., 3] = _residue(b, pm.q), a, 1
         return cls._wrap(out, pm)
 
-    def memoize_powers(self):
-        """Make ``self ** n`` keep each result on this object; returns self.
-
-        The owner of the object (a CurveContext) bounds the memo's lifetime.
-        Results are shared, which is safe because coefficient arrays are
-        read-only.
-        """
-        if self._powers is None:
-            self._powers = {}
-        return self
-
     def degree(self):
         """The degree; on a stack, the largest over its rows."""
         return self.coeffs.shape[-1] - 1
@@ -744,18 +733,23 @@ class UPoly:
         """self^n from the largest stored power self^k when k >= n/2, as
         self^k * self^(n-k); otherwise self^(n-1) * self for odd n and
         (self^(n/2))^2 for even n. Every smaller power goes through ``**``,
-        so on a memoized base all powers share the stored ones, and a new
+        so all powers of one base share the stored ones, and a new
         exponent near an old one, such as (p-1)/2 + 2p next to p, costs a
-        few products rather than a fresh squaring chain. self^1 is self
-        and is not stored, which keeps the memo free of a reference cycle."""
+        few products rather than a fresh squaring chain. The memo is made
+        on the first ``**`` and lives as long as the base (a CurveContext's
+        f); results are shared, which is safe because coefficient arrays
+        are read-only. self^1 is self and is not stored, which keeps the
+        memo free of a reference cycle."""
         if n < 0:
             raise NegativeExponent("UPoly ** %d" % n)
+        if self._powers is None:
+            self._powers = {}
         memo = self._powers
-        if memo is not None and n in memo:
+        if n in memo:
             return memo[n]
         if n <= 1:
             return self if n == 1 else UPoly.const(1, self.pm)
-        stored = max([e for e in memo if e < n], default=0) if memo else 0
+        stored = max([e for e in memo if e < n], default=0)
         if 2 * stored >= n:
             result = memo[stored] * self ** (n - stored)
         elif n & 1:
@@ -763,8 +757,7 @@ class UPoly:
         else:
             half = self ** (n // 2)
             result = half * half
-        if memo is not None:
-            memo[n] = result
+        memo[n] = result
         return result
 
     def derivative(self):

@@ -118,8 +118,8 @@ def verify_pair(p, a, b, mod):
     ctx = CurveContext(a, b, PrimePower(p, mod))
     if mod == 1:
         lift = build_lift_mod_p(ctx)
-        _, corrected = mu_correct(ctx, lift)
-        extendable, _ = extendability_certificate(ctx, corrected)
+        _, corrected = mu_correct(lift)
+        extendable, _ = extendability_certificate(corrected)
         verified = (lie_verify_commutator(corrected, 1) & extendable
                     & eigen_forcing_check(corrected))
         cols = corrected.lam, verified, extendable, None, None

@@ -193,6 +193,31 @@ def test_criterion_5_eigenvalue_structure():
     report(5, "eigenvalue structure")
 
 
+def frobenius_dlog_h(p, slot, locs):
+    """Frob(d H / H) for d the partial derivative in z4 (slot 0) or z6
+    (slot 1), over Theta's localizers, d H taken from the (e4, e6, c) rows
+    of H mod p term by term."""
+    terms = {}
+    for row in hasse_poly(p, PrimePower(p, 1)).to_json():
+        e = row[slot]
+        if e:
+            key = (row[0] - (slot == 0), row[1] - (slot == 1))
+            terms[key] = row[2] * e % p
+    return LocFrac(WPoly(terms, locs.pm), {"H": 1}, locs).frobenius()
+
+
+@pytest.mark.parametrize("p", [13, 17, 37, 61, 101, 127])
+def test_criterion_5_theta_delta_slots_are_frobenius_of_dlog_h(p):
+    """The z4' and z6' slots of the solved Theta are Frob(d_z4 H / H) and
+    Frob(d_z6 H / H), equal as localized fractions; a slot doubled
+    compares unequal."""
+    theta, _ = solve_eigen_symbolic(p)
+    for slot, got in enumerate((theta.gamma_4, theta.gamma_6)):
+        want = frobenius_dlog_h(p, slot, theta.locs)
+        assert got == want
+        assert got.scale(2) != want
+
+
 # --------------------------------------------------------------- criterion 6
 
 def _rand_monomial_frac(locs, rng):
@@ -303,7 +328,7 @@ def test_criterion_7_internal_consistency(scan_rows):
         assert len(info["vs"]) == (p + 3) // 2 + 1
         v0, theta, _, _ = solve_eigen_numeric(ctx)
         d, _ = d_values(ctx)
-        da, db = ctx.delta_a() % p, ctx.delta_b() % p
+        da, db = ctx.da % p, ctx.db % p
         u, v_unit = pow(ctx.a, p, p), pow(ctx.b, p, p)
         src = sources(p, u, (theta + 1) % p, da, db, d)
         bad = solve_truncated(p, u, v_unit, src, v0, (p + 7) // 2)

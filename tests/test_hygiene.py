@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package or of the tests imports a name
-it never uses. An AST scan stands in for a linter."""
+it never uses, and no module of the package holds an assert statement,
+since python -O strips them. AST scans stand in for a linter."""
 
 import ast
 import pathlib
@@ -7,7 +8,8 @@ import pathlib
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-MODULES = sorted([*ROOT.glob("src/ellfrob/*.py"), *ROOT.glob("tests/*.py")])
+SRC = sorted(ROOT.glob("src/ellfrob/*.py"))
+MODULES = sorted([*SRC, *ROOT.glob("tests/*.py")])
 
 
 def unused_imports(source):
@@ -40,3 +42,18 @@ def test_scan_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def asserts(source):
+    """The line numbers of the module's assert statements."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Assert))
+
+
+def test_scan_flags_an_assert():
+    assert asserts("x = 1\nassert x\nif x:\n    assert x, 'no'\n") == [2, 4]
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_assert_in_src(path):
+    assert asserts(path.read_text()) == []

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 import ellfrob.liftp as liftp
@@ -16,13 +17,16 @@ from ellfrob.residue import PrimePower, delta_scalar, inv_mod
 from ellfrob.upoly import FracPoly, UPoly
 
 
-def ordinary_pairs(p):
+def ordinary_pairs(p, ordinary=True):
+    """The nonsingular pairs mod p with H(a, b) a unit; with ordinary
+    False, those with H(a, b) = 0 mod p."""
     pm = PrimePower(p, 1)
     from ellfrob.wpoly import discriminant
     d = discriminant(pm)
     h = hasse_poly(p, pm)
     return [(a, b) for a in range(p) for b in range(p)
-            if d.specialize(a, b) % p and h.specialize(a, b) % p]
+            if d.specialize(a, b) % p
+            and bool(h.specialize(a, b) % p) == ordinary]
 
 
 def test_curve_context_rejects_singular():
@@ -212,37 +216,92 @@ def test_not_ordinary_raised():
         build_lift_mod_p(ctx)
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_lambda0_refuses_the_first_supersingular_pair(m):
+    """ctx.lambda0 raises NotOrdinary naming the pair, alone or the first
+    such row of a stack; the context itself is built, and H(a, b) read."""
+    p = 13
+    pm = PrimePower(p, m)
+    bad = ordinary_pairs(p, ordinary=False)
+    good = ordinary_pairs(p)
+    ctx = CurveContext(*bad[0], pm)
+    assert not ctx.ordinary
+    with pytest.raises(NotOrdinary, match=r"H\(%d, %d\) = 0 mod 13" % bad[0]):
+        ctx.lambda0
+    rows = [good[0], bad[1], good[1], bad[2]]
+    stack = CurveContext(np.array([a for a, _ in rows]),
+                         np.array([b for _, b in rows]), pm)
+    with pytest.raises(NotOrdinary, match=r"H\(%d, %d\) = 0 mod 13" % bad[1]):
+        stack.lambda0
+    with pytest.raises(NotOrdinary, match=r"H\(%d, %d\) = 0 mod 13" % bad[1]):
+        build_lift_mod_p(stack)
+
+
+def test_mod_p_lift_over_a_precision_2_context(monkeypatch):
+    """build_lift_mod_p over a mod-p^2 context builds no second context and
+    gives the z and lambda of the mod-p context, and every check the same
+    verdict, a and b taken up to p^2."""
+    built = []
+    real_init = CurveContext.__init__
+
+    def counting_init(self, a, b, pm):
+        built.append(pm)
+        real_init(self, a, b, pm)
+
+    rng = random.Random(29)
+    p = 13
+    for a, b in rng.sample(ordinary_pairs(p), 12):
+        a, b = a + p * rng.randrange(p), b + p * rng.randrange(p)
+        one = CurveContext(a, b, PrimePower(p, 1))
+        two = CurveContext(a, b, PrimePower(p, 2))
+        monkeypatch.setattr(CurveContext, "__init__", counting_init)
+        lifts = [build_lift_mod_p(one), build_lift_mod_p(two)]
+        verdicts = []
+        for lift in lifts:
+            _, corrected = mu_correct(lift)
+            ok, _ = extendability_certificate(corrected)
+            verdicts.append((lie_verify_commutator(lift, 1),
+                             lie_verify_commutator(corrected, 1), ok,
+                             eigen_forcing_check(corrected)))
+        monkeypatch.undo()
+        assert built == []
+        assert lifts[1].ctx is two
+        assert lifts[0].z.num == lifts[1].z.num
+        assert lifts[0].lam == lifts[1].lam
+        assert verdicts[0] == verdicts[1] == (True, True, True, True)
+
+
 def test_build_13_0_1_full_verification():
     ctx = CurveContext(0, 1, PrimePower(13, 1))
     lift = build_lift_mod_p(ctx)
-    mu, corrected = mu_correct(ctx, lift)
+    mu, corrected = mu_correct(lift)
     assert lie_verify(corrected, 1)
     assert lie_verify_commutator(corrected, 1)
     assert eigen_forcing_check(corrected)
-    ok, _ = extendability_certificate(ctx, corrected)
+    ok, _ = extendability_certificate(corrected)
     assert ok
 
 
 def test_mu_correct_idempotent():
     for (p, a, b) in ((5, 1, 0), (13, 0, 1), (13, 2, 3)):
         ctx = CurveContext(a, b, PrimePower(p, 1))
-        _, corrected = mu_correct(ctx, build_lift_mod_p(ctx))
-        mu2, again = mu_correct(ctx, corrected)
+        _, corrected = mu_correct(build_lift_mod_p(ctx))
+        mu2, again = mu_correct(corrected)
         assert mu2 == [0, 0, 0]
         assert again.z == corrected.z
 
 
 def test_mu_at_5_1_0_is_zero():
     ctx = CurveContext(1, 0, PrimePower(5, 1))
-    mu, _ = mu_correct(ctx, build_lift_mod_p(ctx))
+    mu, _ = mu_correct(build_lift_mod_p(ctx))
     assert mu == [0, 0, 0]
 
 
 def test_extendability_certificate_and_cofactor():
     p = 5
     ctx = CurveContext(1, 0, PrimePower(p, 1))
-    _, corrected = mu_correct(ctx, build_lift_mod_p(ctx))
-    ok, cof = extendability_certificate(ctx, corrected)
+    _, corrected = mu_correct(build_lift_mod_p(ctx))
+    ok, cof = extendability_certificate(corrected)
     assert ok
     y = _y_poly(ctx, corrected.z.num)
     assert cof * ctx.f_at(1) ** ((p + 1) // 2) == y
@@ -251,11 +310,11 @@ def test_extendability_certificate_and_cofactor():
 def test_extendability_fails_after_mu_perturbation():
     p = 5
     ctx = CurveContext(1, 0, PrimePower(p, 1))
-    _, corrected = mu_correct(ctx, build_lift_mod_p(ctx))
+    _, corrected = mu_correct(build_lift_mod_p(ctx))
     perturbed = FrobLift(
         ctx, FracPoly(corrected.z.num + UPoly.const(1, PrimePower(p, 1)),
                       0, ctx.f_at(1)), corrected.lam)
-    ok, _ = extendability_certificate(ctx, perturbed)
+    ok, _ = extendability_certificate(perturbed)
     assert not ok
 
 
@@ -264,7 +323,7 @@ def test_commutator_agrees_with_differential_check():
     pairs = ordinary_pairs(13)
     for a, b in rng.sample(pairs, 20):
         ctx = CurveContext(a, b, PrimePower(13, 1))
-        _, corrected = mu_correct(ctx, build_lift_mod_p(ctx))
+        _, corrected = mu_correct(build_lift_mod_p(ctx))
         assert lie_verify(corrected, 1)
         assert lie_verify_commutator(corrected, 1)
         bad = FrobLift(ctx, corrected.z, (corrected.lam + 1) % 13)
@@ -323,7 +382,7 @@ def test_mu_correct_matches_division(p):
                 lift = build_lift_mod_p(ctx)
             except DomainError:
                 continue
-            assert mu_correct(ctx, lift)[0] == division_mu(ctx, lift)
+            assert mu_correct(lift)[0] == division_mu(ctx, lift)
             checked += 1
     assert checked == len(ordinary_pairs(p))
 

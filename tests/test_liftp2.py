@@ -94,7 +94,7 @@ def test_rows_resubstitute():
     _, info = build_lift_mod_p2(ctx)
     u, v_unit = 1, 1
     d, _ = d_values(ctx)
-    da, db = ctx.delta_a() % p, ctx.delta_b() % p
+    da, db = ctx.da % p, ctx.db % p
     vs = info["vs"]
     src = sources(p, u, info["theta"], da, db, d)
     for s in range(1, len(vs)):
@@ -107,7 +107,7 @@ def test_eigen_pivots_vanish():
     ctx = ctx2(p, 1, 1)
     v0, theta, det, _ = solve_eigen_numeric(ctx)
     d, _ = d_values(ctx)
-    da, db = ctx.delta_a() % p, ctx.delta_b() % p
+    da, db = ctx.da % p, ctx.db % p
     vs = solve_truncated(p, 1, 1, sources(p, 1, theta, da, db, d), v0,
                          (p + 7) // 2)
     m_piv = (p + 5) // 2
@@ -130,7 +130,7 @@ def test_pivot_solution_is_the_combination_of_its_streams(p, pairs):
         d, _ = d_values(ctx)
         v0, theta, det, vs = solve_eigen_numeric(ctx, d)
         u = ctx.a % p
-        src = sources(p, u, theta, ctx.delta_a() % p, ctx.delta_b() % p, d)
+        src = sources(p, u, theta, ctx.da % p, ctx.db % p, d)
         direct = solve_truncated(p, u, ctx.b % p, src, v0, (p + 7) // 2)
         assert len(vs) == len(direct) == (p + 9) // 2
         assert all(np.array_equal(x, y) for x, y in zip(vs, direct))
@@ -152,7 +152,7 @@ def test_generic_guess_not_stabilized():
     ctx = ctx2(p, 1, 1)
     v0, theta, _, _ = solve_eigen_numeric(ctx)
     d, _ = d_values(ctx)
-    da, db = ctx.delta_a() % p, ctx.delta_b() % p
+    da, db = ctx.da % p, ctx.db % p
     src = sources(p, 1, (theta + 1) % p, da, db, d)
     bad = solve_truncated(p, 1, 1, src, v0, (p + 7) // 2)
     with pytest.raises(NotStabilized):
@@ -490,7 +490,7 @@ def test_row_product_refuses_sums_past_2_53():
 def test_deltas_are_formed_once_per_context(monkeypatch):
     """delta(a) and delta(b) are formed once per mod-p^2 context, one
     call each, in a lift of every branch, alone and in a stack; k0_poly
-    reduces them."""
+    reduces them. Read again, ctx.da and ctx.db call nothing."""
     real, calls = liftp.delta_scalar, []
 
     def delta_scalar(a, pm):
@@ -502,5 +502,9 @@ def test_deltas_are_formed_once_per_context(monkeypatch):
     for a, b in [(1, 1), (0, 1), (1, 0),
                  (np.array([1, 2, 4]), np.array([1, 1, 3]))]:
         calls.clear()
-        build_lift_mod_p2(CurveContext(a, b, pm2))
+        ctx = CurveContext(a, b, pm2)
+        build_lift_mod_p2(ctx)
+        assert calls == [pm2, pm2]
+        assert np.array_equal(ctx.da, real(ctx.a, pm2))
+        assert np.array_equal(ctx.db, real(ctx.b, pm2))
         assert calls == [pm2, pm2]

@@ -186,13 +186,13 @@ def test_mod_p_checks_on_a_stack_match_each_pair(p):
     b = np.array([y for _, y, _ in pairs])
     ctx = CurveContext(a, b, PrimePower(p, 1))
     lift = build_lift_mod_p(ctx)
-    mu, corrected = mu_correct(ctx, lift)
-    extendable, _ = extendability_certificate(ctx, corrected)
+    mu, corrected = mu_correct(lift)
+    extendable, _ = extendability_certificate(corrected)
     lie = lie_verify_commutator(corrected, 1)
     eigen = eigen_forcing_check(corrected)
     for i, (x, y, row) in enumerate(pairs):
         one = CurveContext(x, y, PrimePower(p, 1))
-        mu1, _ = mu_correct(one, build_lift_mod_p(one))
+        mu1, _ = mu_correct(build_lift_mod_p(one))
         assert [int(m[i]) for m in mu] == mu1
         assert int(corrected.lam[i]) == row["lambda"]
         assert bool(extendable[i]) is row["extendable"] is True
@@ -237,7 +237,7 @@ def test_commutator_verdict_is_the_and_of_both_generators(monkeypatch):
     pairs = eligible(13)[:6]
     ctx = CurveContext(np.array([x for x, _, _ in pairs]),
                        np.array([y for _, y, _ in pairs]), PrimePower(13, 1))
-    _, lift = mu_correct(ctx, build_lift_mod_p(ctx))
+    _, lift = mu_correct(build_lift_mod_p(ctx))
     calls = []
     y_rows = np.array([True, False, True, True, False, True])
     monkeypatch.setattr(liftp, "y_commutator",
@@ -332,7 +332,7 @@ def test_stabilization_check_on_a_stack_names_the_failing_row():
                        np.array([b for _, b in pairs]), PrimePower(p, 2))
     d, _ = d_values(ctx)
     v0, theta, _, _ = solve_eigen_numeric(ctx, d)
-    src = sources(p, ctx.a % p, theta, ctx.delta_a() % p, ctx.delta_b() % p,
+    src = sources(p, ctx.a % p, theta, ctx.da % p, ctx.db % p,
                   d)
     args = (p, ctx.a % p, ctx.b % p, src)
     vs = solve_truncated(*args, v0, (p + 7) // 2)

@@ -579,7 +579,7 @@ def test_coefficients_are_read_only():
 
 
 def test_memoized_powers_share_one_squaring_chain(monkeypatch):
-    """f**31, f**15 and f**16 on one memoized f take 9 products: 8 for the
+    """f**31, f**15 and f**16 on one f take 9 products: 8 for the
     chain 2, 3, 6, 7, 14, 15, 30, 31, none for the stored f**15 and one
     for f**16 = f**15 * f, from the largest stored power (21 with
     square-and-multiply per exponent). Each equals the product by repeated
@@ -591,7 +591,7 @@ def test_memoized_powers_share_one_squaring_chain(monkeypatch):
     for n in range(1, 32):
         acc = acc * g
         want[n] = acc
-    f = UPoly.x_cubic(3, 5, pm).memoize_powers()
+    f = UPoly.x_cubic(3, 5, pm)
     calls = []
     original = UPoly.__mul__
 
@@ -610,7 +610,7 @@ def test_memoized_powers_share_one_squaring_chain(monkeypatch):
 def test_odd_power_stores_the_even_power_below_it(monkeypatch):
     """f**31 is formed as f**30 * f, so f**30 afterwards costs no product
     (one more with f**31 as (f**15)^2 * f)."""
-    f = UPoly.x_cubic(3, 5, PrimePower(31, 1)).memoize_powers()
+    f = UPoly.x_cubic(3, 5, PrimePower(31, 1))
     f ** 31
     calls = []
     original = UPoly.__mul__

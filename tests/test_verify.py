@@ -324,10 +324,10 @@ def sabotage(monkeypatch):
     the sweep calls."""
     real_mu, real_eigen = verify.mu_correct, verify.eigen_forcing_check
 
-    def mu_correct(ctx, lift):
-        if ERROR_PAIR in ctx_pairs(ctx):
+    def mu_correct(lift):
+        if ERROR_PAIR in ctx_pairs(lift.ctx):
             raise NotAUnit("sabotaged")
-        return real_mu(ctx, lift)
+        return real_mu(lift)
 
     def eigen_forcing_check(lift):
         ok = real_eigen(lift)

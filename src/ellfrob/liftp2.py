@@ -354,11 +354,13 @@ def eta_pivots(table, ds, locs):
     Row n of a stream reaches at most one V deeper than rows n-1 and n-3,
     so V^-n from the source at step 1; but at n = (p+3)/2 the U v_{n-1}
     term has coefficient 3/2 - n = -p/2 = 0 mod p, and from there on the
-    depth lags two behind n."""
+    depth lags two behind n. Each G_s row meets d_s through
+    WPoly.compose_times, one outer product at stride p, as d_s spans fewer
+    than p columns; the shift by the z6 power is a monomial product."""
     p, pm = locs.pm.p, locs.pm
     etas = []
     for m in ((p + 5) // 2, (p + 7) // 2):
-        num = sum((table.row(s + 1, m).compose_powers(p) * d.num
+        num = sum((table.row(s + 1, m).compose_times(p, d.num)
                    for s, d in enumerate(ds, 1)), WPoly.zero(pm))
         shift = (m - 2) * p
         etas.append(LocFrac(num * WPoly.monomial(1, 0, shift, pm),

@@ -7,8 +7,13 @@ z6^((w-4lo)/6-2k), exponents may be negative (Laurent). Zero has w = None;
 adding two other weights raises DegreeMismatch, so homogeneity holds by
 type. Storage is UPoly's, or exact (ints, Fractions) when pm is None; a
 product is UPoly's exact array product (upoly module doc, Products), or one
-np.convolve when pm is None. LocFrac is a WPoly over a monomial in named
-localizers (z4, z6, delta, H, Psi): the ring of symbolic eigenvalue work.
+np.convolve when pm is None. Two shapes skip the array product: a factor
+that is one term shifts (w, lo) and scales the other array once, and so
+does an exact division by one; a row composed at stride k times a factor
+of at most k entries (``compose_times``) is one outer product written at
+stride k, as its copies do not overlap. LocFrac is a WPoly over a monomial
+in named localizers (z4, z6, delta, H, Psi): the ring of symbolic
+eigenvalue work.
 """
 
 from fractions import Fraction
@@ -137,14 +142,23 @@ class WPoly:
     def __neg__(self):
         return self._new(self.w, self.lo, _reduce(-self.c, self.pm))
 
+    def _scaled(self, c):
+        """The array times c, reduced mod q when pm is set."""
+        return (self.c * c if self.pm is None
+                else _mulmod(self.c, int(c) % self.pm.q, self.pm.q))
+
     def scale(self, c):
-        return self._new(self.w, self.lo, self.c * c if self.pm is None
-                         else _mulmod(self.c, c % self.pm.q, self.pm.q))
+        return self._new(self.w, self.lo, self._scaled(c))
 
     def __mul__(self, other):
         self._check(other)
         if self.w is None or other.w is None:
             return WPoly.zero(self.pm)
+        if len(self.c) == 1:
+            self, other = other, self
+        if len(other.c) == 1:  # a monomial: shift (w, lo), scale once
+            return self._new(self.w + other.w, self.lo + other.lo,
+                             self._scaled(other.c[0]))
         a, b = self.c, other.c
         return self._new(self.w + other.w, self.lo + other.lo,
                          np.convolve(a, b) if self.pm is None
@@ -163,6 +177,21 @@ class WPoly:
         c = np.zeros(len(self.c) and len(self.c) * k - k + 1, self.c.dtype)
         c[::k] = self.c
         return self._new(self.w and self.w * k, self.lo * k, c)
+
+    def compose_times(self, k, other):
+        """self.compose_powers(k) * other. When other has at most k entries
+        its copies, one per entry of self at stride k, do not overlap: the
+        product is their outer product, row i at offset i k. A longer other
+        takes the generic product."""
+        self._check(other)
+        n, width = len(self.c), len(other.c)
+        if width > k or self.w is None or other.w is None:
+            return self.compose_powers(k) * other
+        c = np.zeros((n, k), self.c.dtype)
+        c[:, :width] = (np.multiply.outer(self.c, other.c) if self.pm is None
+                        else _mulmod(self.c[:, None], other.c, self.pm.q))
+        return self._new(self.w * k + other.w, self.lo * k + other.lo,
+                         c.ravel()[:n * k - k + width])
 
     def specialize(self, a, b):
         """Value at (a, b): mod q, or exact (int or Fraction) if pm is None.
@@ -189,10 +218,17 @@ class WPoly:
         of the arrays in t mod p^m, by g with a unit leading coefficient. g
         keeps its monic form, which keeps its series inverse
         (UPoly.divmod_monic), so each localizer of a LocalizerSet finds that
-        inverse once."""
+        inverse once. A monomial g with a unit coefficient always divides:
+        the quotient is the shift of (w, lo) times the inverse of that
+        coefficient, mod p^m or exact when pm is None."""
         self._check(g)
         if g.w is None or self.w is None:
             return None if g.w is None else self
+        if len(g.c) == 1:
+            inv = (1 / Fraction(g.c[0]) if self.pm is None
+                   else inv_mod(int(g.c[0]), self.pm.q))
+            out = self._new(self.w - g.w, self.lo - g.lo, self._scaled(inv))
+            return out if min(out.lo, out.lowest_z6()) >= 0 else None
         if getattr(g, "_divisor", None) is None:
             inv = inv_mod(int(g.c[-1]), self.pm.q)
             g._divisor = inv, UPoly._wrap(g.c, self.pm).scale(inv)
@@ -227,6 +263,16 @@ class WPoly:
 def discriminant(pm=None):
     """4 z4^3 + 27 z6^2."""
     return WPoly.from_coeffs(12, 0, [27, 4], pm)
+
+
+def _monomial_power(r, g):
+    """The largest k for which r / g^k has no negative exponent, g a
+    monomial z4^i z6^j with i, j >= 0 of positive weight; 0 when r has a
+    negative exponent already."""
+    have, per = (r.lo, r.lowest_z6()), (g.lo, g.lowest_z6())
+    if min(have) < 0:
+        return 0
+    return min(h // e for h, e in zip(have, per) if e)
 
 
 class LocalizerSet:
@@ -357,18 +403,29 @@ class LocFrac:
     def reciprocal(self):
         """Inverse, for numerators that factor as unit * localizer monomial.
 
-        Greedy exact division by each localizer in order, one power at a
-        time; whatever is left must be a unit constant, or
-        DenominatorNotLocalizer is raised. Mod p, s(z4^p, z6^p) = s^p has p
-        times the divisions of s, so invert s, then apply frobenius.
+        Greedy exact division by each localizer in order: a dense one (Psi,
+        H, delta) one power at a time, a monomial one (z4, z6) by its whole
+        power at once, the largest that leaves no negative exponent, read
+        off lo and lowest_z6 (the count one power at a time would reach).
+        Whatever is left must be a unit constant, or DenominatorNotLocalizer
+        is raised. Mod p, over squarefree localizers, the split commutes
+        with LocFrac.frobenius: s(z4^p, z6^p) = s^p has p times the
+        exponents of s. A dense localizer takes one division per power, so
+        p times as many on s^p as on s.
         """
         pm = self.locs.pm
         if self.num.is_zero():
             raise DenominatorNotLocalizer("zero has no reciprocal")
         r, exps = self.num, {}
         for name in self.locs.NAMES:
-            while name in self.locs.polys:
-                q2 = r.divide_exact(self.locs.polys[name])
+            g = self.locs.polys.get(name)
+            if g is not None and len(g.c) == 1:
+                k = _monomial_power(r, g)
+                if k:
+                    r, exps[name] = r.divide_exact(self.locs.power(name, k)), k
+                continue
+            while g is not None:
+                q2 = r.divide_exact(g)
                 if q2 is None:
                     break
                 r, exps[name] = q2, exps.get(name, 0) + 1

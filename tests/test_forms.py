@@ -129,17 +129,22 @@ def test_locfrac_reciprocal():
 
 
 def _greedy_den(num, locs):
-    """Strip each localizer one power at a time, in LocalizerSet order; the
-    split reciprocal has to find."""
+    """Strip each dense localizer one power at a time by long division, in
+    LocalizerSet order, then count z6 and z4 from the exponents of the one
+    term left; the split reciprocal has to find."""
     den = {}
     for name in locs.NAMES:
+        if name in ("z4", "z6"):
+            continue
+        assert len(locs.polys[name].terms) > 1, name
         while True:
             quo = num.divide_exact(locs.polys[name])
             if quo is None:
                 break
             num = quo
             den[name] = den.get(name, 0) + 1
-    assert list(num.terms) == [(0, 0)]
+    (e4, e6), = num.terms
+    den.update({name: e for name, e in (("z6", e6), ("z4", e4)) if e})
     return den
 
 

@@ -135,6 +135,102 @@ def test_divide_exact_round_trip(data):
         assert (q * g).divide_exact(g) == q
 
 
+# Lanes of the monomial and composed-row tests: exact, mod p, mod p^2 and
+# past 2^31, each with coefficients that are non-units mod 13 as well.
+LANES = {"exact": None, "mod13": PM13, "mod169": PrimePower(13, 2),
+         "big": BIG}
+
+
+def _coeffs(lane):
+    if lane == "exact":
+        return COEFF["exact"]
+    q = LANES[lane].q
+    return (st.integers(-2 * q, 2 * q)
+            | st.integers(-q, q).map(lambda c: 13 * c)
+            | st.integers(1, 8).map(lambda c: q - c))
+
+
+@st.composite
+def laurent(draw, lane, n=None):
+    """Terms z4^(lo+3k) z6^(e6-2k), k < n, of one weight, exponents of
+    either sign; with n given the first and last coefficients are nonzero
+    (mod q), so the array spans exactly n entries."""
+    pm = LANES[lane]
+    if n is None:
+        n = draw(st.integers(0, 5))
+    nonzero = _coeffs(lane).filter(lambda c: c % pm.q if pm else c)
+    cs = draw(st.lists(_coeffs(lane), min_size=n, max_size=n))
+    if n:
+        cs[0], cs[-1] = draw(nonzero), draw(nonzero)
+    lo, e6 = draw(st.integers(-4, 4)), draw(st.integers(-4, 8))
+    return {(lo + 3 * k, e6 - 2 * k): c for k, c in enumerate(cs)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(LANES)), st.data())
+def test_monomial_product_and_division_match_dict_oracle(lane, data):
+    """A product with one term c z4^i z6^j, on either side, and the exact
+    division by it, against term-by-term dict arithmetic on Laurent inputs;
+    a division is None when a quotient exponent is negative, and a
+    coefficient that is not a unit is refused as the long division refuses
+    it."""
+    pm = LANES[lane]
+    a = _clean(data.draw(laurent(lane)), pm)
+    c = data.draw(_coeffs(lane))
+    e4, e6 = data.draw(st.integers(-3, 5)), data.draw(st.integers(-3, 5))
+    mono = _clean({(e4, e6): c}, pm)
+    wa, wm = WPoly(a, pm), WPoly(mono, pm)
+    assert (wa * wm).terms == _mul(a, mono, pm)
+    assert (wm * wa).terms == _mul(a, mono, pm)
+    if not mono:
+        assert wa.divide_exact(wm) is None
+        return
+    if not a:
+        assert wa.divide_exact(wm).is_zero()
+        return
+    (_, c), = mono.items()
+    if pm is not None and c % pm.p == 0:
+        with pytest.raises(ValueError):
+            wa.divide_exact(wm)
+        return
+    inv = 1 / Fraction(c) if pm is None else pow(c, -1, pm.q)
+    want = _clean({(i - e4, j - e6): v * inv for (i, j), v in a.items()}, pm)
+    got = wa.divide_exact(wm)
+    if min(min(key) for key in want) < 0:
+        assert got is None
+    else:
+        assert got.terms == want
+
+
+def test_non_unit_divisor_is_refused_by_both_divisions():
+    """A leading coefficient that is no unit mod 13^2 stops the monomial
+    division as it stops the long division."""
+    pm = LANES["mod169"]
+    num = WPoly({(3, 0): 1, (0, 2): 5}, pm)
+    for g in (WPoly.monomial(13, 0, 0, pm),
+              WPoly({(3, 0): 26, (0, 2): 1}, pm)):
+        with pytest.raises(ValueError):
+            num.divide_exact(g)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(sorted(LANES)), st.data(), st.integers(2, 6))
+def test_composed_row_product_matches_dict_oracle(lane, data, k):
+    """A row composed at stride k times a factor of 1, k - 1, k or k + 1
+    entries, against the dict product of the composed terms and against
+    compose_powers(k) * g."""
+    pm = LANES[lane]
+    width = data.draw(st.sampled_from((1, k - 1, k, k + 1)))
+    row = _clean(data.draw(laurent(lane)), pm)
+    g = data.draw(laurent(lane, width))
+    wr, wg = WPoly(row, pm), WPoly(g, pm)
+    assert len(wg.c) == width
+    want = _mul({(i * k, j * k): c for (i, j), c in row.items()},
+                _clean(g, pm), pm)
+    assert wr.compose_times(k, wg).terms == want
+    assert (wr.compose_powers(k) * wg).terms == want
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(sorted(COEFF)), st.data(), st.integers(1, 12),
        st.integers(1, 12))
